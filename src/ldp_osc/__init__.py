@@ -15,8 +15,7 @@ from .methods import ConditionBDiagnostics, ConditionReport, MethodDef, \
     MethodFileError, catalog, check_conditions, condition_b_diagnostics, \
     evaluate, evaluate_symbolic, format_method_file, get_method, \
     parse_method_file
-from .spectral import NearDegenerateError, SpectralData, alpha_hat, beta_hat, \
-    geom_sin_sum, s_alpha, s_beta, spectral_data, weight_c, weight_vector
+from .spectral import NearDegenerateError, SpectralData, spectral_data
 from .laws import AugmentedMoments, IntervalProbability, gaussian_tail_bound, \
     interval_probability, law_NA_N, law_x_N, oracle_moments
 from .ldp import DEFAULT_H_SWEEP, InternalInvariantError, LdpClassification, \
@@ -37,16 +36,14 @@ __all__ = [
     "NearDegenerateError", "OBSERVABLES", "OscillatorParams", "PathSample",
     "PreservationReport", "RateFunction", "SimConfig", "SimResult",
     "SpectralData", "VERDICT_ASYMPTOTIC", "VERDICT_EXACT",
-    "VERDICT_EXACT_NUMERIC", "VERDICT_NONE", "alpha_hat", "beta_hat",
-    "catalog", "check_conditions", "condition_b_diagnostics",
-    "continuous_log_mgf_coefficient", "continuous_rate", "evaluate",
-    "evaluate_symbolic", "exact_preservation_search", "finite_N_decay_rate",
-    "fit_loglog_slope", "format_method_file", "gaussian_tail_bound",
-    "geom_sin_sum", "get_method", "interval_probability", "law_NA_N",
-    "law_x_N", "legendre_transform", "log_mgf_coefficient",
-    "mean_position_law", "msq_order", "observable_law", "oracle_moments",
-    "parse_method_file", "preservation_report", "rate_function", "s_alpha",
-    "s_beta", "sample_exact_path", "simulate_paths", "spectral_data",
+    "VERDICT_EXACT_NUMERIC", "VERDICT_NONE", "catalog", "check_conditions",
+    "condition_b_diagnostics", "continuous_log_mgf_coefficient",
+    "continuous_rate", "evaluate", "evaluate_symbolic",
+    "exact_preservation_search", "finite_N_decay_rate", "fit_loglog_slope",
+    "format_method_file", "gaussian_tail_bound", "get_method",
+    "interval_probability", "law_NA_N", "law_x_N", "legendre_transform",
+    "log_mgf_coefficient", "mean_position_law", "msq_order", "observable_law",
+    "oracle_moments", "parse_method_file", "preservation_report",
+    "rate_function", "sample_exact_path", "simulate_paths", "spectral_data",
     "symplectic_numerators", "terminal_position_law", "thread_count",
-    "weight_c", "weight_vector",
 ]

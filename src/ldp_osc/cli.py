@@ -36,7 +36,7 @@ import numpy as np
 
 from .ldp import InternalInvariantError, exact_preservation_search, \
     finite_N_decay_rate, observable_law, preservation_report, rate_function
-from .laws import interval_probability
+from .laws import DivergentMomentsError, interval_probability
 from .methods import catalog, check_conditions, condition_b_diagnostics, \
     evaluate, get_method, parse_method_file
 from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
@@ -493,7 +493,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NoApplicableResult as exc:
+    except (_NoApplicableResult, DivergentMomentsError) as exc:
         print(f"no applicable result: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

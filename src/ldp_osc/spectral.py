@@ -1,10 +1,11 @@
-"""Spectral data of the one-step update matrix and the trigonometric sums
-behind the exact finite-N laws.
+"""Spectral data of the one-step update matrix: the admissibility guard of the
+exact finite-N laws.
 
 A 2x2 matrix A with 4 det(A) > tr(A)^2 has the complex eigenvalue pair
-sqrt(det) * exp(+-i theta) with cos(theta) = tr / (2 sqrt(det)). Powers of the
-companion form are then sine polynomials in theta, and every finite-N moment
-reduces to geometric sine sums that close in a few trig terms.
+sqrt(det) * exp(+-i theta) with cos(theta) = tr / (2 sqrt(det)). The laws
+themselves come from the O(log N) moment doubling in `laws`; they call
+`spectral_data` first so that real spectra and rotation angles lost to
+rounding are rejected before any moment is computed.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ import numpy as np
 
 SIN_THETA_MIN = 1e-8
 
-# Every closed form below also exists as a naive O(N) summation; flipping this
-# flag reroutes the production entry points onto the naive route for debugging.
-DIRECT_SUMS = False
-
 
 class NearDegenerateError(ValueError):
     """tr(A) is too close to +-2 sqrt(det A); the rotation angle is numerically lost."""
@@ -30,14 +27,6 @@ class SpectralData:
     det: float
     tr: float
     theta: float
-
-    @property
-    def root_det(self):
-        return math.sqrt(self.det)
-
-    @property
-    def sin_theta(self):
-        return math.sin(self.theta)
 
 
 def spectral_data(A):
@@ -57,136 +46,3 @@ def spectral_data(A):
         raise NearDegenerateError(
             f"near-degenerate spectrum: sin(theta) = {math.sin(theta):.3g} < {SIN_THETA_MIN}")
     return SpectralData(det, tr, theta)
-
-
-def geom_sin_sum(theta, a, N):
-    """Closed form of sum_{n=1}^{N} a**n sin(n theta)."""
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if DIRECT_SUMS:
-        return geom_sin_sum_direct(theta, a, N)
-    if a == 1.0:
-        half = 0.5 * theta
-        return (math.cos(half) - math.cos((N + 0.5) * theta)) / (2.0 * math.sin(half))
-    denom = 1.0 - 2.0 * a * math.cos(theta) + a * a
-    # denom = (a - cos theta)^2 + sin^2 theta, positive for theta in (0, pi)
-    assert denom > 0.0, "geometric sine sum denominator vanished"
-    return (a * math.sin(theta)
-            - a ** (N + 1) * math.sin((N + 1) * theta)
-            + a ** (N + 2) * math.sin(N * theta)) / denom
-
-
-def geom_sin_sum_direct(theta, a, N):
-    """Term-by-term evaluation of the same sum."""
-    n = np.arange(1, N + 1)
-    return float(np.sum(a ** n * np.sin(n * theta)))
-
-
-def alpha_hat(n, sd):
-    """Normalized sine sequence det^(n/2) sin((n+1) theta) / sin(theta).
-
-    alpha_hat(-1) = 0 and alpha_hat(0) = 1; together with beta_hat it carries
-    all powers of the update matrix. Accepts scalar or integer-array n >= -1.
-    """
-    n_arr = np.asarray(n)
-    if np.any(n_arr < -1):
-        raise ValueError("alpha_hat is defined for n >= -1")
-    val = sd.det ** (n_arr / 2.0) * np.sin((n_arr + 1) * sd.theta) / sd.sin_theta
-    return float(val) if np.isscalar(n) else val
-
-
-def beta_hat(n, sd):
-    """Companion sequence beta_hat(n) = -det * alpha_hat(n-1), n >= 0."""
-    if np.any(np.asarray(n) < 0):
-        raise ValueError("beta_hat is defined for n >= 0")
-    shifted = n - 1 if np.isscalar(n) else np.asarray(n) - 1
-    return -sd.det * alpha_hat(shifted, sd)
-
-
-def s_alpha(N, sd):
-    """Closed form of sum_{n=0}^{N-2} alpha_hat(n); empty sums (N <= 1) are 0."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if DIRECT_SUMS:
-        return s_alpha_direct(N, sd)
-    return float(_s_alpha_closed(np.asarray(float(N)), sd))
-
-
-def _s_alpha_closed(N, sd):
-    # vectorized over N; the numerator vanishes identically at N = 0 and 1
-    r, th, s = sd.root_det, sd.theta, sd.sin_theta
-    denom = s * (1.0 - 2.0 * r * math.cos(th) + sd.det)
-    return (s - r ** (N - 1) * np.sin(N * th) + r ** N * np.sin((N - 1) * th)) / denom
-
-
-def s_alpha_direct(N, sd):
-    if N <= 1:
-        return 0.0
-    return float(np.sum(alpha_hat(np.arange(N - 1), sd)))
-
-
-def s_beta(N, sd):
-    """Closed form of sum_{n=0}^{N-2} beta_hat(n)."""
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    if N <= 1:
-        return 0.0
-    if DIRECT_SUMS:
-        return s_beta_direct(N, sd)
-    # shifting the index: the sum equals -det * s_alpha(N-1)
-    return -sd.det * s_alpha(N - 1, sd)
-
-
-def s_beta_direct(N, sd):
-    if N <= 1:
-        return 0.0
-    return float(np.sum(beta_hat(np.arange(N - 1), sd)))
-
-
-def s_alpha_cosine(N, sd):
-    """Half-angle form of s_alpha, valid when det = 1 (independent route)."""
-    th = sd.theta
-    half = 0.5 * th
-    return (math.cos(half) - math.cos((N - 0.5) * th)) / (
-        2.0 * math.sin(th) * math.sin(half))
-
-
-def s_beta_cosine(N, sd):
-    """Half-angle form of s_beta, valid when det = 1 (independent route)."""
-    th = sd.theta
-    half = 0.5 * th
-    return -(math.cos(half) - math.cos((N - 1.5) * th)) / (
-        2.0 * math.sin(th) * math.sin(half))
-
-
-def weight_c(j, N, sd, b1, q):
-    """Weight of the j-th Brownian increment inside the running position sum.
-
-    q is the position-noise coupling a12 b2 - a22 b1. The boundary j = N-2
-    reduces to b1 because the trailing partial sum is empty.
-    """
-    if not 0 <= j <= N - 2:
-        raise ValueError(f"weight index {j} outside 0..{N - 2}")
-    return b1 * alpha_hat(N - 2 - j, sd) + (b1 + q) * s_alpha(N - 1 - j, sd)
-
-
-def weight_vector(N, sd, b1, q):
-    """All running-sum weights j = 0..N-2 at once (closed forms, vectorized)."""
-    if N < 2:
-        raise ValueError(f"need N >= 2, got {N}")
-    if DIRECT_SUMS:
-        return weight_vector_direct(N, sd, b1, q)
-    j = np.arange(N - 1)
-    ah = alpha_hat(N - 2 - j, sd)
-    sa = _s_alpha_closed((N - 1 - j).astype(float), sd)
-    return b1 * ah + (b1 + q) * sa
-
-
-def weight_vector_direct(N, sd, b1, q):
-    """Same weights via a cumulative sum of alpha_hat (naive route)."""
-    ah = alpha_hat(np.arange(N - 1), sd)
-    csum = np.concatenate(([0.0], np.cumsum(ah)))
-    j = np.arange(N - 1)
-    return b1 * ah[N - 2 - j] + (b1 + q) * csum[N - 2 - j]

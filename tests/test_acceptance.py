@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from ldp_osc.laws import law_NA_N, law_x_N, oracle_moments
+from ldp_osc.laws import _augmented_moments, law_NA_N, law_x_N, oracle_moments
 from ldp_osc.ldp import (
     VERDICT_ASYMPTOTIC,
     VERDICT_EXACT,
@@ -38,17 +38,9 @@ from ldp_osc.oscillator import (
     OscillatorParams,
     continuous_rate,
     mean_position_law,
+    rotation,
 )
 from ldp_osc.sim import SimConfig, fit_loglog_slope, msq_order, simulate_paths
-from ldp_osc.spectral import (
-    SpectralData,
-    geom_sin_sum,
-    geom_sin_sum_direct,
-    s_alpha,
-    s_alpha_direct,
-    s_beta,
-    s_beta_direct,
-)
 
 PRESERVING = {VERDICT_EXACT, VERDICT_EXACT_NUMERIC, VERDICT_ASYMPTOTIC}
 
@@ -299,23 +291,44 @@ def test_criterion_09_positivity_of_rate_numerators():
             f"min S = {min_S:.3g}, min T = {min_T:.3g}")
 
 
+def _direct_trig_moments(theta, a, b, h, N, params):
+    """(E x_N, E sum x_n, Var x_N, Var sum x_n) for A = a R(theta), term by term.
+
+    Row one of A^m is a^m (cos m theta, sin m theta), so every moment is a
+    plain O(N) sum of damped sines and cosines.
+    """
+    m = np.arange(N + 1)
+    damp = a ** m
+    cos, sin = np.cos(m * theta), np.sin(m * theta)
+    path = damp * (params.x0 * cos + params.y0 * sin)
+    weights = (damp * (b[0] * cos + b[1] * sin))[:N]
+    scale = params.alpha ** 2 * h
+    return (path[N], float(np.sum(path[:N])),
+            scale * float(np.sum(weights ** 2)),
+            scale * float(np.sum(np.cumsum(weights[:N - 1]) ** 2)))
+
+
 def test_criterion_10_trig_sum_identities():
     rng = np.random.default_rng(7)
+    noise_rng = np.random.default_rng(8)
+    params = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
+    h = 0.1
     worst = 0.0
     for _ in range(1000):
         theta = rng.uniform(0.01, math.pi - 0.01)
         a = 1.0 if rng.uniform() < 0.25 else rng.uniform(0.1, 1.5)
         N = int(rng.integers(1, 400))
-        sd = SpectralData(det=a * a, tr=2.0 * a * math.cos(theta), theta=theta)
-        pairs = [
-            (geom_sin_sum(theta, a, N), geom_sin_sum_direct(theta, a, N)),
-            (s_alpha(N, sd), s_alpha_direct(N, sd)),
-            (s_beta(N, sd), s_beta_direct(N, sd)),
-        ]
-        for closed, direct in pairs:
-            worst = max(worst, abs(closed - direct) / max(1.0, abs(direct)))
+        b = noise_rng.uniform(-1.0, 1.0, size=2)
+        got = _augmented_moments(a * rotation(theta), b, h, N, params)
+        kernel = (got.mean[0], got.mean[2],
+                  got.covariance[0, 0], got.covariance[2, 2])
+        direct = _direct_trig_moments(theta, a, b, h, N, params)
+        for value, reference in zip(kernel, direct):
+            worst = max(worst,
+                        abs(value - reference) / max(1.0, abs(reference)))
     ok = worst <= 1e-9
-    _report(10, ok, f"1000 random (theta, a, N) draws, worst gap {worst:.3g}")
+    _report(10, ok, f"1000 random (theta, a, N) draws of a R(theta), kernel "
+            f"moments against direct sums, worst gap {worst:.3g}")
 
 
 def test_criterion_11_monte_carlo_consistency(monkeypatch):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -82,6 +83,20 @@ def test_rates_diverging_method_has_no_result(capsys):
     assert code == 2
     assert out == ""
     assert "no applicable result" in err
+
+
+def test_prob_diverging_powers_have_no_result(capsys):
+    # det(A) = 1.01: the moments overflow float64 between N = 1e4 and 1e5
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            ["prob", "--method", "em", "--h", "0.1",
+             "--N-sweep", "1000:1000000:4", "--interval", "0.9:1.1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("no applicable result: moments overflow float64 at "
+                   "N = 100000 with det(A) = 1.01: the matrix powers diverge\n")
+    assert caught == []
 
 
 def test_usage_errors_exit_1(capsys):

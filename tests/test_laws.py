@@ -1,25 +1,32 @@
 """Tests for the exact per-method Gaussian laws and interval probabilities.
 
-The closed-form laws are cross-checked against a direct moment recursion
-(oracle_moments) that never touches the trigonometric sum formulas.
+The doubling kernel behind the laws is cross-checked against a direct moment
+recursion (oracle_moments) for its algebra, and against the same doubling in
+50-digit mpmath arithmetic for its float64 precision up to N = 1e9.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.special import log_ndtr, ndtr
 
+from ldp_osc import cli
 from ldp_osc.laws import (
+    DivergentMomentsError,
+    _augmented_moments,
     gaussian_tail_bound,
     interval_probability,
     law_NA_N,
     law_x_N,
     oracle_moments,
 )
-from ldp_osc.methods import evaluate, get_method
+from ldp_osc.methods import catalog, evaluate, get_method
 from ldp_osc.oscillator import GaussianLaw, OscillatorParams
+from ldp_osc.spectral import spectral_data
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
@@ -42,6 +49,109 @@ def test_laws_match_moment_recursion(name, h):
         _close(run.variance, oracle.running_sum_law.variance)
         _close(term.mean, oracle.position_law.mean)
         _close(term.variance, oracle.position_law.variance)
+
+
+def _mp_product(X, Y):
+    return [[sum(X[i][k] * Y[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def _mp_sandwich(S, X, Q):
+    # S + X Q X^T
+    XQ = _mp_product(X, Q)
+    return [[S[i][j] + sum(XQ[i][k] * X[j][k] for k in range(3))
+             for j in range(3)] for i in range(3)]
+
+
+def _mp_moments(A, b, h, N, params):
+    """Mean and covariance of (x_N, y_N, sum x_n) by doubling at 50 digits,
+    starting from the exact values of the float64 inputs."""
+    with mpmath.workdps(50):
+        f = mpmath.mpf
+        zero, one = f(0), f(1)
+        P = [[f(A[0, 0]), f(A[0, 1]), zero], [f(A[1, 0]), f(A[1, 1]), zero],
+             [one, zero, one]]
+        g = [f(b[0]), f(b[1]), zero]
+        scale = f(params.alpha) ** 2 * f(h)
+        Q = [[scale * g[i] * g[j] for j in range(3)] for i in range(3)]
+        R = [[one if i == j else zero for j in range(3)] for i in range(3)]
+        S = [[zero] * 3 for _ in range(3)]
+        n = N
+        while n:
+            if n & 1:
+                S = _mp_sandwich(S, R, Q)
+                R = _mp_product(R, P)
+            n >>= 1
+            if n:
+                Q = _mp_sandwich(Q, P, Q)
+                P = _mp_product(P, P)
+        z0 = [f(params.x0), f(params.y0), zero]
+        mean = [sum(R[i][k] * z0[k] for k in range(3)) for i in range(3)]
+        return mean, S
+
+
+def test_precision_budget():
+    # relative variance error <= 4e-15 + 1e-16 N; measured worst cases are
+    # 1.4e-15 (N <= 10), 4.6e-15 (1e2), 3.1e-13 (1e4), 4.5e-10 (1e7) and
+    # 3.1e-8 (1e9). Mean error on the |mean| + sigma scale: worst 1.3e-11.
+    worst_var = worst_mean = (0.0, None)
+    cells = 0
+    for method in catalog():
+        for h in (1e-3, 1e-2, 0.1, 0.5):
+            if not method.h_range[0] < h < method.h_range[1]:
+                continue
+            A, b = evaluate(method, h)
+            try:
+                spectral_data(A)
+            except ValueError:
+                continue
+            for N in (2, 3, 10, 10 ** 2, 10 ** 4, 10 ** 7, 10 ** 9):
+                try:
+                    got = _augmented_moments(A, b, h, N, PARAMS)
+                except DivergentMomentsError:
+                    continue
+                ref_mean, ref_cov = _mp_moments(A, b, h, N, PARAMS)
+                budget = 4e-15 + 1e-16 * N
+                for i in (0, 2):
+                    ref_var = ref_cov[i][i]
+                    var_err = abs(got.covariance[i, i] - ref_var)
+                    if ref_var > 0:
+                        var_err /= ref_var
+                    mean_err = abs(got.mean[i] - ref_mean[i]) / (
+                        abs(ref_mean[i]) + mpmath.sqrt(ref_var))
+                    where = (method.name, h, N, i)
+                    assert var_err <= budget, (float(var_err), where)
+                    assert mean_err <= min(budget, 3e-11), \
+                        (float(mean_err), where)
+                    worst_var = max(worst_var, (float(var_err), where))
+                    worst_mean = max(worst_mean, (float(mean_err), where))
+                cells += 1
+    assert cells >= 400, cells
+    print(f"{cells} cells; worst variance error {worst_var}; "
+          f"worst mean error {worst_mean}")
+
+
+def test_law_memory_does_not_grow_with_N(capsys):
+    method = get_method("beta:0.5")
+
+    def peak(N):
+        tracemalloc.start()
+        try:
+            law_NA_N(method, 0.1, N, PARAMS)
+            law_x_N(method, 0.1, N, PARAMS)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # warm caches outside the measurement
+    assert peak(10 ** 9) - peak(1000) <= 64 * 1024
+
+    assert cli.main(["prob", "--method", "beta:0.5",
+                     "--observable", "mean-position", "--h", "0.1",
+                     "--interval", "0.9:1.1",
+                     "--N-sweep", "1000:1000000000:4"]) == 0
+    rows = cli.parse_csv(capsys.readouterr().out)
+    assert [int(row["N"]) for row in rows][-1] == 10 ** 9
 
 
 def test_running_sum_variance_growth_rate():

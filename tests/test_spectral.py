@@ -1,5 +1,5 @@
-"""Spectral data and the closed trigonometric sums, each checked against an
-independent route: eigenvalue angles, matrix powers, and naive summation."""
+"""Spectral data against eigenvalue angles, and the partial sums that the law
+kernel builds from the same matrices against naive summation."""
 
 import math
 
@@ -7,14 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ldp_osc import spectral
+from ldp_osc.laws import _augmented_moments
 from ldp_osc.methods import evaluate, get_method
-from ldp_osc.oscillator import rotation
-from ldp_osc.spectral import (NearDegenerateError, alpha_hat, beta_hat,
-                              geom_sin_sum, geom_sin_sum_direct, s_alpha,
-                              s_alpha_cosine, s_alpha_direct, s_beta,
-                              s_beta_cosine, s_beta_direct, spectral_data,
-                              weight_c, weight_vector, weight_vector_direct)
+from ldp_osc.oscillator import OscillatorParams, rotation
+from ldp_osc.spectral import NearDegenerateError, spectral_data
 
 
 def eig_angle(A):
@@ -30,13 +26,12 @@ def spectral_cases():
     for name, h in (("beta:0.5", 0.5), ("beta:0", 1.3), ("ex", 0.8),
                     ("theta:1", 0.7), ("em", 0.6), ("pc-em-bem", 0.5),
                     ("m2", 1.1), ("m6", 0.4)):
-        A, _ = evaluate(get_method(name), h)
-        cases.append(A)
+        cases.append((h, *evaluate(get_method(name), h)))
     return cases
 
 
 def test_spectral_data_matches_eigenvalues():
-    for A in spectral_cases():
+    for _, A, _ in spectral_cases():
         sd = spectral_data(A)
         npt.assert_allclose(sd.theta, eig_angle(A), rtol=1e-12, atol=1e-12)
         npt.assert_allclose(sd.det, np.linalg.det(A), rtol=1e-12)
@@ -69,127 +64,54 @@ def test_spectral_data_near_degenerate():
         spectral_data([[-1.0, 1.49e-8], [-1.49e-8, -1.0]])
 
 
-def test_geom_sin_sum_examples():
-    # one term: a * sin(theta)
-    assert geom_sin_sum(0.7, 0.9, 1) == pytest.approx(0.9 * math.sin(0.7))
-    # a = 1, theta = pi/2: partial sums cycle 1, 1, 0, 0, 1, 1, ...
-    assert geom_sin_sum(math.pi / 2, 1.0, 4) == pytest.approx(0.0, abs=1e-12)
-    assert geom_sin_sum(math.pi / 2, 1.0, 5) == pytest.approx(1.0)
-
-
-def test_geom_sin_sum_against_direct():
-    rng = np.random.default_rng(42)
-    for _ in range(300):
-        theta = rng.uniform(0.01, math.pi - 0.01)
-        a = 1.0 if rng.random() < 0.25 else rng.uniform(0.1, 1.5)
-        N = int(rng.integers(1, 400))
-        closed = geom_sin_sum(theta, a, N)
-        direct = geom_sin_sum_direct(theta, a, N)
-        assert abs(closed - direct) <= 1e-9 * max(1.0, abs(direct))
-
-
-def test_geom_sin_sum_guards():
-    with pytest.raises(ValueError):
-        geom_sin_sum(0.0, 0.5, 3)
-    with pytest.raises(ValueError):
-        geom_sin_sum(math.pi, 0.5, 3)
-    with pytest.raises(ValueError):
-        geom_sin_sum(0.5, 0.5, 0)
-
-
-def test_alpha_hat_base_cases_and_recurrence():
-    for A in spectral_cases():
-        sd = spectral_data(A)
-        assert alpha_hat(-1, sd) == pytest.approx(0.0, abs=1e-14)
-        assert alpha_hat(0, sd) == pytest.approx(1.0, rel=1e-14)
-        assert alpha_hat(1, sd) == pytest.approx(sd.tr, rel=1e-12)
-        for n in range(1, 40):
-            lhs = alpha_hat(n + 1, sd)
-            rhs = sd.tr * alpha_hat(n, sd) - sd.det * alpha_hat(n - 1, sd)
-            npt.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
-
-
-def test_alpha_beta_carry_matrix_powers():
-    # A^n = alpha_hat(n-1) A + beta_hat(n-1) I, the defining property
-    for A in spectral_cases():
-        sd = spectral_data(A)
-        for n in (1, 2, 3, 7, 20):
-            recon = alpha_hat(n - 1, sd) * np.asarray(A) \
-                + beta_hat(n - 1, sd) * np.eye(2)
-            npt.assert_allclose(recon, np.linalg.matrix_power(A, n),
-                                rtol=1e-9, atol=1e-9)
-
-
-def test_alpha_hat_vectorized():
-    sd = spectral_data(spectral_cases()[0])
-    n = np.arange(-1, 25)
-    values = alpha_hat(n, sd)
-    scalar = np.array([alpha_hat(int(k), sd) for k in n])
-    npt.assert_allclose(values, scalar, rtol=1e-13)
-
-
 def test_index_guards():
-    sd = spectral_data(rotation(0.4))
-    with pytest.raises(ValueError):
-        alpha_hat(-2, sd)
-    with pytest.raises(ValueError):
-        beta_hat(-1, sd)
-    with pytest.raises(ValueError):
-        s_alpha(-1, sd)
+    # the doubling kernel has no closed form to break at negative indices,
+    # but a negative step count would never terminate its bit loop
+    A, b = evaluate(get_method("beta:0.5"), 0.5)
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    with pytest.raises(ValueError, match="N >= 0"):
+        _augmented_moments(A, b, 0.5, -1, params)
+    with pytest.raises(ValueError, match="N >= 0"):
+        _augmented_moments(A, b, 0.5, -7, params)
+    # N = 0 is the empty product: the initial state with no noise
+    got = _augmented_moments(A, b, 0.5, 0, params)
+    npt.assert_array_equal(got.mean, [params.x0, params.y0, 0.0])
+    npt.assert_array_equal(got.covariance, np.zeros((3, 3)))
 
 
 def test_partial_sums_against_direct():
-    for A in spectral_cases():
-        sd = spectral_data(A)
-        for N in (0, 1, 2, 3, 10, 57, 200):
-            npt.assert_allclose(s_alpha(N, sd), s_alpha_direct(N, sd),
-                                rtol=1e-9, atol=1e-9)
-            npt.assert_allclose(s_beta(N, sd), s_beta_direct(N, sd),
-                                rtol=1e-9, atol=1e-9)
-
-
-def test_half_angle_forms_when_volume_preserving():
-    # independent cosine route, valid only at det = 1
-    for name, h in (("beta:0.5", 0.5), ("ex", 0.8), ("m2", 1.1)):
-        A, _ = evaluate(get_method(name), h)
-        sd = spectral_data(A)
-        for N in (2, 3, 11, 64):
-            npt.assert_allclose(s_alpha(N, sd), s_alpha_cosine(N, sd),
-                                rtol=1e-9, atol=1e-11)
-            npt.assert_allclose(s_beta(N, sd), s_beta_cosine(N, sd),
-                                rtol=1e-9, atol=1e-11)
+    # sum_{n<N} A^n z0 and A^N z0 against matrix powers, term by term
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    z0 = np.array([params.x0, params.y0])
+    for h, A, b in spectral_cases():
+        for N in (1, 2, 3, 10, 57, 200):
+            powers = [np.eye(2)]
+            for _ in range(N):
+                powers.append(A @ powers[-1])
+            running_mean = sum(P @ z0 for P in powers[:N])[0]
+            got = _augmented_moments(A, b, h, N, params)
+            npt.assert_allclose(got.mean[:2], powers[N] @ z0,
+                                rtol=1e-9, atol=1e-12)
+            npt.assert_allclose(got.mean[2], running_mean, rtol=1e-9,
+                                atol=1e-12)
 
 
 def test_weight_vector_against_cumsum_route():
+    # running-sum variance: dW_m enters every later position with weight
+    # e1^T A^k b, so its total weight in the sum is the cumulative sum of
+    # those; the variance is alpha^2 h times the sum of squared weights
     rng = np.random.default_rng(7)
-    for A in spectral_cases():
-        sd = spectral_data(A)
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    for h, A, _ in spectral_cases():
         for N in (2, 3, 25, 160):
-            b1, q = rng.uniform(-1.0, 1.0, size=2)
-            closed = weight_vector(N, sd, b1, q)
-            direct = weight_vector_direct(N, sd, b1, q)
-            npt.assert_allclose(closed, direct, rtol=1e-9, atol=1e-9)
-            # trailing weight reduces to b1: the last partial sum is empty
-            assert weight_c(N - 2, N, sd, b1, q) == pytest.approx(b1, abs=1e-12)
-
-
-def test_weight_guards():
-    sd = spectral_data(rotation(0.4))
-    with pytest.raises(ValueError):
-        weight_c(-1, 10, sd, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        weight_c(9, 10, sd, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        weight_vector(1, sd, 0.5, 0.1)
-
-
-def test_direct_sums_flag_reroutes():
-    sd = spectral_data(rotation(0.4))
-    spectral.DIRECT_SUMS = True
-    try:
-        assert s_alpha(17, sd) == s_alpha_direct(17, sd)
-        assert geom_sin_sum(0.4, 0.9, 12) == geom_sin_sum_direct(0.4, 0.9, 12)
-        npt.assert_allclose(weight_vector(9, sd, 0.3, -0.2),
-                            weight_vector_direct(9, sd, 0.3, -0.2), rtol=0)
-    finally:
-        spectral.DIRECT_SUMS = False
+            b = rng.uniform(-1.0, 1.0, size=2)
+            powers = [np.eye(2)]
+            for _ in range(N - 2):
+                powers.append(A @ powers[-1])
+            weights = np.cumsum([(P @ b)[0] for P in powers])
+            # the last increment reaches only x_{N-1}: its weight is b1
+            assert weights[0] == pytest.approx(b[0], abs=1e-15)
+            running_var = params.alpha ** 2 * h * float(np.sum(weights ** 2))
+            got = _augmented_moments(A, b, h, N, params)
+            npt.assert_allclose(got.covariance[2, 2], running_var, rtol=1e-9,
+                                atol=1e-12)
