@@ -16,6 +16,10 @@ mpmath, the relative variance error over the catalog is at most 1.4e-15 for
 N <= 10 and about 5e-17 N beyond, within the tested budget 4e-15 + 1e-16 N;
 means stay within 1.3e-11 of |mean| + sigma up to N = 1e9.
 
+Both laws first read `check_conditions` on (A, b): real spectra and rotation
+angles lost to rounding (sin theta < SIN_THETA_MIN) are rejected before any
+moment is computed.
+
 `oracle_moments` recomputes the same moments by stepping the recursion N
 times; it shares only the method coefficients with the kernel, so the two
 routes agreeing is a correctness check asserted in the test suite.
@@ -30,9 +34,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .methods import evaluate
+from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
+    evaluate
 from .oscillator import GaussianLaw
-from .spectral import spectral_data
 
 
 class DivergentMomentsError(ValueError):
@@ -87,12 +91,26 @@ def _augmented_moments(A, b, h, N, params):
     return AugmentedMoments(mean, S)
 
 
+def _oscillatory_coefficients(method, h):
+    """(A, b) at step h, rejecting real and near-degenerate spectra."""
+    A, b = evaluate(method, h)
+    rep = check_conditions(A, b)
+    if not rep.a1:
+        raise ValueError(
+            "complex-pair condition failed: 4 det(A) - tr(A)^2 = "
+            f"{4.0 * rep.det - rep.tr * rep.tr:.6g} <= 0")
+    if math.sin(rep.theta) < SIN_THETA_MIN:
+        raise NearDegenerateError(
+            f"near-degenerate spectrum: sin(theta) = {math.sin(rep.theta):.3g} "
+            f"< {SIN_THETA_MIN}")
+    return A, b
+
+
 def law_NA_N(method, h, N, params):
     """Law of the running position sum sum_{n=0}^{N-1} x_n after N steps."""
     if N < 2:
         raise ValueError(f"running-sum law needs N >= 2, got {N}")
-    A, b = evaluate(method, h)
-    spectral_data(A)  # rejects real and near-degenerate spectra
+    A, b = _oscillatory_coefficients(method, h)
     return _augmented_moments(A, b, h, N, params).running_sum_law
 
 
@@ -100,8 +118,7 @@ def law_x_N(method, h, N, params):
     """Law of the terminal position x_N after N steps."""
     if N < 1:
         raise ValueError(f"terminal law needs N >= 1, got {N}")
-    A, b = evaluate(method, h)
-    spectral_data(A)  # rejects real and near-degenerate spectra
+    A, b = _oscillatory_coefficients(method, h)
     return _augmented_moments(A, b, h, N, params).position_law
 
 
@@ -167,19 +184,3 @@ def _log_ndtr_difference(log_a, log_b):
     rest = -math.expm1(gap)
     return log_a + math.log(rest) if rest > 0.0 else -math.inf
 
-
-def gaussian_tail_bound(mu, sigma, x, tail="upper"):
-    """Mills-ratio bound on a Gaussian tail beyond x.
-
-    For the upper tail, P(Z >= x) <= phi(z) / z with z = (x - mu) / sigma;
-    symmetric for the lower tail. Valid only when x is strictly on the tail
-    side of the mean (z > 0).
-    """
-    if tail not in ("upper", "lower"):
-        raise ValueError(f"tail must be 'upper' or 'lower', got {tail!r}")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    z = (x - mu) / sigma if tail == "upper" else (mu - x) / sigma
-    if z <= 0.0:
-        raise ValueError("tail bound needs x strictly beyond the mean")
-    return math.exp(-0.5 * z * z) / (z * math.sqrt(2.0 * math.pi))

@@ -25,8 +25,8 @@ import numpy as np
 import sympy as sp
 
 from .laws import interval_probability, law_NA_N, law_x_N
-from .methods import MethodDef, catalog, check_conditions, coupling, evaluate, \
-    evaluate_symbolic, format_method_file
+from .methods import MethodDef, catalog, check_conditions, coupling, \
+    decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
     check_observable, continuous_rate
 
@@ -55,14 +55,33 @@ def symplectic_numerators(A, b):
     """The two quadratic forms S and T entering the volume-preserving rate
     coefficients; both are strictly positive whenever the eigenvalues form a
     complex pair, det = 1 and b != 0."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    tr = float(A[0, 0] + A[1, 1])
-    b1 = float(b[0])
-    q = float(coupling(A, b))
-    S = (b1 + q) ** 2 * (4.0 + tr) - 2.0 * b1 * q * (2.0 - tr)
-    T = (b1 + q) ** 2 - b1 * q * (2.0 - tr)
+    tr = A[0, 0] + A[1, 1]
+    b1 = b[0]
+    q = coupling(A, b)
+    S = (b1 + q) ** 2 * (4 + tr) - 2 * b1 * q * (2 - tr)
+    T = (b1 + q) ** 2 - b1 * q * (2 - tr)
     return S, T
+
+
+def _closed_form_log_mgf(A, b, h, observable, volume_preserving, alpha2):
+    """The log-MGF coefficient c in closed form.
+
+    Written with + - * / ** and integer literals only, so the same expression
+    serves the float matrices of `evaluate` and the symbolic ones of
+    `evaluate_symbolic`. In the contractive regime (0 < det < 1) the terminal
+    position stays bounded in law, so the velocity observable decays faster
+    than exponentially and c = 0.
+    """
+    tr = A[0, 0] + A[1, 1]
+    if volume_preserving:
+        S, T = symplectic_numerators(A, b)
+        if observable == MEAN_POSITION:
+            return alpha2 * h * S / (2 * (2 + tr) * (2 - tr) ** 2)
+        return alpha2 * T / ((4 - tr ** 2) * h)
+    if observable == MEAN_POSITION:
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        return alpha2 * h * ((b[0] + coupling(A, b)) / (1 - tr + det)) ** 2 / 2
+    return alpha2 * 0
 
 
 def _log_mgf(method, h, observable, params):
@@ -78,29 +97,16 @@ def _log_mgf(method, h, observable, params):
             f"{method.name} at h = {h:g}: eigenvalues are real "
             f"(4 det - tr^2 = {4.0 * rep.det - rep.tr ** 2:.3g} <= 0), "
             "the oscillatory analysis does not apply")
-    alpha2 = params.alpha ** 2
     if rep.a2:
         S, T = symplectic_numerators(A, b)
-        if observable == MEAN_POSITION:
-            if not S > 0.0:
-                raise InternalInvariantError(
-                    f"position numerator S = {S:.6g} <= 0 for {method.name} at h = {h:g}")
-            c = alpha2 * h * S / (2.0 * (2.0 + rep.tr) * (2.0 - rep.tr) ** 2)
-        else:
-            if not T > 0.0:
-                raise InternalInvariantError(
-                    f"velocity numerator T = {T:.6g} <= 0 for {method.name} at h = {h:g}")
-            c = alpha2 * T / ((4.0 - rep.tr ** 2) * h)
-        return c, REGIME_VOLUME_PRESERVING
-    # contractive regime: 0 < det < 1. The terminal position stays bounded in
-    # law, so the velocity observable decays faster than exponentially.
-    if observable == MEAN_POSITION:
-        b1 = float(b[0])
-        q = float(coupling(A, b))
-        c = 0.5 * alpha2 * h * ((b1 + q) / (1.0 - rep.tr + rep.det)) ** 2
-    else:
-        c = 0.0
-    return c, REGIME_CONTRACTIVE
+        if observable == MEAN_POSITION and not S > 0.0:
+            raise InternalInvariantError(
+                f"position numerator S = {S:.6g} <= 0 for {method.name} at h = {h:g}")
+        if observable != MEAN_POSITION and not T > 0.0:
+            raise InternalInvariantError(
+                f"velocity numerator T = {T:.6g} <= 0 for {method.name} at h = {h:g}")
+    c = _closed_form_log_mgf(A, b, h, observable, rep.a2, params.alpha ** 2)
+    return float(c), REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
 
 
 def log_mgf_coefficient(method, h, observable, params=_DEFAULT_PARAMS):
@@ -174,9 +180,7 @@ class PreservationReport:
 def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
                         params=_DEFAULT_PARAMS):
     check_observable(observable)
-    hs = tuple(float(h) for h in h_values)
-    if len(hs) < 2 or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
-        raise ValueError("h_values must be strictly decreasing with >= 2 entries")
+    hs = decreasing_sweep(h_values)
     target = continuous_rate(observable, params).coefficient
     coefs = []
     gaps = []
@@ -229,23 +233,11 @@ def _symbolic_exact(method, observable):
 def _prove_modified_rate(method, observable):
     A, b, h = evaluate_symbolic(method)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    tr = A[0, 0] + A[1, 1]
-    b1 = b[0]
-    q = A[0, 1] * b[1] - A[1, 1] * b[0]
     symplectic = sp.simplify(det - 1) == 0
-    if observable == MEAN_POSITION:
-        target = sp.Rational(1, 3)
-        if symplectic:
-            S = (b1 + q) ** 2 * (4 + tr) - 2 * b1 * q * (2 - tr)
-            c = h * S / (2 * (2 + tr) * (2 - tr) ** 2)
-        else:
-            c = h * ((b1 + q) / (1 - tr + det)) ** 2 / 2
-    else:
-        target = sp.Integer(1)
-        if not symplectic:
-            return False
-        T = (b1 + q) ** 2 - b1 * q * (2 - tr)
-        c = T / ((4 - tr ** 2) * h)
+    c = _closed_form_log_mgf(A, b, h, observable, symplectic, 1)
+    if c == 0:
+        return False  # a degenerate rate never matches a continuous one
+    target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)
     gap = sp.together(1 / (4 * c * h) - target)
     for transform in (lambda e: sp.simplify(sp.cancel(e)),
                       sp.simplify,
@@ -261,9 +253,11 @@ def _prove_modified_rate(method, observable):
 # --------------------------------------------------------------------------
 # search for exactly-preserving methods
 
-DEFAULT_SIGMA_GRID = (-0.5, 0.0, 0.5)
-DEFAULT_D_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
-DEFAULT_H_PROBES = (0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 1.9)
+SEARCH_SIGMA_GRID = (-0.5, 0.0, 0.5)
+SEARCH_D_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+SEARCH_H_PROBES = (0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 1.9)
+# steps at which a hit must reproduce a catalog method to take its name
+_MATCH_H_SAMPLES = (0.3, 0.7, 1.1)
 
 _ANSATZ_H_RANGE = (0.0, 2.0)
 
@@ -293,8 +287,8 @@ def _ansatz_expressions(c11, c22, sigma, d1, d2):
     }
 
 
-def _matches(candidate, reference, h_samples=(0.3, 0.7, 1.1)):
-    for h in h_samples:
+def _matches(candidate, reference):
+    for h in _MATCH_H_SAMPLES:
         Ac, bc = evaluate(candidate, h)
         Ar, br = evaluate(reference, h)
         if np.max(np.abs(Ac - Ar)) > 1e-12 or np.max(np.abs(bc - br)) > 1e-12:
@@ -302,9 +296,7 @@ def _matches(candidate, reference, h_samples=(0.3, 0.7, 1.1)):
     return True
 
 
-def exact_preservation_search(observable, sigma_grid=DEFAULT_SIGMA_GRID,
-                              d_grid=DEFAULT_D_GRID, h_probes=DEFAULT_H_PROBES,
-                              tolerance=EXACT_TOL):
+def exact_preservation_search(observable):
     """Scan volume-preserving quadratic perturbations of the rotation step for
     methods whose modified rate equals the continuous rate at every probe step.
 
@@ -319,7 +311,7 @@ def exact_preservation_search(observable, sigma_grid=DEFAULT_SIGMA_GRID,
     references = [m for m in catalog() if m.name.startswith("m")]
     hits = []
     seen = set()
-    for sigma in sigma_grid:
+    for sigma in SEARCH_SIGMA_GRID:
         disc = 1.0 - 4.0 * sigma * sigma
         if disc < 0.0:
             continue
@@ -327,8 +319,8 @@ def exact_preservation_search(observable, sigma_grid=DEFAULT_SIGMA_GRID,
         branches = {(-0.5 * (1.0 + root), -0.5 * (1.0 - root)),
                     (-0.5 * (1.0 - root), -0.5 * (1.0 + root))}
         for c11, c22 in sorted(branches):
-            for d1 in d_grid:
-                for d2 in d_grid:
+            for d1 in SEARCH_D_GRID:
+                for d2 in SEARCH_D_GRID:
                     key = tuple(round(v, 12) for v in (c11, c22, sigma, d1, d2))
                     if key in seen:
                         continue
@@ -337,8 +329,7 @@ def exact_preservation_search(observable, sigma_grid=DEFAULT_SIGMA_GRID,
                     candidate = MethodDef(
                         name, _ansatz_coefficients(c11, c22, sigma, d1, d2),
                         "search hit", _ANSATZ_H_RANGE)
-                    if not _exact_at_probes(candidate, observable, h_probes,
-                                            target, tolerance):
+                    if not _exact_at_probes(candidate, observable, target):
                         continue
                     exprs = _ansatz_expressions(c11, c22, sigma, d1, d2)
                     hit = candidate
@@ -352,12 +343,12 @@ def exact_preservation_search(observable, sigma_grid=DEFAULT_SIGMA_GRID,
     return sorted(hits, key=lambda m: m.name)
 
 
-def _exact_at_probes(candidate, observable, h_probes, target, tolerance):
-    for h in h_probes:
+def _exact_at_probes(candidate, observable, target):
+    for h in SEARCH_H_PROBES:
         try:
             modified = rate_function(candidate, h, observable).modified_rate
         except ValueError:
             return False
-        if modified.is_degenerate or abs(modified.coefficient - target) > tolerance:
+        if modified.is_degenerate or abs(modified.coefficient - target) > EXACT_TOL:
             return False
     return True

@@ -98,14 +98,34 @@ def evaluate_symbolic(method):
 
 def coupling(A, b):
     """Position-noise coupling q = a12 b2 - a22 b1."""
-    return A[0][1] * b[1] - A[1][1] * b[0] if isinstance(A, list) else \
-        A[0, 1] * b[1] - A[1, 1] * b[0]
+    return A[0, 1] * b[1] - A[1, 1] * b[0]
+
+
+def decreasing_sweep(h_values):
+    """The steps as a float tuple, rejected unless strictly decreasing."""
+    hs = tuple(float(h) for h in h_values)
+    if len(hs) < 2 or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
+        raise ValueError("h_values must be strictly decreasing with >= 2 entries")
+    return hs
+
+
+# tolerance of the det = 1 and a4 tests
+_CONDITION_TOL = 1e-12
+
+# smallest sin(theta) at which the exact laws trust the rotation angle
+SIN_THETA_MIN = 1e-8
+
+
+class NearDegenerateError(ValueError):
+    """tr(A) is too close to +-2 sqrt(det A); the rotation angle is numerically lost."""
 
 
 @dataclass(frozen=True)
 class ConditionReport:
     """Admissibility flags of a coefficient pair at one step size.
 
+    theta: rotation angle of the complex pair sqrt(det) exp(+-i theta),
+           cos(theta) = tr / (2 sqrt(det)); nan when a1 fails
     a1: complex eigenvalue pair (4 det - tr^2 > 0)
     a2: volume preserving (det = 1 within tolerance); alias `symplectic`
     a3: strict contraction (0 < det < 1), claimed only when a2 fails
@@ -115,6 +135,7 @@ class ConditionReport:
 
     det: float
     tr: float
+    theta: float
     a1: bool
     a2: bool
     a3: bool
@@ -126,17 +147,22 @@ class ConditionReport:
         return self.a2
 
 
-def check_conditions(A, b, tolerance=1e-12):
+def check_conditions(A, b):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     det = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
     tr = float(A[0, 0] + A[1, 1])
-    a2 = abs(det - 1.0) <= tolerance
+    a2 = abs(det - 1.0) <= _CONDITION_TOL
     a1 = 4.0 * det - tr * tr > 0.0
+    theta = math.nan
+    if a1:
+        # rounding can push the cosine a hair outside [-1, 1] even when
+        # 4 det > tr^2; clamping turns such matrices into sin(theta) ~ 0
+        theta = math.acos(min(1.0, max(-1.0, tr / (2.0 * math.sqrt(det)))))
     a3 = (not a2) and 0.0 < det < 1.0
-    a4 = abs(float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0])) > tolerance
+    a4 = abs(float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0])) > _CONDITION_TOL
     excluded = (not a2) and det > 1.0
-    return ConditionReport(det, tr, a1, a2, a3, a4, excluded)
+    return ConditionReport(det, tr, theta, a1, a2, a3, a4, excluded)
 
 
 @dataclass(frozen=True)
@@ -158,18 +184,15 @@ class ConditionBDiagnostics:
 
 
 def condition_b_diagnostics(method, h_values):
-    hs = [float(h) for h in h_values]
-    if len(hs) < 2 or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
-        raise ValueError("h_values must be strictly decreasing with >= 2 entries")
+    hs = decreasing_sweep(h_values)
     rows = []
     for h in hs:
         A, b = evaluate(method, h)
-        det = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-        tr = float(A[0, 0] + A[1, 1])
+        rep = check_conditions(A, b)
         rows.append((
             (abs(A[0, 0] - 1) + abs(A[1, 1] - 1) + abs(A[0, 1] - h) + abs(A[1, 0] + h)) / h ** 2,
             (abs(b[0]) + abs(b[1] - 1)) / h,
-            (1.0 - tr + det) / h ** 2,
+            (1.0 - rep.tr + rep.det) / h ** 2,
             float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0]) / h,
         ))
     r1, r2, r3, r4 = (tuple(col) for col in zip(*rows))
@@ -178,7 +201,7 @@ def condition_b_diagnostics(method, h_values):
     bounded = all(max(r[-tail:]) <= 10.0 * min(r[-tail:]) + 1e-9 for r in (r1, r2))
     limits = abs(r3[-1] - 1.0) <= 0.1 and abs(r4[-1] - 1.0) <= 0.1
     verdict = "B-consistent" if bounded and limits else "B-inconsistent"
-    return ConditionBDiagnostics(tuple(hs), r1, r2, r3, r4, verdict)
+    return ConditionBDiagnostics(hs, r1, r2, r3, r4, verdict)
 
 
 # --------------------------------------------------------------------------

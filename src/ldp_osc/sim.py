@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .methods import evaluate
+from .methods import decreasing_sweep, evaluate
 from .oscillator import OscillatorParams, sample_exact_path
 
 BLOCK = 4096
@@ -145,9 +145,7 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     drove the exact sampler, the squared state error is maximized over the
     grid, averaged over paths, and the root is fitted log-log against h.
     """
-    hs = [float(h) for h in h_values]
-    if len(hs) < 2 or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
-        raise ValueError("h_values must be strictly decreasing with >= 2 entries")
+    hs = decreasing_sweep(h_values)
     errors = []
     for h in hs:
         ratio = T0 / h
@@ -176,5 +174,5 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
             raise ValueError(
                 f"zero strong error at h = {h:g}; nothing to fit")
         errors.append(math.sqrt(mean_sq))
-    return MsqReport(method.name, float(T0), tuple(hs), tuple(errors),
+    return MsqReport(method.name, float(T0), hs, tuple(errors),
                      fit_loglog_slope(hs, errors))

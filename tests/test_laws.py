@@ -1,8 +1,10 @@
 """Tests for the exact per-method Gaussian laws and interval probabilities.
 
 The doubling kernel behind the laws is cross-checked against a direct moment
-recursion (oracle_moments) for its algebra, and against the same doubling in
-50-digit mpmath arithmetic for its float64 precision up to N = 1e9.
+recursion (oracle_moments) for its algebra, against matrix powers and
+cumulative weights term by term, and against the same doubling in 50-digit
+mpmath arithmetic for its float64 precision up to N = 1e9. The rotation angle
+that guards the laws is checked against eigenvalue angles.
 """
 
 import math
@@ -18,15 +20,14 @@ from ldp_osc import cli
 from ldp_osc.laws import (
     DivergentMomentsError,
     _augmented_moments,
-    gaussian_tail_bound,
     interval_probability,
     law_NA_N,
     law_x_N,
     oracle_moments,
 )
-from ldp_osc.methods import catalog, evaluate, get_method
-from ldp_osc.oscillator import GaussianLaw, OscillatorParams
-from ldp_osc.spectral import spectral_data
+from ldp_osc.methods import SIN_THETA_MIN, MethodDef, NearDegenerateError, \
+    catalog, check_conditions, evaluate, get_method
+from ldp_osc.oscillator import GaussianLaw, OscillatorParams, rotation
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
@@ -101,9 +102,8 @@ def test_precision_budget():
             if not method.h_range[0] < h < method.h_range[1]:
                 continue
             A, b = evaluate(method, h)
-            try:
-                spectral_data(A)
-            except ValueError:
+            rep = check_conditions(A, b)
+            if not rep.a1 or math.sin(rep.theta) < SIN_THETA_MIN:
                 continue
             for N in (2, 3, 10, 10 ** 2, 10 ** 4, 10 ** 7, 10 ** 9):
                 try:
@@ -275,28 +275,120 @@ def test_interval_probability_rejects_empty_interval():
         interval_probability(std, 2.0, 1.0)
 
 
-def test_gaussian_tail_bound_reference_value():
-    # phi(1)/1 at z = 1
-    bound = gaussian_tail_bound(0.0, 1.0, 1.0, tail="upper")
-    assert bound == pytest.approx(0.24197072451914337, rel=1e-13)
+
+# --------------------------------------------------------------------------
+# the spectral guard of the laws, and the kernel against naive summation
 
 
-def test_gaussian_tail_bound_dominates_exact_tail():
-    for z in [0.5, 1.0, 2.0, 5.0, 10.0]:
-        upper = gaussian_tail_bound(0.0, 1.0, z, tail="upper")
-        exact = 1.0 - ndtr(z)
-        assert upper >= exact
-        lower = gaussian_tail_bound(0.0, 1.0, -z, tail="lower")
-        assert lower == pytest.approx(upper, rel=1e-13)
-        assert lower >= ndtr(-z)
+def eig_angle(A):
+    # independent route: the argument of the eigenvalue with positive
+    # imaginary part
+    values = np.linalg.eigvals(np.asarray(A, dtype=float))
+    lam = values[np.argmax(values.imag)]
+    return math.atan2(lam.imag, lam.real)
 
 
-def test_gaussian_tail_bound_guards():
-    with pytest.raises(ValueError):
-        gaussian_tail_bound(0.0, 1.0, -1.0, tail="upper")
-    with pytest.raises(ValueError):
-        gaussian_tail_bound(0.0, 1.0, 1.0, tail="lower")
-    with pytest.raises(ValueError):
-        gaussian_tail_bound(0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_tail_bound(0.0, 1.0, 1.0, tail="both")
+def spectral_cases():
+    cases = []
+    for name, h in (("beta:0.5", 0.5), ("beta:0", 1.3), ("ex", 0.8),
+                    ("theta:1", 0.7), ("em", 0.6), ("pc-em-bem", 0.5),
+                    ("m2", 1.1), ("m6", 0.4)):
+        cases.append((h, *evaluate(get_method(name), h)))
+    return cases
+
+
+def _fixed_method(A):
+    return MethodDef("fixed", lambda h: (A, [0.0, 1.0]))
+
+
+def test_condition_angle_matches_eigenvalues():
+    for _, A, b in spectral_cases():
+        rep = check_conditions(A, b)
+        npt.assert_allclose(rep.theta, eig_angle(A), rtol=1e-12, atol=1e-12)
+        npt.assert_allclose(rep.det, np.linalg.det(A), rtol=1e-12)
+        assert rep.tr == pytest.approx(np.trace(A))
+        assert 0.0 < rep.theta < math.pi
+
+
+def test_condition_rotation_angle_recovered():
+    rep = check_conditions(rotation(0.3), [0.0, 1.0])
+    assert rep.theta == pytest.approx(0.3, abs=1e-15)
+    assert rep.det == pytest.approx(1.0, abs=1e-15)
+
+
+def test_condition_midpoint_angle_frozen_value():
+    A, b = evaluate(get_method("beta:0.5"), 0.5)
+    rep = check_conditions(A, b)
+    assert rep.theta == pytest.approx(0.4899573262537283, abs=1e-14)
+
+
+def test_law_guard_rejects_real_pairs():
+    for A in ([[2.0, 0.0], [0.0, 0.5]], [[1.0, 0.5], [0.5, 1.0]]):
+        method = _fixed_method(A)
+        assert math.isnan(check_conditions(*evaluate(method, 0.5)).theta)
+        with pytest.raises(ValueError, match="complex-pair"):
+            law_NA_N(method, 0.5, 10, PARAMS)
+        with pytest.raises(ValueError, match="complex-pair"):
+            law_x_N(method, 0.5, 10, PARAMS)
+
+
+def test_law_guard_near_degenerate():
+    # 4 det > tr^2 but the cosine rounds to -1: the angle is numerically lost
+    method = _fixed_method([[-1.0, 1.49e-8], [-1.49e-8, -1.0]])
+    with pytest.raises(NearDegenerateError):
+        law_NA_N(method, 0.5, 10, PARAMS)
+    with pytest.raises(NearDegenerateError):
+        law_x_N(method, 0.5, 10, PARAMS)
+
+
+def test_index_guards():
+    # the doubling kernel has no closed form to break at negative indices,
+    # but a negative step count would never terminate its bit loop
+    A, b = evaluate(get_method("beta:0.5"), 0.5)
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    with pytest.raises(ValueError, match="N >= 0"):
+        _augmented_moments(A, b, 0.5, -1, params)
+    with pytest.raises(ValueError, match="N >= 0"):
+        _augmented_moments(A, b, 0.5, -7, params)
+    # N = 0 is the empty product: the initial state with no noise
+    got = _augmented_moments(A, b, 0.5, 0, params)
+    npt.assert_array_equal(got.mean, [params.x0, params.y0, 0.0])
+    npt.assert_array_equal(got.covariance, np.zeros((3, 3)))
+
+
+def test_partial_sums_against_direct():
+    # sum_{n<N} A^n z0 and A^N z0 against matrix powers, term by term
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    z0 = np.array([params.x0, params.y0])
+    for h, A, b in spectral_cases():
+        for N in (1, 2, 3, 10, 57, 200):
+            powers = [np.eye(2)]
+            for _ in range(N):
+                powers.append(A @ powers[-1])
+            running_mean = sum(P @ z0 for P in powers[:N])[0]
+            got = _augmented_moments(A, b, h, N, params)
+            npt.assert_allclose(got.mean[:2], powers[N] @ z0,
+                                rtol=1e-9, atol=1e-12)
+            npt.assert_allclose(got.mean[2], running_mean, rtol=1e-9,
+                                atol=1e-12)
+
+
+def test_weight_vector_against_cumsum_route():
+    # running-sum variance: dW_m enters every later position with weight
+    # e1^T A^k b, so its total weight in the sum is the cumulative sum of
+    # those; the variance is alpha^2 h times the sum of squared weights
+    rng = np.random.default_rng(7)
+    params = OscillatorParams(alpha=0.7, x0=0.3, y0=-0.2)
+    for h, A, _ in spectral_cases():
+        for N in (2, 3, 25, 160):
+            b = rng.uniform(-1.0, 1.0, size=2)
+            powers = [np.eye(2)]
+            for _ in range(N - 2):
+                powers.append(A @ powers[-1])
+            weights = np.cumsum([(P @ b)[0] for P in powers])
+            # the last increment reaches only x_{N-1}: its weight is b1
+            assert weights[0] == pytest.approx(b[0], abs=1e-15)
+            running_var = params.alpha ** 2 * h * float(np.sum(weights ** 2))
+            got = _augmented_moments(A, b, h, N, params)
+            npt.assert_allclose(got.covariance[2, 2], running_var, rtol=1e-9,
+                                atol=1e-12)
