@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -486,7 +487,18 @@ def _build_parser():
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    # CLI users get the message only, not the Python source location
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _main(argv)
+
+
+def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
         text = args.run(args)

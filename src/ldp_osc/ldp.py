@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
 
 from .laws import interval_probability, law_NA_N, law_x_N
 from .methods import MethodDef, catalog, check_conditions, coupling, \
@@ -231,6 +230,8 @@ def _symbolic_exact(method, observable):
 
 
 def _prove_modified_rate(method, observable):
+    import sympy as sp
+
     A, b, h = evaluate_symbolic(method)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     symplectic = sp.simplify(det - 1) == 0

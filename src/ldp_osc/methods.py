@@ -35,23 +35,33 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sp
+
+
+def _sympy_for(x):
+    # sympy when x is a sympy expression, else None; x cannot be one unless
+    # sympy is loaded, so numeric evaluation never imports it
+    sp = sys.modules.get("sympy")
+    return sp if sp is not None and isinstance(x, sp.Basic) else None
 
 
 def _sin(x):
-    return sp.sin(x) if isinstance(x, sp.Basic) else math.sin(x)
+    sp = _sympy_for(x)
+    return math.sin(x) if sp is None else sp.sin(x)
 
 
 def _cos(x):
-    return sp.cos(x) if isinstance(x, sp.Basic) else math.cos(x)
+    sp = _sympy_for(x)
+    return math.cos(x) if sp is None else sp.cos(x)
 
 
 def _pi_like(h):
-    return sp.pi if isinstance(h, sp.Basic) else math.pi
+    sp = _sympy_for(h)
+    return math.pi if sp is None else sp.pi
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,11 @@ def evaluate(method, h):
     A_rows, b_rows = method.coefficients(h)
     A = np.asarray(A_rows, dtype=float)
     b = np.asarray(b_rows, dtype=float)
+    for key, value in zip(COEFFICIENT_KEYS, (*A.ravel(), *b)):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{method.name}: coefficient {key} = {value:g} is not finite "
+                f"at h = {h:g}")
     if b[0] * b[0] + b[1] * b[1] == 0.0:
         raise ValueError(
             f"{method.name}: noise vector vanishes at h = {h:g}; "
@@ -91,6 +106,8 @@ def evaluate(method, h):
 
 def evaluate_symbolic(method):
     """Coefficients at a positive symbol h, for identity-level checks."""
+    import sympy as sp
+
     h = sp.Symbol("h", positive=True)
     A_rows, b_rows = method.coefficients(h)
     return sp.Matrix(A_rows), sp.Matrix(b_rows), h

@@ -178,6 +178,22 @@ def _symmetric_sqrt(C):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+def linear_step(M, x, y, u, v, new_x, new_y, tmp):
+    """(new_x, new_y) = M (x, y) + (u, v) over a batch of paths, in place.
+
+    Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
+    bit-for-bit reproducibility rests on; `tmp` is scratch shaped like x.
+    """
+    np.multiply(M[0, 0], x, out=new_x)
+    np.multiply(M[0, 1], y, out=tmp)
+    new_x += tmp
+    new_x += u
+    np.multiply(M[1, 0], x, out=new_y)
+    np.multiply(M[1, 1], y, out=tmp)
+    new_y += tmp
+    new_y += v
+
+
 @dataclass(frozen=True)
 class PathSample:
     """Exact-solution paths on a uniform grid.
@@ -193,14 +209,20 @@ class PathSample:
     dw: np.ndarray
 
 
-def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
-    """Sample `paths` exact trajectories over `steps` steps of size `delta`.
+def exact_steps(params, delta, steps, *, paths=1, seed=0):
+    """Advance `paths` exact trajectories by `steps` steps of size `delta`,
+    yielding (dw, x, y) after each step.
 
     Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
     3x3 covariance (symmetric square root factorization), then applies
     (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). Three counter slots are
     consumed per step (indices 3n, 3n+1, 3n+2), so the stream layout is
     independent of how many paths run in a batch.
+
+    The draws come step-major, one (3, paths) block per step, and are copied
+    into a contiguous (paths, 3) operand for the product with the factor.
+    Memory is O(paths) whatever `steps` is: the yielded arrays are reused
+    buffers, valid until the generator advances.
     """
     if not delta > 0:
         raise ValueError(f"step size must be positive, got {delta}")
@@ -209,21 +231,48 @@ def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
             f"step {delta} below {MIN_STEP}: noise covariance is numerically singular")
     if steps < 1:
         raise ValueError("need at least one step")
-    L = _symmetric_sqrt(step_noise_covariance(delta))
+    return _exact_stream(params, delta, steps, paths, seed)
+
+
+def _exact_stream(params, delta, steps, paths, seed):
+    LT = _symmetric_sqrt(step_noise_covariance(delta)).T
     R = rotation(delta)
+    alpha = float(params.alpha)
     keys = rng.stream_keys(seed, np.arange(paths))
+    draws = np.empty((3, paths))
+    work = np.empty((2, 3, paths), dtype=np.uint64)
+    z = np.empty((paths, 3))
+    tri = np.empty((paths, 3))
     x = np.full(paths, float(params.x0))
     y = np.full(paths, float(params.y0))
+    new_x, new_y, u, v, tmp = (np.empty(paths) for _ in range(5))
+    for n in range(steps):
+        np.copyto(z, rng.fill_normals(keys, 3 * n, draws, work).T)
+        np.matmul(z, LT, out=tri)
+        np.multiply(alpha, tri[:, 1], out=u)
+        np.multiply(alpha, tri[:, 2], out=v)
+        linear_step(R, x, y, u, v, new_x, new_y, tmp)
+        x, new_x = new_x, x
+        y, new_y = new_y, y
+        yield tri[:, 0], x, y
+
+
+def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
+    """Sample `paths` exact trajectories over `steps` steps of size `delta`.
+
+    A collector over `exact_steps` (same draws, same arithmetic): it stores
+    the grid path-major, x and y of shape (paths, steps + 1) and dw of shape
+    (paths, steps), so its memory grows with paths x steps. Samplers that only
+    need the running state should iterate `exact_steps` instead.
+    """
+    stream = exact_steps(params, delta, steps, paths=paths, seed=seed)
     xs = np.empty((paths, steps + 1))
     ys = np.empty((paths, steps + 1))
     dw = np.empty((paths, steps))
-    xs[:, 0] = x
-    ys[:, 0] = y
-    for n in range(steps):
-        tri = rng.normals(keys, 3 * n, 3) @ L.T
-        dw[:, n] = tri[:, 0]
-        x, y = (R[0, 0] * x + R[0, 1] * y + params.alpha * tri[:, 1],
-                R[1, 0] * x + R[1, 1] * y + params.alpha * tri[:, 2])
+    xs[:, 0] = float(params.x0)
+    ys[:, 0] = float(params.y0)
+    for n, (dw_n, x, y) in enumerate(stream):
+        dw[:, n] = dw_n
         xs[:, n + 1] = x
         ys[:, n + 1] = y
     times = delta * np.arange(steps + 1)

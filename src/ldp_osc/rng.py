@@ -12,6 +12,12 @@ the 64-bit golden-ratio increment 0x9E3779B97F4A7C15. Nothing depends on call
 order, so any partition of paths or draw ranges across workers reproduces the
 same values bit for bit. Normals come from the inverse CDF, never rejection,
 so each draw consumes exactly one counter slot.
+
+The samplers use the step-major kernel `fill_normals`: it writes draw
+start + k of stream p to row k, column p of a caller-owned (count, paths)
+buffer, so the draws of one step are one contiguous row, and it runs the whole
+chain above in place in that buffer and a caller-owned uint64 scratch pair.
+`uniforms` and `normals` are path-major conveniences built on the same chain.
 """
 
 from __future__ import annotations
@@ -26,13 +32,27 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 
 
-def mix64(z):
-    """splitmix64 finalizer, vectorized over uint64 arrays (wraps mod 2**64)."""
+def mix64(z, out=None, tmp=None):
+    """splitmix64 finalizer, vectorized over uint64 arrays (wraps mod 2**64).
+
+    The result goes to `out`, which may be `z` itself; `tmp` is uint64
+    scratch of the same shape. Either is allocated when not given.
+    """
     z = np.asarray(z, dtype=np.uint64)
+    if out is None:
+        out = np.empty_like(z)
+    if tmp is None:
+        tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_2
-    return z ^ (z >> np.uint64(31))
+        np.right_shift(z, np.uint64(30), out=tmp)
+        np.bitwise_xor(z, tmp, out=out)
+        np.multiply(out, _MIX_1, out=out)
+        np.right_shift(out, np.uint64(27), out=tmp)
+        np.bitwise_xor(out, tmp, out=out)
+        np.multiply(out, _MIX_2, out=out)
+        np.right_shift(out, np.uint64(31), out=tmp)
+        np.bitwise_xor(out, tmp, out=out)
+    return out
 
 
 def stream_keys(seed, paths):
@@ -43,14 +63,40 @@ def stream_keys(seed, paths):
     return mix64(offset)
 
 
+def _fill_uniforms(keys, start, out, work):
+    # out[k, p] = uniform draw start + k of stream keys[p]; work[0] and work[1]
+    # are uint64 scratch shaped like out
+    bits, tmp = work
+    with np.errstate(over="ignore"):
+        steps = np.arange(start + 1, start + 1 + out.shape[0], dtype=np.uint64)
+        np.multiply(steps, GOLDEN, out=steps)
+        np.add(keys, steps[:, None], out=bits)
+    mix64(bits, out=bits, tmp=tmp)
+    np.right_shift(bits, np.uint64(11), out=bits)
+    np.add(bits, 0.5, out=out)
+    np.multiply(out, _TWO_POW_MINUS_53, out=out)
+    return out
+
+
+def fill_normals(keys, start, out, work):
+    """Step-major normal draws in caller-owned buffers; returns `out`.
+
+    out is a float64 array of shape (count, len(keys)): row k receives draw
+    start + k of every stream. work is a uint64 array of shape
+    (2, count, len(keys)) used as scratch. Apart from a count-long counter
+    row, nothing is allocated.
+    """
+    return ndtri(_fill_uniforms(keys, start, out, work), out=out)
+
+
 def uniforms(keys, start, count):
     """Draws start..start+count-1 of each stream, shape keys.shape + (count,)."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        counters = np.asarray(keys, dtype=np.uint64)[..., None] \
-            + (idx + np.uint64(1)) * GOLDEN
-    bits = mix64(counters)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _TWO_POW_MINUS_53
+    keys = np.asarray(keys, dtype=np.uint64)
+    flat = keys.reshape(-1)
+    rows = np.empty((count, flat.size))
+    _fill_uniforms(flat, start, rows,
+                   np.empty((2,) + rows.shape, dtype=np.uint64))
+    return np.ascontiguousarray(rows.T).reshape(keys.shape + (count,))
 
 
 def normals(keys, start, count):

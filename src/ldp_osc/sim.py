@@ -19,10 +19,12 @@ import numpy as np
 
 from . import rng
 from .methods import decreasing_sweep, evaluate
-from .oscillator import OscillatorParams, sample_exact_path
+from .oscillator import OscillatorParams, exact_steps, linear_step
 
+# paths per thread task, and steps per noise chunk: a chunk buffer of
+# 16 x 4096 float64 is 0.5 MiB
 BLOCK = 4096
-STEP_CHUNK = 1024
+STEP_CHUNK = 16
 
 _DEFAULT_PARAMS = OscillatorParams()
 
@@ -67,23 +69,43 @@ class SimResult:
 
 
 def _run_block(config, A, b, out_pos, out_vel, lo, hi):
+    """Run paths lo..hi-1 and store their two observables.
+
+    Noise comes step-major in chunks of STEP_CHUNK steps: row k of the chunk
+    holds step k's draws for every path of the block, so each step reads one
+    contiguous row. All buffers are allocated once per block, so memory is
+    O(BLOCK x STEP_CHUNK) whatever the step count. The arithmetic is the
+    reference recursion's, operation for operation: dw = sqrt(h) z, then
+    (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would
+    change the rounding.
+    """
     p = config.params
+    n = hi - lo
     keys = rng.stream_keys(config.seed, np.arange(lo, hi))
-    x = np.full(hi - lo, float(p.x0))
-    y = np.full(hi - lo, float(p.y0))
-    sum_x = np.zeros(hi - lo)
+    chunk = min(STEP_CHUNK, config.steps)
+    noise_x = np.empty((chunk, n))
+    noise_y = np.empty((chunk, n))
+    work = np.empty((2, chunk, n), dtype=np.uint64)
+    x = np.full(n, float(p.x0))
+    y = np.full(n, float(p.y0))
+    new_x, new_y, tmp = np.empty(n), np.empty(n), np.empty(n)
+    sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
     nb1 = p.alpha * float(b[0])
     nb2 = p.alpha * float(b[1])
     done = 0
     while done < config.steps:
-        count = min(STEP_CHUNK, config.steps - done)
-        noise = rng.normals(keys, done, count)
+        count = min(chunk, config.steps - done)
+        dw = rng.fill_normals(keys, done, noise_x[:count], work[:, :count])
+        np.multiply(root_h, dw, out=dw)
+        # dw lives in noise_x, so the y noise is taken from it first
+        np.multiply(nb2, dw, out=noise_y[:count])
+        np.multiply(nb1, dw, out=noise_x[:count])
         for k in range(count):
-            dw = root_h * noise[:, k]
             sum_x += x
-            x, y = (A[0, 0] * x + A[0, 1] * y + nb1 * dw,
-                    A[1, 0] * x + A[1, 1] * y + nb2 * dw)
+            linear_step(A, x, y, noise_x[k], noise_y[k], new_x, new_y, tmp)
+            x, new_x = new_x, x
+            y, new_y = new_y, y
         done += count
     out_pos[lo:hi] = sum_x / config.steps
     out_vel[lo:hi] = x / (config.steps * config.h)
@@ -156,18 +178,25 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
             warnings.warn(
                 f"T0/h = {ratio:g} is not an integer; comparing over {steps} steps",
                 stacklevel=2)
-        exact = sample_exact_path(params, h, steps, paths=samples, seed=seed)
+        exact = exact_steps(params, h, steps, paths=samples, seed=seed)
         A, b = evaluate(method, h)
         nb1 = params.alpha * float(b[0])
         nb2 = params.alpha * float(b[1])
-        x = np.full(samples, params.x0)
-        y = np.full(samples, params.y0)
+        x = np.full(samples, float(params.x0))
+        y = np.full(samples, float(params.y0))
+        new_x, new_y, u, v, gap = (np.empty(samples) for _ in range(5))
         worst = np.zeros(samples)
-        for n in range(steps):
-            dw = exact.dw[:, n]
-            x, y = (A[0, 0] * x + A[0, 1] * y + nb1 * dw,
-                    A[1, 0] * x + A[1, 1] * y + nb2 * dw)
-            gap = (x - exact.x[:, n + 1]) ** 2 + (y - exact.y[:, n + 1]) ** 2
+        for dw, ex, ey in exact:
+            np.multiply(nb1, dw, out=u)
+            np.multiply(nb2, dw, out=v)
+            linear_step(A, x, y, u, v, new_x, new_y, gap)
+            x, new_x = new_x, x
+            y, new_y = new_y, y
+            np.subtract(x, ex, out=u)
+            np.square(u, out=u)
+            np.subtract(y, ey, out=v)
+            np.square(v, out=v)
+            np.add(u, v, out=gap)
             np.maximum(worst, gap, out=worst)
         mean_sq = float(np.mean(worst))
         if not mean_sq > 0.0:

@@ -157,6 +157,17 @@ def test_msq_reports_slope(capsys):
     assert float(slope_line[0].rsplit(" ", 1)[1]) > 0.8
 
 
+def test_msq_warnings_print_message_lines(capsys):
+    code, out, err = run_cli(
+        ["msq", "--method", "beta:0.5", "--h-sweep", "0.02:0.2:4",
+         "--samples", "200"], capsys)
+    assert code == 0
+    assert len(cli.parse_csv(out)) == 4
+    assert err == (
+        "warning: T0/h = 10.7722 is not an integer; comparing over 11 steps\n"
+        "warning: T0/h = 23.2079 is not an integer; comparing over 23 steps\n")
+
+
 def test_simulate_reports_law_columns(capsys):
     code, out, _ = run_cli(
         ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "100",
@@ -239,6 +250,19 @@ def test_method_file_argument(tmp_path, capsys):
     assert payload["verdict"] == "ExactlyPreserves"
 
 
+def test_non_finite_coefficient_rejected_at_evaluate(tmp_path, capsys):
+    path = tmp_path / "overflow.method"
+    path.write_text("a11 = 1e300*1e300 - 1e300*1e300\n"
+                    "a12 = h\na21 = -h\na22 = 1\nb1 = 0\nb2 = 1\n")
+    code, out, err = run_cli(
+        ["prob", "--method", str(path), "--h", "0.1", "--N", "10",
+         "--interval", "0:1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: overflow: coefficient a11 = nan is not finite "
+                   "at h = 0.1\n")
+
+
 def test_out_file_written_instead_of_stdout(tmp_path, capsys):
     target = tmp_path / "catalog.csv"
     code, out, _ = run_cli(["catalog", "--out", str(target)], capsys)
@@ -254,3 +278,21 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "beta:0.5" in proc.stdout
+
+
+def test_sympy_loads_only_for_symbolic_work():
+    script = (
+        "import sys, ldp_osc.cli\n"
+        "print('sympy' in sys.modules)\n"
+        "code = ldp_osc.cli.main(['rates', '--method', 'm2', '--h', '0.5',"
+        " '--format', 'json'])\n"
+        "print(code, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 True"
+    payload = json.loads("\n".join(lines[1:-1]))
+    assert payload["symbolic"] is True
+    assert payload["verdict"] == "ExactlyPreserves"

@@ -1,15 +1,19 @@
 """Tests for the counter-based RNG, the path simulator, and strong-order fits."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ldp_osc import cli
 from ldp_osc.ldp import observable_law
 from ldp_osc.methods import get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams
-from ldp_osc.rng import mix64, normals, standard_normals, stream_keys, uniforms
+from ldp_osc.rng import fill_normals, mix64, normals, standard_normals, \
+    stream_keys, uniforms
 from ldp_osc.sim import (
     MsqReport,
     SimConfig,
@@ -169,3 +173,78 @@ def test_msq_order_guards():
         msq_order(get_method("ex"), [0.1, 0.2], T0=1.0, samples=50)
     with pytest.raises(ValueError):
         msq_order(get_method("ex"), [3.0, 1.5], T0=1.0, samples=50)
+
+
+# SHA-256 of the stdout of small simulate and msq runs, recorded before the
+# samplers moved to step-major buffers and streamed exact steps; the kernels
+# must keep every printed digit
+GOLDEN_STDOUT = [
+    ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
+     "c723ba980847a9d03dfac7939f6a7a4c39d57274a546fe3531a4ef1c5ba3e4df"),
+    ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5 "
+     "--format json",
+     "f30c992f7ba38ce469fce12307440e130dd4a1a1991c30a93126cfbd876f44da"),
+    ("simulate --method em --h 0.05 --N 37 --samples 5000 --seed 2 "
+     "--x0 0.3 --y0 -0.2 --alpha 0.7 --format json",
+     "7c69f7920db3e6010fc0ffa99ecdfd19651900d9235d10023fb1be0295c0b4df"),
+    ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
+     "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
+    ("msq --method em --h 0.1 --samples 3000",
+     "7f6ef315f2d6ed531668851573cb5dbb0cfc3d03363e9836b6a4c0482f835893"),
+    ("msq --method beta:0.5 --h 0.1 --samples 3000",
+     "2a4617ca89a540c03fb723176013193163e725266b5bde0b6fab90f67d77c891"),
+    ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
+     "642412509f5882ae200d8a14da7d7592000a1bf7499098bae56329df67de5b03"),
+    ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
+     "--alpha 0.7 --format json",
+     "3e12384f381b66d698188dbc6091b0227040e9ecfed6e70c052e6669f0ce21e5"),
+]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command, digest", GOLDEN_STDOUT)
+def test_sampler_stdout_matches_golden_digest(command, digest, threads,
+                                              capsys, monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fill_normals_is_step_major_normals():
+    keys = stream_keys(9, np.arange(7))
+    out = np.empty((5, 7))
+    work = np.empty((2, 5, 7), dtype=np.uint64)
+    assert fill_normals(keys, 11, out, work) is out
+    npt.assert_array_equal(out, normals(keys, 11, 5).T)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_does_not_grow_with_steps(monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", "1")
+
+    def peak(steps):
+        config = SimConfig(get_method("beta:0.5"), 0.1, steps, 1000, seed=1,
+                           params=PARAMS)
+        return _peak_bytes(lambda: simulate_paths(config))
+
+    peak(50)  # warm caches outside the measurement
+    assert peak(5000) - peak(50) <= 64 * 1024
+
+
+def test_msq_memory_does_not_grow_with_step_count():
+    def peak(hs):
+        return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
+                                             samples=2000, seed=0,
+                                             params=PARAMS))
+
+    peak([0.2, 0.1])  # warm caches outside the measurement
+    assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
