@@ -263,8 +263,11 @@ def _cmd_rates(args):
     if len(usable) >= 2:
         report = preservation_report(method, args.observable, usable, params)
         footers.append(f"verdict: {report.verdict}")
+        if report.proof is not None:
+            footers.append(f"proof: {report.proof}")
         extra["verdict"] = report.verdict
         extra["symbolic"] = report.symbolic
+        extra["proof"] = report.proof
     for h, reason in skipped:
         footers.append(f"skipped h = {h:g}: {reason}")
     return _render(args, "rates", rows, footers, **extra)

@@ -9,8 +9,9 @@ the continuous one for every step size, asymptotically when the gap closes as
 the step is refined.
 
 `preservation_report` decides between those outcomes from a step sweep, and
-upgrades a numerically exact verdict to an identity-level one when sympy can
-prove the closed forms equal. `exact_preservation_search` scans a quadratic
+upgrades a numerically exact verdict to an identity-level one when the closed
+forms are equal as functions of h, which an exact reduction modulo
+sin^2 + cos^2 - 1 decides. `exact_preservation_search` scans a quadratic
 perturbation family of the rotation step for methods that preserve a rate
 exactly.
 """
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .laws import interval_probability, law_NA_N, law_x_N
-from .methods import MethodDef, catalog, check_conditions, coupling, \
-    decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
+from .methods import COEFFICIENT_KEYS, MethodDef, catalog, check_conditions, \
+    coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
     check_observable, continuous_rate
 
@@ -36,6 +36,10 @@ VERDICT_EXACT = "ExactlyPreserves"
 VERDICT_EXACT_NUMERIC = "ExactlyPreserves(numeric)"
 VERDICT_ASYMPTOTIC = "AsymptoticallyPreserves"
 VERDICT_NONE = "DoesNotPreserve"
+
+# outcomes of the identity-level proof besides "declined: <reason>"
+PROOF_PROVED = "proved"
+PROOF_REFUTED = "refuted"
 
 # step sweep used when the caller pins only the coarsest step
 DEFAULT_H_SWEEP = tuple(2.0 ** -k for k in range(7))
@@ -164,7 +168,12 @@ def finite_N_decay_rate(method, observable, h, N, interval, params=_DEFAULT_PARA
 
 @dataclass(frozen=True)
 class PreservationReport:
-    """Verdict on whether the modified rate matches the continuous rate."""
+    """Verdict on whether the modified rate matches the continuous rate.
+
+    proof is the outcome of the identity-level proof: PROOF_PROVED,
+    PROOF_REFUTED or "declined: <reason>"; None when the sweep was not
+    numerically exact, so no proof was attempted.
+    """
 
     method_name: str
     observable: str
@@ -174,6 +183,7 @@ class PreservationReport:
     gaps: tuple
     verdict: str
     symbolic: bool
+    proof: str | None
 
 
 def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
@@ -193,18 +203,19 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
         else:
             coefs.append(modified.coefficient)
             gaps.append(abs(modified.coefficient - target))
-    symbolic = False
+    proof = None
     if degenerate:
         verdict = VERDICT_NONE
     elif all(g <= EXACT_TOL for g in gaps):
-        symbolic = _symbolic_exact(method, observable)
-        verdict = VERDICT_EXACT if symbolic else VERDICT_EXACT_NUMERIC
+        proof = _symbolic_exact(method, observable)
+        verdict = VERDICT_EXACT if proof == PROOF_PROVED else VERDICT_EXACT_NUMERIC
     elif _decays_to_zero(gaps):
         verdict = VERDICT_ASYMPTOTIC
     else:
         verdict = VERDICT_NONE
     return PreservationReport(method.name, observable, hs, tuple(coefs),
-                              target, tuple(gaps), verdict, symbolic)
+                              target, tuple(gaps), verdict,
+                              proof == PROOF_PROVED, proof)
 
 
 def _decays_to_zero(gaps):
@@ -215,40 +226,107 @@ def _decays_to_zero(gaps):
     return monotone and gaps[-1] <= max(0.25 * gaps[0], EXACT_TOL)
 
 
-@lru_cache(maxsize=None)
-def _symbolic_exact(method, observable):
-    """Identity-level proof that the modified rate equals the continuous one.
+class ProofDeclined(Exception):
+    """The coefficients lie outside the class the exactness test decides."""
 
-    Works on the symbolic coefficients at noise intensity 1 (both sides scale
-    the same way in alpha). Any failure, including coefficients that do not
-    evaluate symbolically, just declines the upgrade.
-    """
+
+def _symbolic_exact(method, observable):
+    """Outcome of the identity-level proof: PROOF_PROVED, PROOF_REFUTED or
+    "declined: <reason>"."""
     try:
-        return _prove_modified_rate(method, observable)
-    except Exception:
-        return False
+        return PROOF_PROVED if _prove_modified_rate(method, observable) \
+            else PROOF_REFUTED
+    except ProofDeclined as exc:
+        return f"declined: {exc}"
+
+
+# largest multiple of the base angle that the proof expands into sin/cos
+# powers; sin(k t) has degree k in sin t and cos t
+_MAX_ANGLE_MULTIPLE = 32
 
 
 def _prove_modified_rate(method, observable):
+    """Decide whether the modified rate equals the continuous one at every h.
+
+    Returns True for an identity and False when it fails (including c = 0).
+    Works on the symbolic coefficients at noise intensity 1 (both sides scale
+    the same way in alpha). Float literals become exact rationals and every
+    sin/cos becomes a polynomial in S = sin t, C = cos t for one base angle
+    t = h/Q. Since h is algebraically independent of sin t, the relations
+    among h, S and C are generated by S^2 + C^2 - 1, so a rational function
+    of them vanishes identically exactly when its numerator reduces to zero
+    modulo that relation. Raises ProofDeclined for coefficients that are not
+    rational functions of h and of sin, cos at rational multiples of h.
+    """
     import sympy as sp
 
-    A, b, h = evaluate_symbolic(method)
+    try:
+        A, b, h = evaluate_symbolic(method)
+    except TypeError as exc:
+        raise ProofDeclined(
+            f"coefficients do not evaluate at a symbolic h ({exc})") from None
+    entries = [sp.nsimplify(e, rational=True) for e in (*A, *b)]
+    entries, S, C = _trig_polynomials(entries, h)
+    relation = [S ** 2 + C ** 2 - 1]
+
+    def vanishes(expr):
+        num, den = sp.fraction(sp.together(expr))
+        if sp.reduced(sp.expand(den), relation, C, S, h)[1] == 0:
+            raise ProofDeclined("a denominator vanishes identically")
+        return sp.reduced(sp.expand(num), relation, C, S, h)[1] == 0
+
+    A = sp.Matrix(2, 2, entries[:4])
+    b = sp.Matrix(entries[4:])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    symplectic = sp.simplify(det - 1) == 0
-    c = _closed_form_log_mgf(A, b, h, observable, symplectic, 1)
-    if c == 0:
+    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
+    if vanishes(c):
         return False  # a degenerate rate never matches a continuous one
     target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)
-    gap = sp.together(1 / (4 * c * h) - target)
-    for transform in (lambda e: sp.simplify(sp.cancel(e)),
-                      sp.simplify,
-                      lambda e: sp.simplify(e.rewrite(sp.exp))):
-        try:
-            if transform(gap) == 0:
-                return True
-        except Exception:
-            continue
-    return False
+    return vanishes(4 * c * h * target - 1)
+
+
+def _trig_polynomials(entries, h):
+    """Entries with each sin/cos(r h), r rational, written over S = sin(h/Q)
+    and C = cos(h/Q), Q the least common denominator of the r; returns the
+    rewritten entries and the symbols S, C."""
+    import sympy as sp
+
+    atoms = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in entries)),
+                   key=sp.default_sort_key)
+    ratios = []
+    for atom in atoms:
+        ratio = atom.args[0] / h
+        if not ratio.is_Rational:
+            raise ProofDeclined(
+                f"trig argument {atom.args[0]} is not a rational multiple of h")
+        ratios.append(ratio)
+    Q = sp.ilcm(1, 1, *(r.q for r in ratios))
+    multiples = [int(r * Q) for r in ratios]
+    top = max(map(abs, multiples), default=0)
+    base = h / Q
+    if top > _MAX_ANGLE_MULTIPLE:
+        raise ProofDeclined(
+            f"trig argument {top * base} is {top} times the base angle {base}, "
+            f"above the {_MAX_ANGLE_MULTIPLE} the proof expands")
+    S, C = sp.Dummy("S"), sp.Dummy("C")
+    sines, cosines = [sp.Integer(0)], [sp.Integer(1)]
+    for _ in range(top):  # angle addition, sin and cos of (k + 1) t
+        s, c = sines[-1], cosines[-1]
+        sines.append(sp.expand(s * C + c * S))
+        cosines.append(sp.expand(c * C - s * S))
+    substitution = {}
+    for atom, k in zip(atoms, multiples):
+        if isinstance(atom, sp.sin):
+            substitution[atom] = sines[k] if k > 0 else -sines[-k]
+        else:
+            substitution[atom] = cosines[abs(k)]
+    rewritten = [e.xreplace(substitution) for e in entries]
+    for key, original, e in zip(COEFFICIENT_KEYS, entries, rewritten):
+        if not e.is_rational_function(h, S, C):
+            raise ProofDeclined(
+                f"{key} = {original} is not a rational function of h, "
+                "sin and cos")
+    return rewritten, S, C
 
 
 # --------------------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_rates_midpoint_position(capsys):
         assert float(row["modified_coefficient"]) == pytest.approx(1.0 / 3.0,
                                                                    rel=1e-10)
         assert row["regime"] == "volume-preserving"
-    assert "# verdict: ExactlyPreserves\n" in out
+    assert "# verdict: ExactlyPreserves\n# proof: proved\n" in out
 
 
 def test_rates_exact_velocity(capsys):
@@ -60,6 +60,7 @@ def test_rates_exact_velocity(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "ExactlyPreserves"
     assert payload["symbolic"] is True
+    assert payload["proof"] == "proved"
     for row in payload["rows"]:
         assert row["modified_coefficient"] == pytest.approx(1.0, rel=1e-10)
 
@@ -74,6 +75,24 @@ def test_rates_contractive_method_does_not_preserve(capsys):
         assert float(row["modified_coefficient"]) == pytest.approx(0.5, rel=1e-10)
         assert row["regime"] == "contractive"
     assert "# verdict: DoesNotPreserve\n" in out
+    assert "# proof:" not in out  # no proof is attempted for a nonzero gap
+
+
+def test_rates_reports_a_declined_proof(tmp_path, capsys):
+    path = tmp_path / "squared-argument.method"
+    path.write_text(
+        "a11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\na22 = cos(h)\n"
+        "b1 = 0\nb2 = cos(h^2)^2 + sin(h^2)^2\n", encoding="utf-8")
+    argv = ["rates", "--method", str(path), "--observable", "mean-velocity",
+            "--h", "0.5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert ("# verdict: ExactlyPreserves(numeric)\n# proof: declined: trig "
+            "argument h**2 is not a rational multiple of h\n") in out
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    payload = json.loads(out)
+    assert payload["symbolic"] is False
+    assert payload["proof"].startswith("declined: trig argument h**2")
 
 
 def test_rates_diverging_method_has_no_result(capsys):

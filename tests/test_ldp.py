@@ -1,7 +1,12 @@
 """Tests for decay-rate classification, preservation verdicts, and the search."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -9,6 +14,8 @@ import sympy as sp
 from ldp_osc.ldp import (
     DEFAULT_H_SWEEP,
     EXACT_TOL,
+    PROOF_PROVED,
+    PROOF_REFUTED,
     REGIME_CONTRACTIVE,
     REGIME_VOLUME_PRESERVING,
     VERDICT_ASYMPTOTIC,
@@ -16,6 +23,8 @@ from ldp_osc.ldp import (
     VERDICT_EXACT_NUMERIC,
     VERDICT_NONE,
     _closed_form_log_mgf,
+    _prove_modified_rate,
+    _symbolic_exact,
     exact_preservation_search,
     finite_N_decay_rate,
     legendre_transform,
@@ -170,6 +179,8 @@ def test_numeric_verdict_when_symbolic_evaluation_unavailable():
     report = preservation_report(numeric_ex, MEAN_VELOCITY)
     assert report.verdict == VERDICT_EXACT_NUMERIC
     assert report.symbolic is False
+    assert report.proof.startswith(
+        "declined: coefficients do not evaluate at a symbolic h (")
 
 
 def test_preservation_report_requires_decreasing_sweep():
@@ -192,8 +203,8 @@ def test_midpoint_position_exact_at_small_steps():
 
 def test_closed_form_shared_by_floats_and_symbols():
     # the proof and the float route evaluate one expression; a float literal
-    # in it would put Float atoms into every proof and can make sympy decline
-    # the identity, which _symbolic_exact reports only as "no proof"
+    # in it would put Float atoms into every proof, and the exact reduction
+    # modulo sin^2 + cos^2 - 1 would then compare rounded constants
     cells = 0
     for method in catalog():
         A, b, hsym = evaluate_symbolic(method)
@@ -217,6 +228,160 @@ def test_closed_form_shared_by_floats_and_symbols():
                     (method.name, h, observable)
                 cells += 1
     assert cells == 60, cells  # 16 methods x 2 h x 2 observables, less em
+
+
+# catalog pairs whose modified rate equals the continuous one at every h: the
+# symbolic = true rows of bench/expected_verdicts.json; every other pair fails
+PROVED_PAIRS = frozenset({
+    ("beta:0.5", MEAN_POSITION), ("ex", MEAN_VELOCITY), ("int", MEAN_VELOCITY),
+    ("opt", MEAN_POSITION),
+    ("m1", MEAN_POSITION), ("m1", MEAN_VELOCITY),
+    ("m2", MEAN_POSITION), ("m2", MEAN_VELOCITY),
+    ("m3", MEAN_POSITION), ("m3", MEAN_VELOCITY),
+    ("m4", MEAN_VELOCITY), ("m5", MEAN_VELOCITY), ("m6", MEAN_VELOCITY),
+})
+CATALOG_PAIRS = [(m.name, obs) for m in catalog()
+                 for obs in (MEAN_POSITION, MEAN_VELOCITY)]
+
+
+def test_proof_decides_every_catalog_pair():
+    assert len(CATALOG_PAIRS) == 32 and PROVED_PAIRS <= set(CATALOG_PAIRS)
+    outcomes = {(name, obs): _prove_modified_rate(get_method(name), obs)
+                for name, obs in CATALOG_PAIRS}  # a decline would raise
+    assert {pair for pair, ok in outcomes.items() if ok is True} == PROVED_PAIRS
+    assert all(ok is False for pair, ok in outcomes.items()
+               if pair not in PROVED_PAIRS)
+
+
+def _gap_mp50(method, observable, h):
+    """1/(4 c h) - target at a rational h in 50-digit arithmetic, from the
+    closed form on mpmath coefficients; inf when c = 0."""
+    hsym = sp.Symbol("h", positive=True)
+    A_rows, b_rows = method.coefficients(hsym)
+    with mpmath.workdps(50):
+        hm = mpmath.mpf(h.p) / h.q
+        value = [sp.lambdify(hsym, sp.nsimplify(e, rational=True), "mpmath")(hm)
+                 for e in (*A_rows[0], *A_rows[1], *b_rows)]
+        A = mpmath.matrix([value[:2], value[2:4]])
+        b = mpmath.matrix(value[4:])
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        c = _closed_form_log_mgf(A, b, hm, observable,
+                                 abs(det - 1) < mpmath.mpf(10) ** -40, 1)
+        if c == 0:
+            return mpmath.inf
+        target = mpmath.mpf(1) / 3 if observable == MEAN_POSITION else 1
+        return abs(1 / (4 * c * hm) - target)
+
+
+@pytest.mark.parametrize("name,observable", CATALOG_PAIRS)
+def test_proof_outcome_agrees_with_50_digit_gaps(name, observable):
+    gaps = [_gap_mp50(get_method(name), observable, h)
+            for h in (sp.Rational(1, 3), sp.Rational(1, 2), sp.Rational(9, 10))]
+    if (name, observable) in PROVED_PAIRS:
+        assert max(gaps) < 1e-40, gaps
+    else:
+        assert max(gaps) > 1e-30, gaps
+
+
+def test_proof_needs_no_simplification(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exactness test must not simplify")
+    for owner, name in ((sp, "simplify"), (sp, "trigsimp"),
+                        (sp.Basic, "simplify"), (sp.Expr, "trigsimp"),
+                        (sp.Basic, "rewrite")):
+        monkeypatch.setattr(owner, name, refuse)
+    for name, observable in sorted(PROVED_PAIRS):
+        assert _prove_modified_rate(get_method(name), observable) is True
+
+
+def test_proof_outcomes_do_not_depend_on_hash_seed():
+    script = (
+        "import json\n"
+        "from ldp_osc.ldp import _symbolic_exact\n"
+        "from ldp_osc.methods import catalog, parse_method_file\n"
+        "text = 'a11 = cos(h)\\na12 = sin(h)\\na21 = -sin(h)\\n"
+        "a22 = cos(h)\\nb1 = sin(pi*h)\\nb2 = sin(h^2)'\n"
+        "methods = catalog() + [parse_method_file(text)]\n"
+        "print(json.dumps([_symbolic_exact(m, o) for m in methods\n"
+        "                  for o in ('mean-position', 'mean-velocity')]))\n")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(PROOF_PROVED) == 13
+    assert outputs[0].count(PROOF_REFUTED) == 19
+    # two arguments decline; the reason names the first in sympy's sort order
+    assert outputs[0][-2:] == ["declined: trig argument h**2 is not a rational "
+                               "multiple of h"] * 2
+
+
+M2_DECIMAL = """\
+name = m2-decimal
+h_range = 0:2
+a11 = 1 - 0.5*h^2
+a12 = h + 0.5*h^2
+a21 = -h + 0.5*h^2
+a22 = 1 - 0.5*h^2
+b1 = 0.5*h
+b2 = 1 - 0.5*h
+"""
+
+
+def test_decimal_literals_prove_exactly():
+    method = parse_method_file(M2_DECIMAL)
+    for observable in (MEAN_POSITION, MEAN_VELOCITY):
+        report = preservation_report(method, observable)
+        assert report.verdict == VERDICT_EXACT, observable
+        assert report.proof == PROOF_PROVED
+
+
+def _rotation_file(b1, b2):
+    return parse_method_file(
+        "h_range = 0:3\na11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\n"
+        f"a22 = cos(h)\nb1 = {b1}\nb2 = {b2}\n")
+
+
+@pytest.mark.parametrize("b2,reason", [
+    ("cos(h^2)^2 + sin(h^2)^2",
+     "trig argument h**2 is not a rational multiple of h"),
+    ("1 + sin(200*h) - 2*sin(100*h)*cos(100*h)",
+     "trig argument 200*h is 200 times the base angle h, above the 32 the "
+     "proof expands"),
+    ("1 + h^0.5 - h^0.5*(cos(h)^2 + sin(h)^2)",
+     "is not a rational function of h, sin and cos"),
+])
+def test_identity_outside_the_decided_class_declines(b2, reason):
+    # each b2 equals 1, so the rate is exact at every swept step, but the
+    # coefficients leave the rational functions of h, sin(r h), cos(r h)
+    report = preservation_report(_rotation_file(0, b2), MEAN_VELOCITY)
+    assert report.verdict == VERDICT_EXACT_NUMERIC
+    assert report.symbolic is False
+    assert report.proof.startswith("declined: ") and reason in report.proof
+
+
+def test_undefined_coefficient_declines():
+    # b2 has the denominator sin^2 + cos^2 - 1, which vanishes identically
+    method = _rotation_file("0", "1/(sin(h)^2 + cos(h)^2 - 1)")
+    assert _symbolic_exact(method, MEAN_VELOCITY) == \
+        "declined: a denominator vanishes identically"
+
+
+def test_multiple_angles_reduce_to_one_base_angle():
+    # sin(h/3) and sin(2h/3) share the base angle h/3; sin(h) = sin(3 h/3)
+    method = _rotation_file("0", "1 + sin(h) - 3*sin(h/3) + 4*sin(h/3)^3"
+                            " + sin(2*h/3) - 2*sin(h/3)*cos(h/3)")
+    report = preservation_report(method, MEAN_VELOCITY)
+    assert report.proof == PROOF_PROVED
+    assert report.verdict == VERDICT_EXACT
+
+
+def test_proof_is_none_unless_attempted():
+    assert preservation_report(get_method("ex"), MEAN_POSITION).proof is None
+    assert preservation_report(get_method("theta:1"), MEAN_VELOCITY).proof is None
 
 
 def test_default_sweep_shape():
