@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
     evaluate
@@ -158,6 +157,9 @@ def interval_probability(law, lo, hi):
     intervals hundreds of standard deviations out still return a finite
     log_p even when p itself underflows to 0. Infinite endpoints are allowed.
     """
+    # scipy.special takes about 0.4 s to import, so only callers load it
+    from scipy import special
+
     if not lo < hi:
         raise ValueError(f"interval needs lo < hi, got [{lo}, {hi}]")
     if law.variance == 0.0:

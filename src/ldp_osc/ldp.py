@@ -204,12 +204,17 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
             coefs.append(modified.coefficient)
             gaps.append(abs(modified.coefficient - target))
     proof = None
+    if not degenerate and all(g <= EXACT_TOL for g in gaps):
+        proof = _symbolic_exact(method, observable)
     if degenerate:
         verdict = VERDICT_NONE
-    elif all(g <= EXACT_TOL for g in gaps):
-        proof = _symbolic_exact(method, observable)
-        verdict = VERDICT_EXACT if proof == PROOF_PROVED else VERDICT_EXACT_NUMERIC
+    elif proof == PROOF_PROVED:
+        verdict = VERDICT_EXACT
+    elif proof is not None and proof != PROOF_REFUTED:
+        # the proof declined, so the sweep is the only evidence
+        verdict = VERDICT_EXACT_NUMERIC
     elif _decays_to_zero(gaps):
+        # a refuted identity is judged by its gaps, like any inexact one
         verdict = VERDICT_ASYMPTOTIC
     else:
         verdict = VERDICT_NONE

@@ -209,52 +209,64 @@ class PathSample:
     dw: np.ndarray
 
 
-def exact_steps(params, delta, steps, *, paths=1, seed=0):
-    """Advance `paths` exact trajectories by `steps` steps of size `delta`,
-    yielding (dw, x, y) after each step.
-
-    Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
-    3x3 covariance (symmetric square root factorization), then applies
-    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). Three counter slots are
-    consumed per step (indices 3n, 3n+1, 3n+2), so the stream layout is
-    independent of how many paths run in a batch.
-
-    The draws come step-major, one (3, paths) block per step, and are copied
-    into a contiguous (paths, 3) operand for the product with the factor.
-    Memory is O(paths) whatever `steps` is: the yielded arrays are reused
-    buffers, valid until the generator advances.
-    """
+def check_step(delta):
+    """Reject a step the exact sampler cannot take."""
     if not delta > 0:
         raise ValueError(f"step size must be positive, got {delta}")
     if delta < MIN_STEP:
         raise ValueError(
             f"step {delta} below {MIN_STEP}: noise covariance is numerically singular")
+
+
+def exact_steps(params, delta, steps, lo, hi, *, seed=0):
+    """Advance the exact trajectories of paths lo..hi-1 by `steps` steps of
+    size `delta`, yielding (dw, x, y) after each step.
+
+    Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
+    3x3 covariance (symmetric square root factorization L), then applies
+    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). Step k consumes counter slots
+    3k, 3k+1 and 3k+2 of each path's stream, keyed by the global path index,
+    so the draws do not depend on how the paths are split into blocks.
+
+    The draws come step-major, `rng.CHUNK_ROWS // 3` steps per
+    `rng.fill_normals` call: step j of a chunk is rows 3j..3j+2, and its
+    triple is L times those rows. Memory is O(hi - lo) whatever `steps` is:
+    the yielded arrays are reused buffers, valid until the generator
+    advances.
+    """
+    check_step(delta)
     if steps < 1:
         raise ValueError("need at least one step")
-    return _exact_stream(params, delta, steps, paths, seed)
+    return _exact_stream(params, delta, steps, lo, hi, seed)
 
 
-def _exact_stream(params, delta, steps, paths, seed):
-    LT = _symmetric_sqrt(step_noise_covariance(delta)).T
+def _exact_stream(params, delta, steps, lo, hi, seed):
+    L = _symmetric_sqrt(step_noise_covariance(delta))
     R = rotation(delta)
     alpha = float(params.alpha)
-    keys = rng.stream_keys(seed, np.arange(paths))
-    draws = np.empty((3, paths))
-    work = np.empty((2, 3, paths), dtype=np.uint64)
-    z = np.empty((paths, 3))
-    tri = np.empty((paths, 3))
-    x = np.full(paths, float(params.x0))
-    y = np.full(paths, float(params.y0))
-    new_x, new_y, u, v, tmp = (np.empty(paths) for _ in range(5))
-    for n in range(steps):
-        np.copyto(z, rng.fill_normals(keys, 3 * n, draws, work).T)
-        np.matmul(z, LT, out=tri)
-        np.multiply(alpha, tri[:, 1], out=u)
-        np.multiply(alpha, tri[:, 2], out=v)
-        linear_step(R, x, y, u, v, new_x, new_y, tmp)
-        x, new_x = new_x, x
-        y, new_y = new_y, y
-        yield tri[:, 0], x, y
+    n = hi - lo
+    keys = rng.stream_keys(seed, np.arange(lo, hi))
+    chunk = rng.CHUNK_ROWS // 3
+    draws = np.empty((3 * chunk, n))
+    work = np.empty((2, 3 * chunk, n), dtype=np.uint64)
+    tri = np.empty((3, n))
+    x = np.full(n, float(params.x0))
+    y = np.full(n, float(params.y0))
+    new_x, new_y, u, v, tmp = (np.empty(n) for _ in range(5))
+    done = 0
+    while done < steps:
+        count = min(chunk, steps - done)
+        rng.fill_normals(keys, 3 * done, draws[:3 * count],
+                         work[:, :3 * count])
+        for j in range(count):
+            np.matmul(L, draws[3 * j:3 * j + 3], out=tri)
+            np.multiply(alpha, tri[1], out=u)
+            np.multiply(alpha, tri[2], out=v)
+            linear_step(R, x, y, u, v, new_x, new_y, tmp)
+            x, new_x = new_x, x
+            y, new_y = new_y, y
+            yield tri[0], x, y
+        done += count
 
 
 def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
@@ -265,7 +277,7 @@ def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
     (paths, steps), so its memory grows with paths x steps. Samplers that only
     need the running state should iterate `exact_steps` instead.
     """
-    stream = exact_steps(params, delta, steps, paths=paths, seed=seed)
+    stream = exact_steps(params, delta, steps, 0, paths, seed=seed)
     xs = np.empty((paths, steps + 1))
     ys = np.empty((paths, steps + 1))
     dw = np.empty((paths, steps))

@@ -18,18 +18,34 @@ start + k of stream p to row k, column p of a caller-owned (count, paths)
 buffer, so the draws of one step are one contiguous row, and it runs the whole
 chain above in place in that buffer and a caller-owned uint64 scratch pair.
 `uniforms` and `normals` are path-major conveniences built on the same chain.
+
+scipy.special, which provides ndtri, takes about 0.4 s to import and only
+sampling needs it, so it is imported on first use (`load_ndtri`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
+
+# draws per stream that a sampler takes in one fill_normals call: a chunk for
+# a block of 4096 paths is 16 x 4096 float64, 0.5 MiB
+CHUNK_ROWS = 16
+
+
+def load_ndtri():
+    """scipy's inverse normal CDF, importing scipy.special on the first call.
+
+    Samplers call this in their calling thread before they start workers, so
+    no pool thread runs the import.
+    """
+    from scipy.special import ndtri
+    return ndtri
 
 
 def mix64(z, out=None, tmp=None):
@@ -73,7 +89,10 @@ def _fill_uniforms(keys, start, out, work):
         np.add(keys, steps[:, None], out=bits)
     mix64(bits, out=bits, tmp=tmp)
     np.right_shift(bits, np.uint64(11), out=bits)
-    np.add(bits, 0.5, out=out)
+    # the 53-bit values convert exactly; copyto converts in place, where a
+    # mixed uint64 + float add would cast through a 64 KiB scratch buffer
+    np.copyto(out, bits, casting="unsafe")
+    np.add(out, 0.5, out=out)
     np.multiply(out, _TWO_POW_MINUS_53, out=out)
     return out
 
@@ -86,7 +105,7 @@ def fill_normals(keys, start, out, work):
     (2, count, len(keys)) used as scratch. Apart from a count-long counter
     row, nothing is allocated.
     """
-    return ndtri(_fill_uniforms(keys, start, out, work), out=out)
+    return load_ndtri()(_fill_uniforms(keys, start, out, work), out=out)
 
 
 def uniforms(keys, start, count):
@@ -101,7 +120,7 @@ def uniforms(keys, start, count):
 
 def normals(keys, start, count):
     """Standard normal draws start..start+count-1 of each stream."""
-    return ndtri(uniforms(keys, start, count))
+    return load_ndtri()(uniforms(keys, start, count))
 
 
 def standard_normals(seed, paths, start, count):

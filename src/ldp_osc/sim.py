@@ -2,9 +2,13 @@
 
 Sampling is deterministic by construction: every path owns a counter-based
 random stream keyed by (seed, path index), so results are bit-identical for
-any thread count and any block partition. Threads only pick up disjoint,
-fixed-size path blocks; all summary reductions run once over the assembled
-arrays.
+any thread count and any block partition. Both samplers run on one block
+engine, `_block_runner`: it splits the paths into fixed-size blocks of BLOCK
+paths and runs a per-block task on a thread pool (or inline on one worker).
+A task works in buffers sized by the block, never by the sample count, and
+writes only its own slice of the per-path result arrays; all summary
+reductions run once, in the calling thread, over the assembled arrays.
+Validation and warnings also stay in the calling thread.
 """
 
 from __future__ import annotations
@@ -13,18 +17,19 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import rng
 from .methods import decreasing_sweep, evaluate
-from .oscillator import OscillatorParams, exact_steps, linear_step
+from .oscillator import OscillatorParams, check_step, exact_steps, \
+    linear_step
 
-# paths per thread task, and steps per noise chunk: a chunk buffer of
-# 16 x 4096 float64 is 0.5 MiB
+# paths per thread task
 BLOCK = 4096
-STEP_CHUNK = 16
 
 _DEFAULT_PARAMS = OscillatorParams()
 
@@ -38,6 +43,33 @@ def thread_count():
             raise ValueError(f"LDP_OSC_THREADS must be >= 1, got {env}")
         return n
     return min(8, os.cpu_count() or 1)
+
+
+@contextmanager
+def _block_runner(samples):
+    """Yield run(task), which calls task(lo, hi) for every BLOCK-path range
+    of 0..samples-1 and returns once all have finished; a task's exception
+    re-raises in the caller.
+
+    The tasks go to one thread pool that lives as long as the context, so a
+    sweep of runs shares it, or run inline when there is one worker or one
+    block.
+    """
+    ranges = [(lo, min(lo + BLOCK, samples))
+              for lo in range(0, samples, BLOCK)]
+    workers = min(thread_count(), len(ranges))
+    rng.load_ndtri()  # every task draws normals; import scipy in this thread
+    if workers <= 1:
+        def run(task):
+            for lo, hi in ranges:
+                task(lo, hi)
+        yield run
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def run(task):
+            for future in [pool.submit(task, lo, hi) for lo, hi in ranges]:
+                future.result()
+        yield run
 
 
 @dataclass(frozen=True)
@@ -71,18 +103,18 @@ class SimResult:
 def _run_block(config, A, b, out_pos, out_vel, lo, hi):
     """Run paths lo..hi-1 and store their two observables.
 
-    Noise comes step-major in chunks of STEP_CHUNK steps: row k of the chunk
-    holds step k's draws for every path of the block, so each step reads one
-    contiguous row. All buffers are allocated once per block, so memory is
-    O(BLOCK x STEP_CHUNK) whatever the step count. The arithmetic is the
-    reference recursion's, operation for operation: dw = sqrt(h) z, then
-    (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would
-    change the rounding.
+    Noise comes step-major in chunks of rng.CHUNK_ROWS steps: row k of the
+    chunk holds step k's draws for every path of the block, so each step
+    reads one contiguous row. All buffers are allocated once per block, so
+    memory is O(BLOCK x CHUNK_ROWS) whatever the step count. The arithmetic
+    is the reference recursion's, operation for operation: dw = sqrt(h) z,
+    then (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1
+    would change the rounding.
     """
     p = config.params
     n = hi - lo
     keys = rng.stream_keys(config.seed, np.arange(lo, hi))
-    chunk = min(STEP_CHUNK, config.steps)
+    chunk = min(rng.CHUNK_ROWS, config.steps)
     noise_x = np.empty((chunk, n))
     noise_y = np.empty((chunk, n))
     work = np.empty((2, chunk, n), dtype=np.uint64)
@@ -116,18 +148,8 @@ def simulate_paths(config):
     A, b = evaluate(config.method, config.h)
     pos = np.empty(config.samples)
     vel = np.empty(config.samples)
-    blocks = [(lo, min(lo + BLOCK, config.samples))
-              for lo in range(0, config.samples, BLOCK)]
-    workers = thread_count()
-    if workers == 1 or len(blocks) == 1:
-        for lo, hi in blocks:
-            _run_block(config, A, b, pos, vel, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_block, config, A, b, pos, vel, lo, hi)
-                       for lo, hi in blocks]
-            for f in futures:
-                f.result()
+    with _block_runner(config.samples) as run:
+        run(partial(_run_block, config, A, b, pos, vel))
     summary = {
         "samples": int(config.samples),
         "position": _summarize(pos),
@@ -166,9 +188,15 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     For each step size the method runs on the very Brownian increments that
     drove the exact sampler, the squared state error is maximized over the
     grid, averaged over paths, and the root is fitted log-log against h.
+
+    Every step size is checked (and warned about) before any path runs. The
+    paths run in BLOCK-path tasks on one thread pool for the whole sweep;
+    each task advances the exact and the method state of its paths together
+    (`_msq_block`), so memory is O(threads x BLOCK x CHUNK_ROWS) plus one
+    float64 per path, whatever the step size.
     """
     hs = decreasing_sweep(h_values)
-    errors = []
+    runs = []
     for h in hs:
         ratio = T0 / h
         steps = round(ratio)
@@ -178,30 +206,43 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
             warnings.warn(
                 f"T0/h = {ratio:g} is not an integer; comparing over {steps} steps",
                 stacklevel=2)
-        exact = exact_steps(params, h, steps, paths=samples, seed=seed)
-        A, b = evaluate(method, h)
-        nb1 = params.alpha * float(b[0])
-        nb2 = params.alpha * float(b[1])
-        x = np.full(samples, float(params.x0))
-        y = np.full(samples, float(params.y0))
-        new_x, new_y, u, v, gap = (np.empty(samples) for _ in range(5))
-        worst = np.zeros(samples)
-        for dw, ex, ey in exact:
-            np.multiply(nb1, dw, out=u)
-            np.multiply(nb2, dw, out=v)
-            linear_step(A, x, y, u, v, new_x, new_y, gap)
-            x, new_x = new_x, x
-            y, new_y = new_y, y
-            np.subtract(x, ex, out=u)
-            np.square(u, out=u)
-            np.subtract(y, ey, out=v)
-            np.square(v, out=v)
-            np.add(u, v, out=gap)
-            np.maximum(worst, gap, out=worst)
-        mean_sq = float(np.mean(worst))
-        if not mean_sq > 0.0:
-            raise ValueError(
-                f"zero strong error at h = {h:g}; nothing to fit")
-        errors.append(math.sqrt(mean_sq))
+        check_step(h)
+        runs.append((h, steps, *evaluate(method, h)))
+    worst = np.empty(samples)
+    errors = []
+    with _block_runner(samples) as run:
+        for h, steps, A, b in runs:
+            run(partial(_msq_block, params, h, steps, seed, A, b, worst))
+            mean_sq = float(np.mean(worst))
+            if not mean_sq > 0.0:
+                raise ValueError(
+                    f"zero strong error at h = {h:g}; nothing to fit")
+            errors.append(math.sqrt(mean_sq))
     return MsqReport(method.name, float(T0), hs, tuple(errors),
                      fit_loglog_slope(hs, errors))
+
+
+def _msq_block(params, h, steps, seed, A, b, worst, lo, hi):
+    """Run paths lo..hi-1 of the method on the increments of their exact
+    trajectories; worst[lo:hi] receives each path's largest squared state
+    error over the grid."""
+    n = hi - lo
+    nb1 = params.alpha * float(b[0])
+    nb2 = params.alpha * float(b[1])
+    x = np.full(n, float(params.x0))
+    y = np.full(n, float(params.y0))
+    new_x, new_y, u, v, gap = (np.empty(n) for _ in range(5))
+    block_worst = worst[lo:hi]
+    block_worst.fill(0.0)
+    for dw, ex, ey in exact_steps(params, h, steps, lo, hi, seed=seed):
+        np.multiply(nb1, dw, out=u)
+        np.multiply(nb2, dw, out=v)
+        linear_step(A, x, y, u, v, new_x, new_y, gap)
+        x, new_x = new_x, x
+        y, new_y = new_y, y
+        np.subtract(x, ex, out=u)
+        np.square(u, out=u)
+        np.subtract(y, ey, out=v)
+        np.square(v, out=v)
+        np.add(u, v, out=gap)
+        np.maximum(block_worst, gap, out=block_worst)

@@ -95,6 +95,28 @@ def test_rates_reports_a_declined_proof(tmp_path, capsys):
     assert payload["proof"].startswith("declined: trig argument h**2")
 
 
+def test_rates_refuted_identity_is_not_exact(tmp_path, capsys):
+    # the gap is ~1e-12 on the sweep, below the exactness tolerance, but the
+    # proof shows it is not zero, so the verdict comes from the sweep test;
+    # which of the two inexact verdicts that test gives here rests on gaps
+    # at roundoff level, so only the absence of an exact verdict is pinned
+    path = tmp_path / "near-rotation.method"
+    path.write_text(
+        "a11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\na22 = cos(h)\n"
+        "b1 = 0\nb2 = 1 + 1e-12*h\n", encoding="utf-8")
+    argv = ["rates", "--method", str(path), "--observable", "mean-velocity",
+            "--h", "0.5", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["proof"] == "refuted"
+    assert payload["symbolic"] is False
+    assert payload["verdict"] in ("AsymptoticallyPreserves", "DoesNotPreserve")
+    assert all(row["gap"] <= 1e-10 for row in payload["rows"])
+    code, out, _ = run_cli(argv[:-2], capsys)
+    assert f"# verdict: {payload['verdict']}\n# proof: refuted\n" in out
+
+
 def test_rates_diverging_method_has_no_result(capsys):
     code, out, err = run_cli(
         ["rates", "--method", "em", "--observable", "mean-position",
@@ -315,3 +337,23 @@ def test_sympy_loads_only_for_symbolic_work():
     payload = json.loads("\n".join(lines[1:-1]))
     assert payload["symbolic"] is True
     assert payload["verdict"] == "ExactlyPreserves"
+
+
+def test_scipy_loads_only_for_sampling_and_probabilities():
+    script = (
+        "import sys, ldp_osc.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "run = ldp_osc.cli.main\n"
+        "codes = [run(['rates', '--method', 'm2', '--h', '0.5']),\n"
+        "         run(['search', '--observable', 'mean-velocity'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+        "code = run(['prob', '--method', 'em', '--h', '0.1', '--N', '10',"
+        " '--interval', '0.9:1.1'])\n"
+        "print(code, 'scipy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False"
+    assert "[0, 0] False" in lines
+    assert lines[-1] == "0 True"

@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ldp_osc import cli
+from ldp_osc import cli, sim
 from ldp_osc.ldp import observable_law
 from ldp_osc.methods import get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams
@@ -176,7 +177,8 @@ def test_msq_order_guards():
 
 
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
-# samplers moved to step-major buffers and streamed exact steps; the kernels
+# samplers moved to step-major buffers and streamed exact steps (the two
+# multi-block msq runs: before msq moved onto the block engine); the kernels
 # must keep every printed digit
 GOLDEN_STDOUT = [
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
@@ -198,6 +200,12 @@ GOLDEN_STDOUT = [
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
      "3e12384f381b66d698188dbc6091b0227040e9ecfed6e70c052e6669f0ce21e5"),
+    # more than one BLOCK of paths, so two threads split the work
+    ("msq --method em --h 0.1 --samples 9001 --seed 4",
+     "8fec16a58d90e97c8b5347db77a1de38048895e020ee00e3a76bfbf1f415e1ab"),
+    ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
+     "--y0 -0.2 --alpha 0.7 --format json",
+     "593b786528ec2afc4e4544cea174cec08d6718f4b68b3abafa1e12fa19389bc0"),
 ]
 
 
@@ -248,3 +256,36 @@ def test_msq_memory_does_not_grow_with_step_count():
 
     peak([0.2, 0.1])  # warm caches outside the measurement
     assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_msq_memory_per_path_is_one_float(threads, monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+
+    def peak(samples):
+        return _peak_bytes(lambda: msq_order(get_method("em"), [0.2, 0.1],
+                                             T0=1.0, samples=samples, seed=0,
+                                             params=PARAMS))
+
+    peak(8192)  # warm caches outside the measurement
+    assert peak(16384) - peak(8192) <= 8192 * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("block", [64, 1000])
+def test_msq_errors_do_not_depend_on_block_size(block, monkeypatch):
+    # more workers than cores and a short switch interval interleave the
+    # tasks' writes into the shared per-path array as much as possible
+    def errors():
+        return msq_order(get_method("beta:0.5"), [0.2, 0.1], T0=1.0,
+                         samples=5000, seed=1, params=PARAMS).errors
+
+    monkeypatch.setenv("LDP_OSC_THREADS", "1")
+    reference = errors()
+    monkeypatch.setattr(sim, "BLOCK", block)
+    monkeypatch.setenv("LDP_OSC_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert errors() == reference
+    finally:
+        sys.setswitchinterval(interval)
