@@ -1,10 +1,10 @@
 """Long-horizon decay-rate analysis of one-step methods for the linear
 stochastic oscillator x'' + x = alpha * dW/dt.
 
-Exact Gaussian laws for the continuous solution and for any admissible
-one-step method, the per-step and modified decay rates of the two path
-observables, preservation verdicts, Monte Carlo backing, and a search for
-methods that preserve a decay rate exactly.
+Exact Gaussian laws for any admissible one-step method, the per-step and
+modified decay rates of the two path observables, preservation verdicts,
+Monte Carlo backing, and a search for methods that preserve a decay rate
+exactly.
 
 The top level re-exports the names of the README's library example; the
 rest of the API lives in the submodules (`methods`, `laws`, `ldp`, `sim`,

@@ -36,7 +36,7 @@ import warnings
 import numpy as np
 
 from .ldp import InternalInvariantError, exact_preservation_search, \
-    finite_N_decay_rate, observable_law, preservation_report, rate_function
+    observable_law, preservation_report, rate_function
 from .laws import DivergentMomentsError, interval_probability
 from .methods import catalog, check_conditions, condition_b_diagnostics, \
     evaluate, get_method, parse_method_file
@@ -48,6 +48,8 @@ SCHEMA = "ldp-osc/1"
 
 VERDICT_SWEEP_POINTS = 7
 MSQ_SWEEP_POINTS = 5
+# most points --h-sweep or --N-sweep may ask for
+MAX_SWEEP_POINTS = 1000
 
 
 class _UsageError(Exception):
@@ -80,13 +82,6 @@ def emit_csv(rows, footers=()):
     for line in footers:
         out.write(f"# {line}\n")
     return out.getvalue()
-
-
-def parse_csv(text):
-    """Data rows of an emitted CSV document, as dicts of strings."""
-    lines = [line for line in text.splitlines()
-             if line.strip() and not line.lstrip().startswith("#")]
-    return [dict(row) for row in csv.DictReader(lines)]
 
 
 def _jsonable(value):
@@ -150,10 +145,10 @@ def _h_values(args, points):
     """The step sweep: explicit --h-sweep, or --h expanded by halving."""
     if getattr(args, "h_sweep", None):
         lo, hi, n = _parse_colon_floats(args.h_sweep, 3, "--h-sweep")
-        n = int(n)
-        if not 0.0 < lo < hi or n < 2:
-            raise _UsageError(f"--h-sweep needs 0 < lo < hi and n >= 2, got {args.h_sweep!r}")
-        return [float(h) for h in np.geomspace(hi, lo, n)]
+        if not 0.0 < lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
+            raise _UsageError(f"--h-sweep needs 0 < lo < hi < inf and "
+                              f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.h_sweep!r}")
+        return [float(h) for h in np.geomspace(hi, lo, int(n))]
     if getattr(args, "h", None):
         if not args.h > 0:
             raise _UsageError(f"--h must be positive, got {args.h}")
@@ -164,10 +159,10 @@ def _h_values(args, points):
 def _n_values(args):
     if getattr(args, "N_sweep", None):
         lo, hi, n = _parse_colon_floats(args.N_sweep, 3, "--N-sweep")
-        if not 1 <= lo < hi or int(n) < 2:
-            raise _UsageError(f"--N-sweep needs 1 <= lo < hi and n >= 2, got {args.N_sweep!r}")
-        values = np.unique(np.rint(np.geomspace(lo, hi, int(n))).astype(int))
-        return [int(v) for v in values]
+        if not 1 <= lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
+            raise _UsageError(f"--N-sweep needs 1 <= lo < hi < inf and "
+                              f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.N_sweep!r}")
+        return sorted({round(float(v)) for v in np.geomspace(lo, hi, int(n))})
     if getattr(args, "N", None):
         if args.N < 1:
             raise _UsageError(f"--N must be >= 1, got {args.N}")

@@ -38,6 +38,10 @@ from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
 from .oscillator import GaussianLaw
 
 
+# largest N a finite-N law accepts: the precision budget is tested up to here
+MAX_N = 10 ** 9
+
+
 class DivergentMomentsError(ValueError):
     """The moments overflow float64: the matrix powers diverge at this N."""
 
@@ -105,18 +109,24 @@ def _oscillatory_coefficients(method, h):
     return A, b
 
 
+def _check_steps(N, least, law):
+    if N < least:
+        raise ValueError(f"{law} law needs N >= {least}, got {N}")
+    if N > MAX_N:
+        raise ValueError(f"{law} law needs N <= {MAX_N:.0e}, the largest N "
+                         f"its precision is tested at, got {N}")
+
+
 def law_NA_N(method, h, N, params):
     """Law of the running position sum sum_{n=0}^{N-1} x_n after N steps."""
-    if N < 2:
-        raise ValueError(f"running-sum law needs N >= 2, got {N}")
+    _check_steps(N, 2, "running-sum")
     A, b = _oscillatory_coefficients(method, h)
     return _augmented_moments(A, b, h, N, params).running_sum_law
 
 
 def law_x_N(method, h, N, params):
     """Law of the terminal position x_N after N steps."""
-    if N < 1:
-        raise ValueError(f"terminal law needs N >= 1, got {N}")
+    _check_steps(N, 1, "terminal")
     A, b = _oscillatory_coefficients(method, h)
     return _augmented_moments(A, b, h, N, params).position_law
 

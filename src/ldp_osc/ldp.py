@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .laws import interval_probability, law_NA_N, law_x_N
+from .laws import law_NA_N, law_x_N
 from .methods import COEFFICIENT_KEYS, MethodDef, catalog, check_conditions, \
     coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
@@ -112,11 +112,6 @@ def _log_mgf(method, h, observable, params):
     return float(c), REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
 
 
-def log_mgf_coefficient(method, h, observable, params=_DEFAULT_PARAMS):
-    """c such that (1/N) log E exp(N lambda * observable) -> c lambda^2."""
-    return _log_mgf(method, h, observable, params)[0]
-
-
 def legendre_transform(c):
     """Rate function y -> sup_lambda (lambda y - c lambda^2)."""
     if c < 0.0:
@@ -153,17 +148,6 @@ def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
     if observable == MEAN_POSITION:
         return law_NA_N(method, h, N, params).scaled(1.0 / N)
     return law_x_N(method, h, N, params).scaled(1.0 / (N * h))
-
-
-def finite_N_decay_rate(method, observable, h, N, interval, params=_DEFAULT_PARAMS):
-    """-(1/N) log P(observable in interval) at finite N.
-
-    Converges to the infimum of the per-step rate over the interval when the
-    rate is nondegenerate; grows without bound when it is degenerate.
-    """
-    lo, hi = interval
-    law = observable_law(method, observable, h, N, params)
-    return -interval_probability(law, lo, hi).log_p / N
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ class ConditionReport:
     theta: rotation angle of the complex pair sqrt(det) exp(+-i theta),
            cos(theta) = tr / (2 sqrt(det)); nan when a1 fails
     a1: complex eigenvalue pair (4 det - tr^2 > 0)
-    a2: volume preserving (det = 1 within tolerance); alias `symplectic`
+    a2: volume preserving (det = 1 within tolerance)
     a3: strict contraction (0 < det < 1), claimed only when a2 fails
     a4: position-noise coupling b1 + a12 b2 - a22 b1 does not vanish
     excluded: det > 1 beyond tolerance; powers of A diverge
@@ -158,10 +158,6 @@ class ConditionReport:
     a3: bool
     a4: bool
     excluded: bool
-
-    @property
-    def symplectic(self):
-        return self.a2
 
 
 def check_conditions(A, b):

@@ -2,10 +2,9 @@
 
 Writing the state as (X, Y) with Y = X', the solution rotates the initial
 state and adds a Gaussian convolution integral. Everything here is closed
-form: the law of the integrated position, the law of the terminal position,
-the long-horizon decay rates of the two path observables, and an exact path
-sampler that reproduces the one-step transition law without discretization
-bias.
+form: the long-horizon decay rates of the two path observables, the joint
+law of one step's noise, and the exact stepper `exact_steps`, which
+reproduces the one-step transition law without discretization bias.
 """
 
 from __future__ import annotations
@@ -110,33 +109,6 @@ class RateFunction:
         return self(edge)
 
 
-def _require_horizon(T):
-    if not T > 0:
-        raise ValueError(f"time horizon must be positive, got {T}")
-
-
-def mean_position_law(params, T):
-    """Law of the integrated position int_0^T X_t dt (T times the mean position).
-
-    The noise part collapses to a single stochastic integral with kernel
-    1 - cos(T - s), which gives the variance below by the isometry of the
-    integral; the drift part integrates the free rotation.
-    """
-    _require_horizon(T)
-    mean = params.x0 * math.sin(T) + params.y0 * (1.0 - math.cos(T))
-    variance = params.alpha ** 2 * (
-        1.5 * T - 2.0 * math.sin(T) + 0.25 * math.sin(2.0 * T))
-    return GaussianLaw(mean, max(variance, 0.0))
-
-
-def terminal_position_law(params, T):
-    """Law of X_T."""
-    _require_horizon(T)
-    mean = params.x0 * math.cos(T) + params.y0 * math.sin(T)
-    variance = params.alpha ** 2 * (0.5 * T - 0.25 * math.sin(2.0 * T))
-    return GaussianLaw(mean, max(variance, 0.0))
-
-
 def continuous_rate(observable, params):
     """Decay rate of tail probabilities of the observable over horizon T."""
     check_observable(observable)
@@ -144,13 +116,6 @@ def continuous_rate(observable, params):
     if observable == MEAN_POSITION:
         return RateFunction.quadratic(1.0 / (3.0 * a2))
     return RateFunction.quadratic(1.0 / a2)
-
-
-def continuous_log_mgf_coefficient(observable, params):
-    """c with lim_T (1/T) log E exp(lambda * T * observable_T) = c * lambda**2."""
-    check_observable(observable)
-    a2 = params.alpha ** 2
-    return 0.75 * a2 if observable == MEAN_POSITION else 0.25 * a2
 
 
 def rotation(delta):
@@ -194,21 +159,6 @@ def linear_step(M, x, y, u, v, new_x, new_y, tmp):
     new_y += v
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """Exact-solution paths on a uniform grid.
-
-    dw holds the Brownian increments that drove each step, so a one-step
-    method can be run on the very same noise (strong-error coupling).
-    """
-
-    delta: float
-    times: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    dw: np.ndarray
-
-
 def check_step(delta):
     """Reject a step the exact sampler cannot take."""
     if not delta > 0:
@@ -228,64 +178,29 @@ def exact_steps(params, delta, steps, lo, hi, *, seed=0):
     3k, 3k+1 and 3k+2 of each path's stream, keyed by the global path index,
     so the draws do not depend on how the paths are split into blocks.
 
-    The draws come step-major, `rng.CHUNK_ROWS // 3` steps per
-    `rng.fill_normals` call: step j of a chunk is rows 3j..3j+2, and its
-    triple is L times those rows. Memory is O(hi - lo) whatever `steps` is:
-    the yielded arrays are reused buffers, valid until the generator
-    advances.
+    The draws come from `rng.step_normals`, `rng.CHUNK_ROWS // 3` steps per
+    chunk: step j of a chunk is rows 3j..3j+2, and its triple is L times
+    those rows. Memory is O(hi - lo) whatever `steps` is: the yielded arrays
+    are reused buffers, valid until the generator advances.
     """
     check_step(delta)
-    if steps < 1:
-        raise ValueError("need at least one step")
-    return _exact_stream(params, delta, steps, lo, hi, seed)
-
-
-def _exact_stream(params, delta, steps, lo, hi, seed):
+    # the draw buffers go first: allocated after the state arrays, they
+    # raised the peak RSS of `msq`
+    chunks = rng.step_normals(seed, lo, hi, steps, 3)
     L = _symmetric_sqrt(step_noise_covariance(delta))
     R = rotation(delta)
     alpha = float(params.alpha)
     n = hi - lo
-    keys = rng.stream_keys(seed, np.arange(lo, hi))
-    chunk = rng.CHUNK_ROWS // 3
-    draws = np.empty((3 * chunk, n))
-    work = np.empty((2, 3 * chunk, n), dtype=np.uint64)
     tri = np.empty((3, n))
     x = np.full(n, float(params.x0))
     y = np.full(n, float(params.y0))
     new_x, new_y, u, v, tmp = (np.empty(n) for _ in range(5))
-    done = 0
-    while done < steps:
-        count = min(chunk, steps - done)
-        rng.fill_normals(keys, 3 * done, draws[:3 * count],
-                         work[:, :3 * count])
-        for j in range(count):
-            np.matmul(L, draws[3 * j:3 * j + 3], out=tri)
+    for draws in chunks:
+        for j in range(0, len(draws), 3):
+            np.matmul(L, draws[j:j + 3], out=tri)
             np.multiply(alpha, tri[1], out=u)
             np.multiply(alpha, tri[2], out=v)
             linear_step(R, x, y, u, v, new_x, new_y, tmp)
             x, new_x = new_x, x
             y, new_y = new_y, y
             yield tri[0], x, y
-        done += count
-
-
-def sample_exact_path(params, delta, steps, *, paths=1, seed=0):
-    """Sample `paths` exact trajectories over `steps` steps of size `delta`.
-
-    A collector over `exact_steps` (same draws, same arithmetic): it stores
-    the grid path-major, x and y of shape (paths, steps + 1) and dw of shape
-    (paths, steps), so its memory grows with paths x steps. Samplers that only
-    need the running state should iterate `exact_steps` instead.
-    """
-    stream = exact_steps(params, delta, steps, 0, paths, seed=seed)
-    xs = np.empty((paths, steps + 1))
-    ys = np.empty((paths, steps + 1))
-    dw = np.empty((paths, steps))
-    xs[:, 0] = float(params.x0)
-    ys[:, 0] = float(params.y0)
-    for n, (dw_n, x, y) in enumerate(stream):
-        dw[:, n] = dw_n
-        xs[:, n + 1] = x
-        ys[:, n + 1] = y
-    times = delta * np.arange(steps + 1)
-    return PathSample(delta, times, xs, ys, dw)

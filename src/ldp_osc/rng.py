@@ -13,11 +13,11 @@ order, so any partition of paths or draw ranges across workers reproduces the
 same values bit for bit. Normals come from the inverse CDF, never rejection,
 so each draw consumes exactly one counter slot.
 
-The samplers use the step-major kernel `fill_normals`: it writes draw
-start + k of stream p to row k, column p of a caller-owned (count, paths)
-buffer, so the draws of one step are one contiguous row, and it runs the whole
-chain above in place in that buffer and a caller-owned uint64 scratch pair.
-`uniforms` and `normals` are path-major conveniences built on the same chain.
+The kernel is `fill_normals`: it writes draw start + k of stream p to row k,
+column p of a caller-owned (count, paths) buffer, so the draws of one step are
+one contiguous row, and it runs the whole chain above in place in that buffer
+and a caller-owned uint64 scratch pair. Both samplers take their noise from
+`step_normals`, which owns the keys, the buffers and the chunk loop.
 
 scipy.special, which provides ndtri, takes about 0.4 s to import and only
 sampling needs it, so it is imported on first use (`load_ndtri`).
@@ -108,21 +108,27 @@ def fill_normals(keys, start, out, work):
     return load_ndtri()(_fill_uniforms(keys, start, out, work), out=out)
 
 
-def uniforms(keys, start, count):
-    """Draws start..start+count-1 of each stream, shape keys.shape + (count,)."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    flat = keys.reshape(-1)
-    rows = np.empty((count, flat.size))
-    _fill_uniforms(flat, start, rows,
-                   np.empty((2,) + rows.shape, dtype=np.uint64))
-    return np.ascontiguousarray(rows.T).reshape(keys.shape + (count,))
+def step_normals(seed, lo, hi, steps, per_step):
+    """Draws of paths lo..hi-1 for `steps` steps of `per_step` draws each,
+    step-major, CHUNK_ROWS // per_step steps per chunk.
+
+    Allocates the keys and buffers now and returns an iterator over the
+    chunks. Each chunk is a (per_step * count, hi - lo) view of one reused
+    buffer: row per_step * j + i holds draw i of the chunk's step j for
+    every path, and step k takes draws per_step * k .. per_step * k +
+    per_step - 1 of each stream. The caller may overwrite a chunk; the next
+    one refills it.
+    """
+    keys = stream_keys(seed, np.arange(lo, hi))
+    chunk = min(CHUNK_ROWS // per_step, steps)
+    rows = np.empty((per_step * chunk, hi - lo))
+    work = np.empty((2,) + rows.shape, dtype=np.uint64)
+    return _chunks(keys, rows, work, steps, per_step, chunk)
 
 
-def normals(keys, start, count):
-    """Standard normal draws start..start+count-1 of each stream."""
-    return load_ndtri()(uniforms(keys, start, count))
-
-
-def standard_normals(seed, paths, start, count):
-    """Convenience wrapper: normals for the given path indices of a seed."""
-    return normals(stream_keys(seed, paths), start, count)
+def _chunks(keys, rows, work, steps, per_step, chunk):
+    done = 0
+    while done < steps:
+        used = per_step * min(chunk, steps - done)
+        yield fill_normals(keys, per_step * done, rows[:used], work[:, :used])
+        done += chunk

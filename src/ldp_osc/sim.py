@@ -103,21 +103,16 @@ class SimResult:
 def _run_block(config, A, b, out_pos, out_vel, lo, hi):
     """Run paths lo..hi-1 and store their two observables.
 
-    Noise comes step-major in chunks of rng.CHUNK_ROWS steps: row k of the
-    chunk holds step k's draws for every path of the block, so each step
-    reads one contiguous row. All buffers are allocated once per block, so
-    memory is O(BLOCK x CHUNK_ROWS) whatever the step count. The arithmetic
-    is the reference recursion's, operation for operation: dw = sqrt(h) z,
-    then (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1
-    would change the rounding.
+    Noise comes from `rng.step_normals`, one draw per step, so each step
+    reads one contiguous row of a chunk of rng.CHUNK_ROWS steps. All buffers
+    are allocated once per block, so memory is O(BLOCK x CHUNK_ROWS)
+    whatever the step count. The arithmetic is the reference recursion's,
+    operation for operation: dw = sqrt(h) z, then (a00 x + a01 y) +
+    (alpha b1) dw; folding sqrt(h) into alpha b1 would change the rounding.
     """
     p = config.params
     n = hi - lo
-    keys = rng.stream_keys(config.seed, np.arange(lo, hi))
-    chunk = min(rng.CHUNK_ROWS, config.steps)
-    noise_x = np.empty((chunk, n))
-    noise_y = np.empty((chunk, n))
-    work = np.empty((2, chunk, n), dtype=np.uint64)
+    noise_y = np.empty((min(rng.CHUNK_ROWS, config.steps), n))
     x = np.full(n, float(p.x0))
     y = np.full(n, float(p.y0))
     new_x, new_y, tmp = np.empty(n), np.empty(n), np.empty(n)
@@ -125,20 +120,17 @@ def _run_block(config, A, b, out_pos, out_vel, lo, hi):
     root_h = math.sqrt(config.h)
     nb1 = p.alpha * float(b[0])
     nb2 = p.alpha * float(b[1])
-    done = 0
-    while done < config.steps:
-        count = min(chunk, config.steps - done)
-        dw = rng.fill_normals(keys, done, noise_x[:count], work[:, :count])
+    for dw in rng.step_normals(config.seed, lo, hi, config.steps, 1):
+        count = len(dw)
         np.multiply(root_h, dw, out=dw)
-        # dw lives in noise_x, so the y noise is taken from it first
+        # the x noise overwrites dw, so the y noise is taken from it first
         np.multiply(nb2, dw, out=noise_y[:count])
-        np.multiply(nb1, dw, out=noise_x[:count])
+        noise_x = np.multiply(nb1, dw, out=dw)
         for k in range(count):
             sum_x += x
             linear_step(A, x, y, noise_x[k], noise_y[k], new_x, new_y, tmp)
             x, new_x = new_x, x
             y, new_y = new_y, y
-        done += count
     out_pos[lo:hi] = sum_x / config.steps
     out_vel[lo:hi] = x / (config.steps * config.h)
 
@@ -195,6 +187,8 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     (`_msq_block`), so memory is O(threads x BLOCK x CHUNK_ROWS) plus one
     float64 per path, whatever the step size.
     """
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
     hs = decreasing_sweep(h_values)
     runs = []
     for h in hs:

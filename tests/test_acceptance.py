@@ -20,7 +20,6 @@ from ldp_osc.ldp import (
     VERDICT_EXACT_NUMERIC,
     VERDICT_NONE,
     exact_preservation_search,
-    finite_N_decay_rate,
     preservation_report,
     rate_function,
     symplectic_numerators,
@@ -37,10 +36,10 @@ from ldp_osc.oscillator import (
     MEAN_VELOCITY,
     OscillatorParams,
     continuous_rate,
-    mean_position_law,
     rotation,
 )
 from ldp_osc.sim import SimConfig, fit_loglog_slope, msq_order, simulate_paths
+from oracles import finite_N_rate, mean_position_law
 
 PRESERVING = {VERDICT_EXACT, VERDICT_EXACT_NUMERIC, VERDICT_ASYMPTOTIC}
 
@@ -220,7 +219,7 @@ def test_criterion_06_finite_N_position_rates_converge():
     h, interval = 0.1, (0.9, 1.1)
     limit = rate_function(method, h, MEAN_POSITION, params).rate \
         .infimum(*interval)
-    rates = [finite_N_decay_rate(method, MEAN_POSITION, h, N, interval, params)
+    rates = [finite_N_rate(method, MEAN_POSITION, h, N, interval, params)
              for N in (100, 1000, 10_000, 100_000)]
     elapsed = time.perf_counter() - start
     monotone = all(a > b for a, b in zip(rates, rates[1:]))
@@ -237,7 +236,7 @@ def test_criterion_07_degenerate_velocity_rate_diverges():
     params = OscillatorParams(alpha=1.0)
     method = get_method("theta:1")
     h, interval = 0.5, (0.5, math.inf)
-    rates = [finite_N_decay_rate(method, MEAN_VELOCITY, h, N, interval, params)
+    rates = [finite_N_rate(method, MEAN_VELOCITY, h, N, interval, params)
              for N in (10, 100, 1000, 10_000)]
     threshold = 10.0 * continuous_rate(MEAN_VELOCITY, params)(0.5)
     growing = all(a < b for a, b in zip(rates, rates[1:]))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import warnings
 import pytest
 
 from ldp_osc import cli
+from oracles import parse_csv
 
 
 def run_cli(argv, capsys):
@@ -21,7 +23,7 @@ def test_catalog_lists_all_methods(capsys):
     code, out, err = run_cli(["catalog"], capsys)
     assert code == 0
     assert err == ""
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert len(rows) == 16
     names = [row["name"] for row in rows]
     assert names[0] == "em"
@@ -43,7 +45,7 @@ def test_rates_midpoint_position(capsys):
         ["rates", "--method", "beta:0.5", "--observable", "mean-position",
          "--h", "0.5"], capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert len(rows) == 7
     for row in rows:
         assert float(row["modified_coefficient"]) == pytest.approx(1.0 / 3.0,
@@ -70,7 +72,7 @@ def test_rates_contractive_method_does_not_preserve(capsys):
         ["rates", "--method", "theta:1", "--observable", "mean-position",
          "--h", "0.5"], capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     for row in rows:
         assert float(row["modified_coefficient"]) == pytest.approx(0.5, rel=1e-10)
         assert row["regime"] == "contractive"
@@ -157,7 +159,7 @@ def test_prob_midpoint_rate_column(capsys):
          "--h", "0.1", "--N-sweep", "100:100000:4", "--interval", "0.9:1.1"],
         capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     rates = [float(row["rate"]) for row in rows]
     assert rates == pytest.approx([0.046635, 0.029764, 0.027410, 0.027056],
                                   rel=1e-4)
@@ -171,7 +173,7 @@ def test_prob_degenerate_velocity_rate(capsys):
          "--h", "0.5", "--N-sweep", "10:10000:4", "--interval", "0.5:inf"],
         capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert [row["predicted"] for row in rows] == ["inf"] * 4
     rates = [float(row["rate"]) for row in rows]
     assert all(a < b for a, b in zip(rates, rates[1:]))
@@ -188,7 +190,7 @@ def test_msq_reports_slope(capsys):
     code, out, _ = run_cli(
         ["msq", "--method", "em", "--h", "0.1", "--samples", "500"], capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert len(rows) == 5
     errors = [float(row["error"]) for row in rows]
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -203,10 +205,84 @@ def test_msq_warnings_print_message_lines(capsys):
         ["msq", "--method", "beta:0.5", "--h-sweep", "0.02:0.2:4",
          "--samples", "200"], capsys)
     assert code == 0
-    assert len(cli.parse_csv(out)) == 4
+    assert len(parse_csv(out)) == 4
     assert err == (
         "warning: T0/h = 10.7722 is not an integer; comparing over 11 steps\n"
         "warning: T0/h = 23.2079 is not an integer; comparing over 23 steps\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_msq_rejects_bad_sample_counts(samples, capsys):
+    code, out, err = run_cli(
+        ["msq", "--method", "em", "--h", "0.1", "--samples", samples], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need at least one sample, got {samples}\n"
+
+
+def test_N_sweep_values_are_python_ints():
+    args = cli._build_parser().parse_args(
+        ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
+         "--N-sweep", "10:1e30:3"])
+    values = cli._n_values(args)
+    assert [type(v) for v in values] == [int, int, int]
+    # exact conversions of the float grid, where an int64 cast would wrap
+    assert values == [10, 3162277660168380, int(1e30)]
+
+
+@pytest.mark.parametrize("steps", [["--N", "1000000000000000000"],
+                                   ["--N-sweep", "10:1e30:3"]])
+def test_N_beyond_the_law_limit_is_an_input_error(steps, capsys):
+    code, out, err = run_cli(
+        ["prob", "--method", "beta:0.5", "--h", "0.1", "--interval",
+         "0.9:1.1"] + steps, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: running-sum law needs N <= 1e+09")
+    assert "warning" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--method", "ex", "--h-sweep"],
+    ["msq", "--method", "em", "--h-sweep"],
+    ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
+     "--N-sweep"],
+])
+@pytest.mark.parametrize("points", [cli.MAX_SWEEP_POINTS + 1, 1e9, "inf",
+                                    "nan"])
+def test_sweep_point_counts_are_capped(argv, points, capsys):
+    grid = f"0.01:1:{points}" if argv[-1] == "--h-sweep" else f"1:10:{points}"
+    code, out, err = run_cli(argv + [grid], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"2 <= n <= {cli.MAX_SWEEP_POINTS}" in err
+
+
+def _readme_commands():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("ldp-osc ")]
+
+
+def test_readme_lists_eight_cli_examples():
+    assert [argv[0] for argv in _readme_commands()] == [
+        "catalog", "conditions", "rates", "rates", "prob", "msq", "simulate",
+        "search"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_example_runs(argv, tmp_path, capsys):
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv = argv[:at] + [str(tmp_path / argv[at])] + argv[at + 1:]
+    else:
+        argv = argv + ["--out", str(tmp_path / "report")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert any(tmp_path.iterdir())
 
 
 def test_simulate_reports_law_columns(capsys):
@@ -214,7 +290,7 @@ def test_simulate_reports_law_columns(capsys):
         ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "100",
          "--samples", "4000", "--seed", "1"], capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert [row["observable"] for row in rows] == ["mean-position",
                                                    "mean-velocity"]
     for row in rows:
@@ -241,7 +317,7 @@ def test_search_position_writes_method_files(tmp_path, capsys):
         ["search", "--observable", "mean-position", "--out", str(out_dir)],
         capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert [row["name"] for row in rows] == ["m1", "m2", "m3"]
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == ["m1.method", "m2.method", "m3.method"]
@@ -270,7 +346,7 @@ def test_conditions_em(capsys):
     code, out, _ = run_cli(
         ["conditions", "--method", "em", "--h", "0.5"], capsys)
     assert code == 0
-    rows = cli.parse_csv(out)
+    rows = parse_csv(out)
     assert len(rows) == 7
     assert all(row["excluded"] == "True" for row in rows)
     assert all(row["a2"] == "False" for row in rows)
@@ -309,7 +385,7 @@ def test_out_file_written_instead_of_stdout(tmp_path, capsys):
     code, out, _ = run_cli(["catalog", "--out", str(target)], capsys)
     assert code == 0
     assert out == ""
-    rows = cli.parse_csv(target.read_text(encoding="utf-8"))
+    rows = parse_csv(target.read_text(encoding="utf-8"))
     assert len(rows) == 16
 
 

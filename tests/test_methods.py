@@ -103,14 +103,12 @@ def test_check_conditions_em_is_excluded():
     assert report.a3 is False
     assert report.excluded is True
     assert report.a4 is True
-    assert report.symplectic is False
 
 
 def test_check_conditions_midpoint_is_symplectic():
     A, b = evaluate(get_method("beta:0.5"), 0.7)
     report = check_conditions(A, b)
     assert report.a2 is True
-    assert report.symplectic is True
     assert report.a3 is False
     assert report.excluded is False
     assert report.a1 is True

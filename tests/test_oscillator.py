@@ -1,8 +1,9 @@
 """Continuous-time laws, rate profiles, and the exact path sampler.
 
-The closed-form variances are checked against trapezoid quadrature of the
-defining kernel integrals, and the sampler against both the closed-form
-terminal law and the one-step noise covariance.
+The closed-form variances (test-side references in `oracles`) are checked
+against trapezoid quadrature of the defining kernel integrals, and the
+sampler (`exact_steps`) against both the closed-form terminal law and the
+one-step noise covariance.
 """
 
 import math
@@ -13,10 +14,10 @@ import pytest
 
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, RateFunction,
-                                continuous_log_mgf_coefficient,
-                                continuous_rate, mean_position_law, rotation,
-                                sample_exact_path, step_noise_covariance,
-                                terminal_position_law)
+                                continuous_rate, exact_steps, rotation,
+                                step_noise_covariance)
+from oracles import (continuous_log_mgf_coefficient, mean_position_law,
+                     terminal_position_law)
 
 
 def quad_integrated_position_variance(alpha, T, nodes=200_001):
@@ -139,23 +140,28 @@ def test_step_noise_covariance_against_quadrature():
     npt.assert_allclose(step_noise_covariance(delta), expected, atol=1e-10)
 
 
+def _exact_path(params, delta, steps, paths, seed):
+    # (dw, x, y) of every step, each of shape (steps, paths)
+    stream = exact_steps(params, delta, steps, 0, paths, seed=seed)
+    dw, x, y = zip(*((d.copy(), xs.copy(), ys.copy()) for d, xs, ys in stream))
+    return np.array(dw), np.array(x), np.array(y)
+
+
 def test_sampler_guards():
     params = OscillatorParams()
     with pytest.raises(ValueError):
-        sample_exact_path(params, 0.0, 5)
+        next(exact_steps(params, 0.0, 5, 0, 1))
     with pytest.raises(ValueError):
-        sample_exact_path(params, 1e-9, 5)
-    with pytest.raises(ValueError):
-        sample_exact_path(params, 0.5, 0)
+        next(exact_steps(params, 1e-9, 5, 0, 1))
+    assert list(exact_steps(params, 0.5, 0, 0, 1)) == []
 
 
 def test_sampler_matches_terminal_law():
     params = OscillatorParams(alpha=1.3, x0=0.3, y0=-0.2)
     delta, steps, paths = 0.5, 4, 60_000
-    sample = sample_exact_path(params, delta, steps, paths=paths, seed=11)
-    assert sample.times[-1] == pytest.approx(2.0)
-    law = terminal_position_law(params, 2.0)
-    xs = sample.x[:, -1]
+    _, x, _ = _exact_path(params, delta, steps, paths, seed=11)
+    law = terminal_position_law(params, delta * steps)
+    xs = x[-1]
     se_mean = law.sigma / math.sqrt(paths)
     assert abs(xs.mean() - law.mean) <= 4.0 * se_mean
     se_var = law.variance * math.sqrt(2.0 / (paths - 1))
@@ -167,13 +173,12 @@ def test_sampler_one_step_covariance():
     # noise covariance scaled by alpha on the state coordinates
     delta, paths = 0.7, 200_000
     params = OscillatorParams(alpha=1.0)
-    sample = sample_exact_path(params, delta, 1, paths=paths, seed=5)
-    draws = np.column_stack([sample.dw[:, 0], sample.x[:, 1], sample.y[:, 1]])
-    emp = np.cov(draws, rowvar=False)
+    dw, x, y = _exact_path(params, delta, 1, paths, seed=5)
+    emp = np.cov(np.vstack([dw[0], x[0], y[0]]))
     npt.assert_allclose(emp, step_noise_covariance(delta), atol=0.012)
 
 
 def test_sampler_brownian_increment_variance():
-    sample = sample_exact_path(OscillatorParams(), 0.25, 8, paths=50_000, seed=2)
-    npt.assert_allclose(sample.dw.var(ddof=1), 0.25, rtol=0.02)
-    npt.assert_allclose(sample.dw.mean(), 0.0, atol=0.002)
+    dw, _, _ = _exact_path(OscillatorParams(), 0.25, 8, 50_000, seed=2)
+    npt.assert_allclose(dw.var(ddof=1), 0.25, rtol=0.02)
+    npt.assert_allclose(dw.mean(), 0.0, atol=0.002)

@@ -9,12 +9,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from ldp_osc import cli, sim
 from ldp_osc.ldp import observable_law
 from ldp_osc.methods import get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams
-from ldp_osc.rng import fill_normals, mix64, normals, standard_normals, \
-    stream_keys, uniforms
+from ldp_osc.rng import CHUNK_ROWS, _fill_uniforms, fill_normals, mix64, \
+    step_normals, stream_keys
 from ldp_osc.sim import (
     MsqReport,
     SimConfig,
@@ -27,28 +28,49 @@ from ldp_osc.sim import (
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
 
+def _normals(seed, paths, start, count):
+    keys = stream_keys(seed, np.asarray(paths))
+    out = np.empty((count, len(keys)))
+    return fill_normals(keys, start, out,
+                        np.empty((2,) + out.shape, dtype=np.uint64))
+
+
 def test_rng_frozen_values():
     # recomputed by hand from the splitmix64 recipe in the module docstring
     assert int(stream_keys(0, np.array([0]))[0]) == 16294208416658607535
-    first = standard_normals(0, np.array([0]), 0, 1)[0, 0]
+    assert oracles.stream_key(0, 0) == 16294208416658607535
+    first = _normals(0, [0], 0, 1)[0, 0]
     assert first == pytest.approx(0.3919393499913912, rel=1e-12)
+    assert oracles.stream_normals(0, [0], 0, 1)[0, 0] \
+        == pytest.approx(0.3919393499913912, rel=1e-12)
+
+
+def test_fill_normals_is_step_major_normals():
+    # row k, column p is draw start + k of path p, as the splitmix64 recipe
+    # in Python integers gives it; the two inverse CDFs (scipy's ndtri,
+    # statistics.NormalDist) agree to rounding
+    paths = np.array([0, 1, 5, 4095, 123456])
+    out = np.empty((6, 5))
+    work = np.empty((2, 6, 5), dtype=np.uint64)
+    assert fill_normals(stream_keys(7, paths), 11, out, work) is out
+    npt.assert_allclose(out, oracles.stream_normals(7, paths, 11, 6),
+                        rtol=1e-12, atol=1e-14)
 
 
 def test_rng_partition_invariance():
     # draws depend only on (seed, path, index), not on how they are batched
-    keys = stream_keys(7, np.arange(5))
-    whole = uniforms(keys, 0, 64)
-    split = np.concatenate([uniforms(keys, 0, 10),
-                            uniforms(keys, 10, 30),
-                            uniforms(keys, 40, 24)], axis=-1)
+    whole = _normals(7, np.arange(5), 0, 64)
+    split = np.concatenate([_normals(7, np.arange(5), 0, 10),
+                            _normals(7, np.arange(5), 10, 30),
+                            _normals(7, np.arange(5), 40, 24)])
     npt.assert_array_equal(whole, split)
-
-    one_key = stream_keys(7, np.arange(2, 3))
-    npt.assert_array_equal(whole[2], uniforms(one_key, 0, 64)[0])
+    npt.assert_array_equal(whole[:, 2], _normals(7, [2], 0, 64)[:, 0])
 
 
 def test_rng_uniforms_land_in_open_interval():
-    u = uniforms(stream_keys(3, np.arange(100)), 0, 50)
+    keys = stream_keys(3, np.arange(100))
+    u = np.empty((50, 100))
+    _fill_uniforms(keys, 0, u, np.empty((2, 50, 100), dtype=np.uint64))
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
     # sane first and second moments for this sample size
@@ -57,10 +79,22 @@ def test_rng_uniforms_land_in_open_interval():
 
 
 def test_rng_distinct_streams_and_seeds():
-    a = standard_normals(0, np.arange(4), 0, 8)
-    b = standard_normals(1, np.arange(4), 0, 8)
+    a = _normals(0, np.arange(4), 0, 8)
+    b = _normals(1, np.arange(4), 0, 8)
     assert not np.allclose(a, b)
-    assert not np.allclose(a[0], a[1])
+    assert not np.allclose(a[:, 0], a[:, 1])
+
+
+@pytest.mark.parametrize("per_step", [1, 3])
+@pytest.mark.parametrize("steps", [1, 4, 16, 37])
+def test_step_normals_chunks_are_the_stream(per_step, steps):
+    # the chunks, laid end to end, are draws 0..per_step * steps - 1 of paths
+    # lo..hi-1, and each is at most CHUNK_ROWS rows
+    chunks = [c.copy() for c in step_normals(9, 3, 10, steps, per_step)]
+    assert all(len(c) % per_step == 0 and len(c) <= CHUNK_ROWS
+               for c in chunks)
+    npt.assert_array_equal(np.concatenate(chunks),
+                           _normals(9, np.arange(3, 10), 0, per_step * steps))
 
 
 def test_mix64_is_deterministic_and_bijective_on_samples():
@@ -176,6 +210,17 @@ def test_msq_order_guards():
         msq_order(get_method("ex"), [3.0, 1.5], T0=1.0, samples=50)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_msq_order_rejects_bad_sample_counts_before_running(samples,
+                                                            monkeypatch):
+    def no_blocks(count):
+        raise AssertionError("a block runner started")
+    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    with pytest.raises(ValueError,
+                       match=f"need at least one sample, got {samples}"):
+        msq_order(get_method("em"), [0.1, 0.05], samples=samples)
+
+
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
 # samplers moved to step-major buffers and streamed exact steps (the two
 # multi-block msq runs: before msq moved onto the block engine); the kernels
@@ -217,14 +262,6 @@ def test_sampler_stdout_matches_golden_digest(command, digest, threads,
     assert cli.main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_fill_normals_is_step_major_normals():
-    keys = stream_keys(9, np.arange(7))
-    out = np.empty((5, 7))
-    work = np.empty((2, 5, 7), dtype=np.uint64)
-    assert fill_normals(keys, 11, out, work) is out
-    npt.assert_array_equal(out, normals(keys, 11, 5).T)
 
 
 def _peak_bytes(run):
