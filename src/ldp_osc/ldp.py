@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .laws import law_NA_N, law_x_N
-from .methods import COEFFICIENT_KEYS, MethodDef, catalog, check_conditions, \
-    coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
+from .methods import Exact, MethodDef, ProofDeclined, _add_into, _poly_mul, \
+    _poly_pow, catalog, check_conditions, coupling, decreasing_sweep, evaluate, \
+    evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
     check_observable, continuous_rate
 
@@ -70,7 +72,7 @@ def _closed_form_log_mgf(A, b, h, observable, volume_preserving, alpha2):
     """The log-MGF coefficient c in closed form.
 
     Written with + - * / ** and integer literals only, so the same expression
-    serves the float matrices of `evaluate` and the symbolic ones of
+    serves the float matrices of `evaluate` and the exact ones of
     `evaluate_symbolic`. In the contractive regime (0 < det < 1) the terminal
     position stays bounded in law, so the velocity observable decays faster
     than exponentially and c = 0.
@@ -215,10 +217,6 @@ def _decays_to_zero(gaps):
     return monotone and gaps[-1] <= max(0.25 * gaps[0], EXACT_TOL)
 
 
-class ProofDeclined(Exception):
-    """The coefficients lie outside the class the exactness test decides."""
-
-
 def _symbolic_exact(method, observable):
     """Outcome of the identity-level proof: PROOF_PROVED, PROOF_REFUTED or
     "declined: <reason>"."""
@@ -238,84 +236,76 @@ def _prove_modified_rate(method, observable):
     """Decide whether the modified rate equals the continuous one at every h.
 
     Returns True for an identity and False when it fails (including c = 0).
-    Works on the symbolic coefficients at noise intensity 1 (both sides scale
-    the same way in alpha). Float literals become exact rationals and every
+    Works on the exact coefficients at noise intensity 1 (both sides scale
+    the same way in alpha): float literals are exact rationals, and every
     sin/cos becomes a polynomial in S = sin t, C = cos t for one base angle
     t = h/Q. Since h is algebraically independent of sin t, the relations
     among h, S and C are generated by S^2 + C^2 - 1, so a rational function
-    of them vanishes identically exactly when its numerator reduces to zero
-    modulo that relation. Raises ProofDeclined for coefficients that are not
-    rational functions of h and of sin, cos at rational multiples of h.
+    of them vanishes identically exactly when its numerator's normal form
+    modulo that relation is zero. Raises ProofDeclined for coefficients that
+    are not rational functions of h and of sin, cos at rational multiples of
+    h.
     """
-    import sympy as sp
-
     try:
         A, b, h = evaluate_symbolic(method)
     except TypeError as exc:
         raise ProofDeclined(
             f"coefficients do not evaluate at a symbolic h ({exc})") from None
-    entries = [sp.nsimplify(e, rational=True) for e in (*A, *b)]
-    entries, S, C = _trig_polynomials(entries, h)
-    relation = [S ** 2 + C ** 2 - 1]
+    entries, S, C = _trig_polynomials([*A.ravel(), *b], h)
 
-    def vanishes(expr):
-        num, den = sp.fraction(sp.together(expr))
-        if sp.reduced(sp.expand(den), relation, C, S, h)[1] == 0:
+    def vanishes(x):
+        x = Exact.of(x)
+        if not _normal_form(x.den, S, C):
             raise ProofDeclined("a denominator vanishes identically")
-        return sp.reduced(sp.expand(num), relation, C, S, h)[1] == 0
+        return not _normal_form(x.num, S, C)
 
-    A = sp.Matrix(2, 2, entries[:4])
-    b = sp.Matrix(entries[4:])
+    A = np.array(entries[:4], dtype=object).reshape(2, 2)
+    b = entries[4:]
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
     if vanishes(c):
         return False  # a degenerate rate never matches a continuous one
-    target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)
+    target = Fraction(1, 3) if observable == MEAN_POSITION else 1
     return vanishes(4 * c * h * target - 1)
 
 
 def _trig_polynomials(entries, h):
-    """Entries with each sin/cos(r h), r rational, written over S = sin(h/Q)
-    and C = cos(h/Q), Q the least common denominator of the r; returns the
-    rewritten entries and the symbols S, C."""
-    import sympy as sp
-
-    atoms = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in entries)),
-                   key=sp.default_sort_key)
-    ratios = []
-    for atom in atoms:
-        ratio = atom.args[0] / h
-        if not ratio.is_Rational:
-            raise ProofDeclined(
-                f"trig argument {atom.args[0]} is not a rational multiple of h")
-        ratios.append(ratio)
-    Q = sp.ilcm(1, 1, *(r.q for r in ratios))
-    multiples = [int(r * Q) for r in ratios]
-    top = max(map(abs, multiples), default=0)
+    """Entries with each sin/cos(r h) written over S = sin(h/Q) and
+    C = cos(h/Q), Q the least common denominator of the r, by angle
+    addition; returns the rewritten entries and the variables S, C."""
+    atoms = sorted(set().union(*(e.trig_atoms() for e in entries)))
+    Q = math.lcm(1, *(r.denominator for _, r in atoms))
+    top = max((int(r * Q) for _, r in atoms), default=0)
     base = h / Q
     if top > _MAX_ANGLE_MULTIPLE:
         raise ProofDeclined(
             f"trig argument {top * base} is {top} times the base angle {base}, "
             f"above the {_MAX_ANGLE_MULTIPLE} the proof expands")
-    S, C = sp.Dummy("S"), sp.Dummy("C")
-    sines, cosines = [sp.Integer(0)], [sp.Integer(1)]
+    S, C = ("sin", Fraction(1, Q)), ("cos", Fraction(1, Q))
+    s1, c1 = {((S, 1),): Fraction(1)}, {((C, 1),): Fraction(1)}
+    sines, cosines = [{}], [{(): Fraction(1)}]
     for _ in range(top):  # angle addition, sin and cos of (k + 1) t
         s, c = sines[-1], cosines[-1]
-        sines.append(sp.expand(s * C + c * S))
-        cosines.append(sp.expand(c * C - s * S))
-    substitution = {}
-    for atom, k in zip(atoms, multiples):
-        if isinstance(atom, sp.sin):
-            substitution[atom] = sines[k] if k > 0 else -sines[-k]
-        else:
-            substitution[atom] = cosines[abs(k)]
-    rewritten = [e.xreplace(substitution) for e in entries]
-    for key, original, e in zip(COEFFICIENT_KEYS, entries, rewritten):
-        if not e.is_rational_function(h, S, C):
-            raise ProofDeclined(
-                f"{key} = {original} is not a rational function of h, "
-                "sin and cos")
-    return rewritten, S, C
+        sines.append(_add_into(_poly_mul(s, c1), _poly_mul(c, s1)))
+        cosines.append(_add_into(_poly_mul(c, c1), _poly_mul(s, s1), -1))
+    images = {(kind, r): (sines if kind == "sin" else cosines)[int(r * Q)]
+              for kind, r in atoms}
+    return [e.substitute(images) for e in entries], S, C
+
+
+def _normal_form(poly, S, C):
+    """poly modulo S^2 + C^2 - 1: every S^2 replaced by 1 - C^2, which
+    leaves S to the power 0 or 1; zero exactly when poly vanishes there."""
+    one_minus_c2 = {(): Fraction(1), ((C, 2),): Fraction(-1)}
+    out = {}
+    for mono, coef in poly.items():
+        exponents = dict(mono)
+        e = exponents.pop(S, 0)
+        if e % 2:
+            exponents[S] = 1
+        term = {tuple(sorted(exponents.items())): coef}
+        _add_into(out, _poly_mul(term, _poly_pow(one_minus_c2, e // 2)))
+    return out
 
 
 # --------------------------------------------------------------------------

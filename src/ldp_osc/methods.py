@@ -4,9 +4,13 @@ Ships the built-in catalog, admissibility checks on (A, b), small-step
 diagnostics against the plain Euler step, and a tiny plain-text definition
 format so user methods can be loaded from files.
 
-Coefficient evaluators are written against dispatching sin/cos helpers, so
-calling them with a sympy symbol instead of a float yields exact symbolic
-matrices. That is what powers identity-level preservation proofs.
+Coefficient evaluators are written against the sin/cos/pi helpers `_sin`,
+`_cos` and `_pi_like`, which dispatch on the argument type: floats go to
+`math`, and the exact element `Exact` stays exact. So calling an evaluator
+with `Exact.symbol()` instead of a float yields the coefficients as exact
+rational functions of h, sin and cos. That is what powers identity-level
+preservation proofs. Another exact arithmetic can register its own types
+with the helpers.
 
 Method file format (one `key = expression` per line, `#` starts a comment):
 
@@ -35,33 +39,295 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import singledispatch
 from typing import Callable
 
 import numpy as np
 
 
-def _sympy_for(x):
-    # sympy when x is a sympy expression, else None; x cannot be one unless
-    # sympy is loaded, so numeric evaluation never imports it
-    sp = sys.modules.get("sympy")
-    return sp if sp is not None and isinstance(x, sp.Basic) else None
+class ProofDeclined(Exception):
+    """The coefficients lie outside the class the exactness test decides."""
 
 
+# --------------------------------------------------------------------------
+# exact rational functions of h, pi, sin(r h) and cos(r h)
+#
+# A polynomial is a dict {monomial: nonzero Fraction}. A monomial is a sorted
+# tuple of (variable, exponent) pairs; the variables are _H, _PI and the trig
+# atoms ("sin", r), ("cos", r) for sin(r h), cos(r h), r > 0 a Fraction.
+# () is the monomial 1.
+
+_H = ("h",)
+_PI = ("pi",)
+_ONE = {(): Fraction(1)}
+
+
+def _add_into(out, poly, scale=1):
+    """out += scale * poly in place, dropping zero coefficients; returns out."""
+    for mono, coef in poly.items():
+        value = out.get(mono, 0) + scale * coef
+        if value:
+            out[mono] = value
+        else:
+            del out[mono]
+    return out
+
+
+def _mono_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exponents = dict(m1)
+    for var, e in m2:
+        exponents[var] = exponents.get(var, 0) + e
+    return tuple(sorted(exponents.items()))
+
+
+def _poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = _mono_mul(m1, m2)
+            value = out.get(mono, 0) + c1 * c2
+            if value:
+                out[mono] = value
+            else:
+                del out[mono]
+    return out
+
+
+def _poly_pow(p, k):
+    out = _ONE
+    while k:
+        if k & 1:
+            out = _poly_mul(out, p)
+        k >>= 1
+        if k:
+            p = _poly_mul(p, p)
+    return out
+
+
+def _substitute(poly, images):
+    """poly with each variable in `images` replaced by its image polynomial."""
+    out = {}
+    for mono, coef in poly.items():
+        term = {tuple((v, e) for v, e in mono if v not in images): coef}
+        for var, e in mono:
+            if var in images:
+                term = _poly_mul(term, _poly_pow(images[var], e))
+        _add_into(out, term)
+    return out
+
+
+def _simplest_between(lo, hi):
+    """The fraction with the least denominator in [lo, hi], 0 <= lo <= hi."""
+    whole = math.floor(lo)
+    if whole == lo or whole + 1 <= hi:
+        return Fraction(math.ceil(lo))
+    return whole + 1 / _simplest_between(1 / (hi - whole), 1 / (lo - whole))
+
+
+def _literal(x):
+    """A float literal as the simplest fraction with the same 15 significant
+    digits, so 0.5 is 1/2, 1e-12 is 10^-12 and 1/3 (0.333...) is 1/3."""
+    if not math.isfinite(x):
+        raise ProofDeclined(f"literal {x} is not finite")
+    if x == 0:
+        return Fraction(0)
+    digits = format(abs(x), ".14e")
+    half_ulp = Fraction(1, 2) * Fraction(10) ** (int(digits.partition("e")[2]) - 14)
+    center = Fraction(digits)
+    value = _simplest_between(center - half_ulp, center + half_ulp)
+    return value if x > 0 else -value
+
+
+_PRINT_ORDER = {"pi": 0, "h": 1, "sin": 2, "cos": 3}
+
+
+def _format_var(var, e):
+    text = var[0]
+    if len(var) == 2:  # sin or cos at var[1] times h
+        text += f"({_format_poly({((_H, 1),): var[1]})})"
+    return text if e == 1 else f"{text}**{e}"
+
+
+def _format_poly(poly):
+    """sympy's layout for the simple cases decline reasons name: 2*h/3,
+    h**2, pi*h, sin(h/2)**2 + 1."""
+    text = ""
+    for mono, coef in sorted(poly.items(), key=lambda t: -sum(e for _, e in t[0])):
+        factors = "*".join(_format_var(v, e) for v, e in
+                           sorted(mono, key=lambda t: _PRINT_ORDER[t[0][0]]))
+        size = abs(coef)
+        if not factors:
+            body = str(size)
+        else:
+            body = factors if size.numerator == 1 else f"{size.numerator}*{factors}"
+            if size.denominator != 1:
+                body += f"/{size.denominator}"
+        if not text:
+            text = f"-{body}" if coef < 0 else body
+        else:
+            text += f" - {body}" if coef < 0 else f" + {body}"
+    return text or "0"
+
+
+class Exact:
+    """An exact rational function num/den of h, pi and sin, cos at rational
+    multiples of h: the value a coefficient takes at a symbolic step.
+
+    num and den are polynomial dicts (see above). pi is one more
+    indeterminate, which is exact because pi is transcendental. Numbers enter
+    exactly: ints and Fractions as they are, floats through `_literal`.
+    Nothing is cancelled: a sum over equal denominators keeps the
+    denominator, any other sum or product multiplies them. `**` takes integer
+    exponents only; there is no __float__ or __index__, so `math.cos` on an
+    Exact raises TypeError.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=_ONE):
+        if den is not _ONE and den.keys() == {()}:
+            num = {m: c / den[()] for m, c in num.items()}
+            den = _ONE
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def symbol(cls, var=_H):
+        return cls({((var, 1),): Fraction(1)})
+
+    @classmethod
+    def of(cls, x):
+        """x as an Exact; TypeError unless x is an Exact, int, Fraction or float."""
+        if isinstance(x, Exact):
+            return x
+        if isinstance(x, float):
+            x = _literal(x)
+        elif not isinstance(x, (int, Fraction)):
+            raise TypeError(f"{type(x).__name__} {x!r} has no exact value")
+        return cls({(): Fraction(x)} if x else {})
+
+    def __str__(self):
+        if self.den == _ONE:
+            return _format_poly(self.num)
+        return f"({_format_poly(self.num)})/({_format_poly(self.den)})"
+
+    def __add__(self, other):
+        try:
+            other = Exact.of(other)
+        except TypeError:
+            return NotImplemented
+        if self.den == other.den:
+            return Exact(_add_into(dict(self.num), other.num), self.den)
+        return Exact(_add_into(_poly_mul(self.num, other.den),
+                               _poly_mul(other.num, self.den)),
+                     _poly_mul(self.den, other.den))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Exact({m: -c for m, c in self.num.items()}, self.den)
+
+    def __sub__(self, other):
+        try:
+            return self + -Exact.of(other)
+        except TypeError:
+            return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        try:
+            other = Exact.of(other)
+        except TypeError:
+            return NotImplemented
+        return Exact(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        try:
+            other = Exact.of(other)
+        except TypeError:
+            return NotImplemented
+        if not other.num:
+            raise ProofDeclined("a denominator vanishes identically")
+        return Exact(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
+
+    def __rtruediv__(self, other):
+        try:
+            return Exact.of(other) / self
+        except TypeError:
+            return NotImplemented
+
+    def __pow__(self, exponent):
+        k = _integer_value(exponent)
+        if k is None:
+            raise ProofDeclined(f"{self}**{exponent} is not a rational function "
+                                "of h, sin and cos")
+        power = Exact(_poly_pow(self.num, abs(k)), _poly_pow(self.den, abs(k)))
+        return power if k >= 0 else 1 / power
+
+    def __rpow__(self, base):
+        raise ProofDeclined(f"{base}**{self} is not a rational function of h, "
+                            "sin and cos")
+
+    def trig(self, kind):
+        """sin or cos of self, which must be 0 or a rational multiple of h."""
+        if not self.num:
+            return Exact.of(0 if kind == "sin" else 1)
+        r = self.num.get(((_H, 1),))
+        if self.den != _ONE or len(self.num) != 1 or r is None:
+            raise ProofDeclined(
+                f"trig argument {self} is not a rational multiple of h")
+        atom = Exact.symbol((kind, abs(r)))
+        return -atom if kind == "sin" and r < 0 else atom
+
+    def trig_atoms(self):
+        return {var for poly in (self.num, self.den) for mono in poly
+                for var, _ in mono if var[0] in ("sin", "cos")}
+
+    def substitute(self, images):
+        """self with each variable in `images` replaced by its image polynomial."""
+        return Exact(_substitute(self.num, images), _substitute(self.den, images))
+
+
+def _integer_value(x):
+    if isinstance(x, int):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    if isinstance(x, Exact) and x.den == _ONE and x.num.keys() <= {()}:
+        return _integer_value(x.num.get((), Fraction(0)))
+    return None
+
+
+@singledispatch
 def _sin(x):
-    sp = _sympy_for(x)
-    return math.sin(x) if sp is None else sp.sin(x)
+    return math.sin(x)
 
 
+@singledispatch
 def _cos(x):
-    sp = _sympy_for(x)
-    return math.cos(x) if sp is None else sp.cos(x)
+    return math.cos(x)
 
 
+@singledispatch
 def _pi_like(h):
-    sp = _sympy_for(h)
-    return math.pi if sp is None else sp.pi
+    return math.pi
+
+
+_sin.register(Exact, lambda x: x.trig("sin"))
+_cos.register(Exact, lambda x: x.trig("cos"))
+_pi_like.register(Exact, lambda h: Exact.symbol(_PI))
 
 
 @dataclass(frozen=True)
@@ -69,7 +335,7 @@ class MethodDef:
     """A named one-step method: h maps to the pair (A, b).
 
     coefficients returns nested lists so the same evaluator serves floats and
-    sympy symbols; h_range is the open interval of admissible step sizes.
+    exact symbols; h_range is the open interval of admissible step sizes.
     definition holds the method-file text for methods that have one (parsed
     or synthesized), empty otherwise.
     """
@@ -105,12 +371,15 @@ def evaluate(method, h):
 
 
 def evaluate_symbolic(method):
-    """Coefficients at a positive symbol h, for identity-level checks."""
-    import sympy as sp
-
-    h = sp.Symbol("h", positive=True)
+    """Coefficients at the exact symbol h, for identity-level checks: A and b
+    as object arrays of `Exact` elements, and h. Raises TypeError when a
+    coefficient does not evaluate exactly (built from `math.sin`, say) and
+    ProofDeclined when one leaves the rational functions of h, sin and cos."""
+    h = Exact.symbol()
     A_rows, b_rows = method.coefficients(h)
-    return sp.Matrix(A_rows), sp.Matrix(b_rows), h
+    A = np.array([[Exact.of(e) for e in row] for row in A_rows], dtype=object)
+    b = np.array([Exact.of(e) for e in b_rows], dtype=object)
+    return A, b, h
 
 
 def coupling(A, b):
@@ -408,7 +677,7 @@ def _tokenize(text, line, column0):
 
 class _ExprParser:
     """Recursive descent over the grammar in the module docstring; produces a
-    closure h -> value that also accepts sympy symbols."""
+    closure h -> value that also accepts exact symbols."""
 
     def __init__(self, tokens, line):
         self.tokens = tokens

@@ -40,6 +40,9 @@ class OscillatorParams:
     y0: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("x0", self.x0), ("y0", self.y0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 

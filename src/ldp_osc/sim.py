@@ -24,6 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import rng
+from .laws import MAX_N
 from .methods import decreasing_sweep, evaluate
 from .oscillator import OscillatorParams, check_step, exact_steps, \
     linear_step
@@ -86,6 +87,8 @@ class SimConfig:
             raise ValueError(f"step size must be positive, got {self.h}")
         if self.steps < 1:
             raise ValueError(f"need at least one step, got {self.steps}")
+        if self.steps > MAX_N:
+            raise ValueError(f"need at most {MAX_N:.0e} steps, got {self.steps}")
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
 
@@ -189,10 +192,15 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if not (math.isfinite(T0) and T0 > 0):
+        raise ValueError(f"T0 must be a finite positive horizon, got {T0}")
     hs = decreasing_sweep(h_values)
     runs = []
     for h in hs:
         ratio = T0 / h
+        if ratio > MAX_N:
+            raise ValueError(f"T0/h = {ratio:g} steps at h = {h:g}; need at most "
+                             f"{MAX_N:.0e}")
         steps = round(ratio)
         if steps < 1:
             raise ValueError(f"horizon {T0:g} shorter than one step of {h:g}")

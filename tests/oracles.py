@@ -7,7 +7,11 @@ at run time, kept here so the tests can check the package against them.
   docstring with Python integers and `statistics.NormalDist`, sharing no
   code with `rng.fill_normals`;
 - the finite-N decay rate -log P(observable in interval) / N;
-- a reader for the CSV documents the CLI emits.
+- a reader for the CSV documents the CLI emits;
+- the identity-level proof in sympy: the coefficients at a sympy symbol,
+  float literals through `nsimplify`, and a reduction modulo
+  sin^2 + cos^2 - 1 by `sympy.reduced`. It shares only the closed form
+  `ldp._closed_form_log_mgf` with the package's exact-element proof.
 """
 
 import csv
@@ -15,9 +19,13 @@ import math
 from statistics import NormalDist
 
 import numpy as np
+import sympy as sp
 
+from ldp_osc import methods
 from ldp_osc.laws import interval_probability
-from ldp_osc.ldp import observable_law
+from ldp_osc.ldp import _MAX_ANGLE_MULTIPLE, PROOF_PROVED, PROOF_REFUTED, \
+    ProofDeclined, _closed_form_log_mgf, observable_law
+from ldp_osc.methods import COEFFICIENT_KEYS
 from ldp_osc.oscillator import MEAN_POSITION, GaussianLaw, check_observable
 
 # ---------------------------------------------------------------------------
@@ -104,3 +112,97 @@ def parse_csv(text):
     lines = [line for line in text.splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
     return [dict(row) for row in csv.DictReader(lines)]
+
+
+# ---------------------------------------------------------------------------
+# the identity-level proof in sympy
+
+# the coefficient evaluators take sin, cos and pi from dispatching helpers;
+# give sympy expressions sympy's
+methods._sin.register(sp.Basic, sp.sin)
+methods._cos.register(sp.Basic, sp.cos)
+methods._pi_like.register(sp.Basic, lambda h: sp.pi)
+
+
+def evaluate_symbolic(method):
+    """Coefficients at a positive sympy symbol h, as sympy matrices."""
+    h = sp.Symbol("h", positive=True)
+    A_rows, b_rows = method.coefficients(h)
+    return sp.Matrix(A_rows), sp.Matrix(b_rows), h
+
+
+def prove_modified_rate(method, observable):
+    """True when the modified rate equals the continuous one at every h,
+    False when it does not; raises ProofDeclined outside rational functions
+    of h and of sin, cos at rational multiples of h."""
+    try:
+        A, b, h = evaluate_symbolic(method)
+    except TypeError as exc:
+        raise ProofDeclined(
+            f"coefficients do not evaluate at a symbolic h ({exc})") from None
+    entries = [sp.nsimplify(e, rational=True) for e in (*A, *b)]
+    entries, S, C = _trig_polynomials(entries, h)
+    relation = [S ** 2 + C ** 2 - 1]
+
+    def vanishes(expr):
+        num, den = sp.fraction(sp.together(expr))
+        if sp.reduced(sp.expand(den), relation, C, S, h)[1] == 0:
+            raise ProofDeclined("a denominator vanishes identically")
+        return sp.reduced(sp.expand(num), relation, C, S, h)[1] == 0
+
+    A = sp.Matrix(2, 2, entries[:4])
+    b = sp.Matrix(entries[4:])
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
+    if vanishes(c):
+        return False
+    target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)
+    return vanishes(4 * c * h * target - 1)
+
+
+def _trig_polynomials(entries, h):
+    """Entries with each sin/cos(r h) written over S = sin(h/Q), C = cos(h/Q)."""
+    atoms = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in entries)),
+                   key=sp.default_sort_key)
+    ratios = []
+    for atom in atoms:
+        ratio = atom.args[0] / h
+        if not ratio.is_Rational:
+            raise ProofDeclined(
+                f"trig argument {atom.args[0]} is not a rational multiple of h")
+        ratios.append(ratio)
+    Q = sp.ilcm(1, 1, *(r.q for r in ratios))
+    multiples = [int(r * Q) for r in ratios]
+    top = max(map(abs, multiples), default=0)
+    base = h / Q
+    if top > _MAX_ANGLE_MULTIPLE:
+        raise ProofDeclined(
+            f"trig argument {top * base} is {top} times the base angle {base}, "
+            f"above the {_MAX_ANGLE_MULTIPLE} the proof expands")
+    S, C = sp.Dummy("S"), sp.Dummy("C")
+    sines, cosines = [sp.Integer(0)], [sp.Integer(1)]
+    for _ in range(top):
+        s, c = sines[-1], cosines[-1]
+        sines.append(sp.expand(s * C + c * S))
+        cosines.append(sp.expand(c * C - s * S))
+    substitution = {}
+    for atom, k in zip(atoms, multiples):
+        if isinstance(atom, sp.sin):
+            substitution[atom] = sines[k] if k > 0 else -sines[-k]
+        else:
+            substitution[atom] = cosines[abs(k)]
+    rewritten = [e.xreplace(substitution) for e in entries]
+    for key, original, e in zip(COEFFICIENT_KEYS, entries, rewritten):
+        if not e.is_rational_function(h, S, C):
+            raise ProofDeclined(
+                f"{key} = {original} is not a rational function of h, "
+                "sin and cos")
+    return rewritten, S, C
+
+
+def proof_kind(prove, method, observable):
+    """"proved", "refuted" or "declined" from prove(method, observable)."""
+    try:
+        return PROOF_PROVED if prove(method, observable) else PROOF_REFUTED
+    except ProofDeclined:
+        return "declined"

@@ -220,6 +220,30 @@ def test_msq_rejects_bad_sample_counts(samples, capsys):
     assert err == f"error: need at least one sample, got {samples}\n"
 
 
+@pytest.mark.parametrize("T0", ["inf", "nan"])
+def test_msq_rejects_bad_horizons(T0, capsys):
+    code, out, err = run_cli(
+        ["msq", "--method", "em", "--h", "0.1", "--T0", T0, "--samples", "10"],
+        capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: T0 must be a finite positive horizon, got {T0}\n"
+
+
+@pytest.mark.parametrize("option,value", [("--alpha", "inf"), ("--x0", "nan"),
+                                          ("--y0", "inf")])
+def test_nonfinite_oscillator_parameters_are_input_errors(option, value,
+                                                          capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would raise
+        code, out, err = run_cli(
+            ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+             "--interval", "0.9:1.1", option, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {option[2:]} must be finite, got {value}\n"
+
+
 def test_N_sweep_values_are_python_ints():
     args = cli._build_parser().parse_args(
         ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
@@ -397,22 +421,43 @@ def test_console_entry_point_runs():
     assert "beta:0.5" in proc.stdout
 
 
-def test_sympy_loads_only_for_symbolic_work():
+def test_sympy_never_loads():
     script = (
         "import sys, ldp_osc.cli\n"
-        "print('sympy' in sys.modules)\n"
-        "code = ldp_osc.cli.main(['rates', '--method', 'm2', '--h', '0.5',"
-        " '--format', 'json'])\n"
-        "print(code, 'sympy' in sys.modules)\n")
+        "run = ldp_osc.cli.main\n"
+        "codes = [run(['rates', '--method', 'm2', '--h', '0.5']),\n"
+        "         run(['search', '--observable', 'mean-position']),\n"
+        "         run(['catalog']),\n"
+        "         run(['conditions', '--method', 'beta:0.5', '--h', '0.5']),\n"
+        "         run(['prob', '--method', 'em', '--h', '0.1', '--N', '10',\n"
+        "              '--interval', '0.9:1.1'])]\n"
+        "print(codes, 'sympy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] False"
+
+
+def test_proofs_run_where_sympy_cannot_be_imported():
+    script = (
+        "import sys\n"
+        "sys.modules['sympy'] = None  # any import of sympy raises\n"
+        "import ldp_osc.cli\n"
+        "code = ldp_osc.cli.main(['rates', '--method', 'm2', '--h', '0.5',"
+        " '--format', 'json'])\n"
+        "print(code)\n"
+        "print(ldp_osc.cli.main(['search', '--observable', 'mean-position']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "0 True"
-    payload = json.loads("\n".join(lines[1:-1]))
-    assert payload["symbolic"] is True
+    assert lines[-1] == "0"
+    end = lines.index("0")
+    payload = json.loads("\n".join(lines[:end]))
     assert payload["verdict"] == "ExactlyPreserves"
+    assert payload["symbolic"] is True
+    assert payload["proof"] == "proved"
 
 
 def test_scipy_loads_only_for_sampling_and_probabilities():

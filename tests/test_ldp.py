@@ -10,6 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldp_osc.ldp import (
     DEFAULT_H_SWEEP,
@@ -32,8 +34,8 @@ from ldp_osc.ldp import (
     rate_function,
     symplectic_numerators,
 )
-from ldp_osc.methods import MethodDef, catalog, check_conditions, evaluate, \
-    evaluate_symbolic, get_method, parse_method_file
+from ldp_osc.methods import MethodDef, _cos, _sin, catalog, check_conditions, \
+    evaluate, get_method, parse_method_file
 from ldp_osc.oscillator import (
     MEAN_POSITION,
     MEAN_VELOCITY,
@@ -41,6 +43,7 @@ from ldp_osc.oscillator import (
     RateFunction,
     continuous_rate,
 )
+import oracles
 from oracles import finite_N_rate
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
@@ -197,7 +200,7 @@ def test_preservation_report_requires_decreasing_sweep():
     "small-step defect: the closed forms divide by 2 - tr ~ h^2, but float A "
     "carries 2 - tr only to ~1e-16 absolute, so on this sweep the gaps of the "
     "midpoint rule grow from 2.4e-9 to 5.4e-5 as h halves to 1.56e-6 and the "
-    "verdict reads DoesNotPreserve; sympy proves the rate exact at h = 0.5"))
+    "verdict reads DoesNotPreserve; the exact proof shows the rate exact"))
 def test_midpoint_position_exact_at_small_steps():
     sweep = tuple(1e-4 * 2.0 ** -k for k in range(7))
     report = preservation_report(get_method("beta:0.5"), MEAN_POSITION, sweep)
@@ -210,7 +213,7 @@ def test_closed_form_shared_by_floats_and_symbols():
     # modulo sin^2 + cos^2 - 1 would then compare rounded constants
     cells = 0
     for method in catalog():
-        A, b, hsym = evaluate_symbolic(method)
+        A, b, hsym = oracles.evaluate_symbolic(method)
         # rational entries, so any Float in the result comes from the formula
         A, b = (M.applyfunc(lambda e: sp.nsimplify(e, rational=True))
                 for M in (A, b))
@@ -286,13 +289,8 @@ def test_proof_outcome_agrees_with_50_digit_gaps(name, observable):
         assert max(gaps) > 1e-30, gaps
 
 
-def test_proof_needs_no_simplification(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the exactness test must not simplify")
-    for owner, name in ((sp, "simplify"), (sp, "trigsimp"),
-                        (sp.Basic, "simplify"), (sp.Expr, "trigsimp"),
-                        (sp.Basic, "rewrite")):
-        monkeypatch.setattr(owner, name, refuse)
+def test_proof_needs_no_sympy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # import sympy would fail
     for name, observable in sorted(PROVED_PAIRS):
         assert _prove_modified_rate(get_method(name), observable) is True
 
@@ -317,8 +315,9 @@ def test_proof_outcomes_do_not_depend_on_hash_seed():
     assert outputs[0] == outputs[1]
     assert outputs[0].count(PROOF_PROVED) == 13
     assert outputs[0].count(PROOF_REFUTED) == 19
-    # two arguments decline; the reason names the first in sympy's sort order
-    assert outputs[0][-2:] == ["declined: trig argument h**2 is not a rational "
+    # two arguments decline; the reason names the first offending argument
+    # in a11..b2 order
+    assert outputs[0][-2:] == ["declined: trig argument pi*h is not a rational "
                                "multiple of h"] * 2
 
 
@@ -342,10 +341,13 @@ def test_decimal_literals_prove_exactly():
         assert report.proof == PROOF_PROVED
 
 
+def _rotation_text(b1, b2):
+    return ("h_range = 0:3\na11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\n"
+            f"a22 = cos(h)\nb1 = {b1}\nb2 = {b2}\n")
+
+
 def _rotation_file(b1, b2):
-    return parse_method_file(
-        "h_range = 0:3\na11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\n"
-        f"a22 = cos(h)\nb1 = {b1}\nb2 = {b2}\n")
+    return parse_method_file(_rotation_text(b1, b2))
 
 
 @pytest.mark.parametrize("b2,reason", [
@@ -380,6 +382,112 @@ def test_multiple_angles_reduce_to_one_base_angle():
     report = preservation_report(method, MEAN_VELOCITY)
     assert report.proof == PROOF_PROVED
     assert report.verdict == VERDICT_EXACT
+
+
+# --------------------------------------------------------------------------
+# agreement with the sympy reference proof in oracles.py
+
+
+def _agree(method, observables=(MEAN_POSITION, MEAN_VELOCITY)):
+    """The package's and the oracle's outcomes for each observable, after
+    asserting that they are equal."""
+    outcomes = []
+    for observable in observables:
+        ours = oracles.proof_kind(_prove_modified_rate, method, observable)
+        reference = oracles.proof_kind(oracles.prove_modified_rate, method,
+                                       observable)
+        assert ours == reference, (method.name, observable)
+        outcomes.append(ours)
+    return outcomes
+
+
+FAMILY_GRID = [f"{family}:{v}" for family in ("beta", "theta")
+               for v in ("0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7",
+                         "0.8", "0.9", "1")]
+
+
+@pytest.mark.parametrize("name", [m.name for m in catalog()] + FAMILY_GRID)
+def test_proof_agrees_with_sympy_oracle_on_catalog_and_families(name):
+    _agree(get_method(name))
+
+
+# every method-file text of this module, and the near-identity of test_cli
+METHOD_FILE_CORPUS = {
+    "m2-decimal": M2_DECIMAL,
+    "h-squared": _rotation_text(0, "cos(h^2)^2 + sin(h^2)^2"),
+    "200h": _rotation_text(0, "1 + sin(200*h) - 2*sin(100*h)*cos(100*h)"),
+    "sqrt-h": _rotation_text(0, "1 + h^0.5 - h^0.5*(cos(h)^2 + sin(h)^2)"),
+    "vanishing-denominator": _rotation_text("0", "1/(sin(h)^2 + cos(h)^2 - 1)"),
+    "multiple-angles": _rotation_text(
+        "0", "1 + sin(h) - 3*sin(h/3) + 4*sin(h/3)^3 + sin(2*h/3)"
+        " - 2*sin(h/3)*cos(h/3)"),
+    "float-fractions": _rotation_text(
+        "0", "1 + sin(h) - 3*sin(1/3*h) + 4*sin(1/3*h)^3 + sin(2/3*h)"
+        " - 2*sin(1/3*h)*cos(1/3*h)"),
+    "pi-h": _rotation_text("sin(pi*h)", "sin(h^2)"),
+    "near-rotation": _rotation_text("0", "1 + 1e-12*h"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(METHOD_FILE_CORPUS))
+def test_proof_agrees_with_sympy_oracle_on_method_files(key):
+    _agree(parse_method_file(METHOD_FILE_CORPUS[key]))
+
+
+def test_float_fractions_of_h_share_the_base_angle():
+    # 1/3*h is 0.333...*h in float; the literal rule reads it as h/3 again
+    method = parse_method_file(METHOD_FILE_CORPUS["float-fractions"])
+    assert _symbolic_exact(method, MEAN_VELOCITY) == PROOF_PROVED
+
+
+def _trig(kind, k, q, h, expand):
+    """sin or cos of k h / q; expanded, as a polynomial in sin(h/q) and
+    cos(h/q) by de Moivre's binomial sum (not by angle addition)."""
+    if not expand:
+        return (_sin if kind == "sin" else _cos)(k * h / q)
+    s, c = _sin(h / q), _cos(h / q)
+    return sum((-1) ** (j // 2) * math.comb(k, j) * c ** (k - j) * s ** j
+               for j in range(1 if kind == "sin" else 0, k + 1, 2))
+
+
+def _polynomial(terms, h, expand=False):
+    total = 0
+    for coef, power, factors in terms:
+        term = coef * h ** power
+        for kind, k, q, e in factors:
+            term = term * _trig(kind, k, q, h, expand) ** e
+        total = total + term
+    return total
+
+
+def _rotation_with_b2(b2):
+    return MethodDef("generated", lambda h: (
+        [[_cos(h), _sin(h)], [-_sin(h), _cos(h)]], [0, b2(h)]))
+
+
+# a term is coef * h^power * prod (sin|cos)(k h / q)^e
+# (kept small: the sympy reference takes seconds on larger identities)
+_TERMS = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+    st.integers(0, 1),
+    st.lists(st.tuples(st.sampled_from(("sin", "cos")), st.integers(1, 3),
+                       st.integers(1, 3), st.integers(1, 2)), max_size=1))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TERMS, min_size=1, max_size=3),
+       _TERMS.filter(lambda t: t[1] or t[2] or t[0] != -2))
+def test_random_trig_identities_are_decided_like_the_oracle(terms, extra):
+    # b2 = 1 + P - P' equals 1 for every h, so the rotation step with noise
+    # (0, b2) keeps the velocity rate; adding one more monomial m breaks it,
+    # since 1 + m = +-1 identically only for the constant m = -2
+    identity = _rotation_with_b2(
+        lambda h: 1 + _polynomial(terms, h) - _polynomial(terms, h, True))
+    assert _agree(identity, [MEAN_VELOCITY]) == [PROOF_PROVED]
+    broken = _rotation_with_b2(
+        lambda h: 1 + _polynomial(terms, h) - _polynomial(terms, h, True)
+        + _polynomial([extra], h))
+    assert _agree(broken, [MEAN_VELOCITY]) == [PROOF_REFUTED]
 
 
 def test_proof_is_none_unless_attempted():

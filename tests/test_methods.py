@@ -1,15 +1,20 @@
 """Tests for the method catalog, structural checks, and the method-file format."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import sympy as sp
 
+import oracles
 from ldp_osc.methods import (
     COEFFICIENT_KEYS,
+    Exact,
+    MethodDef,
     MethodFileError,
+    ProofDeclined,
     catalog,
     check_conditions,
     condition_b_diagnostics,
@@ -21,6 +26,7 @@ from ldp_osc.methods import (
     parse_expression,
     parse_method_file,
 )
+from ldp_osc.methods import _cos, _literal, _pi_like, _sin
 
 CATALOG_NAMES = [
     "em",
@@ -316,7 +322,7 @@ def test_format_method_file_round_trip():
 
 
 def test_evaluate_symbolic_midpoint_det_is_one():
-    A, b, h = evaluate_symbolic(get_method("beta:0.5"))
+    A, b, h = oracles.evaluate_symbolic(get_method("beta:0.5"))
     det = sp.simplify(A.det())
     assert det == 1
     assert b.shape == (2, 1)
@@ -327,11 +333,61 @@ def test_evaluate_symbolic_rejects_plain_python_closures():
     def opaque(h):
         return math.cos(h)
 
-    from ldp_osc.methods import MethodDef
-
     bad = MethodDef(
         name="opaque",
         coefficients=(opaque, opaque, opaque, opaque, opaque, opaque),
     )
     with pytest.raises(TypeError):
-        evaluate_symbolic(bad)
+        oracles.evaluate_symbolic(bad)
+
+
+def test_exact_coefficients_have_no_float_escape():
+    # math.cos needs __float__ or __index__, which Exact does not define
+    opaque = MethodDef("opaque", lambda h: ([[math.cos(h), 0], [0, 1]], [0, 1]))
+    with pytest.raises(TypeError):
+        evaluate_symbolic(opaque)
+    A, b, h = evaluate_symbolic(get_method("beta:0.5"))
+    assert A.shape == (2, 2) and b.shape == (2,)
+    assert all(isinstance(e, Exact) for e in (*A.ravel(), *b))
+    assert str(A[0, 1]) == "(h)/(h**2/4 + 1)"
+
+
+@pytest.mark.parametrize("x,expected", [
+    (0.5, Fraction(1, 2)),
+    (1e-12, Fraction(1, 10 ** 12)),
+    (-0.81, Fraction(-81, 100)),
+    ((1 - 0.1) ** 2, Fraction(81, 100)),
+    (0.1 + 0.2, Fraction(3, 10)),
+    (1 / 3, Fraction(1, 3)),
+    (6 / 7, Fraction(6, 7)),
+    (0.0, Fraction(0)),
+    (123456789.0, Fraction(123456789)),
+])
+def test_float_literals_are_the_simplest_fraction_with_their_15_digits(
+        x, expected):
+    assert _literal(x) == expected
+    assert format(float(_literal(x)), ".15g") == format(x, ".15g")
+
+
+def test_exact_arithmetic():
+    h = Exact.symbol()
+    assert str(_sin(2 * h / 3) * _cos(-h) - _sin(-h)) == "sin(2*h/3)*cos(h) + sin(h)"
+    assert str(_pi_like(h) * h) == "pi*h"
+    assert str((h + 1) ** -2) == "(1)/(h**2 + 2*h + 1)"
+    assert str(_sin(h - h)) == "0" and str(_cos(0 * h)) == "1"
+    assert str((h ** 2 - 1) / (h + 1)) == "(h**2 - 1)/(h + 1)"  # no cancellation
+    assert str(h ** 2.0 + h ** Fraction(1)) == "h**2 + h"
+    for bad, reason in [
+            (lambda: _sin(h ** 2),
+             "trig argument h**2 is not a rational multiple of h"),
+            (lambda: _cos(1 + h),
+             "trig argument h + 1 is not a rational multiple of h"),
+            (lambda: h ** 0.5, "h**0.5 is not a rational function of h, sin and cos"),
+            (lambda: 2 ** h, "2**h is not a rational function of h, sin and cos"),
+            (lambda: 1 / (h - h), "a denominator vanishes identically"),
+            (lambda: h * math.inf, "literal inf is not finite")]:
+        with pytest.raises(ProofDeclined) as info:
+            bad()
+        assert str(info.value) == reason
+    with pytest.raises(TypeError):
+        h * "2"

@@ -108,6 +108,10 @@ def test_rate_function_profile():
 def test_guards():
     with pytest.raises(ValueError):
         OscillatorParams(alpha=0.0)
+    for field in ("alpha", "x0", "y0"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                OscillatorParams(**{field: value})
     with pytest.raises(ValueError):
         GaussianLaw(0.0, -1e-9)
     with pytest.raises(ValueError):

@@ -221,6 +221,30 @@ def test_msq_order_rejects_bad_sample_counts_before_running(samples,
         msq_order(get_method("em"), [0.1, 0.05], samples=samples)
 
 
+@pytest.mark.parametrize("T0", [math.inf, math.nan, 0.0, -1.0])
+def test_msq_order_rejects_bad_horizons_before_running(T0, monkeypatch):
+    def no_blocks(count):
+        raise AssertionError("a block runner started")
+    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    with pytest.raises(ValueError, match="T0 must be a finite positive horizon"):
+        msq_order(get_method("em"), [0.1, 0.05], T0=T0, samples=10)
+
+
+def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
+    def no_blocks(count):
+        raise AssertionError("a block runner started")
+    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    # 1e10 steps per path at h = 0.1
+    with pytest.raises(ValueError, match="need at most 1e[+]09"):
+        msq_order(get_method("em"), [0.1, 0.05], T0=1e9, samples=10)
+    # the largest count is checked even when it comes from the finest step
+    with pytest.raises(ValueError, match="at h = 0.05; need at most 1e[+]09"):
+        msq_order(get_method("em"), [0.1, 0.05], T0=6e7, samples=10)
+    with pytest.raises(ValueError, match="need at most 1e[+]09 steps, got 1000000001"):
+        SimConfig(get_method("beta:0.5"), 0.1, 10 ** 9 + 1, 10)
+    assert SimConfig(get_method("beta:0.5"), 0.1, 10 ** 9, 10).steps == 10 ** 9
+
+
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
 # samplers moved to step-major buffers and streamed exact steps (the two
 # multi-block msq runs: before msq moved onto the block engine); the kernels
