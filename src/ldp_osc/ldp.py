@@ -10,8 +10,8 @@ the step is refined.
 
 `preservation_report` decides between those outcomes from a step sweep, and
 upgrades a numerically exact verdict to an identity-level one when the closed
-forms are equal as functions of h, which an exact reduction modulo
-sin^2 + cos^2 - 1 decides. `exact_preservation_search` scans a quadratic
+forms are equal as functions of h, which exact arithmetic over h, pi and
+exp(i r h) decides. `exact_preservation_search` scans a quadratic
 perturbation family of the rotation step for methods that preserve a rate
 exactly.
 """
@@ -25,9 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .laws import law_NA_N, law_x_N
-from .methods import Exact, MethodDef, ProofDeclined, _add_into, _poly_mul, \
-    _poly_pow, catalog, check_conditions, coupling, decreasing_sweep, evaluate, \
-    evaluate_symbolic, format_method_file
+from .methods import Exact, MethodDef, ProofDeclined, catalog, \
+    check_conditions, coupling, decreasing_sweep, evaluate, evaluate_symbolic, \
+    format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
     check_observable, continuous_rate
 
@@ -227,85 +227,33 @@ def _symbolic_exact(method, observable):
         return f"declined: {exc}"
 
 
-# largest multiple of the base angle that the proof expands into sin/cos
-# powers; sin(k t) has degree k in sin t and cos t
-_MAX_ANGLE_MULTIPLE = 32
-
-
 def _prove_modified_rate(method, observable):
     """Decide whether the modified rate equals the continuous one at every h.
 
     Returns True for an identity and False when it fails (including c = 0).
     Works on the exact coefficients at noise intensity 1 (both sides scale
     the same way in alpha): float literals are exact rationals, and every
-    sin/cos becomes a polynomial in S = sin t, C = cos t for one base angle
-    t = h/Q. Since h is algebraically independent of sin t, the relations
-    among h, S and C are generated by S^2 + C^2 - 1, so a rational function
-    of them vanishes identically exactly when its numerator's normal form
-    modulo that relation is zero. Raises ProofDeclined for coefficients that
-    are not rational functions of h and of sin, cos at rational multiples of
-    h.
+    sin/cos(r h) is written through w^r and w^-r, w = exp(i h). The
+    functions pi^a h^b exp(i r h) are linearly independent, so each
+    quantity the test reads vanishes identically exactly when its numerator
+    has no terms. Raises ProofDeclined for coefficients that are not
+    rational functions of h and of sin, cos at rational multiples of h.
     """
     try:
         A, b, h = evaluate_symbolic(method)
     except TypeError as exc:
         raise ProofDeclined(
             f"coefficients do not evaluate at a symbolic h ({exc})") from None
-    entries, S, C = _trig_polynomials([*A.ravel(), *b], h)
 
     def vanishes(x):
-        x = Exact.of(x)
-        if not _normal_form(x.den, S, C):
-            raise ProofDeclined("a denominator vanishes identically")
-        return not _normal_form(x.num, S, C)
+        return not Exact.of(x).num
 
-    A = np.array(entries[:4], dtype=object).reshape(2, 2)
-    b = entries[4:]
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
     if vanishes(c):
         return False  # a degenerate rate never matches a continuous one
     target = Fraction(1, 3) if observable == MEAN_POSITION else 1
     return vanishes(4 * c * h * target - 1)
-
-
-def _trig_polynomials(entries, h):
-    """Entries with each sin/cos(r h) written over S = sin(h/Q) and
-    C = cos(h/Q), Q the least common denominator of the r, by angle
-    addition; returns the rewritten entries and the variables S, C."""
-    atoms = sorted(set().union(*(e.trig_atoms() for e in entries)))
-    Q = math.lcm(1, *(r.denominator for _, r in atoms))
-    top = max((int(r * Q) for _, r in atoms), default=0)
-    base = h / Q
-    if top > _MAX_ANGLE_MULTIPLE:
-        raise ProofDeclined(
-            f"trig argument {top * base} is {top} times the base angle {base}, "
-            f"above the {_MAX_ANGLE_MULTIPLE} the proof expands")
-    S, C = ("sin", Fraction(1, Q)), ("cos", Fraction(1, Q))
-    s1, c1 = {((S, 1),): Fraction(1)}, {((C, 1),): Fraction(1)}
-    sines, cosines = [{}], [{(): Fraction(1)}]
-    for _ in range(top):  # angle addition, sin and cos of (k + 1) t
-        s, c = sines[-1], cosines[-1]
-        sines.append(_add_into(_poly_mul(s, c1), _poly_mul(c, s1)))
-        cosines.append(_add_into(_poly_mul(c, c1), _poly_mul(s, s1), -1))
-    images = {(kind, r): (sines if kind == "sin" else cosines)[int(r * Q)]
-              for kind, r in atoms}
-    return [e.substitute(images) for e in entries], S, C
-
-
-def _normal_form(poly, S, C):
-    """poly modulo S^2 + C^2 - 1: every S^2 replaced by 1 - C^2, which
-    leaves S to the power 0 or 1; zero exactly when poly vanishes there."""
-    one_minus_c2 = {(): Fraction(1), ((C, 2),): Fraction(-1)}
-    out = {}
-    for mono, coef in poly.items():
-        exponents = dict(mono)
-        e = exponents.pop(S, 0)
-        if e % 2:
-            exponents[S] = 1
-        term = {tuple(sorted(exponents.items())): coef}
-        _add_into(out, _poly_mul(term, _poly_pow(one_minus_c2, e // 2)))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -8,9 +8,11 @@ Coefficient evaluators are written against the sin/cos/pi helpers `_sin`,
 `_cos` and `_pi_like`, which dispatch on the argument type: floats go to
 `math`, and the exact element `Exact` stays exact. So calling an evaluator
 with `Exact.symbol()` instead of a float yields the coefficients as exact
-rational functions of h, sin and cos. That is what powers identity-level
-preservation proofs. Another exact arithmetic can register its own types
-with the helpers.
+rational functions of h, pi and w = exp(i h), with sin(r h) and cos(r h)
+written through w^r and w^-r. An identity then holds exactly when a
+numerator is empty, which is what powers identity-level preservation
+proofs. Another exact arithmetic can register its own types with the
+helpers.
 
 Method file format (one `key = expression` per line, `#` starts a comment):
 
@@ -52,15 +54,20 @@ class ProofDeclined(Exception):
 
 
 # --------------------------------------------------------------------------
-# exact rational functions of h, pi, sin(r h) and cos(r h)
+# exact rational functions of h, pi and w = exp(i h)
 #
 # A polynomial is a dict {monomial: nonzero Fraction}. A monomial is a sorted
-# tuple of (variable, exponent) pairs; the variables are _H, _PI and the trig
-# atoms ("sin", r), ("cos", r) for sin(r h), cos(r h), r > 0 a Fraction.
-# () is the monomial 1.
+# tuple of (variable, exponent) pairs over _H, _PI, _I and _W: h and pi to
+# positive integer powers, the imaginary unit i to the power 1, and
+# w = exp(i h) to any nonzero rational power, so w^r = exp(i r h). () is the
+# monomial 1. The functions pi^a h^b exp(i r h) are linearly independent over
+# the rationals with i adjoined (pi is transcendental), so a polynomial is
+# identically zero exactly when its dict is empty.
 
 _H = ("h",)
 _PI = ("pi",)
+_I = ("i",)
+_W = ("w",)
 _ONE = {(): Fraction(1)}
 
 
@@ -76,22 +83,30 @@ def _add_into(out, poly, scale=1):
 
 
 def _mono_mul(m1, m2):
+    """The product of two monomials as (monomial, sign): w^r w^-r drops out
+    and i^2 folds to the sign -1."""
     if not m1:
-        return m2
+        return m2, 1
     if not m2:
-        return m1
+        return m1, 1
     exponents = dict(m1)
     for var, e in m2:
         exponents[var] = exponents.get(var, 0) + e
-    return tuple(sorted(exponents.items()))
+    sign = 1
+    if exponents.get(_I) == 2:
+        del exponents[_I]
+        sign = -1
+    if exponents.get(_W) == 0:
+        del exponents[_W]
+    return tuple(sorted(exponents.items())), sign
 
 
 def _poly_mul(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            mono = _mono_mul(m1, m2)
-            value = out.get(mono, 0) + c1 * c2
+            mono, sign = _mono_mul(m1, m2)
+            value = out.get(mono, 0) + sign * c1 * c2
             if value:
                 out[mono] = value
             else:
@@ -107,18 +122,6 @@ def _poly_pow(p, k):
         k >>= 1
         if k:
             p = _poly_mul(p, p)
-    return out
-
-
-def _substitute(poly, images):
-    """poly with each variable in `images` replaced by its image polynomial."""
-    out = {}
-    for mono, coef in poly.items():
-        term = {tuple((v, e) for v, e in mono if v not in images): coef}
-        for var, e in mono:
-            if var in images:
-                term = _poly_mul(term, _poly_pow(images[var], e))
-        _add_into(out, term)
     return out
 
 
@@ -144,19 +147,18 @@ def _literal(x):
     return value if x > 0 else -value
 
 
-_PRINT_ORDER = {"pi": 0, "h": 1, "sin": 2, "cos": 3}
+_PRINT_ORDER = {"i": 0, "pi": 1, "h": 2, "w": 3}
 
 
 def _format_var(var, e):
-    text = var[0]
-    if len(var) == 2:  # sin or cos at var[1] times h
-        text += f"({_format_poly({((_H, 1),): var[1]})})"
-    return text if e == 1 else f"{text}**{e}"
+    if var == _W:  # w^e = exp(i e h)
+        return f"exp({_format_poly({((_H, 1), (_I, 1)): e})})"
+    return var[0] if e == 1 else f"{var[0]}**{e}"
 
 
 def _format_poly(poly):
     """sympy's layout for the simple cases decline reasons name: 2*h/3,
-    h**2, pi*h, sin(h/2)**2 + 1."""
+    h**2, pi*h, i*exp(-i*h)/2 + 1."""
     text = ""
     for mono, coef in sorted(poly.items(), key=lambda t: -sum(e for _, e in t[0])):
         factors = "*".join(_format_var(v, e) for v, e in
@@ -176,13 +178,14 @@ def _format_poly(poly):
 
 
 class Exact:
-    """An exact rational function num/den of h, pi and sin, cos at rational
-    multiples of h: the value a coefficient takes at a symbolic step.
+    """An exact rational function num/den of h, pi and exp(i r h) for rational
+    r: the value a coefficient takes at a symbolic step.
 
-    num and den are polynomial dicts (see above). pi is one more
-    indeterminate, which is exact because pi is transcendental. Numbers enter
-    exactly: ints and Fractions as they are, floats through `_literal`.
-    Nothing is cancelled: a sum over equal denominators keeps the
+    num and den are polynomial dicts (see above), so the element is zero
+    exactly when num is empty, and den never is. sin and cos enter in that
+    form (`trig`). Numbers enter exactly: ints and Fractions as they are,
+    floats through `_literal`. Nothing is cancelled: a sum over equal
+    denominators keeps the
     denominator, any other sum or product multiplies them. `**` takes integer
     exponents only; there is no __float__ or __index__, so `math.cos` on an
     Exact raises TypeError.
@@ -279,23 +282,18 @@ class Exact:
                             "sin and cos")
 
     def trig(self, kind):
-        """sin or cos of self, which must be 0 or a rational multiple of h."""
+        """sin or cos of self, which must be 0 or a rational multiple r h of h:
+        cos(r h) = (w^r + w^-r)/2 and sin(r h) = i (w^-r - w^r)/2."""
         if not self.num:
             return Exact.of(0 if kind == "sin" else 1)
         r = self.num.get(((_H, 1),))
         if self.den != _ONE or len(self.num) != 1 or r is None:
             raise ProofDeclined(
                 f"trig argument {self} is not a rational multiple of h")
-        atom = Exact.symbol((kind, abs(r)))
-        return -atom if kind == "sin" and r < 0 else atom
-
-    def trig_atoms(self):
-        return {var for poly in (self.num, self.den) for mono in poly
-                for var, _ in mono if var[0] in ("sin", "cos")}
-
-    def substitute(self, images):
-        """self with each variable in `images` replaced by its image polynomial."""
-        return Exact(_substitute(self.num, images), _substitute(self.den, images))
+        half = Fraction(1, 2)
+        if kind == "cos":
+            return Exact({((_W, r),): half, ((_W, -r),): half})
+        return Exact({((_I, 1), (_W, r)): -half, ((_I, 1), (_W, -r)): half})
 
 
 def _integer_value(x):

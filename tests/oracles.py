@@ -10,8 +10,10 @@ at run time, kept here so the tests can check the package against them.
 - a reader for the CSV documents the CLI emits;
 - the identity-level proof in sympy: the coefficients at a sympy symbol,
   float literals through `nsimplify`, and a reduction modulo
-  sin^2 + cos^2 - 1 by `sympy.reduced`. It shares only the closed form
-  `ldp._closed_form_log_mgf` with the package's exact-element proof.
+  sin^2 + cos^2 - 1 by `sympy.reduced`, for angles up to 32 times one base
+  angle. It shares only the closed form `ldp._closed_form_log_mgf` with the
+  package's exact-element proof, which writes sin and cos through
+  exp(+-i r h) instead.
 """
 
 import csv
@@ -23,8 +25,8 @@ import sympy as sp
 
 from ldp_osc import methods
 from ldp_osc.laws import interval_probability
-from ldp_osc.ldp import _MAX_ANGLE_MULTIPLE, PROOF_PROVED, PROOF_REFUTED, \
-    ProofDeclined, _closed_form_log_mgf, observable_law
+from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, ProofDeclined, \
+    _closed_form_log_mgf, observable_law
 from ldp_osc.methods import COEFFICIENT_KEYS
 from ldp_osc.oscillator import MEAN_POSITION, GaussianLaw, check_observable
 
@@ -158,6 +160,12 @@ def prove_modified_rate(method, observable):
         return False
     target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)
     return vanishes(4 * c * h * target - 1)
+
+
+# largest multiple of the base angle the reference expands into sin/cos
+# powers; sin(k t) has degree k in sin t and cos t, and the reduction slows
+# down sharply beyond this
+_MAX_ANGLE_MULTIPLE = 32
 
 
 def _trig_polynomials(entries, h):

@@ -279,14 +279,19 @@ def _gap_mp50(method, observable, h):
         return abs(1 / (4 * c * hm) - target)
 
 
-@pytest.mark.parametrize("name,observable", CATALOG_PAIRS)
-def test_proof_outcome_agrees_with_50_digit_gaps(name, observable):
-    gaps = [_gap_mp50(get_method(name), observable, h)
+def _assert_50_digit_gaps(method, observable, proved):
+    gaps = [_gap_mp50(method, observable, h)
             for h in (sp.Rational(1, 3), sp.Rational(1, 2), sp.Rational(9, 10))]
-    if (name, observable) in PROVED_PAIRS:
+    if proved:
         assert max(gaps) < 1e-40, gaps
     else:
         assert max(gaps) > 1e-30, gaps
+
+
+@pytest.mark.parametrize("name,observable", CATALOG_PAIRS)
+def test_proof_outcome_agrees_with_50_digit_gaps(name, observable):
+    _assert_50_digit_gaps(get_method(name), observable,
+                          (name, observable) in PROVED_PAIRS)
 
 
 def test_proof_needs_no_sympy(monkeypatch):
@@ -353,9 +358,6 @@ def _rotation_file(b1, b2):
 @pytest.mark.parametrize("b2,reason", [
     ("cos(h^2)^2 + sin(h^2)^2",
      "trig argument h**2 is not a rational multiple of h"),
-    ("1 + sin(200*h) - 2*sin(100*h)*cos(100*h)",
-     "trig argument 200*h is 200 times the base angle h, above the 32 the "
-     "proof expands"),
     ("1 + h^0.5 - h^0.5*(cos(h)^2 + sin(h)^2)",
      "is not a rational function of h, sin and cos"),
 ])
@@ -366,6 +368,21 @@ def test_identity_outside_the_decided_class_declines(b2, reason):
     assert report.verdict == VERDICT_EXACT_NUMERIC
     assert report.symbolic is False
     assert report.proof.startswith("declined: ") and reason in report.proof
+
+
+# equals 1 at every h; sin(200 h) is far beyond the 32 base-angle multiples
+# the sympy reference expands, but each sin or cos is two exp terms here
+ANGLE_200H = "1 + sin(200*h) - 2*sin(100*h)*cos(100*h)"
+
+
+def test_identity_with_large_angles_is_decided():
+    method = _rotation_file(0, ANGLE_200H)
+    report = preservation_report(method, MEAN_VELOCITY)
+    assert report.proof == PROOF_PROVED
+    assert report.verdict == VERDICT_EXACT
+    assert _symbolic_exact(method, MEAN_POSITION) == PROOF_REFUTED
+    _assert_50_digit_gaps(method, MEAN_VELOCITY, True)
+    _assert_50_digit_gaps(method, MEAN_POSITION, False)
 
 
 def test_undefined_coefficient_declines():
@@ -415,7 +432,7 @@ def test_proof_agrees_with_sympy_oracle_on_catalog_and_families(name):
 METHOD_FILE_CORPUS = {
     "m2-decimal": M2_DECIMAL,
     "h-squared": _rotation_text(0, "cos(h^2)^2 + sin(h^2)^2"),
-    "200h": _rotation_text(0, "1 + sin(200*h) - 2*sin(100*h)*cos(100*h)"),
+    "200h": _rotation_text(0, ANGLE_200H),
     "sqrt-h": _rotation_text(0, "1 + h^0.5 - h^0.5*(cos(h)^2 + sin(h)^2)"),
     "vanishing-denominator": _rotation_text("0", "1/(sin(h)^2 + cos(h)^2 - 1)"),
     "multiple-angles": _rotation_text(
@@ -431,7 +448,15 @@ METHOD_FILE_CORPUS = {
 
 @pytest.mark.parametrize("key", sorted(METHOD_FILE_CORPUS))
 def test_proof_agrees_with_sympy_oracle_on_method_files(key):
-    _agree(parse_method_file(METHOD_FILE_CORPUS[key]))
+    method = parse_method_file(METHOD_FILE_CORPUS[key])
+    if key != "200h":
+        _agree(method)
+        return
+    # the oracle declines beyond 32 base-angle multiples, so 50-digit gaps
+    # check this entry instead
+    for observable in (MEAN_POSITION, MEAN_VELOCITY):
+        _assert_50_digit_gaps(method, observable,
+                              _prove_modified_rate(method, observable))
 
 
 def test_float_fractions_of_h_share_the_base_angle():

@@ -371,7 +371,11 @@ def test_float_literals_are_the_simplest_fraction_with_their_15_digits(
 
 def test_exact_arithmetic():
     h = Exact.symbol()
-    assert str(_sin(2 * h / 3) * _cos(-h) - _sin(-h)) == "sin(2*h/3)*cos(h) + sin(h)"
+    assert str(_sin(h)) == "-i*exp(i*h)/2 + i*exp(-i*h)/2"
+    # product to sum: sin(2h/3) cos(h) = (sin(5h/3) + sin(-h/3)) / 2
+    difference = _sin(2 * h / 3) * _cos(-h) - _sin(-h) \
+        - (_sin(5 * h / 3) + _sin(-h / 3)) / 2 - _sin(h)
+    assert difference.num == {}
     assert str(_pi_like(h) * h) == "pi*h"
     assert str((h + 1) ** -2) == "(1)/(h**2 + 2*h + 1)"
     assert str(_sin(h - h)) == "0" and str(_cos(0 * h)) == "1"
