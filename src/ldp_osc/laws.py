@@ -86,11 +86,15 @@ def _augmented_moments(A, b, h, N, params):
                 Q = Q + P @ Q @ P.T
                 P = P @ P
         mean = R @ np.array([params.x0, params.y0, 0.0])
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(S))):
+    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(S))):
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
         raise DivergentMomentsError(
             f"moments overflow float64 at N = {N} with det(A) = {det:.6g}: "
             f"the matrix powers diverge")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError(
+            f"the mean overflows float64 at N = {N}: the initial state "
+            f"x0 = {params.x0:g}, y0 = {params.y0:g} is too large")
     return AugmentedMoments(mean, S)
 
 

@@ -189,8 +189,11 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
         else:
             coefs.append(modified.coefficient)
             gaps.append(abs(modified.coefficient - target))
+    # the coefficients and the target all scale as 1/alpha^2, so the gates
+    # read each gap relative to the target
+    relative = [g / target for g in gaps]
     proof = None
-    if not degenerate and all(g <= EXACT_TOL for g in gaps):
+    if not degenerate and all(g <= EXACT_TOL for g in relative):
         proof = _symbolic_exact(method, observable)
     if degenerate:
         verdict = VERDICT_NONE
@@ -199,7 +202,7 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
     elif proof is not None and proof != PROOF_REFUTED:
         # the proof declined, so the sweep is the only evidence
         verdict = VERDICT_EXACT_NUMERIC
-    elif _decays_to_zero(gaps):
+    elif _decays_to_zero(relative):
         # a refuted identity is judged by its gaps, like any inexact one
         verdict = VERDICT_ASYMPTOTIC
     else:

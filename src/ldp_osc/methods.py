@@ -185,10 +185,9 @@ class Exact:
     exactly when num is empty, and den never is. sin and cos enter in that
     form (`trig`). Numbers enter exactly: ints and Fractions as they are,
     floats through `_literal`. Nothing is cancelled: a sum over equal
-    denominators keeps the
-    denominator, any other sum or product multiplies them. `**` takes integer
-    exponents only; there is no __float__ or __index__, so `math.cos` on an
-    Exact raises TypeError.
+    denominators keeps the denominator, any other sum or product multiplies
+    them. `**` takes integer exponents only; there is no __float__ or
+    __index__, so `math.cos` on an Exact raises TypeError.
     """
 
     __slots__ = ("num", "den")

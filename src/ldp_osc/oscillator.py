@@ -10,6 +10,7 @@ reproduces the one-step transition law without discretization bias.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,12 @@ class OscillatorParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # laws scale with alpha^2 and rates with 1/alpha^2; neither may
+        # overflow or lose precision as a subnormal
+        if not sys.float_info.min <= self.alpha * self.alpha \
+                <= 1.0 / (3.0 * sys.float_info.min):
+            raise ValueError("alpha^2 and 1/(3 alpha^2) must be finite normal "
+                             f"floats, got alpha = {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -244,6 +245,33 @@ def test_nonfinite_oscillator_parameters_are_input_errors(option, value,
     assert err == f"error: {option[2:]} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["rates", "--method", "beta:0.5", "--h", "0.1"],
+    ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "10", "--interval",
+     "0.9:1.1"],
+])
+@pytest.mark.parametrize("alpha", ["1e200", "1e-200"])
+def test_alpha_beyond_the_float_range_is_an_input_error(command, alpha,
+                                                        capsys):
+    # alpha^2 would overflow, or 1/(3 alpha^2) would
+    code, out, err = run_cli(command + ["--alpha", alpha], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: alpha^2 and 1/(3 alpha^2) must be finite normal "
+                   f"floats, got alpha = {float(alpha)}\n")
+
+
+def test_huge_initial_state_is_an_input_error(capsys):
+    # the midpoint rule's powers stay bounded; the state itself overflows
+    code, out, err = run_cli(
+        ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+         "--interval", "0.9:1.1", "--x0", "1e308"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the mean overflows float64 at N = 10: the initial "
+                   "state x0 = 1e+308, y0 = 0 is too large\n")
+
+
 def test_N_sweep_values_are_python_ints():
     args = cli._build_parser().parse_args(
         ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
@@ -478,3 +506,108 @@ def test_scipy_loads_only_for_sampling_and_probabilities():
     assert lines[0] == "False"
     assert "[0, 0] False" in lines
     assert lines[-1] == "0 True"
+
+
+# SHA-256 of the stdout of the deterministic verdict commands, recorded before
+# sin and cos were written through exp(+-i r h) in the exact proof: a change
+# to how the proof decides must not change a printed byte. The two method
+# files hold an identity the proof declines (an h^2 argument) and one it
+# proves (angles h/3 written as 1/3*h).
+VERDICT_METHOD_FILES = {
+    "squared-argument":
+        "a11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\na22 = cos(h)\n"
+        "b1 = 0\nb2 = cos(h^2)^2 + sin(h^2)^2\n",
+    "float-fractions":
+        "h_range = 0:3\na11 = cos(h)\na12 = sin(h)\na21 = -sin(h)\n"
+        "a22 = cos(h)\nb1 = 0\nb2 = 1 + sin(h) - 3*sin(1/3*h) + "
+        "4*sin(1/3*h)^3 + sin(2/3*h) - 2*sin(1/3*h)*cos(1/3*h)\n",
+}
+_RATES = "rates --h 0.5 --format json --observable {} --method {}"
+GOLDEN_VERDICTS = [
+    (_RATES.format("mean-position", "em"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (_RATES.format("mean-velocity", "em"), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (_RATES.format("mean-position", "beta:0"), 0,
+     "5be3490b119fc430a0ec8250bc3b01c4abcda2c5fa352ccaeaa4ba0a55a35242"),
+    (_RATES.format("mean-velocity", "beta:0"), 0,
+     "22a3c5a8993d961e150bbe53765b6a37915d3805c6273034705180f899f0d1f2"),
+    (_RATES.format("mean-position", "beta:0.5"), 0,
+     "a6d85b10b7fa408fbbb0352afb0bafd64e327c196f54318b8b8ffc89ad13a93b"),
+    (_RATES.format("mean-velocity", "beta:0.5"), 0,
+     "5caefe2b0e021a50089bab4a6b6070a131c149d0fbbbfb3c4fec17d517c4573c"),
+    (_RATES.format("mean-position", "beta:1"), 0,
+     "ae4fe7f1fca9b6db4cd98c25e8dce42612756bc958a6a21de28970cca3ac100f"),
+    (_RATES.format("mean-velocity", "beta:1"), 0,
+     "b58a4a455e4792d39ef24346e5083a6e1aaa6953bf49627f051734872cee53f7"),
+    (_RATES.format("mean-position", "ex"), 0,
+     "c03ae47fc257aacb29c96d010e38f13aebbab684563e53d3e7a7b08de80bd46b"),
+    (_RATES.format("mean-velocity", "ex"), 0,
+     "b630a4bae64c4a3fcc67c63ffaa1a91a6c26a3f808c6efc53aa5edb0ada7ba43"),
+    (_RATES.format("mean-position", "int"), 0,
+     "f48e6ae373c25b029a8344d2171c0021919b566aefdf68b47c70db967992ca3d"),
+    (_RATES.format("mean-velocity", "int"), 0,
+     "d60b6f7c46d75e9f4db48869d422c532e3f40f6aa77a70c53ffeb88d3ecc7d70"),
+    (_RATES.format("mean-position", "opt"), 0,
+     "0f89b221392f17f66729f51036b0c06c33f18a44fa73e3753e3c342f05cace96"),
+    (_RATES.format("mean-velocity", "opt"), 0,
+     "0d7e8f8e7701dc6f84bc9ce26963cca4a6e91eb64bfd6d84d597e2d43f0c4c96"),
+    (_RATES.format("mean-position", "theta:1"), 0,
+     "33fdf8f9f88108c13af832307851eb7a46edf0a46a8d696c695b26e04f72dbe2"),
+    (_RATES.format("mean-velocity", "theta:1"), 0,
+     "7ce05b9d22e1833a7dcc42473db6ceac055679531c484a0222750aec9df7da79"),
+    (_RATES.format("mean-position", "pc-pem-mr"), 0,
+     "88b005f627d00fea6cfea8e421164c91fc1ef53f95ca38d37fc6be3fa109b3f9"),
+    (_RATES.format("mean-velocity", "pc-pem-mr"), 0,
+     "1f5445fae422d082c61dc3e7a2bfedfb32f3a78cd9988a786da8ae134ee5d678"),
+    (_RATES.format("mean-position", "pc-em-bem"), 0,
+     "e8ce904c85c7e21c22c71cedf05488cf1187547f98dc60ce72da62c8bcff4155"),
+    (_RATES.format("mean-velocity", "pc-em-bem"), 0,
+     "d13d8d298cc6b53f0611978df4a6d62823561e53b4f1f51d09439383d0c99f35"),
+    (_RATES.format("mean-position", "m1"), 0,
+     "3079db0723a9db0d6a4af1a3a55ab3a7354312987221a349a0da9c69fbccdeb0"),
+    (_RATES.format("mean-velocity", "m1"), 0,
+     "99b37be6e2dd9d9d304617f3ad8d006eda7e55244c4a05326b818a5739326b8b"),
+    (_RATES.format("mean-position", "m2"), 0,
+     "86e4cc8816c6b004458a2bf0a6c4095ee3022182ed27d6050da5bdc1afa906f5"),
+    (_RATES.format("mean-velocity", "m2"), 0,
+     "f9da4d44575c3d8e61e5d48115112f11a7076fba54684c8b370e3780c7dd08c9"),
+    (_RATES.format("mean-position", "m3"), 0,
+     "851055537b3b7e57e3f79b58df281ff38a389de6f90a5961c9b81ad7ac6413d1"),
+    (_RATES.format("mean-velocity", "m3"), 0,
+     "807059cb9c179418c4c90c557a0ca34a8a58f51090977b5a05fa94e6fe30c3ad"),
+    (_RATES.format("mean-position", "m4"), 0,
+     "18e2f2795699900b2aa48727355eeb3a475324cca29897ed18f4c0880f1cb69f"),
+    (_RATES.format("mean-velocity", "m4"), 0,
+     "af3f3dbc59966d16b833d0970015f9b8841e162105aaacf04cd86cb7ede67de3"),
+    (_RATES.format("mean-position", "m5"), 0,
+     "ef25fb0fd418475cc81b5ff7853f481ad9ee3c1400557e490912d8966f28e973"),
+    (_RATES.format("mean-velocity", "m5"), 0,
+     "d827a96c26546a897a6ec66f2cc563a7083c6023874a8f6ebf190d21fa0ba675"),
+    (_RATES.format("mean-position", "m6"), 0,
+     "a59320e4c7ed98e36ea997abc54a842f90cb67e605ef859a16e23a5d1f09388e"),
+    (_RATES.format("mean-velocity", "m6"), 0,
+     "000e9fb9c97fad5660c58c1b4dc8aa826fb0b26ed5be13406a97c14dbf0586b6"),
+    ("search --observable mean-position", 0,
+     "5d95dc8dc69a5fba2379ff7b4c979d7bd99710f10c62dfbb0b0148208cdb2419"),
+    ("search --observable mean-velocity", 0,
+     "1b4073770225a2324cc6e7df8f37323e5cb010487d67834cdf77291f1bdd59e9"),
+    (_RATES.format("mean-velocity", "{squared-argument}"), 0,
+     "741f38492e4fde958e03abeb34d7c4ac3c36565c799eb06e567e3c4dd1da3833"),
+    (_RATES.format("mean-velocity", "{float-fractions}"), 0,
+     "224365c7a3e823e9e23e608fe222ad760ea1031f8920bbfb26b5c10899903209"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN_VERDICTS)
+def test_verdict_stdout_matches_golden_digest(command, exit_code, digest,
+                                              tmp_path, capsys):
+    argv = command.split()
+    for i, arg in enumerate(argv):
+        if arg.startswith("{"):
+            path = tmp_path / f"{arg[1:-1]}.method"
+            path.write_text(VERDICT_METHOD_FILES[arg[1:-1]], encoding="utf-8")
+            argv[i] = str(path)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

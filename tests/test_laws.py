@@ -213,6 +213,19 @@ def test_laws_refuse_N_beyond_the_precision_budget():
             law(method, 0.1, MAX_N + 1, PARAMS)
 
 
+def test_overflow_blames_the_powers_or_the_initial_state():
+    # det(A) = 1.01: the powers themselves overflow, whatever the state
+    A, b = evaluate(get_method("em"), 0.1)
+    with pytest.raises(DivergentMomentsError, match="matrix powers diverge"):
+        _augmented_moments(A, b, 0.1, 10 ** 6, PARAMS)
+    # det(A) = 1: the powers stay bounded and only the mean overflows
+    A, b = evaluate(get_method("beta:0.5"), 0.1)
+    huge = OscillatorParams(alpha=1.0, x0=1e308, y0=1e308)
+    with pytest.raises(ValueError, match="x0 = 1e[+]308, y0 = 1e[+]308") as info:
+        _augmented_moments(A, b, 0.1, 10, huge)
+    assert not isinstance(info.value, DivergentMomentsError)
+
+
 def test_mean_position_drift_vanishes():
     params = OscillatorParams(alpha=1.0, x0=1.0, y0=1.0)
     N = 10_000

@@ -189,6 +189,38 @@ def test_numeric_verdict_when_symbolic_evaluation_unavailable():
         "declined: coefficients do not evaluate at a symbolic h (")
 
 
+# the midpoint rule with sin(h^2) added to b1: not exact, and the proof
+# declines whenever it is attempted
+MIDPOINT_PLUS_SIN_H2 = """\
+name = midpoint-plus-sin-h2
+a11 = (1 - h^2/4)/(1 + h^2/4)
+a12 = h/(1 + h^2/4)
+a21 = -h/(1 + h^2/4)
+a22 = (1 - h^2/4)/(1 + h^2/4)
+b1 = h/2/(1 + h^2/4) + sin(h^2)
+b2 = 1/(1 + h^2/4)
+"""
+
+
+def test_verdicts_do_not_depend_on_alpha():
+    # the modified coefficients and the target all scale as 1/alpha^2
+    sweep = tuple(0.5 * 2.0 ** -k for k in range(7))
+    methods = catalog() + [parse_method_file(MIDPOINT_PLUS_SIN_H2)]
+    for method in methods:
+        for observable in (MEAN_POSITION, MEAN_VELOCITY):
+            outcomes = []
+            for alpha in (1e-6, 1.0, 1e6):
+                try:
+                    report = preservation_report(
+                        method, observable, sweep, OscillatorParams(alpha=alpha))
+                except ValueError as exc:  # no decay rate at some step
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append((report.verdict, report.proof))
+            assert outcomes[0] == outcomes[1] == outcomes[2], \
+                (method.name, observable, outcomes)
+
+
 def test_preservation_report_requires_decreasing_sweep():
     with pytest.raises(ValueError):
         preservation_report(get_method("ex"), MEAN_POSITION, h_values=[0.1, 0.2])
@@ -209,8 +241,8 @@ def test_midpoint_position_exact_at_small_steps():
 
 def test_closed_form_shared_by_floats_and_symbols():
     # the proof and the float route evaluate one expression; a float literal
-    # in it would put Float atoms into every proof, and the exact reduction
-    # modulo sin^2 + cos^2 - 1 would then compare rounded constants
+    # in it would put Float atoms into every proof, and an exact proof would
+    # then compare rounded constants
     cells = 0
     for method in catalog():
         A, b, hsym = oracles.evaluate_symbolic(method)
@@ -393,7 +425,7 @@ def test_undefined_coefficient_declines():
 
 
 def test_multiple_angles_reduce_to_one_base_angle():
-    # sin(h/3) and sin(2h/3) share the base angle h/3; sin(h) = sin(3 h/3)
+    # sin(h) = 3 sin(h/3) - 4 sin(h/3)^3 and sin(2h/3) = 2 sin(h/3) cos(h/3)
     method = _rotation_file("0", "1 + sin(h) - 3*sin(h/3) + 4*sin(h/3)^3"
                             " + sin(2*h/3) - 2*sin(h/3)*cos(h/3)")
     report = preservation_report(method, MEAN_VELOCITY)
