@@ -20,6 +20,11 @@ Both laws first read `check_conditions` on (A, b): real spectra and rotation
 angles lost to rounding (sin theta < SIN_THETA_MIN) are rejected before any
 moment is computed.
 
+`interval_probability` turns a law into P(lo <= Z <= hi) and its logarithm
+with the `math` module alone: erf about the mean, and for one-sided tails
+log Phi from erfc, or from the asymptotic series of the normal tail
+(Abramowitz and Stegun 26.2.12) below z = -20, where erfc nears underflow.
+
 `oracle_moments` recomputes the same moments by stepping the recursion N
 times; it shares only the method coefficients with the kernel, so the two
 routes agreeing is a correctness check asserted in the test suite.
@@ -167,13 +172,12 @@ class IntervalProbability(NamedTuple):
 def interval_probability(law, lo, hi):
     """P(Z in [lo, hi]) for Z ~ law, with a log value that survives far tails.
 
-    One-sided tails are computed entirely in log space via log_ndtr, so
+    One-sided tails are computed entirely in log space via `_log_ndtr`, so
     intervals hundreds of standard deviations out still return a finite
-    log_p even when p itself underflows to 0. Infinite endpoints are allowed.
+    log_p even when p itself underflows to 0; an interval about the mean is
+    (erf(zhi/sqrt 2) - erf(zlo/sqrt 2)) / 2, a sum of two terms of one sign.
+    Infinite endpoints are allowed.
     """
-    # scipy.special takes about 0.4 s to import, so only callers load it
-    from scipy import special
-
     if not lo < hi:
         raise ValueError(f"interval needs lo < hi, got [{lo}, {hi}]")
     if law.variance == 0.0:
@@ -183,15 +187,42 @@ def interval_probability(law, lo, hi):
     zlo = (lo - law.mean) / law.sigma
     zhi = (hi - law.mean) / law.sigma
     if zlo >= 0.0:
-        log_p = _log_ndtr_difference(special.log_ndtr(-zlo),
-                                     special.log_ndtr(-zhi))
+        log_p = _log_ndtr_difference(_log_ndtr(-zlo), _log_ndtr(-zhi))
         return IntervalProbability(math.exp(log_p), log_p)
     if zhi <= 0.0:
-        log_p = _log_ndtr_difference(special.log_ndtr(zhi),
-                                     special.log_ndtr(zlo))
+        log_p = _log_ndtr_difference(_log_ndtr(zhi), _log_ndtr(zlo))
         return IntervalProbability(math.exp(log_p), log_p)
-    p = float(special.ndtr(zhi) - special.ndtr(zlo))
+    p = (math.erf(zhi / _SQRT2) - math.erf(zlo / _SQRT2)) / 2.0
     return IntervalProbability(p, math.log(p) if p > 0.0 else -math.inf)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+# below this z, erfc(-z / sqrt 2) nears the subnormal range (about z = -37.5)
+# and the asymptotic series already converges in a few terms
+_LOG_NDTR_ASYMPTOTIC = -20.0
+
+
+def _log_ndtr(z):
+    """log Phi(z) for the standard normal CDF Phi, finite down to z = -1e154."""
+    if z > 0.0:
+        return math.log1p(-math.erfc(z / _SQRT2) / 2.0)
+    if z > _LOG_NDTR_ASYMPTOTIC:
+        return math.log(math.erfc(-z / _SQRT2) / 2.0)
+    if z == -math.inf:
+        return -math.inf
+    # Phi(z) = phi(z) / -z * sum_k (-1)^k (2k-1)!! z^-2k (Abramowitz and
+    # Stegun 26.2.12); the terms shrink while 2k - 1 < z^2, which is at least
+    # 400 here, so about ten terms reach 1e-17
+    inv_z2 = 1.0 / (z * z)
+    term = total = 1.0
+    k = 0
+    while abs(term) >= 1e-17 * total:
+        k += 1
+        term *= -(2 * k - 1) * inv_z2
+        total += term
+    return (-z * z / 2.0 - math.log(-z) - math.log(2.0 * math.pi) / 2.0
+            + math.log(total))
 
 
 def _log_ndtr_difference(log_a, log_b):
@@ -199,4 +230,3 @@ def _log_ndtr_difference(log_a, log_b):
     gap = min(log_b - log_a, 0.0)
     rest = -math.expm1(gap)
     return log_a + math.log(rest) if rest > 0.0 else -math.inf
-

@@ -68,8 +68,8 @@ def symplectic_numerators(A, b):
     return S, T
 
 
-def _closed_form_log_mgf(A, b, h, observable, volume_preserving, alpha2):
-    """The log-MGF coefficient c in closed form.
+def _closed_form_log_mgf(A, b, h, observable, volume_preserving):
+    """The log-MGF coefficient c in closed form, at unit noise (alpha = 1).
 
     Written with + - * / ** and integer literals only, so the same expression
     serves the float matrices of `evaluate` and the exact ones of
@@ -81,15 +81,16 @@ def _closed_form_log_mgf(A, b, h, observable, volume_preserving, alpha2):
     if volume_preserving:
         S, T = symplectic_numerators(A, b)
         if observable == MEAN_POSITION:
-            return alpha2 * h * S / (2 * (2 + tr) * (2 - tr) ** 2)
-        return alpha2 * T / ((4 - tr ** 2) * h)
+            return h * S / (2 * (2 + tr) * (2 - tr) ** 2)
+        return T / ((4 - tr ** 2) * h)
     if observable == MEAN_POSITION:
         det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        return alpha2 * h * ((b[0] + coupling(A, b)) / (1 - tr + det)) ** 2 / 2
-    return alpha2 * 0
+        return h * ((b[0] + coupling(A, b)) / (1 - tr + det)) ** 2 / 2
+    return 0
 
 
-def _log_mgf(method, h, observable, params):
+def _log_mgf(method, h, observable):
+    """c at unit noise and the regime; c scales as alpha^2."""
     check_observable(observable)
     A, b = evaluate(method, h)
     rep = check_conditions(A, b)
@@ -110,7 +111,7 @@ def _log_mgf(method, h, observable, params):
         if observable != MEAN_POSITION and not T > 0.0:
             raise InternalInvariantError(
                 f"velocity numerator T = {T:.6g} <= 0 for {method.name} at h = {h:g}")
-    c = _closed_form_log_mgf(A, b, h, observable, rep.a2, params.alpha ** 2)
+    c = _closed_form_log_mgf(A, b, h, observable, rep.a2)
     return float(c), REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
 
 
@@ -134,13 +135,18 @@ class LdpClassification:
 
 
 def rate_function(method, h, observable, params=_DEFAULT_PARAMS):
-    c, regime = _log_mgf(method, h, observable, params)
+    # c comes at unit noise and alpha enters last, so the rates (which scale
+    # as 1/alpha^2, like the continuous target) keep full precision at the
+    # extreme alphas, even where the reported c overflows
+    c, regime = _log_mgf(method, h, observable)
+    a2 = params.alpha ** 2
     rate = legendre_transform(c)
     if rate.is_degenerate:
         modified = RateFunction.degenerate()
     else:
-        modified = RateFunction.quadratic(rate.coefficient / h)
-    return LdpClassification(regime, c, rate, modified)
+        modified = RateFunction.quadratic(rate.coefficient / h / a2)
+        rate = RateFunction.quadratic(rate.coefficient / a2)
+    return LdpClassification(regime, c * a2, rate, modified)
 
 
 def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
@@ -252,7 +258,7 @@ def _prove_modified_rate(method, observable):
         return not Exact.of(x).num
 
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
+    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1))
     if vanishes(c):
         return False  # a degenerate rate never matches a continuous one
     target = Fraction(1, 3) if observable == MEAN_POSITION else 1

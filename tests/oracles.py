@@ -6,7 +6,8 @@ at run time, kept here so the tests can check the package against them.
 - a pure-Python splitmix64 stream, which follows the recipe of the `rng`
   docstring with Python integers and `statistics.NormalDist`, sharing no
   code with `rng.fill_normals`;
-- the finite-N decay rate -log P(observable in interval) / N;
+- the finite-N decay rate -log P(observable in interval) / N, and the
+  interval probability itself in 50-digit mpmath;
 - a reader for the CSV documents the CLI emits;
 - the identity-level proof in sympy: the coefficients at a sympy symbol,
   float literals through `nsimplify`, and a reduction modulo
@@ -20,6 +21,7 @@ import csv
 import math
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import sympy as sp
 
@@ -109,6 +111,23 @@ def finite_N_rate(method, observable, h, N, interval, params):
     return -interval_probability(law, *interval).log_p / N
 
 
+def interval_probability_mp50(law, lo, hi):
+    """(p, log p) of P(Z in [lo, hi]) for Z ~ law, in 50-digit mpmath.
+
+    Intervals right of the mean are computed as ncdf(-zlo) - ncdf(-zhi), so
+    no probability is formed as one minus a tail and rounded to 1.
+    """
+    with mpmath.workdps(50):
+        sigma = mpmath.sqrt(law.variance)
+        zlo = (mpmath.mpf(lo) - law.mean) / sigma
+        zhi = (mpmath.mpf(hi) - law.mean) / sigma
+        if zlo >= 0:
+            p = mpmath.ncdf(-zlo) - mpmath.ncdf(-zhi)
+        else:
+            p = mpmath.ncdf(zhi) - mpmath.ncdf(zlo)
+        return p, mpmath.log(p)
+
+
 def parse_csv(text):
     """Data rows of an emitted CSV document, as dicts of strings."""
     lines = [line for line in text.splitlines()
@@ -155,7 +174,7 @@ def prove_modified_rate(method, observable):
     A = sp.Matrix(2, 2, entries[:4])
     b = sp.Matrix(entries[4:])
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1), 1)
+    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1))
     if vanishes(c):
         return False
     target = sp.Rational(1, 3) if observable == MEAN_POSITION else sp.Integer(1)

@@ -488,24 +488,40 @@ def test_proofs_run_where_sympy_cannot_be_imported():
     assert payload["proof"] == "proved"
 
 
-def test_scipy_loads_only_for_sampling_and_probabilities():
+def test_scipy_loads_only_for_sampling():
     script = (
         "import sys, ldp_osc.cli\n"
         "print('scipy' in sys.modules)\n"
         "run = ldp_osc.cli.main\n"
         "codes = [run(['rates', '--method', 'm2', '--h', '0.5']),\n"
-        "         run(['search', '--observable', 'mean-velocity'])]\n"
+        "         run(['search', '--observable', 'mean-velocity']),\n"
+        "         run(['prob', '--method', 'em', '--h', '0.1', '--N', '10',\n"
+        "              '--interval', '0.9:1.1'])]\n"
         "print(codes, 'scipy' in sys.modules)\n"
-        "code = run(['prob', '--method', 'em', '--h', '0.1', '--N', '10',"
-        " '--interval', '0.9:1.1'])\n"
+        "code = run(['simulate', '--method', 'em', '--h', '0.1', '--N', '1',"
+        " '--samples', '1'])\n"
         "print(code, 'scipy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False"
-    assert "[0, 0] False" in lines
+    assert "[0, 0, 0] False" in lines
     assert lines[-1] == "0 True"
+
+
+def test_probabilities_run_where_scipy_cannot_be_imported():
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy raises\n"
+        "import ldp_osc.cli\n"
+        "print(ldp_osc.cli.main(['prob', '--method', 'beta:0.5', '--h', '0.1',"
+        " '--N-sweep', '100:100000:4', '--interval', '0.9:1.1']))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0"
 
 
 # SHA-256 of the stdout of the deterministic verdict commands, recorded before

@@ -21,6 +21,7 @@ from ldp_osc.laws import (
     MAX_N,
     DivergentMomentsError,
     _augmented_moments,
+    _log_ndtr,
     interval_probability,
     law_NA_N,
     law_x_N,
@@ -29,7 +30,7 @@ from ldp_osc.laws import (
 from ldp_osc.methods import SIN_THETA_MIN, MethodDef, NearDegenerateError, \
     catalog, check_conditions, evaluate, get_method
 from ldp_osc.oscillator import GaussianLaw, OscillatorParams, rotation
-from oracles import parse_csv
+from oracles import interval_probability_mp50, parse_csv
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
@@ -300,6 +301,46 @@ def test_interval_probability_rejects_empty_interval():
     with pytest.raises(ValueError):
         interval_probability(std, 2.0, 1.0)
 
+
+
+# z of the one-sided tails: the edges of the branches of `_log_ndtr` (0, the
+# asymptotic series from -20, erfc's approach to the subnormals near -37.5)
+# and points out to where z^2 / 2 nears the float64 range
+TAIL_Z = (-1e150, -1e6, -1e4, -1e3, -300.0, -40.0, -37.5, -37.0, -30.0,
+          -20.000001, -20.0, -19.999999, -10.0, -5.0, -1.0, -1e-3, -0.0, 0.0,
+          1e-3, 1.0, 5.0, 10.0, 20.0, 37.0)
+
+
+def _log_error(got, reference):
+    return abs(got - float(reference)) / max(1.0, abs(float(reference)))
+
+
+def test_one_sided_tails_match_50_digit_reference():
+    std = GaussianLaw(mean=0.0, variance=1.0)
+    for z in TAIL_Z:
+        _, log_cdf = interval_probability_mp50(std, -math.inf, z)
+        assert _log_error(_log_ndtr(z), log_cdf) <= 1e-13, z
+        assert _log_error(interval_probability(std, -math.inf, z).log_p,
+                          log_cdf) <= 1e-13, z
+        # the mirrored right tail
+        assert _log_error(interval_probability(std, -z, math.inf).log_p,
+                          log_cdf) <= 1e-13, z
+    assert _log_ndtr(-math.inf) == -math.inf
+
+
+def test_central_intervals_match_50_digit_reference():
+    # zlo < 0 < zhi: erf(zhi / sqrt 2) and erf(zlo / sqrt 2) have opposite
+    # signs, so p keeps full relative precision even on the narrowest interval
+    for law in (GaussianLaw(mean=0.0, variance=1.0),
+                GaussianLaw(mean=0.25, variance=4.0)):
+        for width in (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 10.0, 30.0):
+            for left in (0.5, 1e-3, 0.1, 0.9, 0.999):
+                lo = law.mean - left * width
+                hi = law.mean + (1.0 - left) * width
+                p, _ = interval_probability_mp50(law, lo, hi)
+                got = interval_probability(law, lo, hi).p
+                assert abs(got - float(p)) <= 1e-14 * float(p), \
+                    (law, width, left, got, p)
 
 
 # --------------------------------------------------------------------------
