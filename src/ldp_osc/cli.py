@@ -38,8 +38,8 @@ import numpy as np
 from .ldp import InternalInvariantError, exact_preservation_search, \
     observable_law, preservation_report, rate_function
 from .laws import DivergentMomentsError, interval_probability
-from .methods import catalog, check_conditions, condition_b_diagnostics, \
-    evaluate, get_method, parse_method_file
+from .methods import COEFFICIENT_KEYS, catalog, check_conditions, \
+    condition_b_diagnostics, evaluate, get_method, parse_method_file
 from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
     continuous_rate
 from .sim import SimConfig, msq_order, simulate_paths
@@ -349,15 +349,6 @@ def _cmd_simulate(args):
                    h=args.h, N=args.N, seed=args.seed)
 
 
-def _definition_fields(definition):
-    fields = {}
-    for line in definition.splitlines():
-        if "=" in line:
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    return fields
-
-
 def _cmd_search(args):
     hits = exact_preservation_search(args.observable)
     if not hits:
@@ -365,11 +356,9 @@ def _cmd_search(args):
             f"no exactly-preserving method found for {args.observable}")
     rows = []
     for hit in hits:
-        fields = _definition_fields(hit.definition)
-        row = {"name": hit.name}
-        for key in ("a11", "a12", "a21", "a22", "b1", "b2"):
-            row[key] = fields.get(key, "")
-        rows.append(row)
+        # each hit's definition is `key = expression` lines
+        fields = dict(line.split(" = ", 1) for line in hit.definition.splitlines())
+        rows.append({"name": hit.name, **{k: fields[k] for k in COEFFICIENT_KEYS}})
     footers = [f"observable: {args.observable}", f"hits: {len(hits)}"]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)

@@ -174,7 +174,9 @@ def interval_probability(law, lo, hi):
 
     One-sided tails are computed entirely in log space via `_log_ndtr`, so
     intervals hundreds of standard deviations out still return a finite
-    log_p even when p itself underflows to 0; an interval about the mean is
+    log_p even when p itself underflows to 0, except that a window narrower
+    than the tail scale integrates the density over it
+    (`_log_narrow_window`); an interval about the mean is
     (erf(zhi/sqrt 2) - erf(zlo/sqrt 2)) / 2, a sum of two terms of one sign.
     Infinite endpoints are allowed.
     """
@@ -186,17 +188,38 @@ def interval_probability(law, lo, hi):
                                    0.0 if inside else -math.inf)
     zlo = (lo - law.mean) / law.sigma
     zhi = (hi - law.mean) / law.sigma
-    if zlo >= 0.0:
-        log_p = _log_ndtr_difference(_log_ndtr(-zlo), _log_ndtr(-zhi))
-        return IntervalProbability(math.exp(log_p), log_p)
-    if zhi <= 0.0:
-        log_p = _log_ndtr_difference(_log_ndtr(zhi), _log_ndtr(zlo))
-        return IntervalProbability(math.exp(log_p), log_p)
-    p = (math.erf(zhi / _SQRT2) - math.erf(zlo / _SQRT2)) / 2.0
-    return IntervalProbability(p, math.log(p) if p > 0.0 else -math.inf)
+    if zlo < 0.0 < zhi:
+        p = (math.erf(zhi / _SQRT2) - math.erf(zlo / _SQRT2)) / 2.0
+        return IntervalProbability(p, math.log(p) if p > 0.0 else -math.inf)
+    # a one-sided window, mirrored left of the mean; w is its width in z
+    near, far = (zhi, zlo) if zhi <= 0.0 else (-zlo, -zhi)
+    w = (hi - lo) / law.sigma
+    if 0.0 < w and w * (w - near) <= 1.0:
+        log_p = _log_narrow_window(-near, w)
+    else:
+        log_p = _log_ndtr_difference(_log_ndtr(near), _log_ndtr(far))
+    return IntervalProbability(math.exp(log_p), log_p)
 
 
 _SQRT2 = math.sqrt(2.0)
+
+# 12-point Gauss-Legendre on [-1, 1]: the positive nodes and their weights
+_GL12_NODES = (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+               0.7699026741943047, 0.9041172563704748, 0.9815606342467192)
+_GL12_WEIGHTS = (0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                 0.16007832854334642, 0.10693932599531907, 0.04717533638651141)
+
+
+def _log_narrow_window(a, w):
+    """log P(a <= Z <= a + w) for a standard normal Z, a >= 0, 0 < w (a + w) <= 1:
+    log phi(a) + log int_0^w exp(-a s - s^2/2) ds, whose exponent stays in
+    [-1, 0], so 12-point Gauss-Legendre is exact to rounding."""
+    total = sum(weight * math.exp(-s * (a + s / 2.0))
+                for x, weight in zip(_GL12_NODES, _GL12_WEIGHTS)
+                for s in (w * (1.0 - x) / 2.0, w * (1.0 + x) / 2.0))
+    return (-a * a / 2.0 - math.log(2.0 * math.pi) / 2.0 + math.log(w)
+            + math.log(total / 2.0))
+
 
 # below this z, erfc(-z / sqrt 2) nears the subnormal range (about z = -37.5)
 # and the asymptotic series already converges in a few terms

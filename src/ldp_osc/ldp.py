@@ -12,22 +12,22 @@ the step is refined.
 upgrades a numerically exact verdict to an identity-level one when the closed
 forms are equal as functions of h, which exact arithmetic over h, pi and
 exp(i r h) decides. `exact_preservation_search` scans a quadratic
-perturbation family of the rotation step for methods that preserve a rate
-exactly.
+perturbation family of the rotation step (the ansatz of
+`methods.ansatz_coefficients`) for methods that preserve a rate exactly,
+deciding each rational point by the same identity test, written once over
+the family's parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .laws import law_NA_N, law_x_N
-from .methods import Exact, MethodDef, ProofDeclined, catalog, \
-    check_conditions, coupling, decreasing_sweep, evaluate, evaluate_symbolic, \
-    format_method_file
+from .methods import ANSATZ_H_RANGE, ANSATZ_POINTS, Exact, MethodDef, \
+    ProofDeclined, ansatz_coefficients, ansatz_expressions, check_conditions, \
+    coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
     check_observable, continuous_rate
 
@@ -258,112 +258,92 @@ def _prove_modified_rate(method, observable):
         return not Exact.of(x).num
 
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1))
-    if vanishes(c):
-        return False  # a degenerate rate never matches a continuous one
+    return vanishes(_exactness_gap(A, b, h, observable, vanishes(det - 1)))
+
+
+def _exactness_gap(A, b, h, observable, volume_preserving):
+    """4 c h I - 1 for the continuous coefficient I, on exact coefficients:
+    zero exactly when the modified rate is the continuous one; -1 for c = 0."""
     target = Fraction(1, 3) if observable == MEAN_POSITION else 1
-    return vanishes(4 * c * h * target - 1)
+    c = _closed_form_log_mgf(A, b, h, observable, volume_preserving)
+    return 4 * c * h * target - 1
 
 
 # --------------------------------------------------------------------------
 # search for exactly-preserving methods
 
-SEARCH_SIGMA_GRID = (-0.5, 0.0, 0.5)
-SEARCH_D_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
-SEARCH_H_PROBES = (0.05, 0.1, 0.2, 0.4, 0.8, 1.2, 1.6, 1.9)
-# steps at which a hit must reproduce a catalog method to take its name
-_MATCH_H_SAMPLES = (0.3, 0.7, 1.1)
+SEARCH_SIGMA_GRID = tuple(Fraction(k, 2) for k in (-1, 0, 1))
+SEARCH_D_GRID = tuple(Fraction(k, 2) for k in range(-2, 3))
 
-_ANSATZ_H_RANGE = (0.0, 2.0)
+# the ansatz parameters as `Exact` variables, in the order of a point
+_ANSATZ_VARIABLES = (("c11",), ("c22",), ("sigma",), ("d1",), ("d2",))
 
 
-def _ansatz_coefficients(c11, c22, sigma, d1, d2):
-    def coefficients(h):
-        A = [[1 + c11 * h ** 2, h + sigma * h ** 2],
-             [-h + sigma * h ** 2, 1 + c22 * h ** 2]]
-        b = [d1 * h, 1 + d2 * h]
-        return A, b
-    return coefficients
+def _det_one_points():
+    """(c11, c22, sigma) for each sigma of the grid and each (rational) root
+    c11 of c^2 + c + sigma^2, with c22 = -1 - c11, so det = 1."""
+    for sigma in SEARCH_SIGMA_GRID:
+        disc = 1 - 4 * sigma ** 2
+        root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+        for c11 in sorted({(root - 1) / 2, -(root + 1) / 2}):
+            yield c11, -1 - c11, sigma
 
 
-def _ansatz_expressions(c11, c22, sigma, d1, d2):
-    def affine(lead, coef, power):
-        if coef == 0:
-            return lead
-        sign = "+" if coef > 0 else "-"
-        return f"{lead} {sign} {abs(coef):g}*{power}"
-    return {
-        "a11": affine("1", c11, "h^2"),
-        "a12": affine("h", sigma, "h^2"),
-        "a21": affine("-h", sigma, "h^2"),
-        "a22": affine("1", c22, "h^2"),
-        "b1": f"{d1:g}*h",
-        "b2": affine("1", d2, "h"),
-    }
+def _h_coefficients(poly, values):
+    """The nonzero coefficients of the powers of h in poly once the variables
+    in values are set to those rationals, shortest first; none when poly
+    vanishes there."""
+    groups = {}
+    for mono, coef in poly.items():
+        rest = []
+        for var, e in mono:
+            if var in values:
+                coef *= values[var] ** e
+            else:
+                rest.append((var, e))
+        group = groups.setdefault(dict(mono).get(("h",), 0), {})
+        key = tuple(rest)
+        group[key] = group[key] + coef if key in group else coef
+    nonzero = ({m: c for m, c in g.items() if c} for g in groups.values())
+    return sorted(filter(None, nonzero), key=len)
 
 
-def _matches(candidate, reference):
-    for h in _MATCH_H_SAMPLES:
-        Ac, bc = evaluate(candidate, h)
-        Ar, br = evaluate(reference, h)
-        if np.max(np.abs(Ac - Ar)) > 1e-12 or np.max(np.abs(bc - br)) > 1e-12:
-            return False
-    return True
+def _exact_points(observable):
+    """The grid points (c11, c22, sigma, d1, d2) whose modified rate equals
+    the continuous one for every h: the ansatz's gap (`_exactness_gap`, det = 1
+    branch) is built once over h and the parameters, and a point is exact
+    when every h-coefficient of its numerator vanishes there and some
+    h-coefficient of its denominator does not."""
+    params = [Exact.symbol(var) for var in _ANSATZ_VARIABLES]
+    A, b, h = evaluate_symbolic(
+        MethodDef("ansatz", ansatz_coefficients(*params)))
+    gap = _exactness_gap(A, b, h, observable, True)
+    for outer in _det_one_points():
+        values = dict(zip(_ANSATZ_VARIABLES, outer))
+        # most points fail on the first, shortest coefficient
+        num = _h_coefficients(gap.num, values)
+        den = _h_coefficients(gap.den, values)
+        for d1 in SEARCH_D_GRID:
+            for d2 in SEARCH_D_GRID:
+                values = {("d1",): d1, ("d2",): d2}
+                if not any(_h_coefficients(p, values) for p in num) and \
+                        any(_h_coefficients(p, values) for p in den):
+                    yield (*outer, d1, d2)
 
 
 def exact_preservation_search(observable):
-    """Scan volume-preserving quadratic perturbations of the rotation step for
-    methods whose modified rate equals the continuous rate at every probe step.
-
-    The family is A = [[1 + c11 h^2, h + sigma h^2], [-h + sigma h^2,
-    1 + c22 h^2]], b = (d1 h, 1 + d2 h); det = 1 forces c11 + c22 = -1 and
-    c11 c22 = sigma^2, leaving two root assignments per sigma. Hits that
-    coincide with a catalog method are returned under the catalog name, each
-    carrying a parseable definition text.
-    """
+    """Scan volume-preserving quadratic perturbations of the rotation step
+    (`methods.ansatz_coefficients` with det = 1) for methods whose modified
+    rate equals the continuous rate for every h, deciding each rational grid
+    point exactly. A hit at a catalog point (`methods.ANSATZ_POINTS`) takes
+    the catalog name; each hit carries a parseable definition text."""
     check_observable(observable)
-    target = continuous_rate(observable, _DEFAULT_PARAMS).coefficient
-    references = [m for m in catalog() if m.name.startswith("m")]
+    names = {point: name for name, point in ANSATZ_POINTS.items()}
     hits = []
-    seen = set()
-    for sigma in SEARCH_SIGMA_GRID:
-        disc = 1.0 - 4.0 * sigma * sigma
-        if disc < 0.0:
-            continue
-        root = math.sqrt(disc)
-        branches = {(-0.5 * (1.0 + root), -0.5 * (1.0 - root)),
-                    (-0.5 * (1.0 - root), -0.5 * (1.0 + root))}
-        for c11, c22 in sorted(branches):
-            for d1 in SEARCH_D_GRID:
-                for d2 in SEARCH_D_GRID:
-                    key = tuple(round(v, 12) for v in (c11, c22, sigma, d1, d2))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    name = f"found:sigma={sigma:g},d1={d1:g},d2={d2:g}"
-                    candidate = MethodDef(
-                        name, _ansatz_coefficients(c11, c22, sigma, d1, d2),
-                        "search hit", _ANSATZ_H_RANGE)
-                    if not _exact_at_probes(candidate, observable, target):
-                        continue
-                    exprs = _ansatz_expressions(c11, c22, sigma, d1, d2)
-                    hit = candidate
-                    for ref in references:
-                        if _matches(candidate, ref):
-                            hit = ref
-                            break
-                    hits.append(replace(
-                        hit, definition=format_method_file(
-                            hit.name, exprs, _ANSATZ_H_RANGE)))
+    for point in _exact_points(observable):
+        name = names.get(point) or "found:sigma={:g},d1={:g},d2={:g}".format(
+            *map(float, point[2:]))
+        hits.append(MethodDef(
+            name, ansatz_coefficients(*point), "search hit", ANSATZ_H_RANGE,
+            format_method_file(name, ansatz_expressions(*point), ANSATZ_H_RANGE)))
     return sorted(hits, key=lambda m: m.name)
-
-
-def _exact_at_probes(candidate, observable, target):
-    for h in SEARCH_H_PROBES:
-        try:
-            modified = rate_function(candidate, h, observable).modified_rate
-        except ValueError:
-            return False
-        if modified.is_degenerate or abs(modified.coefficient - target) > EXACT_TOL:
-            return False
-    return True

@@ -59,10 +59,11 @@ class ProofDeclined(Exception):
 # A polynomial is a dict {monomial: nonzero Fraction}. A monomial is a sorted
 # tuple of (variable, exponent) pairs over _H, _PI, _I and _W: h and pi to
 # positive integer powers, the imaginary unit i to the power 1, and
-# w = exp(i h) to any nonzero rational power, so w^r = exp(i r h). () is the
-# monomial 1. The functions pi^a h^b exp(i r h) are linearly independent over
-# the rationals with i adjoined (pi is transcendental), so a polynomial is
-# identically zero exactly when its dict is empty.
+# w = exp(i h) to any nonzero rational power, so w^r = exp(i r h); any other
+# variable (("d1",), say) is free, to positive integer powers. () is 1. The
+# functions pi^a h^b exp(i r h) are linearly independent over the rationals
+# with i adjoined (pi is transcendental), so a polynomial is identically zero
+# exactly when its dict is empty.
 
 _H = ("h",)
 _PI = ("pi",)
@@ -106,7 +107,8 @@ def _poly_mul(p, q):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             mono, sign = _mono_mul(m1, m2)
-            value = out.get(mono, 0) + sign * c1 * c2
+            term = c1 * c2 if sign > 0 else -(c1 * c2)
+            value = out[mono] + term if mono in out else term
             if value:
                 out[mono] = value
             else:
@@ -161,8 +163,8 @@ def _format_poly(poly):
     h**2, pi*h, i*exp(-i*h)/2 + 1."""
     text = ""
     for mono, coef in sorted(poly.items(), key=lambda t: -sum(e for _, e in t[0])):
-        factors = "*".join(_format_var(v, e) for v, e in
-                           sorted(mono, key=lambda t: _PRINT_ORDER[t[0][0]]))
+        factors = "*".join(_format_var(v, e) for v, e in sorted(
+            mono, key=lambda t: (_PRINT_ORDER.get(t[0][0], 4), t[0][0])))
         size = abs(coef)
         if not factors:
             body = str(size)
@@ -536,32 +538,41 @@ def _pc_em_bem_coefficients(h):
     return [[1 - h ** 2, h], [-h, 1 - h ** 2]], [h, 1]
 
 
-def _m1_coefficients(h):
-    return [[1 - h ** 2, h], [-h, 1]], [h / 2, 1]
+# the quadratic ansatz (see `ansatz_coefficients`); det = 1 for every h
+# exactly when c11 + c22 = -1 and c11 c22 = sigma^2, and the eigenvalues are
+# then complex for 0 < h < 2. m1-m6 are rational points of it.
+ANSATZ_H_RANGE = (0.0, 2.0)
+_HALF = Fraction(1, 2)
+ANSATZ_POINTS = {
+    "m1": (-1, 0, 0, _HALF, 0),
+    "m2": (-_HALF, -_HALF, _HALF, _HALF, -_HALF),
+    "m3": (-_HALF, -_HALF, -_HALF, _HALF, _HALF),
+    "m4": (0, -1, 0, -_HALF, 0),
+    "m5": (-_HALF, -_HALF, _HALF, -_HALF, -_HALF),
+    "m6": (-_HALF, -_HALF, -_HALF, -_HALF, _HALF),
+}
 
 
-def _m2_coefficients(h):
-    return ([[1 - h ** 2 / 2, h + h ** 2 / 2], [-h + h ** 2 / 2, 1 - h ** 2 / 2]],
-            [h / 2, 1 - h / 2])
+def ansatz_coefficients(c11, c22, sigma, d1, d2):
+    """A = [[1 + c11 h^2, h + sigma h^2], [-h + sigma h^2, 1 + c22 h^2]] and
+    b = (d1 h, 1 + d2 h), for rational or `Exact` parameters."""
+    def coefficients(h):
+        A = [[1 + c11 * h ** 2, h + sigma * h ** 2],
+             [-h + sigma * h ** 2, 1 + c22 * h ** 2]]
+        b = [d1 * h, 1 + d2 * h]
+        return A, b
+    return coefficients
 
 
-def _m3_coefficients(h):
-    return ([[1 - h ** 2 / 2, h - h ** 2 / 2], [-h - h ** 2 / 2, 1 - h ** 2 / 2]],
-            [h / 2, 1 + h / 2])
-
-
-def _m4_coefficients(h):
-    return [[1, h], [-h, 1 - h ** 2]], [-h / 2, 1]
-
-
-def _m5_coefficients(h):
-    A, _ = _m2_coefficients(h)
-    return A, [-h / 2, 1 - h / 2]
-
-
-def _m6_coefficients(h):
-    A, _ = _m3_coefficients(h)
-    return A, [-h / 2, 1 + h / 2]
+def ansatz_expressions(c11, c22, sigma, d1, d2):
+    """Method-file expressions of the ansatz at a rational point."""
+    def affine(lead, coef, power):
+        sign = "+" if coef > 0 else "-"
+        return f"{lead} {sign} {float(abs(coef)):g}*{power}" if coef else lead
+    return dict(zip(COEFFICIENT_KEYS, (
+        affine("1", c11, "h^2"), affine("h", sigma, "h^2"),
+        affine("-h", sigma, "h^2"), affine("1", c22, "h^2"),
+        f"{float(d1):g}*h", affine("1", d2, "h"))))
 
 
 def _build_catalog():
@@ -591,19 +602,12 @@ def _build_catalog():
                   "predictor-corrector PC(PEM-MR)", (0.0, math.sqrt(2.0))),
         MethodDef("pc-em-bem", _pc_em_bem_coefficients,
                   "predictor-corrector PC(EM-BEM)", (0.0, 1.0)),
-        MethodDef("m1", _m1_coefficients,
-                  "constructed volume-preserving method, position-rate exact", (0.0, 2.0)),
-        MethodDef("m2", _m2_coefficients,
-                  "constructed volume-preserving method, position-rate exact", (0.0, 2.0)),
-        MethodDef("m3", _m3_coefficients,
-                  "constructed volume-preserving method, position-rate exact", (0.0, 2.0)),
-        MethodDef("m4", _m4_coefficients,
-                  "constructed volume-preserving method, velocity-rate exact", (0.0, 2.0)),
-        MethodDef("m5", _m5_coefficients,
-                  "constructed volume-preserving method, velocity-rate exact", (0.0, 2.0)),
-        MethodDef("m6", _m6_coefficients,
-                  "constructed volume-preserving method, velocity-rate exact", (0.0, 2.0)),
     ]
+    for name, point in ANSATZ_POINTS.items():
+        exact = "position" if name in ("m1", "m2", "m3") else "velocity"
+        entries.append(MethodDef(name, ansatz_coefficients(*point), "constructed "
+                                 f"volume-preserving method, {exact}-rate exact",
+                                 ANSATZ_H_RANGE))
     return {m.name: m for m in entries}
 
 

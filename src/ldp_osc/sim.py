@@ -39,9 +39,12 @@ def thread_count():
     """Worker count: LDP_OSC_THREADS if set, else min(8, cpu count)."""
     env = os.environ.get("LDP_OSC_THREADS")
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError(f"LDP_OSC_THREADS must be >= 1, got {env}")
+            raise ValueError(f"LDP_OSC_THREADS must be an integer >= 1, got {env!r}")
         return n
     return min(8, os.cpu_count() or 1)
 

@@ -9,6 +9,8 @@ at run time, kept here so the tests can check the package against them.
 - the finite-N decay rate -log P(observable in interval) / N, and the
   interval probability itself in 50-digit mpmath;
 - a reader for the CSV documents the CLI emits;
+- the constructed methods m1-m6 written out by hand, and every exact method
+  of the quadratic ansatz by `sympy.solve`;
 - the identity-level proof in sympy: the coefficients at a sympy symbol,
   float literals through `nsimplify`, and a reduction modulo
   sin^2 + cos^2 - 1 by `sympy.reduced`, for angles up to 32 times one base
@@ -225,6 +227,62 @@ def _trig_polynomials(entries, h):
                 f"{key} = {original} is not a rational function of h, "
                 "sin and cos")
     return rewritten, S, C
+
+
+# ---------------------------------------------------------------------------
+# the constructed methods and the quadratic ansatz
+
+
+def _m1(h):
+    return [[1 - h ** 2, h], [-h, 1]], [h / 2, 1]
+
+
+def _m2(h):
+    return ([[1 - h ** 2 / 2, h + h ** 2 / 2], [-h + h ** 2 / 2, 1 - h ** 2 / 2]],
+            [h / 2, 1 - h / 2])
+
+
+def _m3(h):
+    return ([[1 - h ** 2 / 2, h - h ** 2 / 2], [-h - h ** 2 / 2, 1 - h ** 2 / 2]],
+            [h / 2, 1 + h / 2])
+
+
+def _m4(h):
+    return [[1, h], [-h, 1 - h ** 2]], [-h / 2, 1]
+
+
+def _m5(h):
+    return _m2(h)[0], [-h / 2, 1 - h / 2]
+
+
+def _m6(h):
+    return _m3(h)[0], [-h / 2, 1 + h / 2]
+
+
+# m1-m6 as written by hand; the catalog builds them as points of the ansatz
+CONSTRUCTED_METHODS = {"m1": _m1, "m2": _m2, "m3": _m3, "m4": _m4, "m5": _m5,
+                       "m6": _m6}
+
+
+def ansatz_exact_points(observable):
+    """Every solution (c11, c22, sigma, d1, d2) of the det = 1 ansatz at which
+    the modified rate equals the continuous one for every h: `sympy.solve`
+    on the h-coefficients of the numerator of 4 c h I - 1, with
+    c22 = -1 - c11 and c11 c22 = sigma^2. A parameter that a solution leaves
+    free stays a sympy symbol."""
+    h = sp.Symbol("h", positive=True)
+    c11, sigma, d1, d2 = sp.symbols("c11 sigma d1 d2")
+    c22 = -1 - c11
+    A_rows, b_rows = methods.ansatz_coefficients(c11, c22, sigma, d1, d2)(h)
+    c = _closed_form_log_mgf(sp.Matrix(A_rows), sp.Matrix(b_rows), h,
+                             observable, True)
+    target = sp.Rational(1, 3) if observable == MEAN_POSITION else 1
+    num, _ = sp.fraction(sp.together(4 * c * h * target - 1))
+    equations = sp.Poly(sp.expand(num), h).coeffs() + [c11 * c22 - sigma ** 2]
+    return [tuple(sp.sympify(v).subs(solution)
+                  for v in (c11, c22, sigma, d1, d2))
+            for solution in sp.solve(equations, [c11, sigma, d1, d2],
+                                     dict=True)]
 
 
 def proof_kind(prove, method, observable):

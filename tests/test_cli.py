@@ -384,6 +384,29 @@ def test_search_position_writes_method_files(tmp_path, capsys):
     assert payload["verdict"].startswith("ExactlyPreserves")
 
 
+# the bytes of each method file `search --out` writes
+SEARCH_FILE_DIGESTS = {
+    "m1.method": "73d45090d10383ea2309190e311f1b1b5d2e76c2abafbef1d13e1867a4fda9c8",
+    "m2.method": "99bf11dbbd27a49452dfd08394fe9bbb75599ff347afd9138a4dc1d2ea8b9cbf",
+    "m3.method": "ac797316ca7d50d447429f7240453eaf7ef9d65616aefea6c97d22d0fc3db49e",
+    "m4.method": "9dcad8788a5b2b39817975c07bbd983780e6103df3e65d708f96419b25fa7ff2",
+    "m5.method": "930078f98aa26b4165ca2a075b3a5e7067faa36fc9cca5b860173713c4371f7e",
+    "m6.method": "f6b26b7cd69cec9e91058767e8f319c60589d20eeadf5012a7fc231dfaaae566",
+}
+
+
+@pytest.mark.parametrize("observable, count", [("mean-position", 3),
+                                               ("mean-velocity", 6)])
+def test_search_method_files_match_golden_digests(observable, count, tmp_path,
+                                                  capsys):
+    code, _, _ = run_cli(["search", "--observable", observable, "--out",
+                          str(tmp_path)], capsys)
+    assert code == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == dict(list(SEARCH_FILE_DIGESTS.items())[:count])
+
+
 def test_search_velocity_row_count(capsys):
     code, out, _ = run_cli(
         ["search", "--observable", "mean-velocity", "--format", "json"],
@@ -392,6 +415,16 @@ def test_search_velocity_row_count(capsys):
     payload = json.loads(out)
     assert [row["name"] for row in payload["rows"]] == \
         ["m1", "m2", "m3", "m4", "m5", "m6"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_is_an_input_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", value)
+    code, out, err = run_cli(["simulate", "--method", "ex", "--h", "0.2",
+                              "--N", "5", "--samples", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: LDP_OSC_THREADS ") and err.count("\n") == 1
 
 
 def test_conditions_em(capsys):
@@ -608,6 +641,10 @@ GOLDEN_VERDICTS = [
      "5d95dc8dc69a5fba2379ff7b4c979d7bd99710f10c62dfbb0b0148208cdb2419"),
     ("search --observable mean-velocity", 0,
      "1b4073770225a2324cc6e7df8f37323e5cb010487d67834cdf77291f1bdd59e9"),
+    ("search --observable mean-position --format json", 0,
+     "462484c88756eb3279f5b66f290ed621fca47cd7d6bd75d3391e7f1f07a7cabd"),
+    ("search --observable mean-velocity --format json", 0,
+     "95326ad49f4b5cf0c6324df569dd89e3964d4becb044d308e2abaa08970c6750"),
     (_RATES.format("mean-velocity", "{squared-argument}"), 0,
      "741f38492e4fde958e03abeb34d7c4ac3c36565c799eb06e567e3c4dd1da3833"),
     (_RATES.format("mean-velocity", "{float-fractions}"), 0,

@@ -8,6 +8,7 @@ that guards the laws is checked against eigenvalue angles.
 """
 
 import math
+import sys
 import tracemalloc
 
 import mpmath
@@ -18,6 +19,8 @@ from scipy.special import log_ndtr, ndtr
 
 from ldp_osc import cli
 from ldp_osc.laws import (
+    _GL12_NODES,
+    _GL12_WEIGHTS,
     MAX_N,
     DivergentMomentsError,
     _augmented_moments,
@@ -459,3 +462,41 @@ def test_weight_vector_against_cumsum_route():
             got = _augmented_moments(A, b, h, N, params)
             npt.assert_allclose(got.covariance[2, 2], running_var, rtol=1e-9,
                                 atol=1e-12)
+
+
+# z at the end of a one-sided window nearer the mean, up to where p underflows
+NARROW_A = (0.0, 1e-3, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 37.0)
+
+
+def test_narrow_tail_windows_match_50_digit_reference():
+    # w (a + w) <= 1 integrates the density over the window; the difference
+    # of the two log tails lost up to 0.2 of p on this grid, and 1.4e-7 on
+    # [5, 5 + 1e-9]
+    worst_p = worst_log_p = 0.0
+    for law in (GaussianLaw(mean=0.0, variance=1.0),
+                GaussianLaw(mean=0.25, variance=4.0)):
+        for a in NARROW_A:
+            edge = (math.sqrt(a * a + 4.0) - a) / 2.0  # w (a + w) = 1
+            for fraction in (1e-13, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.999):
+                width = fraction * edge * law.sigma
+                for lo in (law.mean + a * law.sigma,
+                           law.mean - a * law.sigma - width):
+                    hi = lo + width
+                    if hi == lo:  # narrower than the spacing of floats at lo
+                        continue
+                    p, log_p = interval_probability_mp50(law, lo, hi)
+                    got = interval_probability(law, lo, hi)
+                    if p >= sys.float_info.min:  # p has full precision
+                        worst_p = max(worst_p, abs(got.p - float(p)) / float(p))
+                    worst_log_p = max(worst_log_p, abs(got.log_p - float(log_p))
+                                      / abs(float(log_p)))
+    assert worst_p <= 1e-12
+    assert worst_log_p <= 2e-15
+
+
+def test_narrow_window_nodes_are_gauss_legendre_12():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    npt.assert_allclose(_GL12_NODES, nodes[6:], rtol=0, atol=1e-16)
+    npt.assert_allclose(_GL12_WEIGHTS, weights[6:], rtol=0, atol=1e-16)
+    npt.assert_allclose(nodes[:6], -nodes[:5:-1], rtol=0, atol=1e-16)
+    npt.assert_allclose(weights[:6], weights[:5:-1], rtol=0, atol=1e-16)

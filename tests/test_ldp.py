@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ldp_osc.ldp import (
     DEFAULT_H_SWEEP,
     EXACT_TOL,
@@ -20,11 +22,14 @@ from ldp_osc.ldp import (
     PROOF_REFUTED,
     REGIME_CONTRACTIVE,
     REGIME_VOLUME_PRESERVING,
+    SEARCH_D_GRID,
     VERDICT_ASYMPTOTIC,
     VERDICT_EXACT,
     VERDICT_EXACT_NUMERIC,
     VERDICT_NONE,
     _closed_form_log_mgf,
+    _det_one_points,
+    _exact_points,
     _prove_modified_rate,
     _symbolic_exact,
     exact_preservation_search,
@@ -34,8 +39,9 @@ from ldp_osc.ldp import (
     rate_function,
     symplectic_numerators,
 )
-from ldp_osc.methods import MethodDef, _cos, _sin, catalog, check_conditions, \
-    evaluate, get_method, parse_method_file
+from ldp_osc.methods import ANSATZ_H_RANGE, ANSATZ_POINTS, MethodDef, _cos, \
+    _sin, ansatz_coefficients, catalog, check_conditions, evaluate, \
+    evaluate_symbolic, get_method, parse_method_file
 from ldp_osc.oscillator import (
     MEAN_POSITION,
     MEAN_VELOCITY,
@@ -576,6 +582,38 @@ def test_search_recovers_position_preserving_methods():
 def test_search_recovers_velocity_preserving_methods():
     hits = exact_preservation_search(MEAN_VELOCITY)
     assert [m.name for m in hits] == ["m1", "m2", "m3", "m4", "m5", "m6"]
+
+
+SEARCH_GRID = [(*outer, d1, d2) for outer in _det_one_points()
+               for d1 in SEARCH_D_GRID for d2 in SEARCH_D_GRID]
+EXACT_NAMES = {MEAN_POSITION: ["m1", "m2", "m3"],
+               MEAN_VELOCITY: ["m1", "m2", "m3", "m4", "m5", "m6"]}
+
+
+@pytest.mark.parametrize("observable", [MEAN_POSITION, MEAN_VELOCITY])
+def test_search_grid_holds_every_exact_method_of_the_family(observable):
+    # sympy solves the whole continuous family: its solutions are isolated
+    # rational points, they are the catalog's points, and the grid has them
+    solutions = oracles.ansatz_exact_points(observable)
+    assert all(isinstance(v, sp.Rational) for s in solutions for v in s)
+    points = {tuple(Fraction(int(v.p), int(v.q)) for v in s) for s in solutions}
+    assert len(points) == len(solutions) == len(EXACT_NAMES[observable])
+    assert points == {ANSATZ_POINTS[name] for name in EXACT_NAMES[observable]}
+    assert points <= set(SEARCH_GRID)
+    assert set(_exact_points(observable)) == points
+
+
+@pytest.mark.parametrize("observable", [MEAN_POSITION, MEAN_VELOCITY])
+def test_search_decision_agrees_with_the_proof_at_every_grid_point(observable):
+    assert len(set(SEARCH_GRID)) == 100
+    exact = set(_exact_points(observable))
+    for point in SEARCH_GRID:
+        method = MethodDef("point", ansatz_coefficients(*point),
+                           h_range=ANSATZ_H_RANGE)
+        A, _, _ = evaluate_symbolic(method)
+        assert not (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] - 1).num, point
+        assert (point in exact) == _prove_modified_rate(method, observable), \
+            point
 
 
 def test_finite_N_decay_rate_behaviors():

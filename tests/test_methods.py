@@ -10,6 +10,7 @@ import sympy as sp
 
 import oracles
 from ldp_osc.methods import (
+    ANSATZ_H_RANGE,
     COEFFICIENT_KEYS,
     Exact,
     MethodDef,
@@ -395,3 +396,27 @@ def test_exact_arithmetic():
         assert str(info.value) == reason
     with pytest.raises(TypeError):
         h * "2"
+
+
+def test_exact_prints_any_variable():
+    # variables other than i, pi, h and w follow those four, by name
+    h, d1, c11 = Exact.symbol(), Exact.symbol(("d1",)), Exact.symbol(("c11",))
+    assert str(d1 * h) == "h*d1"
+    assert str(_pi_like(h) * d1 * c11 ** 2 / 2 - d1) == "pi*c11**2*d1/2 - d1"
+
+
+@pytest.mark.parametrize("name", sorted(oracles.CONSTRUCTED_METHODS))
+def test_constructed_methods_are_their_hand_written_formulas(name):
+    method = get_method(name)
+    formula = MethodDef(name, oracles.CONSTRUCTED_METHODS[name],
+                        h_range=ANSATZ_H_RANGE)
+    assert method.h_range == ANSATZ_H_RANGE
+    A, b, _ = evaluate_symbolic(method)
+    A_ref, b_ref, _ = evaluate_symbolic(formula)
+    for got, expected in zip((*A.ravel(), *b), (*A_ref.ravel(), *b_ref)):
+        assert (got - expected).num == {}, (got, expected)
+    for h in np.random.default_rng(6).uniform(0.0, 2.0, 2000):
+        A, b = evaluate(method, h)
+        A_ref, b_ref = evaluate(formula, h)
+        npt.assert_array_equal(A, A_ref)
+        npt.assert_array_equal(b, b_ref)
