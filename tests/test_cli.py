@@ -649,7 +649,55 @@ GOLDEN_VERDICTS = [
      "741f38492e4fde958e03abeb34d7c4ac3c36565c799eb06e567e3c4dd1da3833"),
     (_RATES.format("mean-velocity", "{float-fractions}"), 0,
      "224365c7a3e823e9e23e608fe222ad760ea1031f8920bbfb26b5c10899903209"),
+    # steps outside ex's range are skipped; one admissible step gives no verdict
+    ("rates --method ex --h-sweep 0.5:4:5", 0,
+     "17cbaa7e4d5e4983a98bf4dd2a4f3f77700f065a7751ec68dc4be8624eae339d"),
+    ("rates --method ex --h-sweep 2:4:2", 0,
+     "9833c38752f1aeb32082649a5a38d68a8ad0208f0a2418ce86d1eade37c43a65"),
+    # T0/h is not an integer, so the steps column is the rounded ratio
+    ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
+     "a91df46dc6ccdc81e294a58d63fbe97aedcdb2cfa67344a148ae297fb1ae60d1"),
 ]
+# `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
+# recorded before the command printed `condition_b_diagnostics`' own reports
+_CONDITIONS_DIGESTS = {
+    "em": ("38d682a829e7a87d411fa304df09a1ddf3c20743329292c203ed3ad5a7f68334",
+           "27f8fa39d30f8490c77cdc4c883024b294ec8bb2bf18224941b2a7dbba5c7901"),
+    "beta:0": ("41ded8487ecf2aec6ef29eaa99080bff33196d13c6d95490c857055fab935a69",
+               "3791dbf22545d105e242503ed9c73f2998f1fb17b58a9150c54fba4665047e27"),
+    "beta:0.5": ("a4b213b800c1478c5e6b10fe58b8258eaf005e9a4dbc72effcee24e20addcc11",
+                 "14054f4f5da2e7adcad7210dbe1fdbcac28e79909369671060791d9e9bc363df"),
+    "beta:1": ("3aecb2cd7fa380fe5db1bb71d372be707750e8b1b001b7d446b18a884abda795",
+               "069032f39594a25c2afb17bd40980de54bfa0b2f3fba6434c266529ae06ebed4"),
+    "ex": ("aee295869a24787c5e7ab50d4e0c999f3272b0e377614fee29755046959566f0",
+           "c0c5e3cb14297550b273c75c465cde4bad2362d180efddd4979a1d93afd5a143"),
+    "int": ("67a01ea488b24999ff7fe1bf9245caabda742cc91321e973996d6585267f3192",
+            "8e234eb9f11d74accbf7c097d6a96e92a47de843ef1e7656fff512dcff95c8e6"),
+    "opt": ("0a924d870c11540fc9ff62711130540cad06e552a0d9afdb63588a5c41b1483a",
+            "955f78a550d43975cdb6b920a2076124811c440e228bc72893eb3324ea7aa5de"),
+    "theta:1": ("5c9119d82e8a693a9a470331393f9928382de0acd7dda0532af37ea082149712",
+                "cfe84b08248d246acd3764bcd55d50165458469b9016ea5607d1cec91d504ed3"),
+    "pc-pem-mr": ("f5863d346d7a53aa3bcdf68dea08ea1867f60ac46ee70c5e6fc4afedb8c5d408",
+                  "fbe650cb77cf975dec1bbd3ceddffe3f5205b9338485a1d7b8bcc11c5ab65b23"),
+    "pc-em-bem": ("150aa2e26c136d4c62a05e8fea4634a999ae2d84402e889b14d8068e6d242e25",
+                  "78a19b83efcbd893d4a393cda9f56ae8da403554c791ff0fcb8df07487516e64"),
+    "m1": ("a8eec01cad90fcc187d9637aacbefe51c64f01f2e44cdbf3e6fcc7be0bb6d97a",
+           "2027f536927f3ae061d3aa5ef3120d98a67ef1afbd7397fb684935b186fbff92"),
+    "m2": ("75eef9f9726f58c055f7cbb8c5fbb28521c65c56d46e6e2b005ab92bf2a71fd5",
+           "96f323d2da32f592c75b11cee36bc1b74043bfc1fc3dd304bc39fab354f8bfc5"),
+    "m3": ("0d56b468c8928776e7d55aa28eb33e4e77d24044ce935ab47616a8c1c120d174",
+           "9e4b6c304aec4dcd844a0a67f418eb1d9198511692acd2649736c5f39ed8ef1d"),
+    "m4": ("d850f3153dc79be062efdd257d13070f1101de4d21c59c42d81c107ada0e347b",
+           "1099671e180188a56900ffc9b1174ddedbed4e861709e0aa4655216752a1c3eb"),
+    "m5": ("a2926e2c73c726358e0cf638ff0a94857c2719f7e893fa25f570d12cc0a2efdd",
+           "f0a8aabaf4c0cc48b27e53c03953c844c06e80845fd3b227e2d49936d4d87207"),
+    "m6": ("1b6126dc9cebcd354803a32bb1f9f2311e2bd4bdb9fb5c7b6e4b90a5afb294a5",
+           "c37485f4ced788344120ad650fb39a9776c40f979844ad8e75ef65fe1c3df377"),
+}
+GOLDEN_VERDICTS += [
+    (f"conditions --h 0.5 --format {fmt} --method {name}", 0, digest)
+    for name, pair in _CONDITIONS_DIGESTS.items()
+    for fmt, digest in zip(("csv", "json"), pair)]
 
 
 @pytest.mark.parametrize("command, exit_code, digest", GOLDEN_VERDICTS)
