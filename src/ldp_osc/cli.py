@@ -38,10 +38,9 @@ import numpy as np
 from .ldp import InternalInvariantError, exact_preservation_search, \
     observable_law, preservation_report, rate_function
 from .laws import DivergentMomentsError, interval_probability
-from .methods import COEFFICIENT_KEYS, catalog, check_conditions, \
-    condition_b_diagnostics, evaluate, get_method, parse_method_file
-from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
-    continuous_rate
+from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
+    get_method, parse_method_file
+from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams
 from .sim import SimConfig, msq_order, simulate_paths
 
 SCHEMA = "ldp-osc/1"
@@ -196,75 +195,46 @@ def _cmd_catalog(args):
 
 def _cmd_conditions(args):
     method = _resolve_method(args.method)
-    hs = _h_values(args, VERDICT_SWEEP_POINTS)
-    rows = []
-    for h in hs:
-        A, b = evaluate(method, h)
-        rep = check_conditions(A, b)
-        rows.append({
-            "h": h, "det": rep.det, "tr": rep.tr,
-            "a1": rep.a1, "a2": rep.a2, "a3": rep.a3, "a4": rep.a4,
-            "excluded": rep.excluded,
-        })
-    footers = [f"method: {method.name}"]
-    extra = {"method": method.name}
-    if len(hs) >= 2:
-        diag = condition_b_diagnostics(method, hs)
-        footers.append(f"small-step consistency: {diag.verdict} "
-                       f"(r3 -> {diag.r3[-1]:.6g}, r4 -> {diag.r4[-1]:.6g})")
-        extra["diagnostics"] = {
-            "r1": diag.r1, "r2": diag.r2, "r3": diag.r3, "r4": diag.r4,
-            "verdict": diag.verdict,
-        }
-    return _render(args, "conditions", rows, footers, **extra)
+    diag = condition_b_diagnostics(method, _h_values(args, VERDICT_SWEEP_POINTS))
+    rows = [{"h": h, "det": rep.det, "tr": rep.tr, "a1": rep.a1, "a2": rep.a2,
+             "a3": rep.a3, "a4": rep.a4, "excluded": rep.excluded}
+            for h, rep in zip(diag.h_values, diag.reports)]
+    footers = [f"method: {method.name}",
+               f"small-step consistency: {diag.verdict} "
+               f"(r3 -> {diag.r3[-1]:.6g}, r4 -> {diag.r4[-1]:.6g})"]
+    diagnostics = {"r1": diag.r1, "r2": diag.r2, "r3": diag.r3, "r4": diag.r4,
+                   "verdict": diag.verdict}
+    return _render(args, "conditions", rows, footers, method=method.name,
+                   diagnostics=diagnostics)
 
 
 def _cmd_rates(args):
     method = _resolve_method(args.method)
-    params = _params(args)
-    hs = _h_values(args, VERDICT_SWEEP_POINTS)
-    rows = []
-    skipped = []
-    usable = []
-    for h in hs:
-        try:
-            cls = rate_function(method, h, args.observable, params)
-        except InternalInvariantError:
-            raise
-        except ValueError as exc:
-            skipped.append((h, str(exc)))
-            continue
-        usable.append(h)
-        degenerate = cls.rate.is_degenerate
-        rows.append({
-            "h": h,
-            "regime": cls.regime,
-            "log_mgf_coefficient": cls.log_mgf_coefficient,
-            "rate_coefficient": math.inf if degenerate else cls.rate.coefficient,
-            "modified_coefficient": math.inf if degenerate
-                                    else cls.modified_rate.coefficient,
-            "gap": math.inf if degenerate
-                   else abs(cls.modified_rate.coefficient
-                            - continuous_rate(args.observable, params).coefficient),
-        })
-    if not rows:
-        raise _NoApplicableResult(
-            f"no admissible step size for {method.name}: {skipped[0][1]}")
-    target = continuous_rate(args.observable, params).coefficient
+    report = preservation_report(method, args.observable,
+                                 _h_values(args, VERDICT_SWEEP_POINTS),
+                                 _params(args))
+    if not report.steps:
+        raise _NoApplicableResult(f"no admissible step size for {method.name}: "
+                                  f"{report.skipped[0][1]}")
+    rows = [{"h": h, "regime": cls.regime,
+             "log_mgf_coefficient": cls.log_mgf_coefficient,
+             "rate_coefficient": math.inf if cls.rate.is_degenerate
+                                 else cls.rate.coefficient,
+             "modified_coefficient": coef, "gap": gap}
+            for h, cls, coef, gap in zip(report.h_values, report.steps,
+                                         report.modified_coefficients,
+                                         report.gaps)]
     footers = [f"observable: {args.observable}",
-               f"target coefficient: {target!r}"]
+               f"target coefficient: {report.target!r}"]
     extra = {"method": method.name, "observable": args.observable,
-             "target": target}
-    if len(usable) >= 2:
-        report = preservation_report(method, args.observable, usable, params)
+             "target": report.target}
+    if report.verdict is not None:
         footers.append(f"verdict: {report.verdict}")
         if report.proof is not None:
             footers.append(f"proof: {report.proof}")
-        extra["verdict"] = report.verdict
-        extra["symbolic"] = report.symbolic
-        extra["proof"] = report.proof
-    for h, reason in skipped:
-        footers.append(f"skipped h = {h:g}: {reason}")
+        extra.update(verdict=report.verdict, symbolic=report.symbolic,
+                     proof=report.proof)
+    footers += [f"skipped h = {h:g}: {reason}" for h, reason in report.skipped]
     return _render(args, "rates", rows, footers, **extra)
 
 
@@ -312,8 +282,8 @@ def _cmd_msq(args):
     hs = _h_values(args, MSQ_SWEEP_POINTS)
     report = msq_order(method, hs, T0=args.T0, samples=args.samples,
                        seed=args.seed, params=params)
-    rows = [{"h": h, "steps": round(args.T0 / h), "error": err}
-            for h, err in zip(report.h_values, report.errors)]
+    rows = [{"h": h, "steps": steps, "error": err}
+            for h, steps, err in zip(report.h_values, report.steps, report.errors)]
     footers = [f"method: {method.name}",
                f"T0 = {args.T0:g}, samples = {args.samples}, seed = {args.seed}",
                f"fitted mean-square order: {report.slope:.4f}"]

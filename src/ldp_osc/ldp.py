@@ -162,9 +162,12 @@ def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
 class PreservationReport:
     """Verdict on whether the modified rate matches the continuous rate.
 
-    proof is the outcome of the identity-level proof: PROOF_PROVED,
-    PROOF_REFUTED or "declined: <reason>"; None when the sweep was not
-    numerically exact, so no proof was attempted.
+    h_values are the admissible steps of the sweep and steps their
+    classifications; skipped holds (h, reason) for every other step. verdict
+    and proof are None with fewer than two admissible steps. Otherwise proof
+    is the outcome of the identity-level proof: PROOF_PROVED, PROOF_REFUTED
+    or "declined: <reason>"; None when the sweep was not numerically exact,
+    so no proof was attempted.
     """
 
     method_name: str
@@ -173,49 +176,55 @@ class PreservationReport:
     modified_coefficients: tuple
     target: float
     gaps: tuple
-    verdict: str
+    verdict: str | None
     symbolic: bool
     proof: str | None
+    steps: tuple
+    skipped: tuple
 
 
 def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
                         params=_DEFAULT_PARAMS):
+    """Classify each step of the sweep once, skipping the steps without a
+    decay rate, and judge the admissible ones, which must decrease."""
     check_observable(observable)
-    hs = decreasing_sweep(h_values)
+    sweep = tuple(float(h) for h in h_values)
+    if len(sweep) < 2:
+        decreasing_sweep(sweep)  # raises: one step is no refinement
     target = continuous_rate(observable, params).coefficient
-    coefs = []
-    gaps = []
-    degenerate = False
-    for h in hs:
-        modified = rate_function(method, h, observable, params).modified_rate
-        if modified.is_degenerate:
-            degenerate = True
-            coefs.append(math.inf)
-            gaps.append(math.inf)
-        else:
-            coefs.append(modified.coefficient)
-            gaps.append(abs(modified.coefficient - target))
+    hs, steps, skipped = [], [], []
+    for h in sweep:
+        try:
+            steps.append(rate_function(method, h, observable, params))
+            hs.append(h)
+        except ValueError as exc:
+            skipped.append((h, str(exc)))
+    coefs = tuple(math.inf if s.modified_rate.is_degenerate
+                  else s.modified_rate.coefficient for s in steps)
+    gaps = tuple(abs(c - target) for c in coefs)
     # the coefficients and the target all scale as 1/alpha^2, so the gates
     # read each gap relative to the target
     relative = [g / target for g in gaps]
-    proof = None
-    if not degenerate and all(g <= EXACT_TOL for g in relative):
-        proof = _symbolic_exact(method, observable)
-    if degenerate:
-        verdict = VERDICT_NONE
-    elif proof == PROOF_PROVED:
-        verdict = VERDICT_EXACT
-    elif proof is not None and proof != PROOF_REFUTED:
-        # the proof declined, so the sweep is the only evidence
-        verdict = VERDICT_EXACT_NUMERIC
-    elif _decays_to_zero(relative):
-        # a refuted identity is judged by its gaps, like any inexact one
-        verdict = VERDICT_ASYMPTOTIC
-    else:
-        verdict = VERDICT_NONE
-    return PreservationReport(method.name, observable, hs, tuple(coefs),
-                              target, tuple(gaps), verdict,
-                              proof == PROOF_PROVED, proof)
+    verdict = proof = None
+    if len(hs) >= 2:
+        decreasing_sweep(hs)
+        if all(g <= EXACT_TOL for g in relative):
+            proof = _symbolic_exact(method, observable)
+        if math.inf in coefs:
+            verdict = VERDICT_NONE
+        elif proof == PROOF_PROVED:
+            verdict = VERDICT_EXACT
+        elif proof is not None and proof != PROOF_REFUTED:
+            # the proof declined, so the sweep is the only evidence
+            verdict = VERDICT_EXACT_NUMERIC
+        elif _decays_to_zero(relative):
+            # a refuted identity is judged by its gaps, like any inexact one
+            verdict = VERDICT_ASYMPTOTIC
+        else:
+            verdict = VERDICT_NONE
+    return PreservationReport(method.name, observable, tuple(hs), coefs,
+                              target, gaps, verdict, proof == PROOF_PROVED,
+                              proof, tuple(steps), tuple(skipped))
 
 
 def _decays_to_zero(gaps):

@@ -454,6 +454,8 @@ class ConditionBDiagnostics:
     r2 = (|b1| + |b2-1|) / h                             stays bounded
     r3 = (1 - tr + det) / h^2                            tends to 1
     r4 = (b1 + a12 b2 - a22 b1) / h                      tends to 1
+
+    reports holds the `ConditionReport` of each step.
     """
 
     h_values: tuple
@@ -462,27 +464,31 @@ class ConditionBDiagnostics:
     r3: tuple
     r4: tuple
     verdict: str
+    reports: tuple
 
 
 def condition_b_diagnostics(method, h_values):
-    hs = decreasing_sweep(h_values)
+    hs = tuple(float(h) for h in h_values)
+    # an inadmissible step is reported before a misordered sweep
+    pairs = [evaluate(method, h) for h in hs]
+    decreasing_sweep(hs)
     rows = []
-    for h in hs:
-        A, b = evaluate(method, h)
+    for h, (A, b) in zip(hs, pairs):
         rep = check_conditions(A, b)
         rows.append((
             (abs(A[0, 0] - 1) + abs(A[1, 1] - 1) + abs(A[0, 1] - h) + abs(A[1, 0] + h)) / h ** 2,
             (abs(b[0]) + abs(b[1] - 1)) / h,
             (1.0 - rep.tr + rep.det) / h ** 2,
             float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0]) / h,
+            rep,
         ))
-    r1, r2, r3, r4 = (tuple(col) for col in zip(*rows))
+    r1, r2, r3, r4, reports = (tuple(col) for col in zip(*rows))
     tail = max(2, len(hs) // 2)
     # the epsilon absorbs identically-zero ratio sequences
     bounded = all(max(r[-tail:]) <= 10.0 * min(r[-tail:]) + 1e-9 for r in (r1, r2))
     limits = abs(r3[-1] - 1.0) <= 0.1 and abs(r4[-1] - 1.0) <= 0.1
     verdict = "B-consistent" if bounded and limits else "B-inconsistent"
-    return ConditionBDiagnostics(hs, r1, r2, r3, r4, verdict)
+    return ConditionBDiagnostics(hs, r1, r2, r3, r4, verdict, reports)
 
 
 # --------------------------------------------------------------------------

@@ -167,9 +167,12 @@ def _summarize(values):
 
 @dataclass(frozen=True)
 class MsqReport:
+    """steps holds the number of steps run to T0 at each of h_values."""
+
     method_name: str
     T0: float
     h_values: tuple
+    steps: tuple
     errors: tuple
     slope: float
 
@@ -223,8 +226,8 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                 raise ValueError(
                     f"zero strong error at h = {h:g}; nothing to fit")
             errors.append(math.sqrt(mean_sq))
-    return MsqReport(method.name, float(T0), hs, tuple(errors),
-                     fit_loglog_slope(hs, errors))
+    return MsqReport(method.name, float(T0), hs, tuple(r[1] for r in runs),
+                     tuple(errors), fit_loglog_slope(hs, errors))
 
 
 def _msq_block(params, h, steps, seed, A, b, worst, lo, hi):

@@ -236,6 +236,30 @@ def test_preservation_report_requires_decreasing_sweep():
         preservation_report(get_method("ex"), MEAN_POSITION, h_values=[0.5])
 
 
+def test_preservation_report_skips_inadmissible_steps():
+    # ex is admissible for h < pi only; em has det = 1 + h^2 > 1 everywhere
+    ex = get_method("ex")
+    report = preservation_report(ex, MEAN_POSITION, (4.0, 2.0, 1.0))
+    assert report.h_values == (2.0, 1.0)
+    assert [h for h, _ in report.skipped] == [4.0]
+    assert "outside the admissible range" in report.skipped[0][1]
+    assert report.steps == tuple(rate_function(ex, h, MEAN_POSITION)
+                                 for h in (2.0, 1.0))
+    # the verdict over the admissible steps, as if h = 4 had not been asked
+    direct = preservation_report(ex, MEAN_POSITION, (2.0, 1.0))
+    assert (report.verdict, report.proof) == (direct.verdict, direct.proof)
+    assert report.verdict is not None and direct.skipped == ()
+
+    one = preservation_report(ex, MEAN_POSITION, (4.0, 2.0))
+    assert len(one.steps) == 1
+    assert one.verdict is None and one.proof is None and not one.symbolic
+
+    none = preservation_report(get_method("em"), MEAN_POSITION)
+    assert none.steps == () and none.h_values == ()
+    assert len(none.skipped) == len(DEFAULT_H_SWEEP)
+    assert none.verdict is None
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "small-step defect: the closed forms divide by 2 - tr ~ h^2, but float A "
     "carries 2 - tr only to ~1e-16 absolute, so on this sweep the gaps of the "

@@ -147,6 +147,8 @@ def test_condition_b_diagnostics_consistent_methods():
         diag = condition_b_diagnostics(get_method(name), hs)
         assert diag.verdict == "B-consistent", name
         assert len(diag.h_values) == len(hs)
+        assert diag.reports == tuple(check_conditions(*evaluate(
+            get_method(name), h)) for h in hs)
 
 
 def test_condition_b_diagnostics_requires_decreasing_grid():

@@ -197,8 +197,10 @@ def test_msq_order_first_order_methods():
 
 def test_msq_order_warns_on_fractional_step_count():
     with pytest.warns(UserWarning, match="not an integer"):
-        msq_order(get_method("ex"), [0.3, 0.15], T0=1.0, samples=50, seed=0,
-                  params=PARAMS)
+        report = msq_order(get_method("ex"), [0.3, 0.15], T0=1.0, samples=50,
+                           seed=0, params=PARAMS)
+    # the step counts that ran: 1/0.3 rounds to 3, 1/0.15 to 7
+    assert report.steps == (3, 7)
 
 
 def test_msq_order_guards():
