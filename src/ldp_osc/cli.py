@@ -181,15 +181,9 @@ def _parse_interval(text):
 
 
 def _cmd_catalog(args):
-    rows = []
-    for method in catalog():
-        lo, hi = method.h_range
-        rows.append({
-            "name": method.name,
-            "h_min": lo,
-            "h_max": "inf" if math.isinf(hi) else hi,
-            "description": method.description,
-        })
+    rows = [{"name": m.name, "h_min": m.h_range[0],
+             "h_max": "inf" if math.isinf(m.h_range[1]) else m.h_range[1],
+             "description": m.description} for m in catalog()]
     return _render(args, "catalog", rows)
 
 
@@ -210,9 +204,9 @@ def _cmd_conditions(args):
 
 def _cmd_rates(args):
     method = _resolve_method(args.method)
+    params = _params(args)
     report = preservation_report(method, args.observable,
-                                 _h_values(args, VERDICT_SWEEP_POINTS),
-                                 _params(args))
+                                 _h_values(args, VERDICT_SWEEP_POINTS), params)
     if not report.steps:
         raise _NoApplicableResult(f"no admissible step size for {method.name}: "
                                   f"{report.skipped[0][1]}")
@@ -279,9 +273,8 @@ def _cmd_prob(args):
 def _cmd_msq(args):
     method = _resolve_method(args.method)
     params = _params(args)
-    hs = _h_values(args, MSQ_SWEEP_POINTS)
-    report = msq_order(method, hs, T0=args.T0, samples=args.samples,
-                       seed=args.seed, params=params)
+    report = msq_order(method, _h_values(args, MSQ_SWEEP_POINTS), T0=args.T0,
+                       samples=args.samples, seed=args.seed, params=params)
     rows = [{"h": h, "steps": steps, "error": err}
             for h, steps, err in zip(report.h_values, report.steps, report.errors)]
     footers = [f"method: {method.name}",
@@ -345,15 +338,18 @@ def _cmd_search(args):
 # parser assembly
 
 
-def _add_format(parser):
+def _add_format(parser, out=True):
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if out:
+        parser.add_argument("--out")
 
 
-def _add_model(parser):
+def _add_model(parser, state=True):
     parser.add_argument("--alpha", type=float, default=1.0,
                         help="noise intensity (default 1)")
-    parser.add_argument("--x0", type=float, default=0.0)
-    parser.add_argument("--y0", type=float, default=0.0)
+    if state:  # rates and verdicts do not depend on the initial state
+        parser.add_argument("--x0", type=float, default=0.0)
+        parser.add_argument("--y0", type=float, default=0.0)
 
 
 def _add_method(parser):
@@ -381,23 +377,20 @@ def _build_parser():
 
     p = sub.add_parser("catalog", help="list built-in methods")
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("conditions", help="admissibility flags per step size")
     _add_method(p)
     _add_steps(p)
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_conditions)
 
     p = sub.add_parser("rates", help="decay-rate coefficients and verdict")
     _add_method(p)
     _add_observable(p)
     _add_steps(p)
-    _add_model(p)
+    _add_model(p, state=False)
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_rates)
 
     p = sub.add_parser("prob", help="exact interval probabilities at finite N")
@@ -409,7 +402,6 @@ def _build_parser():
     p.add_argument("--interval", required=True, metavar="LO:HI")
     _add_model(p)
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_prob)
 
     p = sub.add_parser("msq", help="mean-square convergence order")
@@ -420,7 +412,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     _add_model(p)
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_msq)
 
     p = sub.add_parser("simulate", help="Monte Carlo sampling of both observables")
@@ -431,12 +422,11 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=0)
     _add_model(p)
     _add_format(p)
-    p.add_argument("--out")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("search", help="scan for exactly rate-preserving methods")
     _add_observable(p)
-    _add_format(p)
+    _add_format(p, out=False)
     p.add_argument("--out", dest="out_dir", metavar="DIR",
                    help="directory receiving one method file per hit")
     p.set_defaults(run=_cmd_search)

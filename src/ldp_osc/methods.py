@@ -40,6 +40,7 @@ Expression grammar (EBNF):
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +103,18 @@ def _mono_mul(m1, m2):
     return tuple(sorted(exponents.items())), sign
 
 
+# bounds on one product, far above the 49 term pairs and 131-bit coefficients
+# the tests form; beyond them a proof could run for minutes, so it declines
+MAX_TERM_PAIRS = 16384
+MAX_COEFFICIENT_BITS = 4096
+
+
 def _poly_mul(p, q):
+    bits = max((c.numerator.bit_length() + c.denominator.bit_length()
+                for c in (*p.values(), *q.values())), default=0)
+    if len(p) * len(q) > MAX_TERM_PAIRS or bits > MAX_COEFFICIENT_BITS:
+        raise ProofDeclined(f"a product of {len(p)} by {len(q)} terms with "
+                            f"{bits}-bit coefficients exceeds the proof's bounds")
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -454,8 +466,7 @@ class ConditionBDiagnostics:
     r2 = (|b1| + |b2-1|) / h                             stays bounded
     r3 = (1 - tr + det) / h^2                            tends to 1
     r4 = (b1 + a12 b2 - a22 b1) / h                      tends to 1
-
-    reports holds the `ConditionReport` of each step.
+    reports: the `ConditionReport` of each step
     """
 
     h_values: tuple
@@ -682,6 +693,14 @@ def _tokenize(text, line, column0):
     return tokens
 
 
+# deepest nesting of parentheses, sin/cos arguments and ^ exponents: parsing
+# recurses per level, and deeper input would exhaust the Python stack
+MAX_NESTING = 64
+
+_SUMS = {"+": operator.add, "-": operator.sub}
+_PRODUCTS = {"*": operator.mul, "/": operator.truediv}
+
+
 class _ExprParser:
     """Recursive descent over the grammar in the module docstring; produces a
     closure h -> value that also accepts exact symbols."""
@@ -690,6 +709,7 @@ class _ExprParser:
         self.tokens = tokens
         self.line = line
         self.pos = 0
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -709,36 +729,38 @@ class _ExprParser:
             self._fail(f"unexpected {tok[1]!r} after expression", tok)
         return fn
 
-    def _expression(self):
-        fn = self._term()
-        while self._peek()[1] in ("+", "-"):
-            op = self._next()[1]
-            rhs = self._term()
-            lhs = fn
-            if op == "+":
-                fn = lambda h, l=lhs, r=rhs: l(h) + r(h)
-            else:
-                fn = lambda h, l=lhs, r=rhs: l(h) - r(h)
+    def _chain(self, operand, ops):
+        """operand {op operand}, folded left to right in one closure."""
+        first, rest = operand(), []
+        while self._peek()[1] in ops:
+            rest.append((ops[self._next()[1]], operand()))
+        if not rest:
+            return first
+
+        def fn(h):
+            value = first(h)
+            for op, rhs in rest:
+                value = op(value, rhs(h))
+            return value
         return fn
+
+    def _expression(self):
+        return self._chain(self._term, _SUMS)
 
     def _term(self):
-        fn = self._factor()
-        while self._peek()[1] in ("*", "/"):
-            op = self._next()[1]
-            rhs = self._factor()
-            lhs = fn
-            if op == "*":
-                fn = lambda h, l=lhs, r=rhs: l(h) * r(h)
-            else:
-                fn = lambda h, l=lhs, r=rhs: l(h) / r(h)
-        return fn
+        return self._chain(self._factor, _PRODUCTS)
 
     def _factor(self):
+        # every nesting level passes through here once
+        if self.depth == MAX_NESTING:
+            self._fail(f"nested deeper than {MAX_NESTING} levels", self._peek())
+        self.depth += 1
         sign = 1
         while self._peek()[1] in ("+", "-"):
             if self._next()[1] == "-":
                 sign = -sign
         base = self._power()
+        self.depth -= 1
         if sign == 1:
             return base
         return lambda h, b=base: -b(h)

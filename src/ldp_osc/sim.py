@@ -167,8 +167,6 @@ def _summarize(values):
 
 @dataclass(frozen=True)
 class MsqReport:
-    """steps holds the number of steps run to T0 at each of h_values."""
-
     method_name: str
     T0: float
     h_values: tuple

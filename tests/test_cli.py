@@ -261,6 +261,16 @@ def test_alpha_beyond_the_float_range_is_an_input_error(command, alpha,
                    f"floats, got alpha = {float(alpha)}\n")
 
 
+@pytest.mark.parametrize("option", ["--x0", "--y0"])
+def test_rates_take_no_initial_state(option, capsys):
+    # decay rates and verdicts do not depend on where the paths start
+    code, out, err = run_cli(["rates", "--method", "ex", "--h", "0.5", option,
+                              "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: ldp-osc: unrecognized arguments: {option} 1\n"
+
+
 def test_huge_initial_state_is_an_input_error(capsys):
     # the midpoint rule's powers stay bounded; the state itself overflows
     code, out, err = run_cli(
@@ -712,3 +722,47 @@ def test_verdict_stdout_matches_golden_digest(command, exit_code, digest,
     code, out, _ = run_cli(argv, capsys)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the rotation step of `ex` with b2 written out at length or in depth
+_ROTATION_FILE = ("name = rotation\nh_range = 0:3\na11 = cos(h)\na12 = sin(h)\n"
+                  "a21 = -sin(h)\na22 = cos(h)\nb1 = 0\nb2 = {}\n")
+
+
+def _rates_on(tmp_path, capsys, text, *extra):
+    path = tmp_path / "method.method"
+    path.write_text(text, encoding="utf-8")
+    return run_cli(["rates", "--method", str(path), "--h", "0.5", *extra],
+                   capsys)
+
+
+def test_a_5000_term_sum_is_the_same_method(tmp_path, capsys):
+    velocity = ("--observable", "mean-velocity")
+    long = _rates_on(tmp_path, capsys,
+                     _ROTATION_FILE.format("1" + " + 0" * 4999), *velocity)
+    assert long == _rates_on(tmp_path, capsys, _ROTATION_FILE.format("1"),
+                             *velocity)
+    assert long[0] == 0 and "# proof: proved\n" in long[1]
+
+
+@pytest.mark.parametrize("b2", ["(" * 3000 + "1" + ")" * 3000,
+                                "1" + "^1" * 3000], ids=["parens", "powers"])
+def test_deep_method_expressions_are_input_errors(b2, tmp_path, capsys):
+    code, out, err = _rates_on(tmp_path, capsys, _ROTATION_FILE.format(b2))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 8, column ") and err.count("\n") == 1
+    assert "nested deeper than" in err
+
+
+def test_proof_declines_a_power_it_cannot_expand(tmp_path, capsys):
+    # ((1 + h)/(1 + h))^k is 1 in floats, but Exact does not cancel, so the
+    # proof would expand (1 + h)^k twice; it declines instead
+    midpoint = ("a11 = (1 - h^2/4)/(1 + h^2/4)\na12 = h/(1 + h^2/4)\n"
+                "a21 = -h/(1 + h^2/4)\na22 = (1 - h^2/4)/(1 + h^2/4)\n"
+                "b1 = h/2/(1 + h^2/4) * ((1 + h)/(1 + h))^100000\n"
+                "b2 = 1/(1 + h^2/4)\n")
+    code, out, _ = _rates_on(tmp_path, capsys, midpoint)
+    assert code == 0
+    assert "# verdict: ExactlyPreserves(numeric)\n# proof: declined: a " \
+        "product of 129 by 129 terms" in out

@@ -13,6 +13,7 @@ from ldp_osc.methods import (
     ANSATZ_H_RANGE,
     COEFFICIENT_KEYS,
     Exact,
+    MAX_NESTING,
     MethodDef,
     MethodFileError,
     ProofDeclined,
@@ -215,6 +216,27 @@ def test_parse_expression_values():
         assert fn(h) == pytest.approx(expected, abs=1e-14), text
 
 
+def test_long_chains_evaluate_without_recursion():
+    # one closure per chain, folded left to right, however long the chain
+    fn = parse_expression("1" + " + h" * 5000 + " - 2*h" * 2500)
+    assert fn(0.25) == 1.0
+    assert fn(Exact.symbol()).num == {(): 1}
+    assert parse_expression("h" + " * 2 / 2" * 3000)(0.3) == 0.3
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(" * 3000 + "h" + ")" * 3000, MAX_NESTING),
+    ("h" + "^1" * 3000, 2 * MAX_NESTING),
+    ("sin(" * 3000 + "h" + ")" * 3000, 4 * MAX_NESTING),
+], ids=["parens", "powers", "sin"])
+def test_deep_nesting_is_a_file_error_at_the_offending_token(text, column):
+    with pytest.raises(MethodFileError, match="nested deeper than") as info:
+        parse_expression(text)
+    assert info.value.column == column + 1
+    # the deepest nesting accepted still evaluates
+    parse_expression("(" * (MAX_NESTING - 1) + "h" + ")" * (MAX_NESTING - 1))
+
+
 def test_parse_expression_errors_carry_position():
     with pytest.raises(MethodFileError) as exc:
         parse_expression("1 + $")
@@ -398,6 +420,18 @@ def test_exact_arithmetic():
         assert str(info.value) == reason
     with pytest.raises(TypeError):
         h * "2"
+
+
+def test_products_beyond_the_proof_bounds_decline():
+    # (1 + h)^1000 would square a 129-term polynomial; (h/3)^100000 would
+    # carry a 158,000-bit coefficient
+    h = Exact.symbol()
+    with pytest.raises(ProofDeclined, match="129 by 129 terms"):
+        (1 + h) ** 1000
+    with pytest.raises(ProofDeclined, match="1 by 1 terms with 6494-bit"):
+        (h / 3) ** 100000
+    # the largest products the catalog forms stay far inside both bounds
+    assert str((1 + h) ** 100).startswith("h**100 + 100*h**99 + 4950*h**98")
 
 
 def test_exact_prints_any_variable():
