@@ -8,9 +8,10 @@ rate. A method preserves the decay rate exactly when the modified rate equals
 the continuous one for every step size, asymptotically when the gap closes as
 the step is refined.
 
-`preservation_report` decides between those outcomes from a step sweep, and
-upgrades a numerically exact verdict to an identity-level one when the closed
-forms are equal as functions of h, which exact arithmetic over h, pi and
+`preservation_report` decides between those outcomes from the admissible
+steps of a sweep (it skips the steps without a decay rate), and upgrades a
+numerically exact verdict to an identity-level one when the closed forms
+are equal as functions of h, which exact arithmetic over h, pi and
 exp(i r h) decides. `exact_preservation_search` scans a quadratic
 perturbation family of the rotation step (the ansatz of
 `methods.ansatz_coefficients`) for methods that preserve a rate exactly,

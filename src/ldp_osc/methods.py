@@ -111,7 +111,7 @@ MAX_COEFFICIENT_BITS = 4096
 
 def _poly_mul(p, q):
     bits = max((c.numerator.bit_length() + c.denominator.bit_length()
-                for c in (*p.values(), *q.values())), default=0)
+                for poly in (p, q) for c in poly.values()), default=0)
     if len(p) * len(q) > MAX_TERM_PAIRS or bits > MAX_COEFFICIENT_BITS:
         raise ProofDeclined(f"a product of {len(p)} by {len(q)} terms with "
                             f"{bits}-bit coefficients exceeds the proof's bounds")
