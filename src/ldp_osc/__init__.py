@@ -15,7 +15,6 @@ from .oscillator import OscillatorParams
 from .methods import get_method
 from .laws import interval_probability, law_NA_N, law_x_N
 from .ldp import exact_preservation_search, preservation_report, rate_function
-from .sim import SimConfig, msq_order, simulate_paths
 
 __version__ = "0.1.0"
 
@@ -24,3 +23,10 @@ __all__ = [
     "get_method", "interval_probability", "law_NA_N", "law_x_N", "msq_order",
     "preservation_report", "rate_function", "simulate_paths",
 ]
+
+
+def __getattr__(name):  # PEP 562: the samplers import numpy on first use
+    if name in ("SimConfig", "msq_order", "simulate_paths"):
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,15 +33,12 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from .ldp import InternalInvariantError, exact_preservation_search, \
     observable_law, preservation_report, rate_function
 from .laws import DivergentMomentsError, interval_probability
 from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
     get_method, parse_method_file
 from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams
-from .sim import SimConfig, msq_order, simulate_paths
 
 SCHEMA = "ldp-osc/1"
 
@@ -88,8 +85,6 @@ def _jsonable(value):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return str(value)
     return value
@@ -140,6 +135,13 @@ def _parse_colon_floats(text, count, what):
         raise _UsageError(f"bad number in {what} {text!r}") from None
 
 
+def _geomspace(start, stop, n):
+    """numpy.geomspace(start, stop, n) by numpy's formula, endpoints exact."""
+    step = (math.log10(stop) - math.log10(start)) / (n - 1)
+    inner = (10.0 ** (k * step + math.log10(start)) for k in range(1, n - 1))
+    return [start, *inner, stop]
+
+
 def _h_values(args, points):
     """The step sweep: explicit --h-sweep, or --h expanded by halving."""
     if getattr(args, "h_sweep", None):
@@ -147,12 +149,17 @@ def _h_values(args, points):
         if not 0.0 < lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
             raise _UsageError(f"--h-sweep needs 0 < lo < hi < inf and "
                               f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.h_sweep!r}")
-        return [float(h) for h in np.geomspace(hi, lo, int(n))]
-    if getattr(args, "h", None):
+        hs = _geomspace(hi, lo, int(n))
+    elif getattr(args, "h", None):
         if not args.h > 0:
             raise _UsageError(f"--h must be positive, got {args.h}")
-        return [args.h * 2.0 ** -k for k in range(points)]
-    raise _UsageError("provide --h or --h-sweep")
+        hs = [args.h * 2.0 ** -k for k in range(points)]
+    else:
+        raise _UsageError("provide --h or --h-sweep")
+    if hs[-1] * hs[-1] < sys.float_info.min:  # conditions divides by h^2
+        raise _UsageError(f"the finest step {hs[-1]:g} is too small: h^2 "
+                          "must be a normal float")
+    return hs
 
 
 def _n_values(args):
@@ -161,7 +168,7 @@ def _n_values(args):
         if not 1 <= lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
             raise _UsageError(f"--N-sweep needs 1 <= lo < hi < inf and "
                               f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.N_sweep!r}")
-        return sorted({round(float(v)) for v in np.geomspace(lo, hi, int(n))})
+        return sorted({round(v) for v in _geomspace(lo, hi, int(n))})
     if getattr(args, "N", None):
         if args.N < 1:
             raise _UsageError(f"--N must be >= 1, got {args.N}")
@@ -271,6 +278,7 @@ def _cmd_prob(args):
 
 
 def _cmd_msq(args):
+    from .sim import msq_order  # the samplers import numpy and scipy
     method = _resolve_method(args.method)
     params = _params(args)
     report = msq_order(method, _h_values(args, MSQ_SWEEP_POINTS), T0=args.T0,
@@ -285,6 +293,7 @@ def _cmd_msq(args):
 
 
 def _cmd_simulate(args):
+    from .sim import SimConfig, simulate_paths
     method = _resolve_method(args.method)
     params = _params(args)
     config = SimConfig(method=method, h=args.h, steps=args.N,

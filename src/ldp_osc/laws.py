@@ -10,11 +10,11 @@ extended by the running sum s_{n+1} = s_n + x_n, evolves linearly:
 After N steps its mean is M^N z_0 and its covariance is the discrete Lyapunov
 sum Q_N = alpha^2 h sum_{k<N} M^k b~ b~^T M^kT. Squaring (M^n, Q_n) ->
 (M^2n, Q_n + M^n Q_n M^nT) doubles the horizon (Smith, SIAM J. Appl. Math. 16,
-1968), so N steps take at most 2 log2 N updates of 3x3 matrices (about 60 at
-N = 1e9): time O(log N), memory O(1). Against the same doubling in 50-digit
-mpmath, the relative variance error over the catalog is at most 1.4e-15 for
-N <= 10 and about 5e-17 N beyond, within the tested budget 4e-15 + 1e-16 N;
-means stay within 1.3e-11 of |mean| + sigma up to N = 1e9.
+1968), so N steps take at most 2 log2 N updates of 3x3 float tuples (about
+60 at N = 1e9, no BLAS): time O(log N), memory O(1). Against the same doubling
+in 50-digit mpmath, the relative variance error over the catalog is at most
+9.3e-16 for N <= 10 and about 5e-17 N beyond, within the tested budget
+4e-15 + 1e-16 N; means stay within 1.4e-11 of |mean| + sigma up to N = 1e9.
 
 Both laws first read `check_conditions` on (A, b): real spectra and rotation
 angles lost to rounding (sin theta < SIN_THETA_MIN) are rejected before any
@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
     evaluate
 from .oscillator import GaussianLaw
@@ -55,48 +53,61 @@ class DivergentMomentsError(ValueError):
 class AugmentedMoments:
     """Mean vector and covariance of (x_N, y_N, sum of positions)."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
+    mean: tuple
+    covariance: tuple
 
     @property
     def running_sum_law(self):
-        return GaussianLaw(float(self.mean[2]),
-                           max(float(self.covariance[2, 2]), 0.0))
+        return GaussianLaw(self.mean[2], max(self.covariance[2][2], 0.0))
 
     @property
     def position_law(self):
-        return GaussianLaw(float(self.mean[0]),
-                           max(float(self.covariance[0, 0]), 0.0))
+        return GaussianLaw(self.mean[0], max(self.covariance[0][0], 0.0))
+
+
+def _product(X, Y):
+    """X Y for 3x3 matrices given as row tuples."""
+    (a, b, c), (d, e, f), (g, k, m) = Y
+    return tuple((x * a + y * d + z * g, x * b + y * e + z * k,
+                  x * c + y * f + z * m) for x, y, z in X)
+
+
+def _add_congruence(S, X, Q):
+    """S + X Q X^T for 3x3 matrices given as row tuples."""
+    (a, b, c), (d, e, f), (g, k, m) = X
+    return tuple((s0 + (x * a + y * b + z * c), s1 + (x * d + y * e + z * f),
+                  s2 + (x * g + y * k + z * m))
+                 for (s0, s1, s2), (x, y, z) in zip(S, _product(X, Q)))
 
 
 def _augmented_moments(A, b, h, N, params):
     """Moments of (x_N, y_N, sum_{n=0}^{N-1} x_n) by doubling, O(log N)."""
-    P = np.zeros((3, 3))
-    P[:2, :2] = A
-    P[2, 0] = P[2, 2] = 1.0
-    g = np.array([b[0], b[1], 0.0])
-    Q = params.alpha ** 2 * h * np.outer(g, g)
+    (a11, a12), (a21, a22) = A
+    P = ((a11, a12, 0.0), (a21, a22, 0.0), (1.0, 0.0, 1.0))
+    g = (b[0], b[1], 0.0)
+    Q = tuple(tuple(params.alpha ** 2 * h * (gi * gj) for gj in g) for gi in g)
     # (P, Q) covers a block of 2^k steps; (R, S) the steps taken so far
-    R, S = np.eye(3), np.zeros((3, 3))
+    R = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    S = ((0.0, 0.0, 0.0),) * 3
     n = int(N)
     if n < 0:
         raise ValueError(f"need N >= 0 steps, got {N}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n:
-            if n & 1:
-                S = S + R @ Q @ R.T
-                R = R @ P
-            n >>= 1
-            if n:
-                Q = Q + P @ Q @ P.T
-                P = P @ P
-        mean = R @ np.array([params.x0, params.y0, 0.0])
-    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(S))):
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    while n:
+        if n & 1:
+            S = _add_congruence(S, R, Q)
+            R = _product(R, P)
+        n >>= 1
+        if n:
+            Q = _add_congruence(Q, P, Q)
+            P = _product(P, P)
+    if not all(math.isfinite(x) for M in (R, S) for row in M for x in row):
+        det = a11 * a22 - a12 * a21
         raise DivergentMomentsError(
             f"moments overflow float64 at N = {N} with det(A) = {det:.6g}: "
             f"the matrix powers diverge")
-    if not np.all(np.isfinite(mean)):
+    # the full product R (x0, y0, 0): the third term sets a zero mean's sign
+    mean = tuple(r0 * params.x0 + r1 * params.y0 + r2 * 0.0 for r0, r1, r2 in R)
+    if not all(map(math.isfinite, mean)):
         raise ValueError(
             f"the mean overflows float64 at N = {N}: the initial state "
             f"x0 = {params.x0:g}, y0 = {params.y0:g} is too large")
@@ -145,15 +156,16 @@ def oracle_moments(method, h, N, params):
 
     The state is augmented with an accumulator that absorbs x before each
     step, so after N iterations it holds the sum over n = 0..N-1. O(N), and
-    independent of the doubling in `_augmented_moments`.
+    independent of the doubling in `_augmented_moments`. Test-only: the
+    benchmark's tests import it from here until ROADMAP item 1 moves it.
     """
+    import numpy as np
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     A, b = evaluate(method, h)
     step = np.zeros((3, 3))
     step[:2, :2] = A
-    step[2, 0] = 1.0
-    step[2, 2] = 1.0
+    step[2, 0] = step[2, 2] = 1.0
     noise_vec = np.array([b[0], b[1], 0.0])
     noise = params.alpha ** 2 * h * np.outer(noise_vec, noise_vec)
     m = np.array([params.x0, params.y0, 0.0])

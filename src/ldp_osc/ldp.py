@@ -61,7 +61,7 @@ def symplectic_numerators(A, b):
     """The two quadratic forms S and T entering the volume-preserving rate
     coefficients; both are strictly positive whenever the eigenvalues form a
     complex pair, det = 1 and b != 0."""
-    tr = A[0, 0] + A[1, 1]
+    tr = A[0][0] + A[1][1]
     b1 = b[0]
     q = coupling(A, b)
     S = (b1 + q) ** 2 * (4 + tr) - 2 * b1 * q * (2 - tr)
@@ -78,14 +78,14 @@ def _closed_form_log_mgf(A, b, h, observable, volume_preserving):
     position stays bounded in law, so the velocity observable decays faster
     than exponentially and c = 0.
     """
-    tr = A[0, 0] + A[1, 1]
+    tr = A[0][0] + A[1][1]
     if volume_preserving:
         S, T = symplectic_numerators(A, b)
         if observable == MEAN_POSITION:
             return h * S / (2 * (2 + tr) * (2 - tr) ** 2)
         return T / ((4 - tr ** 2) * h)
     if observable == MEAN_POSITION:
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
         return h * ((b[0] + coupling(A, b)) / (1 - tr + det)) ** 2 / 2
     return 0
 
@@ -267,7 +267,7 @@ def _prove_modified_rate(method, observable):
     def vanishes(x):
         return not Exact.of(x).num
 
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
     return vanishes(_exactness_gap(A, b, h, observable, vanishes(det - 1)))
 
 

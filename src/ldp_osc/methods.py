@@ -42,12 +42,11 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
 from typing import Callable
-
-import numpy as np
 
 
 class ProofDeclined(Exception):
@@ -359,7 +358,7 @@ class MethodDef:
 
 
 def evaluate(method, h):
-    """Numeric coefficients (A, b) at step h, with admissibility checks."""
+    """Float coefficients ((a11, a12), (a21, a22)), (b1, b2) at step h, checked."""
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     lo, hi = method.h_range
@@ -367,9 +366,9 @@ def evaluate(method, h):
         raise ValueError(
             f"step {h:g} outside the admissible range ({lo:g}, {hi:g}) of {method.name}")
     A_rows, b_rows = method.coefficients(h)
-    A = np.asarray(A_rows, dtype=float)
-    b = np.asarray(b_rows, dtype=float)
-    for key, value in zip(COEFFICIENT_KEYS, (*A.ravel(), *b)):
+    A = tuple(tuple(map(float, row)) for row in A_rows)
+    b = tuple(map(float, b_rows))
+    for key, value in zip(COEFFICIENT_KEYS, (*A[0], *A[1], *b)):
         if not math.isfinite(value):
             raise ValueError(
                 f"{method.name}: coefficient {key} = {value:g} is not finite "
@@ -383,19 +382,19 @@ def evaluate(method, h):
 
 def evaluate_symbolic(method):
     """Coefficients at the exact symbol h, for identity-level checks: A and b
-    as object arrays of `Exact` elements, and h. Raises TypeError when a
-    coefficient does not evaluate exactly (built from `math.sin`, say) and
+    shaped as by `evaluate` with `Exact` entries, and h. Raises TypeError when
+    a coefficient does not evaluate exactly (built from `math.sin`, say) and
     ProofDeclined when one leaves the rational functions of h, sin and cos."""
     h = Exact.symbol()
     A_rows, b_rows = method.coefficients(h)
-    A = np.array([[Exact.of(e) for e in row] for row in A_rows], dtype=object)
-    b = np.array([Exact.of(e) for e in b_rows], dtype=object)
+    A = tuple(tuple(map(Exact.of, row)) for row in A_rows)
+    b = tuple(map(Exact.of, b_rows))
     return A, b, h
 
 
 def coupling(A, b):
     """Position-noise coupling q = a12 b2 - a22 b1."""
-    return A[0, 1] * b[1] - A[1, 1] * b[0]
+    return A[0][1] * b[1] - A[1][1] * b[0]
 
 
 def decreasing_sweep(h_values):
@@ -441,10 +440,10 @@ class ConditionReport:
 
 
 def check_conditions(A, b):
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    det = float(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    tr = float(A[0, 0] + A[1, 1])
+    (a11, a12), (a21, a22) = (map(float, row) for row in A)
+    b1, b2 = map(float, b)
+    det = a11 * a22 - a12 * a21
+    tr = a11 + a22
     a2 = abs(det - 1.0) <= _CONDITION_TOL
     a1 = 4.0 * det - tr * tr > 0.0
     theta = math.nan
@@ -453,7 +452,7 @@ def check_conditions(A, b):
         # 4 det > tr^2; clamping turns such matrices into sin(theta) ~ 0
         theta = math.acos(min(1.0, max(-1.0, tr / (2.0 * math.sqrt(det)))))
     a3 = (not a2) and 0.0 < det < 1.0
-    a4 = abs(float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0])) > _CONDITION_TOL
+    a4 = abs(b1 + a12 * b2 - a22 * b1) > _CONDITION_TOL
     excluded = (not a2) and det > 1.0
     return ConditionReport(det, tr, theta, a1, a2, a3, a4, excluded)
 
@@ -483,14 +482,16 @@ def condition_b_diagnostics(method, h_values):
     # an inadmissible step is reported before a misordered sweep
     pairs = [evaluate(method, h) for h in hs]
     decreasing_sweep(hs)
+    if hs[-1] ** 2 < sys.float_info.min:
+        raise ValueError(f"step {hs[-1]:g}: r1 and r3 need h^2 to be a normal float")
     rows = []
     for h, (A, b) in zip(hs, pairs):
         rep = check_conditions(A, b)
         rows.append((
-            (abs(A[0, 0] - 1) + abs(A[1, 1] - 1) + abs(A[0, 1] - h) + abs(A[1, 0] + h)) / h ** 2,
+            (abs(A[0][0] - 1) + abs(A[1][1] - 1) + abs(A[0][1] - h) + abs(A[1][0] + h)) / h ** 2,
             (abs(b[0]) + abs(b[1] - 1)) / h,
             (1.0 - rep.tr + rep.det) / h ** 2,
-            float(b[0] + A[0, 1] * b[1] - A[1, 1] * b[0]) / h,
+            (b[0] + A[0][1] * b[1] - A[1][1] * b[0]) / h,
             rep,
         ))
     r1, r2, r3, r4, reports = (tuple(col) for col in zip(*rows))

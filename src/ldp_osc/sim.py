@@ -8,7 +8,9 @@ paths and runs a per-block task on a thread pool (or inline on one worker).
 A task works in buffers sized by the block, never by the sample count, and
 writes only its own slice of the per-path result arrays; all summary
 reductions run once, in the calling thread, over the assembled arrays.
-Validation and warnings also stay in the calling thread.
+Validation and warnings also stay in the calling thread. `msq_order`'s
+reference paths come from `exact_steps`, which samples the exact one-step law
+of the oscillator. Only this module and `rng` import numpy.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ import numpy as np
 from . import rng
 from .laws import MAX_N
 from .methods import decreasing_sweep, evaluate
-from .oscillator import OscillatorParams, check_step, exact_steps, \
-    linear_step
+from .oscillator import OscillatorParams
 
 # paths per thread task
 BLOCK = 4096
+
+# Below this step the one-step noise covariance is numerically singular.
+MIN_STEP = 1e-8
 
 _DEFAULT_PARAMS = OscillatorParams()
 
@@ -47,6 +51,94 @@ def thread_count():
             raise ValueError(f"LDP_OSC_THREADS must be an integer >= 1, got {env!r}")
         return n
     return min(8, os.cpu_count() or 1)
+
+
+def rotation(delta):
+    """Free-flow matrix over time delta."""
+    c, s = math.cos(delta), math.sin(delta)
+    return np.array([[c, s], [-s, c]])
+
+
+def step_noise_covariance(delta):
+    """Covariance of (dW, I1, I2) over one step, where I1 = int sin(delta-s) dW
+    and I2 = int cos(delta-s) dW are the exact noise contributions to (X, Y)."""
+    s, c = math.sin(delta), math.cos(delta)
+    s2 = math.sin(2.0 * delta)
+    return np.array([
+        [delta, 1.0 - c, s],
+        [1.0 - c, 0.5 * delta - 0.25 * s2, 0.5 * s * s],
+        [s, 0.5 * s * s, 0.5 * delta + 0.25 * s2],
+    ])
+
+
+def _symmetric_sqrt(C):
+    # eigh keeps the factor symmetric; Cholesky would also work but reorders
+    # sensitivity onto the last column
+    w, V = np.linalg.eigh(C)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+def linear_step(M, x, y, u, v, new_x, new_y, tmp):
+    """(new_x, new_y) = M (x, y) + (u, v) over a batch of paths, in place.
+
+    Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
+    bit-for-bit reproducibility rests on; `tmp` is scratch shaped like x.
+    """
+    np.multiply(M[0][0], x, out=new_x)
+    np.multiply(M[0][1], y, out=tmp)
+    new_x += tmp
+    new_x += u
+    np.multiply(M[1][0], x, out=new_y)
+    np.multiply(M[1][1], y, out=tmp)
+    new_y += tmp
+    new_y += v
+
+
+def check_step(delta):
+    """Reject a step the exact sampler cannot take."""
+    if not delta > 0:
+        raise ValueError(f"step size must be positive, got {delta}")
+    if delta < MIN_STEP:
+        raise ValueError(
+            f"step {delta} below {MIN_STEP}: noise covariance is numerically singular")
+
+
+def exact_steps(params, delta, steps, lo, hi, *, seed=0):
+    """Advance the exact trajectories of paths lo..hi-1 by `steps` steps of
+    size `delta`, yielding (dw, x, y) after each step.
+
+    Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
+    3x3 covariance (symmetric square root factorization L), then applies
+    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). Step k consumes counter slots
+    3k, 3k+1 and 3k+2 of each path's stream, keyed by the global path index,
+    so the draws do not depend on how the paths are split into blocks.
+
+    The draws come from `rng.step_normals`, `rng.CHUNK_ROWS // 3` steps per
+    chunk: step j of a chunk is rows 3j..3j+2, and its triple is L times
+    those rows. Memory is O(hi - lo) whatever `steps` is: the yielded arrays
+    are reused buffers, valid until the generator advances.
+    """
+    check_step(delta)
+    # the draw buffers go first: allocated after the state arrays, they
+    # raised the peak RSS of `msq`
+    chunks = rng.step_normals(seed, lo, hi, steps, 3)
+    L = _symmetric_sqrt(step_noise_covariance(delta))
+    R = rotation(delta)
+    alpha = float(params.alpha)
+    n = hi - lo
+    tri = np.empty((3, n))
+    x = np.full(n, float(params.x0))
+    y = np.full(n, float(params.y0))
+    new_x, new_y, u, v, tmp = (np.empty(n) for _ in range(5))
+    for draws in chunks:
+        for j in range(0, len(draws), 3):
+            np.matmul(L, draws[j:j + 3], out=tri)
+            np.multiply(alpha, tri[1], out=u)
+            np.multiply(alpha, tri[2], out=v)
+            linear_step(R, x, y, u, v, new_x, new_y, tmp)
+            x, new_x = new_x, x
+            y, new_y = new_y, y
+            yield tri[0], x, y
 
 
 @contextmanager

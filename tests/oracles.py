@@ -173,9 +173,9 @@ def prove_modified_rate(method, observable):
             raise ProofDeclined("a denominator vanishes identically")
         return sp.reduced(sp.expand(num), relation, C, S, h)[1] == 0
 
-    A = sp.Matrix(2, 2, entries[:4])
-    b = sp.Matrix(entries[4:])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    A = (tuple(entries[:2]), tuple(entries[2:4]))
+    b = tuple(entries[4:])
+    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
     c = _closed_form_log_mgf(A, b, h, observable, vanishes(det - 1))
     if vanishes(c):
         return False
@@ -274,8 +274,7 @@ def ansatz_exact_points(observable):
     c11, sigma, d1, d2 = sp.symbols("c11 sigma d1 d2")
     c22 = -1 - c11
     A_rows, b_rows = methods.ansatz_coefficients(c11, c22, sigma, d1, d2)(h)
-    c = _closed_form_log_mgf(sp.Matrix(A_rows), sp.Matrix(b_rows), h,
-                             observable, True)
+    c = _closed_form_log_mgf(A_rows, b_rows, h, observable, True)
     target = sp.Rational(1, 3) if observable == MEAN_POSITION else 1
     num, _ = sp.fraction(sp.together(4 * c * h * target - 1))
     equations = sp.Poly(sp.expand(num), h).coeffs() + [c11 * c22 - sigma ** 2]

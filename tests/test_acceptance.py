@@ -36,9 +36,9 @@ from ldp_osc.oscillator import (
     MEAN_VELOCITY,
     OscillatorParams,
     continuous_rate,
-    rotation,
 )
-from ldp_osc.sim import SimConfig, fit_loglog_slope, msq_order, simulate_paths
+from ldp_osc.sim import SimConfig, fit_loglog_slope, msq_order, rotation, \
+    simulate_paths
 from oracles import finite_N_rate, mean_position_law
 
 PRESERVING = {VERDICT_EXACT, VERDICT_EXACT_NUMERIC, VERDICT_ASYMPTOTIC}
@@ -320,7 +320,7 @@ def test_criterion_10_trig_sum_identities():
         b = noise_rng.uniform(-1.0, 1.0, size=2)
         got = _augmented_moments(a * rotation(theta), b, h, N, params)
         kernel = (got.mean[0], got.mean[2],
-                  got.covariance[0, 0], got.covariance[2, 2])
+                  got.covariance[0][0], got.covariance[2][2])
         direct = _direct_trig_moments(theta, a, b, h, N, params)
         for value, reference in zip(kernel, direct):
             worst = max(worst,

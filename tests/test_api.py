@@ -27,3 +27,10 @@ def test_readme_library_example_runs(capsys):
                 if isinstance(node, ast.ImportFrom) and node.module == "ldp_osc"
                 for alias in node.names}
     assert sorted(ldp_osc.__all__) == sorted(imported)
+
+
+def test_every_exported_name_resolves():
+    # the samplers' names load their module on first access
+    assert len(ldp_osc.__all__) == 11
+    for name in ldp_osc.__all__:
+        assert getattr(ldp_osc, name).__name__ == name

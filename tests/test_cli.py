@@ -282,6 +282,47 @@ def test_huge_initial_state_is_an_input_error(capsys):
                    "state x0 = 1e+308, y0 = 0 is too large\n")
 
 
+@pytest.mark.parametrize("command", ["conditions", "rates", "msq"])
+@pytest.mark.parametrize("steps", [["--h", "1e-200"], ["--h", "5e-324"],
+                                   ["--h-sweep", "1e-160:0.1:3"]])
+def test_steps_whose_square_is_subnormal_are_input_errors(command, steps,
+                                                          capsys):
+    # conditions divides by h^2, and 5e-324 halves to 0: every command
+    # refuses such a sweep with the same usage error
+    code, out, err = run_cli([command, "--method", "ex", *steps], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the finest step ")
+    assert err.endswith(" is too small: h^2 must be a normal float\n")
+
+
+def test_h_sweep_is_numpy_geomspace_on_the_golden_sweeps():
+    import numpy as np
+    for sweep in ("0.5:4:5", "2:4:2", "0.02:0.2:4"):
+        args = cli._build_parser().parse_args(
+            ["rates", "--method", "ex", "--h-sweep", sweep])
+        lo, hi, n = map(float, sweep.split(":"))
+        expected = np.geomspace(hi, lo, int(n)).tolist()
+        assert cli._h_values(args, cli.VERDICT_SWEEP_POINTS) == expected
+
+
+def test_N_sweep_is_numpy_geomspace_rounded():
+    # the last bit of numpy's vectorized log10 and power can differ from
+    # libm's, so only the rounded step counts are compared
+    import numpy as np
+    grids = ["100:10000000:6", "10:10000:4", "1:1000000000:7", "10:1e30:3",
+             *(f"{lo}:{hi}:{n}" for lo in (1, 3, 17, 100) for hi in
+               (1000, 123456, 10 ** 9) for n in (2, 5, 9, 33, 1000))]
+    for grid in grids:
+        args = cli._build_parser().parse_args(
+            ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
+             "--N-sweep", grid])
+        lo, hi, n = map(float, grid.split(":"))
+        expected = sorted({round(float(v))
+                           for v in np.geomspace(lo, hi, int(n))})
+        assert cli._n_values(args) == expected, grid
+
+
 def test_N_sweep_values_are_python_ints():
     args = cli._build_parser().parse_args(
         ["prob", "--method", "ex", "--h", "0.5", "--interval", "0:1",
@@ -320,6 +361,12 @@ def test_sweep_point_counts_are_capped(argv, points, capsys):
     assert f"2 <= n <= {cli.MAX_SWEEP_POINTS}" in err
 
 
+def _out_under(argv, directory):
+    """argv with the path after --out moved under directory."""
+    at = argv.index("--out") + 1
+    return argv[:at] + [str(directory / argv[at])] + argv[at + 1:]
+
+
 def _readme_commands():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as handle:
@@ -338,8 +385,7 @@ def test_readme_lists_eight_cli_examples():
 @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
 def test_readme_cli_example_runs(argv, tmp_path, capsys):
     if "--out" in argv:
-        at = argv.index("--out") + 1
-        argv = argv[:at] + [str(tmp_path / argv[at])] + argv[at + 1:]
+        argv = _out_under(argv, tmp_path)
     else:
         argv = argv + ["--out", str(tmp_path / "report")]
     code, _, err = run_cli(argv, capsys)
@@ -551,6 +597,36 @@ def test_scipy_loads_only_for_sampling():
     assert lines[0] == "False"
     assert "[0, 0, 0] False" in lines
     assert lines[-1] == "0 True"
+
+
+_SAMPLER_MODULES = ("numpy", "scipy", "concurrent.futures")
+
+
+def _modules_after(argvs):
+    """Exit codes of argvs run through cli.main in a fresh interpreter, and
+    whether each of _SAMPLER_MODULES was imported afterwards."""
+    script = ("import json, sys, ldp_osc.cli\n"
+              "codes = [ldp_osc.cli.main(a) for a in json.loads(sys.argv[1])]\n"
+              f"loaded = [m in sys.modules for m in {_SAMPLER_MODULES!r}]\n"
+              "print(json.dumps([codes, loaded]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_the_samplers_import_numpy(tmp_path):
+    readme = [_out_under(argv, tmp_path) if "--out" in argv else argv
+              for argv in _readme_commands()]
+    deterministic = [argv for argv in readme if argv[0] in
+                     ("catalog", "conditions", "rates", "prob", "search")]
+    assert len(deterministic) == 6
+    assert _modules_after(deterministic) == [[0] * 6, [False] * 3]
+    msq, = (argv for argv in readme if argv[0] == "msq")
+    simulate = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+                "--samples", "10"]
+    for argv in (msq, simulate):
+        assert _modules_after([argv]) == [[0], [True] * 3]
 
 
 def test_probabilities_run_where_scipy_cannot_be_imported():

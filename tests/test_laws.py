@@ -32,7 +32,8 @@ from ldp_osc.laws import (
 )
 from ldp_osc.methods import SIN_THETA_MIN, MethodDef, NearDegenerateError, \
     catalog, check_conditions, evaluate, get_method
-from ldp_osc.oscillator import GaussianLaw, OscillatorParams, rotation
+from ldp_osc.oscillator import GaussianLaw, OscillatorParams
+from ldp_osc.sim import rotation
 from oracles import interval_probability_mp50, parse_csv
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
@@ -76,7 +77,7 @@ def _mp_moments(A, b, h, N, params):
     with mpmath.workdps(50):
         f = mpmath.mpf
         zero, one = f(0), f(1)
-        P = [[f(A[0, 0]), f(A[0, 1]), zero], [f(A[1, 0]), f(A[1, 1]), zero],
+        P = [[f(A[0][0]), f(A[0][1]), zero], [f(A[1][0]), f(A[1][1]), zero],
              [one, zero, one]]
         g = [f(b[0]), f(b[1]), zero]
         scale = f(params.alpha) ** 2 * f(h)
@@ -99,8 +100,9 @@ def _mp_moments(A, b, h, N, params):
 
 def test_precision_budget():
     # relative variance error <= 4e-15 + 1e-16 N; measured worst cases are
-    # 1.4e-15 (N <= 10), 4.6e-15 (1e2), 3.1e-13 (1e4), 4.5e-10 (1e7) and
-    # 3.1e-8 (1e9). Mean error on the |mean| + sigma scale: worst 1.3e-11.
+    # 9.3e-16 (N <= 10), 6.3e-15 (1e2), 4.4e-13 (1e4), 4.5e-10 (1e7) and
+    # 4.4e-8 (1e9, m2 at h = 0.1). Mean error on the |mean| + sigma scale:
+    # worst 1.4e-11.
     worst_var = worst_mean = (0.0, None)
     cells = 0
     for method in catalog():
@@ -120,7 +122,7 @@ def test_precision_budget():
                 budget = 4e-15 + 1e-16 * N
                 for i in (0, 2):
                     ref_var = ref_cov[i][i]
-                    var_err = abs(got.covariance[i, i] - ref_var)
+                    var_err = abs(got.covariance[i][i] - ref_var)
                     if ref_var > 0:
                         var_err /= ref_var
                     mean_err = abs(got.mean[i] - ref_mean[i]) / (
@@ -193,7 +195,7 @@ def test_terminal_law_single_step():
     h = 0.4
     A, b = evaluate(method, h)
     law = law_x_N(method, h, 1, PARAMS)
-    assert law.mean == pytest.approx(A[0, 0] * PARAMS.x0 + A[0, 1] * PARAMS.y0,
+    assert law.mean == pytest.approx(A[0][0] * PARAMS.x0 + A[0][1] * PARAMS.y0,
                                      rel=1e-14)
     assert law.variance == pytest.approx(PARAMS.alpha ** 2 * h * b[0] ** 2,
                                          rel=1e-14)
@@ -460,7 +462,7 @@ def test_weight_vector_against_cumsum_route():
             assert weights[0] == pytest.approx(b[0], abs=1e-15)
             running_var = params.alpha ** 2 * h * float(np.sum(weights ** 2))
             got = _augmented_moments(A, b, h, N, params)
-            npt.assert_allclose(got.covariance[2, 2], running_var, rtol=1e-9,
+            npt.assert_allclose(got.covariance[2][2], running_var, rtol=1e-9,
                                 atol=1e-12)
 
 

@@ -281,6 +281,7 @@ def test_closed_form_shared_by_floats_and_symbols():
         # rational entries, so any Float in the result comes from the formula
         A, b = (M.applyfunc(lambda e: sp.nsimplify(e, rational=True))
                 for M in (A, b))
+        A, b = A.tolist(), list(b)
         for h in (0.3, 0.9):
             if not method.h_range[0] < h < method.h_range[1]:
                 continue
@@ -332,9 +333,9 @@ def _gap_mp50(method, observable, h):
         hm = mpmath.mpf(h.p) / h.q
         value = [sp.lambdify(hsym, sp.nsimplify(e, rational=True), "mpmath")(hm)
                  for e in (*A_rows[0], *A_rows[1], *b_rows)]
-        A = mpmath.matrix([value[:2], value[2:4]])
-        b = mpmath.matrix(value[4:])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        A = (tuple(value[:2]), tuple(value[2:4]))
+        b = tuple(value[4:])
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
         c = _closed_form_log_mgf(A, b, hm, observable,
                                  abs(det - 1) < mpmath.mpf(10) ** -40)
         if c == 0:
@@ -635,7 +636,7 @@ def test_search_decision_agrees_with_the_proof_at_every_grid_point(observable):
         method = MethodDef("point", ansatz_coefficients(*point),
                            h_range=ANSATZ_H_RANGE)
         A, _, _ = evaluate_symbolic(method)
-        assert not (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] - 1).num, point
+        assert not (A[0][0] * A[1][1] - A[0][1] * A[1][0] - 1).num, point
         assert (point in exact) == _prove_modified_rate(method, observable), \
             point
 

@@ -1,4 +1,4 @@
-"""Continuous-time laws, rate profiles, and the exact path sampler.
+"""Continuous-time laws, rate profiles, and the exact path sampler of `sim`.
 
 The closed-form variances (test-side references in `oracles`) are checked
 against trapezoid quadrature of the defining kernel integrals, and the
@@ -14,8 +14,8 @@ import pytest
 
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, RateFunction,
-                                continuous_rate, exact_steps, rotation,
-                                step_noise_covariance)
+                                continuous_rate)
+from ldp_osc.sim import exact_steps, rotation, step_noise_covariance
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
                      terminal_position_law)
 
