@@ -144,13 +144,13 @@ def _geomspace(start, stop, n):
 
 def _h_values(args, points):
     """The step sweep: explicit --h-sweep, or --h expanded by halving."""
-    if getattr(args, "h_sweep", None):
+    if getattr(args, "h_sweep", None) is not None:
         lo, hi, n = _parse_colon_floats(args.h_sweep, 3, "--h-sweep")
         if not 0.0 < lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
             raise _UsageError(f"--h-sweep needs 0 < lo < hi < inf and "
                               f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.h_sweep!r}")
         hs = _geomspace(hi, lo, int(n))
-    elif getattr(args, "h", None):
+    elif getattr(args, "h", None) is not None:
         if not args.h > 0:
             raise _UsageError(f"--h must be positive, got {args.h}")
         hs = [args.h * 2.0 ** -k for k in range(points)]
@@ -163,13 +163,13 @@ def _h_values(args, points):
 
 
 def _n_values(args):
-    if getattr(args, "N_sweep", None):
+    if getattr(args, "N_sweep", None) is not None:
         lo, hi, n = _parse_colon_floats(args.N_sweep, 3, "--N-sweep")
         if not 1 <= lo < hi < math.inf or not 2 <= n <= MAX_SWEEP_POINTS:
             raise _UsageError(f"--N-sweep needs 1 <= lo < hi < inf and "
                               f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.N_sweep!r}")
         return sorted({round(v) for v in _geomspace(lo, hi, int(n))})
-    if getattr(args, "N", None):
+    if getattr(args, "N", None) is not None:
         if args.N < 1:
             raise _UsageError(f"--N must be >= 1, got {args.N}")
         return [args.N]

@@ -490,7 +490,8 @@ def condition_b_diagnostics(method, h_values):
         rows.append((
             (abs(A[0][0] - 1) + abs(A[1][1] - 1) + abs(A[0][1] - h) + abs(A[1][0] + h)) / h ** 2,
             (abs(b[0]) + abs(b[1] - 1)) / h,
-            (1.0 - rep.tr + rep.det) / h ** 2,
+            # det(I - A), not 1 - tr + det, which cancels to 0 at small h
+            ((1.0 - A[0][0]) * (1.0 - A[1][1]) - A[0][1] * A[1][0]) / h ** 2,
             (b[0] + A[0][1] * b[1] - A[1][1] * b[0]) / h,
             rep,
         ))

@@ -3,14 +3,15 @@
 Sampling is deterministic by construction: every path owns a counter-based
 random stream keyed by (seed, path index), so results are bit-identical for
 any thread count and any block partition. Both samplers run on one block
-engine, `_block_runner`: it splits the paths into fixed-size blocks of BLOCK
-paths and runs a per-block task on a thread pool (or inline on one worker).
-A task works in buffers sized by the block, never by the sample count, and
-writes only its own slice of the per-path result arrays; all summary
-reductions run once, in the calling thread, over the assembled arrays.
-Validation and warnings also stay in the calling thread. `msq_order`'s
-reference paths come from `exact_steps`, which samples the exact one-step law
-of the oscillator. Only this module and `rng` import numpy.
+engine, `_run_blocks`, which maps a per-block task over fixed-size blocks of
+BLOCK paths on a thread pool. A task keeps its paths in a `_Paths`, whose
+`step` is every sampler's linear update, works in buffers sized by the
+block, never by the sample count, and writes only its own slice of the
+per-path result arrays; all summary reductions run once, in the calling
+thread, over the assembled arrays. Validation and warnings also stay in the
+calling thread. `msq_order`'s reference paths come from `exact_steps`, which
+samples the exact one-step law of the oscillator. Only this module and `rng`
+import numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -78,20 +78,31 @@ def _symmetric_sqrt(C):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def linear_step(M, x, y, u, v, new_x, new_y, tmp):
-    """(new_x, new_y) = M (x, y) + (u, v) over a batch of paths, in place.
+class _Paths:
+    """The state (x, y) of a block of paths and the scratch its step needs."""
 
-    Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
-    bit-for-bit reproducibility rests on; `tmp` is scratch shaped like x.
-    """
-    np.multiply(M[0][0], x, out=new_x)
-    np.multiply(M[0][1], y, out=tmp)
-    new_x += tmp
-    new_x += u
-    np.multiply(M[1][0], x, out=new_y)
-    np.multiply(M[1][1], y, out=tmp)
-    new_y += tmp
-    new_y += v
+    def __init__(self, params, n):
+        self.x = np.full(n, float(params.x0))
+        self.y = np.full(n, float(params.y0))
+        self._new_x, self._new_y, self._tmp = (np.empty(n) for _ in range(3))
+
+    def step(self, M, u, v):
+        """(x, y) <- M (x, y) + (u, v), in place.
+
+        Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
+        bit-for-bit reproducibility rests on.
+        """
+        new_x, new_y, tmp = self._new_x, self._new_y, self._tmp
+        np.multiply(M[0][0], self.x, out=new_x)
+        np.multiply(M[0][1], self.y, out=tmp)
+        new_x += tmp
+        new_x += u
+        np.multiply(M[1][0], self.x, out=new_y)
+        np.multiply(M[1][1], self.y, out=tmp)
+        new_y += tmp
+        new_y += v
+        self.x, self._new_x = new_x, self.x
+        self.y, self._new_y = new_y, self.y
 
 
 def check_step(delta):
@@ -127,45 +138,26 @@ def exact_steps(params, delta, steps, lo, hi, *, seed=0):
     alpha = float(params.alpha)
     n = hi - lo
     tri = np.empty((3, n))
-    x = np.full(n, float(params.x0))
-    y = np.full(n, float(params.y0))
-    new_x, new_y, u, v, tmp = (np.empty(n) for _ in range(5))
+    paths = _Paths(params, n)
+    u, v = np.empty(n), np.empty(n)
     for draws in chunks:
         for j in range(0, len(draws), 3):
             np.matmul(L, draws[j:j + 3], out=tri)
             np.multiply(alpha, tri[1], out=u)
             np.multiply(alpha, tri[2], out=v)
-            linear_step(R, x, y, u, v, new_x, new_y, tmp)
-            x, new_x = new_x, x
-            y, new_y = new_y, y
-            yield tri[0], x, y
+            paths.step(R, u, v)
+            yield tri[0], paths.x, paths.y
 
 
-@contextmanager
-def _block_runner(samples):
-    """Yield run(task), which calls task(lo, hi) for every BLOCK-path range
-    of 0..samples-1 and returns once all have finished; a task's exception
-    re-raises in the caller.
-
-    The tasks go to one thread pool that lives as long as the context, so a
-    sweep of runs shares it, or run inline when there is one worker or one
-    block.
-    """
-    ranges = [(lo, min(lo + BLOCK, samples))
-              for lo in range(0, samples, BLOCK)]
-    workers = min(thread_count(), len(ranges))
+def _run_blocks(samples, task):
+    """Call task(lo, hi) for every BLOCK-path range of 0..samples-1 on a
+    thread pool of up to thread_count() workers, and return once all have
+    finished; a task's exception re-raises in the caller."""
+    los = range(0, samples, BLOCK)
+    his = [min(lo + BLOCK, samples) for lo in los]
     rng.load_ndtri()  # every task draws normals; import scipy in this thread
-    if workers <= 1:
-        def run(task):
-            for lo, hi in ranges:
-                task(lo, hi)
-        yield run
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def run(task):
-            for future in [pool.submit(task, lo, hi) for lo, hi in ranges]:
-                future.result()
-        yield run
+    with ThreadPoolExecutor(min(thread_count(), len(los))) as pool:
+        list(pool.map(task, los, his))
 
 
 @dataclass(frozen=True)
@@ -211,9 +203,7 @@ def _run_block(config, A, b, out_pos, out_vel, lo, hi):
     p = config.params
     n = hi - lo
     noise_y = np.empty((min(rng.CHUNK_ROWS, config.steps), n))
-    x = np.full(n, float(p.x0))
-    y = np.full(n, float(p.y0))
-    new_x, new_y, tmp = np.empty(n), np.empty(n), np.empty(n)
+    paths = _Paths(p, n)
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
     nb1 = p.alpha * float(b[0])
@@ -225,12 +215,10 @@ def _run_block(config, A, b, out_pos, out_vel, lo, hi):
         np.multiply(nb2, dw, out=noise_y[:count])
         noise_x = np.multiply(nb1, dw, out=dw)
         for k in range(count):
-            sum_x += x
-            linear_step(A, x, y, noise_x[k], noise_y[k], new_x, new_y, tmp)
-            x, new_x = new_x, x
-            y, new_y = new_y, y
+            sum_x += paths.x
+            paths.step(A, noise_x[k], noise_y[k])
     out_pos[lo:hi] = sum_x / config.steps
-    out_vel[lo:hi] = x / (config.steps * config.h)
+    out_vel[lo:hi] = paths.x / (config.steps * config.h)
 
 
 def simulate_paths(config):
@@ -238,8 +226,7 @@ def simulate_paths(config):
     A, b = evaluate(config.method, config.h)
     pos = np.empty(config.samples)
     vel = np.empty(config.samples)
-    with _block_runner(config.samples) as run:
-        run(partial(_run_block, config, A, b, pos, vel))
+    _run_blocks(config.samples, partial(_run_block, config, A, b, pos, vel))
     summary = {
         "samples": int(config.samples),
         "position": _summarize(pos),
@@ -280,9 +267,9 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     drove the exact sampler, the squared state error is maximized over the
     grid, averaged over paths, and the root is fitted log-log against h.
 
-    Every step size is checked (and warned about) before any path runs. The
-    paths run in BLOCK-path tasks on one thread pool for the whole sweep;
-    each task advances the exact and the method state of its paths together
+    Every step size is checked (and warned about) before any path runs. Each
+    step size runs its paths in BLOCK-path tasks (`_run_blocks`); each task
+    advances the exact and the method state of its paths together
     (`_msq_block`), so memory is O(threads x BLOCK x CHUNK_ROWS) plus one
     float64 per path, whatever the step size.
     """
@@ -308,14 +295,13 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
         runs.append((h, steps, *evaluate(method, h)))
     worst = np.empty(samples)
     errors = []
-    with _block_runner(samples) as run:
-        for h, steps, A, b in runs:
-            run(partial(_msq_block, params, h, steps, seed, A, b, worst))
-            mean_sq = float(np.mean(worst))
-            if not mean_sq > 0.0:
-                raise ValueError(
-                    f"zero strong error at h = {h:g}; nothing to fit")
-            errors.append(math.sqrt(mean_sq))
+    for h, steps, A, b in runs:
+        _run_blocks(samples, partial(_msq_block, params, h, steps, seed, A, b,
+                                     worst))
+        mean_sq = float(np.mean(worst))
+        if not mean_sq > 0.0:
+            raise ValueError(f"zero strong error at h = {h:g}; nothing to fit")
+        errors.append(math.sqrt(mean_sq))
     return MsqReport(method.name, float(T0), hs, tuple(r[1] for r in runs),
                      tuple(errors), fit_loglog_slope(hs, errors))
 
@@ -327,20 +313,17 @@ def _msq_block(params, h, steps, seed, A, b, worst, lo, hi):
     n = hi - lo
     nb1 = params.alpha * float(b[0])
     nb2 = params.alpha * float(b[1])
-    x = np.full(n, float(params.x0))
-    y = np.full(n, float(params.y0))
-    new_x, new_y, u, v, gap = (np.empty(n) for _ in range(5))
+    paths = _Paths(params, n)
+    u, v = np.empty(n), np.empty(n)
     block_worst = worst[lo:hi]
     block_worst.fill(0.0)
     for dw, ex, ey in exact_steps(params, h, steps, lo, hi, seed=seed):
         np.multiply(nb1, dw, out=u)
         np.multiply(nb2, dw, out=v)
-        linear_step(A, x, y, u, v, new_x, new_y, gap)
-        x, new_x = new_x, x
-        y, new_y = new_y, y
-        np.subtract(x, ex, out=u)
+        paths.step(A, u, v)
+        np.subtract(paths.x, ex, out=u)
         np.square(u, out=u)
-        np.subtract(y, ey, out=v)
+        np.subtract(paths.y, ey, out=v)
         np.square(v, out=v)
-        np.add(u, v, out=gap)
-        np.maximum(block_worst, gap, out=block_worst)
+        u += v
+        np.maximum(block_worst, u, out=block_worst)

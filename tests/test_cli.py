@@ -141,6 +141,15 @@ def test_prob_diverging_powers_have_no_result(capsys):
     assert err == ("no applicable result: moments overflow float64 at "
                    "N = 100000 with det(A) = 1.01: the matrix powers diverge\n")
     assert caught == []
+    # before the powers overflow, the law is printed without a rate prediction
+    code, out, err = run_cli(
+        ["prob", "--method", "em", "--h", "0.1", "--N", "10",
+         "--interval", "0.9:1.1"], capsys)
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["predicted"] == "nan"
+    assert out.endswith("\n# no decay-rate prediction: em at h = 0.1: det = "
+                        "1.01 > 1, powers of the update matrix diverge and no "
+                        "exponential decay rate exists\n")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -152,6 +161,22 @@ def test_usage_errors_exit_1(capsys):
                     "--interval", "2:1"], capsys)[0] == 1
     assert run_cli([], capsys)[0] == 1
     assert run_cli(["frobnicate"], capsys)[0] == 1
+    prob = ["prob", "--method", "ex", "--h", "0.5"]
+    for argv, message in [
+        (["rates", "--method", "ex", "--h", "0"], "--h must be positive, got 0.0"),
+        (["conditions", "--method", "ex", "--h", "0"],
+         "--h must be positive, got 0.0"),
+        (["msq", "--method", "ex", "--h", "0"], "--h must be positive, got 0.0"),
+        (prob + ["--N", "0", "--interval", "0:1"], "--N must be >= 1, got 0"),
+        (prob + ["--interval", "0:1"], "provide --N or --N-sweep"),
+        (prob[:-1] + ["0", "--N", "10", "--interval", "0:1"],
+         "provide a positive --h"),
+        (prob + ["--N", "10", "--interval", "0:1:2"],
+         "--interval must have 2 colon-separated fields, got '0:1:2'"),
+        (prob + ["--N", "10", "--interval", "a:1"],
+         "bad number in --interval 'a:1'"),
+    ]:
+        assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
 
 
 def test_prob_midpoint_rate_column(capsys):
@@ -745,24 +770,27 @@ GOLDEN_VERDICTS = [
      "a91df46dc6ccdc81e294a58d63fbe97aedcdb2cfa67344a148ae297fb1ae60d1"),
 ]
 # `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
-# recorded before the command printed `condition_b_diagnostics`' own reports
+# recorded before the command printed `condition_b_diagnostics`' own reports;
+# the JSON digests of beta:0.5, ex, int, opt and theta:1 were re-recorded when
+# r3 came to be formed from det(I - A): their r3 lists moved by a few ulp,
+# each closer to a 50-digit evaluation of the same float A
 _CONDITIONS_DIGESTS = {
     "em": ("38d682a829e7a87d411fa304df09a1ddf3c20743329292c203ed3ad5a7f68334",
            "27f8fa39d30f8490c77cdc4c883024b294ec8bb2bf18224941b2a7dbba5c7901"),
     "beta:0": ("41ded8487ecf2aec6ef29eaa99080bff33196d13c6d95490c857055fab935a69",
                "3791dbf22545d105e242503ed9c73f2998f1fb17b58a9150c54fba4665047e27"),
     "beta:0.5": ("a4b213b800c1478c5e6b10fe58b8258eaf005e9a4dbc72effcee24e20addcc11",
-                 "14054f4f5da2e7adcad7210dbe1fdbcac28e79909369671060791d9e9bc363df"),
+                 "6c7954d8fd0758e335953912b2d33b5d7ca4b687ce173e44282b7ad61610cadc"),
     "beta:1": ("3aecb2cd7fa380fe5db1bb71d372be707750e8b1b001b7d446b18a884abda795",
                "069032f39594a25c2afb17bd40980de54bfa0b2f3fba6434c266529ae06ebed4"),
     "ex": ("aee295869a24787c5e7ab50d4e0c999f3272b0e377614fee29755046959566f0",
-           "c0c5e3cb14297550b273c75c465cde4bad2362d180efddd4979a1d93afd5a143"),
+           "3e05d242610e81730aaa71e3fca9bd6e47df605464ab23ac3fce74698d47e709"),
     "int": ("67a01ea488b24999ff7fe1bf9245caabda742cc91321e973996d6585267f3192",
-            "8e234eb9f11d74accbf7c097d6a96e92a47de843ef1e7656fff512dcff95c8e6"),
+            "0490a3da332fc6add4a434880e2311a685bf479e4391567a26631bf6f6baf0f9"),
     "opt": ("0a924d870c11540fc9ff62711130540cad06e552a0d9afdb63588a5c41b1483a",
-            "955f78a550d43975cdb6b920a2076124811c440e228bc72893eb3324ea7aa5de"),
+            "7f190b8b063626af1f2cafe43a7fbe6e9cdc0c39ae7465b266f4434cfad16a5b"),
     "theta:1": ("5c9119d82e8a693a9a470331393f9928382de0acd7dda0532af37ea082149712",
-                "cfe84b08248d246acd3764bcd55d50165458469b9016ea5607d1cec91d504ed3"),
+                "791a42dcbe59b41009a35c2d6bc58d67d04af3b6bb5d36b6a36ba7075b4e89f0"),
     "pc-pem-mr": ("f5863d346d7a53aa3bcdf68dea08ea1867f60ac46ee70c5e6fc4afedb8c5d408",
                   "fbe650cb77cf975dec1bbd3ceddffe3f5205b9338485a1d7b8bcc11c5ab65b23"),
     "pc-em-bem": ("150aa2e26c136d4c62a05e8fea4634a999ae2d84402e889b14d8068e6d242e25",
@@ -784,6 +812,15 @@ GOLDEN_VERDICTS += [
     (f"conditions --h 0.5 --format {fmt} --method {name}", 0, digest)
     for name, pair in _CONDITIONS_DIGESTS.items()
     for fmt, digest in zip(("csv", "json"), pair)]
+
+
+@pytest.mark.parametrize("method, h", [("ex", "1e-7"), ("beta:0.5", "1e-9"),
+                                       ("theta:1", "1e-7"), ("pc-em-bem", "1e-7")])
+def test_conditions_consistent_at_small_steps(method, h, capsys):
+    # r3 = det(I - A) / h^2; formed as 1 - tr + det, it cancelled to 0 here
+    code, out, _ = run_cli(["conditions", "--method", method, "--h", h], capsys)
+    assert code == 0
+    assert "# small-step consistency: B-consistent (r3 -> 1, r4 -> 1)\n" in out
 
 
 @pytest.mark.parametrize("command, exit_code, digest", GOLDEN_VERDICTS)

@@ -1,6 +1,7 @@
 """Tests for the method catalog, structural checks, and the method-file format."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +161,8 @@ def test_condition_b_diagnostics_needs_normal_squared_steps():
         with pytest.raises(ValueError, match="need h\\^2 to be a normal float"):
             condition_b_diagnostics(method, [1e-150, finest])
     diag = condition_b_diagnostics(method, [1e-150, 1.5e-154])
-    assert diag.r3 == (0.0, 0.0)
+    # det(I - A) = h^2 exactly here, where 1 - tr + det cancels to 0
+    assert diag.r3 == (1.0, 1.0)
 
 
 def test_condition_b_diagnostics_requires_decreasing_grid():
@@ -206,6 +208,10 @@ def test_get_method_rejects_unknown():
         get_method("beta:1.5")
     with pytest.raises(ValueError):
         get_method("no-such-method")
+    with pytest.raises(ValueError, match="bad beta parameter 'x'"):
+        get_method("beta:x")
+    # a family parameter is normalized, so it finds the catalog entry
+    assert get_method("beta:0.50") is get_method("beta:0.5")
 
 
 def test_parse_expression_values():
@@ -259,6 +265,14 @@ def test_parse_expression_errors_carry_position():
         parse_expression("")
     with pytest.raises(MethodFileError):
         parse_expression("1 2")
+    for text, column, message in [
+        ("sin h", 5, "expected '(' after sin"),
+        ("foo + 1", 1, "unknown symbol 'foo'"),
+        ("(1 + h", 7, "expected ')'"),
+    ]:
+        with pytest.raises(MethodFileError, match=re.escape(message)) as exc:
+            parse_expression(text)
+        assert (exc.value.line, exc.value.column) == (1, column), text
 
 
 def test_parse_method_file_round_trip_matches_catalog():
@@ -335,6 +349,10 @@ def test_parse_method_file_error_positions():
 
     with pytest.raises(MethodFileError):
         parse_method_file("h_range = 2:1\n" + body)
+    with pytest.raises(MethodFileError,
+                       match="bad h_range '0:x', expected lo:hi") as nonnumber:
+        parse_method_file("h_range = 0:x\n" + body)
+    assert nonnumber.value.line == 1
     with pytest.raises(MethodFileError):
         parse_method_file("just a line without an equals sign\n" + body)
 

@@ -212,12 +212,34 @@ def test_msq_order_guards():
         msq_order(get_method("ex"), [3.0, 1.5], T0=1.0, samples=50)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_blocks_runs_every_range_once(threads, monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+    samples = 2 * sim.BLOCK + 1
+    ran = []
+    sim._run_blocks(samples, lambda lo, hi: ran.append((lo, hi)))
+    assert sorted(ran) == [(0, sim.BLOCK), (sim.BLOCK, 2 * sim.BLOCK),
+                           (2 * sim.BLOCK, samples)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_blocks_reraises_a_task_error(threads, monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+
+    def task(lo, hi):
+        if lo == sim.BLOCK:
+            raise ArithmeticError(f"block {lo}:{hi}")
+    with pytest.raises(ArithmeticError,
+                       match=f"block {sim.BLOCK}:{2 * sim.BLOCK}"):
+        sim._run_blocks(2 * sim.BLOCK + 1, task)
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_msq_order_rejects_bad_sample_counts_before_running(samples,
                                                             monkeypatch):
-    def no_blocks(count):
+    def no_blocks(samples, task):
         raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
     with pytest.raises(ValueError,
                        match=f"need at least one sample, got {samples}"):
         msq_order(get_method("em"), [0.1, 0.05], samples=samples)
@@ -225,17 +247,17 @@ def test_msq_order_rejects_bad_sample_counts_before_running(samples,
 
 @pytest.mark.parametrize("T0", [math.inf, math.nan, 0.0, -1.0])
 def test_msq_order_rejects_bad_horizons_before_running(T0, monkeypatch):
-    def no_blocks(count):
+    def no_blocks(samples, task):
         raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
     with pytest.raises(ValueError, match="T0 must be a finite positive horizon"):
         msq_order(get_method("em"), [0.1, 0.05], T0=T0, samples=10)
 
 
 def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
-    def no_blocks(count):
+    def no_blocks(samples, task):
         raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_block_runner", no_blocks)
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
     # 1e10 steps per path at h = 0.1
     with pytest.raises(ValueError, match="need at most 1e[+]09"):
         msq_order(get_method("em"), [0.1, 0.05], T0=1e9, samples=10)
