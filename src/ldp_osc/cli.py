@@ -38,7 +38,8 @@ from .ldp import InternalInvariantError, exact_preservation_search, \
 from .laws import DivergentMomentsError, interval_probability
 from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
     get_method, parse_method_file
-from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams
+from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
+    rate_infimum
 
 SCHEMA = "ldp-osc/1"
 
@@ -219,12 +220,9 @@ def _cmd_rates(args):
                                   f"{report.skipped[0][1]}")
     rows = [{"h": h, "regime": cls.regime,
              "log_mgf_coefficient": cls.log_mgf_coefficient,
-             "rate_coefficient": math.inf if cls.rate.is_degenerate
-                                 else cls.rate.coefficient,
-             "modified_coefficient": coef, "gap": gap}
-            for h, cls, coef, gap in zip(report.h_values, report.steps,
-                                         report.modified_coefficients,
-                                         report.gaps)]
+             "rate_coefficient": cls.rate,
+             "modified_coefficient": cls.modified_rate, "gap": gap}
+            for h, cls, gap in zip(report.h_values, report.steps, report.gaps)]
     footers = [f"observable: {args.observable}",
                f"target coefficient: {report.target!r}"]
     extra = {"method": method.name, "observable": args.observable,
@@ -246,8 +244,9 @@ def _cmd_prob(args):
         raise _UsageError("provide a positive --h")
     interval = _parse_interval(args.interval)
     try:
-        predicted = rate_function(method, args.h, args.observable, params) \
-            .rate.infimum(*interval)
+        predicted = rate_infimum(
+            rate_function(method, args.h, args.observable, params).rate,
+            *interval)
     except ValueError as exc:
         predicted = None
         rate_note = f"no decay-rate prediction: {exc}"

@@ -2,11 +2,13 @@
 
 For an admissible method the scaled cumulant limit of each observable is
 quadratic, Lambda(lambda) = c lambda^2, with c in closed form in the method
-coefficients. Its Legendre transform is the per-step decay rate; dividing by
-the step gives the modified rate that is comparable with the continuous-time
-rate. A method preserves the decay rate exactly when the modified rate equals
-the continuous one for every step size, asymptotically when the gap closes as
-the step is refined.
+coefficients. Its Legendre transform is the per-step decay rate
+y -> y^2 / (4 c); dividing by the step gives the modified rate that is
+comparable with the continuous-time rate. A rate is its coefficient, a float:
+c = 0 (a contractive method's mean velocity) gives inf, the degenerate rate
+that is 0 at y = 0 and infinite elsewhere. A method preserves the decay rate
+exactly when the modified rate equals the continuous one for every step size,
+asymptotically when the gap closes as the step is refined.
 
 `preservation_report` decides between those outcomes from the admissible
 steps of a sweep (it skips the steps without a decay rate), and upgrades a
@@ -29,8 +31,8 @@ from .laws import law_NA_N, law_x_N
 from .methods import ANSATZ_H_RANGE, ANSATZ_POINTS, Exact, MethodDef, \
     ProofDeclined, ansatz_coefficients, ansatz_expressions, check_conditions, \
     coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
-from .oscillator import MEAN_POSITION, OscillatorParams, RateFunction, \
-    check_observable, continuous_rate
+from .oscillator import MEAN_POSITION, OscillatorParams, check_observable, \
+    continuous_rate
 
 REGIME_VOLUME_PRESERVING = "volume-preserving"
 REGIME_CONTRACTIVE = "contractive"
@@ -102,8 +104,15 @@ def _log_mgf(method, h, observable):
     if not rep.a1:
         raise ValueError(
             f"{method.name} at h = {h:g}: eigenvalues are real "
-            f"(4 det - tr^2 = {4.0 * rep.det - rep.tr ** 2:.3g} <= 0), "
+            f"(4 det - tr^2 = {4.0 * rep.det - rep.tr * rep.tr:.3g} <= 0), "
             "the oscillatory analysis does not apply")
+    try:
+        c = float(_closed_form_log_mgf(A, b, h, observable, rep.a2))
+    except ArithmeticError:  # a float power out of range, a denominator of 0
+        c = math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"{method.name} at h = {h:g}: the log-MGF coefficient "
+                         "is out of the float64 range")
     if rep.a2:
         S, T = symplectic_numerators(A, b)
         if observable == MEAN_POSITION and not S > 0.0:
@@ -112,27 +121,26 @@ def _log_mgf(method, h, observable):
         if observable != MEAN_POSITION and not T > 0.0:
             raise InternalInvariantError(
                 f"velocity numerator T = {T:.6g} <= 0 for {method.name} at h = {h:g}")
-    c = _closed_form_log_mgf(A, b, h, observable, rep.a2)
-    return float(c), REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
+    return c, REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
 
 
 def legendre_transform(c):
-    """Rate function y -> sup_lambda (lambda y - c lambda^2)."""
-    if c < 0.0:
+    """Coefficient k of the rate y -> sup_lambda (lambda y - c lambda^2) = k y^2:
+    1 / (4 c), or inf for c = 0."""
+    if not c >= 0.0:
         raise ValueError(f"log-MGF coefficient must be nonnegative, got {c}")
-    if c == 0.0:
-        return RateFunction.degenerate()
-    return RateFunction.quadratic(1.0 / (4.0 * c))
+    return math.inf if c == 0.0 else 1.0 / (4.0 * c)
 
 
 @dataclass(frozen=True)
 class LdpClassification:
-    """Decay-rate data of one method at one step size."""
+    """Decay-rate data of one method at one step size; the rates are their
+    coefficients."""
 
     regime: str
     log_mgf_coefficient: float
-    rate: RateFunction
-    modified_rate: RateFunction
+    rate: float
+    modified_rate: float
 
 
 def rate_function(method, h, observable, params=_DEFAULT_PARAMS):
@@ -142,12 +150,7 @@ def rate_function(method, h, observable, params=_DEFAULT_PARAMS):
     c, regime = _log_mgf(method, h, observable)
     a2 = params.alpha ** 2
     rate = legendre_transform(c)
-    if rate.is_degenerate:
-        modified = RateFunction.degenerate()
-    else:
-        modified = RateFunction.quadratic(rate.coefficient / h / a2)
-        rate = RateFunction.quadratic(rate.coefficient / a2)
-    return LdpClassification(regime, c * a2, rate, modified)
+    return LdpClassification(regime, c * a2, rate / a2, rate / h / a2)
 
 
 def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
@@ -174,7 +177,6 @@ class PreservationReport:
     method_name: str
     observable: str
     h_values: tuple
-    modified_coefficients: tuple
     target: float
     gaps: tuple
     verdict: str | None
@@ -192,7 +194,7 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
     sweep = tuple(float(h) for h in h_values)
     if len(sweep) < 2:
         decreasing_sweep(sweep)  # raises: one step is no refinement
-    target = continuous_rate(observable, params).coefficient
+    target = continuous_rate(observable, params)
     hs, steps, skipped = [], [], []
     for h in sweep:
         try:
@@ -200,9 +202,7 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
             hs.append(h)
         except ValueError as exc:
             skipped.append((h, str(exc)))
-    coefs = tuple(math.inf if s.modified_rate.is_degenerate
-                  else s.modified_rate.coefficient for s in steps)
-    gaps = tuple(abs(c - target) for c in coefs)
+    gaps = tuple(abs(s.modified_rate - target) for s in steps)
     # the coefficients and the target all scale as 1/alpha^2, so the gates
     # read each gap relative to the target
     relative = [g / target for g in gaps]
@@ -211,7 +211,7 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
         decreasing_sweep(hs)
         if all(g <= EXACT_TOL for g in relative):
             proof = _symbolic_exact(method, observable)
-        if math.inf in coefs:
+        if math.inf in gaps:  # a degenerate modified rate
             verdict = VERDICT_NONE
         elif proof == PROOF_PROVED:
             verdict = VERDICT_EXACT
@@ -223,9 +223,9 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
             verdict = VERDICT_ASYMPTOTIC
         else:
             verdict = VERDICT_NONE
-    return PreservationReport(method.name, observable, tuple(hs), coefs,
-                              target, gaps, verdict, proof == PROOF_PROVED,
-                              proof, tuple(steps), tuple(skipped))
+    return PreservationReport(method.name, observable, tuple(hs), target,
+                              gaps, verdict, proof == PROOF_PROVED, proof,
+                              tuple(steps), tuple(skipped))
 
 
 def _decays_to_zero(gaps):

@@ -365,9 +365,18 @@ def evaluate(method, h):
     if not lo < h < hi:
         raise ValueError(
             f"step {h:g} outside the admissible range ({lo:g}, {hi:g}) of {method.name}")
-    A_rows, b_rows = method.coefficients(h)
-    A = tuple(tuple(map(float, row)) for row in A_rows)
-    b = tuple(map(float, b_rows))
+    try:
+        A_rows, b_rows = method.coefficients(h)
+        A = tuple(tuple(map(float, row)) for row in A_rows)
+        b = tuple(map(float, b_rows))
+    except (ArithmeticError, TypeError) as exc:
+        # a float power out of range, a division by zero, or a complex value
+        # (a fractional power of a negative number), which float() rejects
+        what = "overflow" if isinstance(exc, OverflowError) else \
+            "division by zero" if isinstance(exc, ZeroDivisionError) else \
+            "a value that is not a real number"
+        raise ValueError(f"{method.name}: coefficients hit {what} at "
+                         f"h = {h:g}") from None
     for key, value in zip(COEFFICIENT_KEYS, (*A[0], *A[1], *b)):
         if not math.isfinite(value):
             raise ValueError(
@@ -482,6 +491,9 @@ def condition_b_diagnostics(method, h_values):
     # an inadmissible step is reported before a misordered sweep
     pairs = [evaluate(method, h) for h in hs]
     decreasing_sweep(hs)
+    if hs[0] * hs[0] == math.inf:
+        raise ValueError(f"{method.name}: step {hs[0]:g}: r1 and r3 need h^2 "
+                         "to be a finite float")
     if hs[-1] ** 2 < sys.float_info.min:
         raise ValueError(f"step {hs[-1]:g}: r1 and r3 need h^2 to be a normal float")
     rows = []

@@ -5,6 +5,10 @@ state and adds a Gaussian convolution integral. Everything here is closed
 form: the model's parameters, scalar Gaussian laws and the long-horizon
 decay rates of the two path observables. `sim.exact_steps` samples the exact
 solution step by step.
+
+Every decay rate here is quadratic, y -> k y^2, so a rate is its coefficient
+k, a float. k = inf is the degenerate rate, 0 at y = 0 and infinite
+elsewhere, which `rate_infimum` handles with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -67,55 +71,22 @@ class GaussianLaw:
         return GaussianLaw(self.mean * factor, self.variance * factor * factor)
 
 
-@dataclass(frozen=True)
-class RateFunction:
-    """Decay rate profile: either y -> coefficient * y**2, or the degenerate
-    profile that is 0 at y = 0 and infinite elsewhere."""
-
-    kind: str
-    coefficient: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "quadratic":
-            if self.coefficient is None or not self.coefficient >= 0:
-                raise ValueError("quadratic rate needs a nonnegative coefficient")
-        elif self.kind == "degenerate":
-            if self.coefficient is not None:
-                raise ValueError("degenerate rate carries no coefficient")
-        else:
-            raise ValueError(f"unknown rate kind {self.kind!r}")
-
-    @classmethod
-    def quadratic(cls, coefficient):
-        return cls("quadratic", float(coefficient))
-
-    @classmethod
-    def degenerate(cls):
-        return cls("degenerate")
-
-    @property
-    def is_degenerate(self):
-        return self.kind == "degenerate"
-
-    def __call__(self, y):
-        if self.kind == "quadratic":
-            return self.coefficient * y * y
-        return 0.0 if y == 0 else math.inf
-
-    def infimum(self, lo, hi):
-        """Infimum over [lo, hi]; the minimizer is the point closest to 0."""
-        if lo > hi:
-            raise ValueError("empty interval")
-        if lo <= 0.0 <= hi:
-            return 0.0
-        edge = lo if lo > 0 else hi
-        return self(edge)
+def rate_infimum(coefficient, lo, hi):
+    """Infimum of the rate y -> coefficient * y^2 over [lo, hi], attained at
+    the point closest to 0; an infinite coefficient is the degenerate rate."""
+    if lo > hi:
+        raise ValueError("empty interval")
+    if lo <= 0.0 <= hi:
+        return 0.0
+    edge = lo if lo > 0 else hi
+    return coefficient * edge * edge
 
 
 def continuous_rate(observable, params):
-    """Decay rate of tail probabilities of the observable over horizon T."""
+    """Coefficient of the decay rate of the observable's tail probabilities
+    over horizon T."""
     check_observable(observable)
     a2 = params.alpha ** 2
     if observable == MEAN_POSITION:
-        return RateFunction.quadratic(1.0 / (3.0 * a2))
-    return RateFunction.quadratic(1.0 / a2)
+        return 1.0 / (3.0 * a2)
+    return 1.0 / a2

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldp_osc import cli
 from oracles import parse_csv
@@ -175,8 +179,19 @@ def test_usage_errors_exit_1(capsys):
          "--interval must have 2 colon-separated fields, got '0:1:2'"),
         (prob + ["--N", "10", "--interval", "a:1"],
          "bad number in --interval 'a:1'"),
+        (["rates", "--method", "beta:0.5"], "provide --h or --h-sweep"),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
+
+
+def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
+    def violate(args):
+        raise cli.InternalInvariantError("S = -1 <= 0 for beta:0.5 at h = 0.5")
+
+    monkeypatch.setattr(cli, "_cmd_rates", violate)
+    assert run_cli(["rates", "--method", "beta:0.5", "--h", "0.5"], capsys) \
+        == (3, "", "internal invariant violated: S = -1 <= 0 for beta:0.5 "
+                   "at h = 0.5\n")
 
 
 def test_prob_midpoint_rate_column(capsys):
@@ -812,6 +827,31 @@ GOLDEN_VERDICTS += [
     (f"conditions --h 0.5 --format {fmt} --method {name}", 0, digest)
     for name, pair in _CONDITIONS_DIGESTS.items()
     for fmt, digest in zip(("csv", "json"), pair)]
+# the rate columns of `prob` and CSV `rates`, recorded while a degenerate
+# rate was still a class of its own: a finite and an infinite `predicted`,
+# the no-prediction footer, an infinite rate coefficient, skipped steps
+_PROB = "prob --h {} --N-sweep {} --interval {} --observable {} --method {}"
+_PROB_DIGESTS = {
+    _PROB.format("0.1", "10:10000:4", "0.9:1.1", "mean-position", "beta:0.5"):
+        ("55b11d11c533909f34216961e58f61a2d78560e7785ebf27cf26aaa85af71579",
+         "2e478055b701e76afff5f8f9894c3f68b0337d603e2117d953c888ac8781c5f2"),
+    _PROB.format("0.5", "10:10000:4", "0.5:inf", "mean-velocity", "theta:1"):
+        ("ce30865857921663522a4c1dd5a3c572b3e675d4ea74d1ca6baded678945d2c7",
+         "95fa1087f035c8f6d0dbb49dc674fef49cd1d0ae01c5a4ab6dbf653073857a45"),
+    _PROB.format("0.1", "10:1000:3", "0.9:1.1", "mean-position", "em"):
+        ("7fc9b26197020d778c59d92e2afb37c14a0ee75f3baf9b30b15828fbd029f89d",
+         "0792e673b069da82cdd39466ad3190b2359c316bf7688d4d6440590c0cccf27f"),
+}
+GOLDEN_VERDICTS += [
+    (f"{command} --format {fmt}", 0, digest)
+    for command, pair in _PROB_DIGESTS.items()
+    for fmt, digest in zip(("csv", "json"), pair)]
+GOLDEN_VERDICTS += [
+    ("rates --h 0.5 --observable mean-velocity --method theta:1", 0,
+     "4749701314889932a1bf7c66c300cd99144c903817664623a1a5b15c2bc2e364"),
+    ("rates --h 2 --observable mean-position --method pc-em-bem", 0,
+     "618f0d9d66a859c105343335d2ee82c369061fdc8a8be33e9b89eb5bf56da980"),
+]
 
 
 @pytest.mark.parametrize("method, h", [("ex", "1e-7"), ("beta:0.5", "1e-9"),
@@ -842,11 +882,15 @@ _ROTATION_FILE = ("name = rotation\nh_range = 0:3\na11 = cos(h)\na12 = sin(h)\n"
                   "a21 = -sin(h)\na22 = cos(h)\nb1 = 0\nb2 = {}\n")
 
 
-def _rates_on(tmp_path, capsys, text, *extra):
+def _method_path(tmp_path, text):
     path = tmp_path / "method.method"
     path.write_text(text, encoding="utf-8")
-    return run_cli(["rates", "--method", str(path), "--h", "0.5", *extra],
-                   capsys)
+    return str(path)
+
+
+def _rates_on(tmp_path, capsys, text, *extra):
+    return run_cli(["rates", "--method", _method_path(tmp_path, text),
+                    "--h", "0.5", *extra], capsys)
 
 
 def test_a_5000_term_sum_is_the_same_method(tmp_path, capsys):
@@ -879,3 +923,125 @@ def test_proof_declines_a_power_it_cannot_expand(tmp_path, capsys):
     assert code == 0
     assert "# verdict: ExactlyPreserves(numeric)\n# proof: declined: a " \
         "product of 129 by 129 terms" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["conditions"], ["rates"], ["prob", "--N", "10", "--interval", "0:1"],
+    ["simulate", "--N", "10", "--samples", "10"]])
+def test_coefficients_out_of_float_range_are_input_errors(command, capsys):
+    # theta:1 admits every h > 0, but its h^2 overflows at h = 1e200
+    code, out, err = run_cli([*command, "--method", "theta:1", "--h", "1e200"],
+                             capsys)
+    message = "theta:1: coefficients hit overflow at h = 1e+200\n"
+    if command == ["rates"]:  # every step of the sweep is skipped
+        assert (code, out) == (2, "")
+        assert err == ("no applicable result: no admissible step size for "
+                       f"theta:1: {message}")
+    else:
+        assert (code, out, err) == (1, "", f"error: {message}")
+
+
+def test_coefficient_division_by_zero_is_an_input_error(tmp_path, capsys):
+    path = _method_path(tmp_path, _ROTATION_FILE.format("1 + 0/(h - 0.5)"))
+    message = "rotation: coefficients hit division by zero at h = 0.5"
+    # conditions reaches h = 0.5 in its sweep from 1
+    assert run_cli(["conditions", "--method", path, "--h", "1"], capsys) \
+        == (1, "", f"error: {message}\n")
+    assert run_cli(["prob", "--method", path, "--h", "0.5", "--N", "10",
+                    "--interval", "0:1"], capsys) \
+        == (1, "", f"error: {message}\n")
+    # rates skips the step and judges the rest of the sweep
+    code, out, err = run_cli(["rates", "--method", path, "--h", "0.5"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"# skipped h = 0.5: {message}\n")
+    assert len(parse_csv(out)) == 6
+
+
+def test_complex_coefficients_are_input_errors(tmp_path, capsys):
+    path = _method_path(tmp_path, _ROTATION_FILE.format("(h - 1)^0.5"))
+    message = ("rotation: coefficients hit a value that is not a real number "
+               "at h = 0.5")
+    assert run_cli(["conditions", "--method", path, "--h", "0.5"], capsys) \
+        == (1, "", f"error: {message}\n")
+    assert run_cli(["rates", "--method", path, "--h", "0.5"], capsys) \
+        == (2, "", "no applicable result: no admissible step size for "
+                   f"rotation: {message}\n")
+
+
+def test_overflowing_log_mgf_coefficient_has_no_rate(tmp_path, capsys):
+    overflow = ("rotation at h = 0.5: the log-MGF coefficient is out of the "
+                "float64 range")
+    huge = _method_path(tmp_path, _ROTATION_FILE.format("1e160"))
+    assert run_cli(["rates", "--method", huge, "--h", "0.5"], capsys) \
+        == (2, "", "no applicable result: no admissible step size for "
+                   f"rotation: {overflow}\n")
+    code, out, err = run_cli(["prob", "--method", huge, "--h", "0.5",
+                              "--N", "10", "--interval", "0:1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("no applicable result: moments overflow float64")
+    # S = (b1 + q)^2 (4 + tr) - ... overflows while the law at N = 2 does not
+    large = _method_path(tmp_path, _ROTATION_FILE.format("1e154")
+                         .replace("b1 = 0", "b1 = 1e154"))
+    code, out, err = run_cli(["prob", "--method", large, "--h", "0.5",
+                              "--N", "2", "--interval", "0:1"], capsys)
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["predicted"] == "nan"
+    assert out.endswith(f"\n# no decay-rate prediction: {overflow}\n")
+
+
+def test_conditions_reject_a_step_whose_square_overflows(tmp_path, capsys):
+    constant = _method_path(tmp_path, "a11 = 1\na12 = 0.5\na21 = -0.5\n"
+                                      "a22 = 1\nb1 = 0\nb2 = 1\n")
+    assert run_cli(["conditions", "--method", constant, "--h", "1e200"],
+                   capsys) == (1, "", "error: method: step 1e+200: r1 and r3 "
+                                      "need h^2 to be a finite float\n")
+
+
+_LITERALS = st.one_of(
+    st.sampled_from(["0", "1", "2", "0.5", "1e-12", "1e200"]),
+    st.floats(min_value=0.0, max_value=1e200).map(repr))
+# exponents stay small literals: an integer power tower would not end
+_EXPONENTS = st.sampled_from(["0.5", "1.5", "(1/3)", "-0.5", "2", "3", "-1"])
+
+
+def _extend(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(inner, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(["sin", "cos"]), inner)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda e: f"-{e}"))
+
+
+_EXPRESSIONS = st.recursive(st.one_of(st.just("h"), _LITERALS), _extend,
+                            max_leaves=6)
+# each coefficient is the rotation step's entry or a generated expression,
+# so some files get past the admissibility checks
+_ROTATION = {"a11": "cos(h)", "a12": "sin(h)", "a21": "-sin(h)",
+             "a22": "cos(h)", "b1": "0", "b2": "1"}
+_METHOD_TEXTS = st.tuples(*(st.one_of(st.just(entry), _EXPRESSIONS)
+                            for entry in _ROTATION.values())).map(
+    lambda exprs: "".join(f"{key} = {expr}\n"
+                          for key, expr in zip(_ROTATION, exprs)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_METHOD_TEXTS, st.floats(min_value=1e-6, max_value=1e200),
+       st.sampled_from(cli.OBSERVABLES))
+# det = 1 + sin(h)^2 passes as 1 and tr = 2 exactly: c divides by 2 - tr
+@example("a11 = 1\na12 = sin(h)\na21 = -sin(h)\na22 = 1\nb1 = h^0.5\n"
+         "b2 = 1\n", 1e-6, "mean-position")
+def test_generated_method_files_never_raise(tmp_path_factory, text, h,
+                                            observable):
+    path = tmp_path_factory.mktemp("generated") / "generated.method"
+    path.write_text(text, encoding="utf-8")
+    common = ["--method", str(path), "--h", repr(h)]
+    for argv in (["conditions", *common],
+                 ["rates", *common, "--observable", observable],
+                 ["prob", *common, "--observable", observable, "--N-sweep",
+                  "2:1000:3", "--interval", "0.5:2"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv[0], text, h, code)

@@ -13,8 +13,8 @@ import numpy.testing as npt
 import pytest
 
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
-                                OscillatorParams, RateFunction,
-                                continuous_rate)
+                                OscillatorParams, continuous_rate,
+                                rate_infimum)
 from ldp_osc.sim import exact_steps, rotation, step_noise_covariance
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
                      terminal_position_law)
@@ -72,8 +72,8 @@ def test_variance_growth_rates():
 
 def test_continuous_rate_coefficients():
     params = OscillatorParams(alpha=2.0)
-    assert continuous_rate(MEAN_POSITION, params).coefficient == pytest.approx(1.0 / 12.0)
-    assert continuous_rate(MEAN_VELOCITY, params).coefficient == pytest.approx(0.25)
+    assert continuous_rate(MEAN_POSITION, params) == pytest.approx(1.0 / 12.0)
+    assert continuous_rate(MEAN_VELOCITY, params) == pytest.approx(0.25)
     with pytest.raises(ValueError):
         continuous_rate("positions", params)
 
@@ -84,25 +84,29 @@ def test_log_mgf_and_rate_are_legendre_duals():
         for alpha in (0.5, 1.0, 3.0):
             params = OscillatorParams(alpha=alpha)
             c = continuous_log_mgf_coefficient(observable, params)
-            coefficient = continuous_rate(observable, params).coefficient
+            coefficient = continuous_rate(observable, params)
             npt.assert_allclose(4.0 * c * coefficient, 1.0, rtol=1e-14)
 
 
 def test_rate_function_profile():
-    rate = RateFunction.quadratic(2.0)
-    assert rate(3.0) == 18.0
-    assert rate.infimum(-1.0, 2.0) == 0.0
-    assert rate.infimum(1.0, 2.0) == 2.0
-    assert rate.infimum(-5.0, -2.0) == 8.0
+    # y -> 2 y^2: the infimum sits at the end nearest 0, or at 0 inside
+    assert rate_infimum(2.0, -1.0, 2.0) == 0.0
+    assert rate_infimum(2.0, 1.0, 2.0) == 2.0
+    assert rate_infimum(2.0, -5.0, -2.0) == 8.0
+    assert rate_infimum(2.0, 1.5, math.inf) == 4.5
+    assert rate_infimum(2.0, -math.inf, -3.0) == 18.0
     with pytest.raises(ValueError):
-        rate.infimum(2.0, 1.0)
+        rate_infimum(2.0, 2.0, 1.0)
 
-    flat = RateFunction.degenerate()
-    assert flat.is_degenerate
-    assert flat(0.0) == 0.0
-    assert flat(1e-9) == math.inf
-    assert flat.infimum(-1.0, 1.0) == 0.0
-    assert flat.infimum(0.5, 1.0) == math.inf
+    # an infinite coefficient is the degenerate rate: 0 at 0, inf elsewhere
+    assert rate_infimum(math.inf, -1.0, 1.0) == 0.0
+    assert rate_infimum(math.inf, 0.0, 1.0) == 0.0
+    assert rate_infimum(math.inf, 0.5, 1.0) == math.inf
+    assert rate_infimum(math.inf, 1e-200, 1.0) == math.inf
+    assert rate_infimum(math.inf, -math.inf, -1e-9) == math.inf
+    assert rate_infimum(math.inf, 0.5, math.inf) == math.inf
+    with pytest.raises(ValueError):
+        rate_infimum(math.inf, 1.0, 0.5)
 
 
 def test_guards():
@@ -116,10 +120,6 @@ def test_guards():
         GaussianLaw(0.0, -1e-9)
     with pytest.raises(ValueError):
         mean_position_law(OscillatorParams(), 0.0)
-    with pytest.raises(ValueError):
-        RateFunction.quadratic(-1.0)
-    with pytest.raises(ValueError):
-        RateFunction("quadratic")
 
 
 def test_gaussian_law_scaled():
