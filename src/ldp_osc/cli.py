@@ -17,9 +17,11 @@ footer line) or a JSON document with `--format json`; `--out` writes the
 report to a file instead of stdout (for `search` it names the directory that
 receives one method file per hit).
 
-Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result,
-3 internal invariant violation. Worker threads for the samplers come from
-LDP_OSC_THREADS; results are bit-identical for any thread count.
+Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
+`msq` and `simulate` import the samplers (numpy and scipy) when they start;
+every other command runs on the standard library. Worker threads for the
+samplers come from LDP_OSC_THREADS; results are bit-identical for any
+thread count.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import os
 import sys
 import warnings
 
-from .ldp import InternalInvariantError, exact_preservation_search, \
-    observable_law, preservation_report, rate_function
+from .ldp import exact_preservation_search, observable_law, \
+    preservation_report, rate_function
 from .laws import DivergentMomentsError, interval_probability
 from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
     get_method, parse_method_file
@@ -463,9 +465,6 @@ def _main(argv):
     except (_NoApplicableResult, DivergentMomentsError) as exc:
         print(f"no applicable result: {exc}", file=sys.stderr)
         return 2
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,8 @@ MAX_N = 10 ** 9
 
 
 class DivergentMomentsError(ValueError):
-    """The moments overflow float64: the matrix powers diverge at this N."""
+    """The moments overflow float64 at this N: the matrix powers diverge
+    (det A > 1) or the noise covariance is too large."""
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,12 @@ def _augmented_moments(A, b, h, N, params):
             Q = _add_congruence(Q, P, Q)
             P = _product(P, P)
     if not all(math.isfinite(x) for M in (R, S) for row in M for x in row):
-        det = a11 * a22 - a12 * a21
+        rep = check_conditions(A, b)
+        cause = "the matrix powers diverge" if rep.excluded else \
+            "the noise covariance alpha^2 h b b^T is too large"
         raise DivergentMomentsError(
-            f"moments overflow float64 at N = {N} with det(A) = {det:.6g}: "
-            f"the matrix powers diverge")
+            f"moments overflow float64 at N = {N} with det(A) = {rep.det:.6g}: "
+            f"{cause}")
     # the full product R (x0, y0, 0): the third term sets a zero mean's sign
     mean = tuple(r0 * params.x0 + r1 * params.y0 + r2 * 0.0 for r0, r1, r2 in R)
     if not all(map(math.isfinite, mean)):

@@ -10,12 +10,15 @@ that is 0 at y = 0 and infinite elsewhere. A method preserves the decay rate
 exactly when the modified rate equals the continuous one for every step size,
 asymptotically when the gap closes as the step is refined.
 
-`preservation_report` decides between those outcomes from the admissible
-steps of a sweep (it skips the steps without a decay rate), and upgrades a
-numerically exact verdict to an identity-level one when the closed forms
-are equal as functions of h, which exact arithmetic over h, pi and
-exp(i r h) decides. `exact_preservation_search` scans a quadratic
-perturbation family of the rotation step (the ansatz of
+A step has no decay rate when det A > 1, when its eigenvalues are real, when
+c leaves the float64 range, or when det = 1 holds only within tolerance and
+the numerator S or T of c is not positive; `_log_mgf` raises ValueError
+naming which. `preservation_report` checks that the sweep decreases, decides
+between those outcomes from the steps that have a rate (it skips the
+others), and upgrades a numerically exact verdict to an identity-level one
+when the closed forms are equal as functions of h, which exact arithmetic
+over h, pi and exp(i r h) decides. `exact_preservation_search` scans a
+quadratic perturbation family of the rotation step (the ansatz of
 `methods.ansatz_coefficients`) for methods that preserve a rate exactly,
 deciding each rational point by the same identity test, written once over
 the family's parameters.
@@ -52,11 +55,6 @@ DEFAULT_H_SWEEP = tuple(2.0 ** -k for k in range(7))
 EXACT_TOL = 1e-10
 
 _DEFAULT_PARAMS = OscillatorParams()
-
-
-class InternalInvariantError(RuntimeError):
-    """A quantity that is provably positive for admissible coefficients came
-    out nonpositive; the inputs violate an assumption rather than a tolerance."""
 
 
 def symplectic_numerators(A, b):
@@ -114,13 +112,15 @@ def _log_mgf(method, h, observable):
         raise ValueError(f"{method.name} at h = {h:g}: the log-MGF coefficient "
                          "is out of the float64 range")
     if rep.a2:
+        # det = 1 is met within a tolerance, so tr can reach 2 and beyond
         S, T = symplectic_numerators(A, b)
-        if observable == MEAN_POSITION and not S > 0.0:
-            raise InternalInvariantError(
-                f"position numerator S = {S:.6g} <= 0 for {method.name} at h = {h:g}")
-        if observable != MEAN_POSITION and not T > 0.0:
-            raise InternalInvariantError(
-                f"velocity numerator T = {T:.6g} <= 0 for {method.name} at h = {h:g}")
+        what, value = ("position numerator S", S) if observable == MEAN_POSITION \
+            else ("velocity numerator T", T)
+        if not value > 0.0:
+            raise ValueError(
+                f"{method.name} at h = {h:g}: {what} = {value:.6g} <= 0 at "
+                f"tr = {rep.tr!r} (S and T are positive only for |tr| < 2), "
+                "so no decay rate exists")
     return c, REGIME_VOLUME_PRESERVING if rep.a2 else REGIME_CONTRACTIVE
 
 
@@ -174,8 +174,6 @@ class PreservationReport:
     so no proof was attempted.
     """
 
-    method_name: str
-    observable: str
     h_values: tuple
     target: float
     gaps: tuple
@@ -188,12 +186,10 @@ class PreservationReport:
 
 def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
                         params=_DEFAULT_PARAMS):
-    """Classify each step of the sweep once, skipping the steps without a
-    decay rate, and judge the admissible ones, which must decrease."""
+    """Check that the sweep decreases, classify each step once, skipping the
+    steps without a decay rate, and judge the admissible ones."""
     check_observable(observable)
-    sweep = tuple(float(h) for h in h_values)
-    if len(sweep) < 2:
-        decreasing_sweep(sweep)  # raises: one step is no refinement
+    sweep = decreasing_sweep(h_values)
     target = continuous_rate(observable, params)
     hs, steps, skipped = [], [], []
     for h in sweep:
@@ -208,7 +204,6 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
     relative = [g / target for g in gaps]
     verdict = proof = None
     if len(hs) >= 2:
-        decreasing_sweep(hs)
         if all(g <= EXACT_TOL for g in relative):
             proof = _symbolic_exact(method, observable)
         if math.inf in gaps:  # a degenerate modified rate
@@ -223,9 +218,9 @@ def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
             verdict = VERDICT_ASYMPTOTIC
         else:
             verdict = VERDICT_NONE
-    return PreservationReport(method.name, observable, tuple(hs), target,
-                              gaps, verdict, proof == PROOF_PROVED, proof,
-                              tuple(steps), tuple(skipped))
+    return PreservationReport(tuple(hs), target, gaps, verdict,
+                              proof == PROOF_PROVED, proof, tuple(steps),
+                              tuple(skipped))
 
 
 def _decays_to_zero(gaps):

@@ -35,6 +35,9 @@ Expression grammar (EBNF):
                | ( "sin" | "cos" ) , "(" , expression , ")"
                | "(" , expression , ")" ;
     number     = digits , [ "." , digits ] , [ ( "e" | "E" ) , [ sign ] , digits ] ;
+
+Every number is a float64, like every coefficient, so integer arithmetic
+beyond 2^53 is not exact and 10^400 overflows.
 """
 
 from __future__ import annotations
@@ -290,8 +293,9 @@ class Exact:
         return power if k >= 0 else 1 / power
 
     def __rpow__(self, base):
-        raise ProofDeclined(f"{base}**{self} is not a rational function of h, "
-                            "sin and cos")
+        # literals are floats: name 2**h as written, not 2.0**h
+        raise ProofDeclined(f"{str(base).removesuffix('.0')}**{self} is not a "
+                            "rational function of h, sin and cos")
 
     def trig(self, kind):
         """sin or cos of self, which must be 0 or a rational multiple r h of h:
@@ -487,10 +491,8 @@ class ConditionBDiagnostics:
 
 
 def condition_b_diagnostics(method, h_values):
-    hs = tuple(float(h) for h in h_values)
-    # an inadmissible step is reported before a misordered sweep
+    hs = decreasing_sweep(h_values)
     pairs = [evaluate(method, h) for h in hs]
-    decreasing_sweep(hs)
     if hs[0] * hs[0] == math.inf:
         raise ValueError(f"{method.name}: step {hs[0]:g}: r1 and r3 need h^2 "
                          "to be a finite float")
@@ -606,18 +608,29 @@ def ansatz_expressions(c11, c22, sigma, d1, d2):
         f"{float(d1):g}*h", affine("1", d2, "h"))))
 
 
+def _family_method(family, value, description=None):
+    """`beta:<value>` or `theta:<value>`, described by the family unless a
+    description is given."""
+    if family == "beta":
+        return MethodDef(f"beta:{value:g}", _beta_coefficients(value),
+                         description or "one-parameter volume-preserving family",
+                         (0.0, 2.0))
+    h_range = (0.0, math.inf) if value >= 0.5 else (0.0, 1.0)
+    return MethodDef(f"theta:{value:g}", _theta_coefficients(value),
+                     description or "drift-implicit family", h_range)
+
+
 def _build_catalog():
     entries = [
         MethodDef("em", _em_coefficients,
                   "explicit Euler step; det = 1 + h^2 > 1, so matrix powers grow "
                   "and laws stay float-representable only for small h",
                   (0.0, 1.0)),
-        MethodDef("beta:0", _beta_coefficients(0.0),
-                  "one-parameter volume-preserving family at beta = 0", (0.0, 2.0)),
-        MethodDef("beta:0.5", _beta_coefficients(0.5),
-                  "midpoint rule (beta = 1/2)", (0.0, 2.0)),
-        MethodDef("beta:1", _beta_coefficients(1.0),
-                  "one-parameter volume-preserving family at beta = 1", (0.0, 2.0)),
+        _family_method("beta", 0.0, "one-parameter volume-preserving family "
+                                    "at beta = 0"),
+        _family_method("beta", 0.5, "midpoint rule (beta = 1/2)"),
+        _family_method("beta", 1.0, "one-parameter volume-preserving family "
+                                    "at beta = 1"),
         MethodDef("ex", _ex_coefficients,
                   "EX: exact free flow, plain noise vector (0, 1)", (0.0, math.pi)),
         MethodDef("int", _int_coefficients,
@@ -626,9 +639,8 @@ def _build_catalog():
         MethodDef("opt", _opt_coefficients,
                   "OPT: exact free flow, noise vector fitted to the step-average kernel",
                   (0.0, math.pi)),
-        MethodDef("theta:1", _theta_coefficients(1.0),
-                  "drift-implicit family at theta = 1; det = 1/(1+h^2) < 1",
-                  (0.0, math.inf)),
+        _family_method("theta", 1.0, "drift-implicit family at theta = 1; "
+                                     "det = 1/(1+h^2) < 1"),
         MethodDef("pc-pem-mr", _pc_pem_mr_coefficients,
                   "predictor-corrector PC(PEM-MR)", (0.0, math.sqrt(2.0))),
         MethodDef("pc-em-bem", _pc_em_bem_coefficients,
@@ -662,15 +674,7 @@ def get_method(identifier):
             raise ValueError(f"bad {family} parameter {param!r}") from None
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{family} parameter must lie in [0, 1], got {value:g}")
-        name = f"{family}:{value:g}"
-        if name in _CATALOG:
-            return _CATALOG[name]
-        if family == "beta":
-            return MethodDef(name, _beta_coefficients(value),
-                             "one-parameter volume-preserving family", (0.0, 2.0))
-        h_range = (0.0, math.inf) if value >= 0.5 else (0.0, 1.0)
-        return MethodDef(name, _theta_coefficients(value),
-                         "drift-implicit family", h_range)
+        return _CATALOG.get(f"{family}:{value:g}") or _family_method(family, value)
     raise ValueError(
         f"unknown method {identifier!r}; available: {', '.join(_CATALOG)}")
 
@@ -791,10 +795,7 @@ class _ExprParser:
         tok = self._next()
         kind, text, _ = tok
         if kind == "num":
-            as_float = float(text)
-            value = int(as_float) if as_float.is_integer() and "e" not in text.lower() \
-                and "." not in text else as_float
-            return lambda h, v=value: v
+            return lambda h, v=float(text): v
         if kind == "name":
             if text == "h":
                 return lambda h: h

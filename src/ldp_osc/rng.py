@@ -19,13 +19,15 @@ one contiguous row, and it runs the whole chain above in place in that buffer
 and a caller-owned uint64 scratch pair. Both samplers take their noise from
 `step_normals`, which owns the keys, the buffers and the chunk loop.
 
-scipy.special, which provides ndtri, takes about 0.4 s to import and only
-sampling needs it, so it is imported on first use (`load_ndtri`).
+Only `sim` imports this module, and only the samplers import `sim`, so
+scipy.special (about 0.4 s to import) loads with them, in the thread that
+imports `sim`, and never for a deterministic command.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -36,16 +38,6 @@ _TWO_POW_MINUS_53 = 1.0 / 9007199254740992.0
 # draws per stream that a sampler takes in one fill_normals call: a chunk for
 # a block of 4096 paths is 16 x 4096 float64, 0.5 MiB
 CHUNK_ROWS = 16
-
-
-def load_ndtri():
-    """scipy's inverse normal CDF, importing scipy.special on the first call.
-
-    Samplers call this in their calling thread before they start workers, so
-    no pool thread runs the import.
-    """
-    from scipy.special import ndtri
-    return ndtri
 
 
 def mix64(z, out=None, tmp=None):
@@ -105,7 +97,7 @@ def fill_normals(keys, start, out, work):
     (2, count, len(keys)) used as scratch. Apart from a count-long counter
     row, nothing is allocated.
     """
-    return load_ndtri()(_fill_uniforms(keys, start, out, work), out=out)
+    return ndtri(_fill_uniforms(keys, start, out, work), out=out)
 
 
 def step_normals(seed, lo, hi, steps, per_step):

@@ -11,7 +11,8 @@ per-path result arrays; all summary reductions run once, in the calling
 thread, over the assembled arrays. Validation and warnings also stay in the
 calling thread. `msq_order`'s reference paths come from `exact_steps`, which
 samples the exact one-step law of the oscillator. Only this module and `rng`
-import numpy.
+import numpy, and `rng` imports scipy, so importing this module is the one
+point where both load.
 """
 
 from __future__ import annotations
@@ -155,7 +156,6 @@ def _run_blocks(samples, task):
     finished; a task's exception re-raises in the caller."""
     los = range(0, samples, BLOCK)
     his = [min(lo + BLOCK, samples) for lo in los]
-    rng.load_ndtri()  # every task draws normals; import scipy in this thread
     with ThreadPoolExecutor(min(thread_count(), len(los))) as pool:
         list(pool.map(task, los, his))
 
@@ -246,8 +246,6 @@ def _summarize(values):
 
 @dataclass(frozen=True)
 class MsqReport:
-    method_name: str
-    T0: float
     h_values: tuple
     steps: tuple
     errors: tuple
@@ -302,8 +300,8 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
         if not mean_sq > 0.0:
             raise ValueError(f"zero strong error at h = {h:g}; nothing to fit")
         errors.append(math.sqrt(mean_sq))
-    return MsqReport(method.name, float(T0), hs, tuple(r[1] for r in runs),
-                     tuple(errors), fit_loglog_slope(hs, errors))
+    return MsqReport(hs, tuple(r[1] for r in runs), tuple(errors),
+                     fit_loglog_slope(hs, errors))
 
 
 def _msq_block(params, h, steps, seed, A, b, worst, lo, hi):

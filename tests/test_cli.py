@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -182,16 +183,6 @@ def test_usage_errors_exit_1(capsys):
         (["rates", "--method", "beta:0.5"], "provide --h or --h-sweep"),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
-
-
-def test_internal_invariant_violation_exits_3(capsys, monkeypatch):
-    def violate(args):
-        raise cli.InternalInvariantError("S = -1 <= 0 for beta:0.5 at h = 0.5")
-
-    monkeypatch.setattr(cli, "_cmd_rates", violate)
-    assert run_cli(["rates", "--method", "beta:0.5", "--h", "0.5"], capsys) \
-        == (3, "", "internal invariant violated: S = -1 <= 0 for beta:0.5 "
-                   "at h = 0.5\n")
 
 
 def test_prob_midpoint_rate_column(capsys):
@@ -882,6 +873,11 @@ _ROTATION_FILE = ("name = rotation\nh_range = 0:3\na11 = cos(h)\na12 = sin(h)\n"
                   "a21 = -sin(h)\na22 = cos(h)\nb1 = 0\nb2 = {}\n")
 
 
+# det = 1 within its tolerance, but tr = 2 + 2e-14 lies outside |tr| < 2
+_NEAR_DEGENERATE_FILE = ("h_range = 0:2\na11 = 1 + 1e-14\na12 = h\n"
+                         "a21 = -2e-13\na22 = 1 + 1e-14\nb1 = 1\nb2 = 1e-14/h\n")
+
+
 def _method_path(tmp_path, text):
     path = tmp_path / "method.method"
     path.write_text(text, encoding="utf-8")
@@ -968,6 +964,58 @@ def test_complex_coefficients_are_input_errors(tmp_path, capsys):
                    f"rotation: {message}\n")
 
 
+def test_literal_arithmetic_is_float64(tmp_path, capsys):
+    # 0*10^400 is 0 in exact integers, but 10^400 overflows float64
+    path = _method_path(tmp_path, _ROTATION_FILE.format("1 + 0*10^400"))
+    message = "rotation: coefficients hit overflow at h = 0.5"
+    assert run_cli(["conditions", "--method", path, "--h", "0.5"], capsys) \
+        == (1, "", f"error: {message}\n")
+    assert run_cli(["rates", "--method", path, "--h", "0.5"], capsys) \
+        == (2, "", "no applicable result: no admissible step size for "
+                   f"rotation: {message}\n")
+
+
+def test_proof_names_a_literal_base_as_written(tmp_path, capsys):
+    code, out, _ = _rates_on(tmp_path, capsys,
+                             _ROTATION_FILE.format("1 + 2^h - 2^h"),
+                             "--observable", "mean-velocity")
+    assert code == 0
+    assert out.endswith("\n# proof: declined: 2**h is not a rational function "
+                        "of h, sin and cos\n")
+
+
+def test_near_degenerate_volume_preserving_step_has_no_rate(tmp_path, capsys):
+    # det = 1 within its tolerance while tr > 2, so S and T come out negative
+    path = _method_path(tmp_path, _NEAR_DEGENERATE_FILE)
+    for observable, numerator in (("mean-position", "position numerator S"),
+                                  ("mean-velocity", "velocity numerator T")):
+        code, out, err = run_cli(["rates", "--method", path, "--h", "0.5",
+                                  "--observable", observable], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("no applicable result: no admissible step size "
+                              f"for method: method at h = 0.5: {numerator} = ")
+        assert err.endswith(" <= 0 at tr = 2.00000000000002 (S and T are "
+                            "positive only for |tr| < 2), so no decay rate "
+                            "exists\n")
+    code, out, err = run_cli(["prob", "--method", path, "--h", "0.5", "--N",
+                              "10", "--interval", "0.5:2"], capsys)
+    assert (code, err) == (0, "")
+    assert parse_csv(out)[0]["predicted"] == "nan"
+    assert "\n# no decay-rate prediction: method at h = 0.5: position " \
+        "numerator S = " in out
+
+
+def test_noise_overflow_is_not_blamed_on_the_powers(tmp_path, capsys):
+    # det(A) = 1, so the powers stay bounded; alpha^2 h b b^T overflows
+    path = _method_path(tmp_path, _ROTATION_FILE.format("1e160")
+                        .replace("b1 = 0", "b1 = 1e160"))
+    assert run_cli(["prob", "--method", path, "--h", "0.5", "--N", "10",
+                    "--interval", "0:1"], capsys) \
+        == (2, "", "no applicable result: moments overflow float64 at N = 10 "
+                   "with det(A) = 1: the noise covariance alpha^2 h b b^T is "
+                   "too large\n")
+
+
 def test_overflowing_log_mgf_coefficient_has_no_rate(tmp_path, capsys):
     overflow = ("rotation at h = 0.5: the log-MGF coefficient is out of the "
                 "float64 range")
@@ -1000,8 +1048,9 @@ def test_conditions_reject_a_step_whose_square_overflows(tmp_path, capsys):
 _LITERALS = st.one_of(
     st.sampled_from(["0", "1", "2", "0.5", "1e-12", "1e200"]),
     st.floats(min_value=0.0, max_value=1e200).map(repr))
-# exponents stay small literals: an integer power tower would not end
-_EXPONENTS = st.sampled_from(["0.5", "1.5", "(1/3)", "-0.5", "2", "3", "-1"])
+# literals are float64, so power towers end at once, in overflow or not
+_EXPONENTS = st.sampled_from(["0.5", "1.5", "(1/3)", "-0.5", "2", "3", "-1",
+                              "2^2^2^2", "10^10^9", "0.5^10^3"])
 
 
 def _extend(inner):
@@ -1026,12 +1075,43 @@ _METHOD_TEXTS = st.tuples(*(st.one_of(st.just(entry), _EXPRESSIONS)
                           for key, expr in zip(_ROTATION, exprs)))
 
 
+# the slowest generated command took about 3 ms (2-core x86_64, Python
+# 3.11); ten times that is below the 1 s resolution of signal.alarm, so each
+# command gets 1 s
+_COMMAND_SECONDS = 1
+
+
+class _Stall(Exception):
+    """A command ran past its time bound; no handler in the CLI catches it."""
+
+
+@contextlib.contextmanager
+def _time_bound(seconds):
+    """Raise _Stall in the calling (main) thread after `seconds`. POSIX only:
+    where there is no SIGALRM the command runs unbounded."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def stall(signum, frame):
+        raise _Stall(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stall)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_METHOD_TEXTS, st.floats(min_value=1e-6, max_value=1e200),
        st.sampled_from(cli.OBSERVABLES))
 # det = 1 + sin(h)^2 passes as 1 and tr = 2 exactly: c divides by 2 - tr
 @example("a11 = 1\na12 = sin(h)\na21 = -sin(h)\na22 = 1\nb1 = h^0.5\n"
          "b2 = 1\n", 1e-6, "mean-position")
+@example(_NEAR_DEGENERATE_FILE, 0.5, "mean-position")
 def test_generated_method_files_never_raise(tmp_path_factory, text, h,
                                             observable):
     path = tmp_path_factory.mktemp("generated") / "generated.method"
@@ -1042,6 +1122,7 @@ def test_generated_method_files_never_raise(tmp_path_factory, text, h,
                  ["prob", *common, "--observable", observable, "--N-sweep",
                   "2:1000:3", "--interval", "0.5:2"]):
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+                contextlib.redirect_stderr(io.StringIO()), \
+                _time_bound(_COMMAND_SECONDS):
             code = cli.main(argv)
         assert code in (0, 1, 2), (argv[0], text, h, code)

@@ -233,6 +233,11 @@ def test_preservation_report_requires_decreasing_sweep():
         preservation_report(get_method("ex"), MEAN_POSITION, h_values=[0.1, 0.2])
     with pytest.raises(ValueError):
         preservation_report(get_method("ex"), MEAN_POSITION, h_values=[0.5])
+    # the order is checked before the steps: h = 3 has no rate on beta:0.5,
+    # and (0.5, 0.25) alone would decrease
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        preservation_report(get_method("beta:0.5"), MEAN_POSITION,
+                            h_values=(0.5, 3.0, 0.25))
 
 
 def test_preservation_report_skips_inadmissible_steps():

@@ -170,6 +170,10 @@ def test_condition_b_diagnostics_requires_decreasing_grid():
         condition_b_diagnostics(get_method("ex"), [0.1, 0.2])
     with pytest.raises(ValueError):
         condition_b_diagnostics(get_method("ex"), [0.1])
+    # the order is checked before the steps, so h = 3, outside (0, 2), is
+    # not what is reported
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        condition_b_diagnostics(get_method("beta:0.5"), (0.5, 3.0, 0.25))
 
 
 def test_catalog_determinant_classes():
