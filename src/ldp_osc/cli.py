@@ -18,20 +18,23 @@ report to a file instead of stdout (for `search` it names the directory that
 receives one method file per hit).
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
-`msq` and `simulate` import the samplers (numpy and scipy) when they start;
-every other command runs on the standard library. Worker threads for the
-samplers come from LDP_OSC_THREADS; results are bit-identical for any
-thread count.
+`msq` and `simulate` check `--method` first and then import the samplers
+(numpy and scipy); every other command runs on the standard library. Worker
+threads for the samplers come from LDP_OSC_THREADS; results are
+bit-identical for any thread count. The parser is built on the first
+`main()` call and reused by every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -60,6 +63,13 @@ class _NoApplicableResult(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-inf:0" or "-0.5:0.5" after a space as an option
+        # flag; no option name holds a colon, so such a token is a value
+        self._negative_number_matcher = re.compile(
+            r"^-\d+$|^-\d*\.\d+$|^-[^-].*:")
+
     # argparse exits with status 2 on bad usage; route it through the single
     # exit-code policy in main() instead
     def error(self, message):
@@ -279,11 +289,12 @@ def _cmd_prob(args):
 
 
 def _cmd_msq(args):
-    from .sim import msq_order  # the samplers import numpy and scipy
     method = _resolve_method(args.method)
     params = _params(args)
-    report = msq_order(method, _h_values(args, MSQ_SWEEP_POINTS), T0=args.T0,
-                       samples=args.samples, seed=args.seed, params=params)
+    hs = _h_values(args, MSQ_SWEEP_POINTS)
+    from .sim import msq_order  # the samplers import numpy and scipy
+    report = msq_order(method, hs, T0=args.T0, samples=args.samples,
+                       seed=args.seed, params=params)
     rows = [{"h": h, "steps": steps, "error": err}
             for h, steps, err in zip(report.h_values, report.steps, report.errors)]
     footers = [f"method: {method.name}",
@@ -294,18 +305,19 @@ def _cmd_msq(args):
 
 
 def _cmd_simulate(args):
-    from .sim import SimConfig, simulate_paths
     method = _resolve_method(args.method)
     params = _params(args)
+    from .sim import SimConfig, simulate_paths
     config = SimConfig(method=method, h=args.h, steps=args.N,
                        samples=args.samples, seed=args.seed, params=params)
+    observables = (("mean-position", "position"), ("mean-velocity", "velocity"))
+    # the laws go first: a law with no result ends the command before sampling
+    laws = [observable_law(method, observable, args.h, args.N, params)
+            if args.N >= 2 else None for observable, _ in observables]
     result = simulate_paths(config)
     rows = []
-    for observable, stats in (("mean-position", result.summary["position"]),
-                              ("mean-velocity", result.summary["velocity"])):
-        law = None
-        if args.N >= 2:
-            law = observable_law(method, observable, args.h, args.N, params)
+    for (observable, key), law in zip(observables, laws):
+        stats = result.summary[key]
         rows.append({
             "observable": observable,
             "samples": config.samples,
@@ -379,6 +391,7 @@ def _add_steps(parser):
                         help="explicit geometric step sweep")
 
 
+@functools.cache  # parse_args keeps no state, so every call can share one
 def _build_parser():
     parser = _Parser(prog="ldp-osc",
                      description="long-horizon decay-rate analysis of one-step "

@@ -93,8 +93,9 @@ def fill_normals(keys, start, out, work):
     """Step-major normal draws in caller-owned buffers; returns `out`.
 
     out is a float64 array of shape (count, len(keys)): row k receives draw
-    start + k of every stream. work is a uint64 array of shape
-    (2, count, len(keys)) used as scratch. Apart from a count-long counter
+    start + k of every stream. work is a pair of uint64 scratch arrays
+    shaped like out; the second may be out itself viewed as uint64, since out
+    is written only after its last read. Apart from a count-long counter
     row, nothing is allocated.
     """
     return ndtri(_fill_uniforms(keys, start, out, work), out=out)
@@ -114,13 +115,17 @@ def step_normals(seed, lo, hi, steps, per_step):
     keys = stream_keys(seed, np.arange(lo, hi))
     chunk = min(CHUNK_ROWS // per_step, steps)
     rows = np.empty((per_step * chunk, hi - lo))
-    work = np.empty((2,) + rows.shape, dtype=np.uint64)
-    return _chunks(keys, rows, work, steps, per_step, chunk)
+    bits = np.empty(rows.shape, dtype=np.uint64)
+    return _chunks(keys, rows, bits, steps, per_step, chunk)
 
 
-def _chunks(keys, rows, work, steps, per_step, chunk):
+def _chunks(keys, rows, bits, steps, per_step, chunk):
     done = 0
     while done < steps:
         used = per_step * min(chunk, steps - done)
-        yield fill_normals(keys, per_step * done, rows[:used], work[:, :used])
+        out = rows[:used]
+        # mix64's scratch is the chunk itself: fill_normals writes the chunk
+        # only after its last read of the scratch
+        yield fill_normals(keys, per_step * done, out,
+                           (bits[:used], out.view(np.uint64)))
         done += chunk

@@ -180,9 +180,19 @@ def test_usage_errors_exit_1(capsys):
          "--interval must have 2 colon-separated fields, got '0:1:2'"),
         (prob + ["--N", "10", "--interval", "a:1"],
          "bad number in --interval 'a:1'"),
+        (prob + ["--N", "10", "--interval", "-x:1"],
+         "bad number in --interval '-x:1'"),
         (["rates", "--method", "beta:0.5"], "provide --h or --h-sweep"),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("interval", ["-inf:0", "-1.1:-0.9", "-0.5:0.5"])
+def test_negative_interval_bound_after_a_space(interval, capsys):
+    prob = ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "100"]
+    spaced = run_cli(prob + ["--interval", interval], capsys)
+    assert spaced == run_cli(prob + [f"--interval={interval}"], capsys)
+    assert spaced[0] == 0
 
 
 def test_prob_midpoint_rate_column(capsys):
@@ -362,6 +372,56 @@ def test_N_sweep_values_are_python_ints():
     assert [type(v) for v in values] == [int, int, int]
     # exact conversions of the float grid, where an int64 cast would wrap
     assert values == [10, 3162277660168380, int(1e30)]
+
+
+def test_shared_parser_leaks_no_state(capsys, monkeypatch):
+    session = [
+        ["rates", "--h", "0.5"],  # usage error: --method is required
+        ["rates", "--method", "m2", "--h", "0.5", "--format", "json"],
+        ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "100",
+         "--interval", "0.9:1.1"],
+        ["search", "--observable", "mean-velocity"],
+        ["catalog"],
+        ["rates", "--h", "0.5"],
+        ["rates", "--method", "m2", "--h", "0.5"],  # CSV after the JSON run
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        alone = [run_cli(argv, capsys) for argv in session]
+    assert alone[0][0] == 1 and alone[-1][1] != alone[1][1]
+
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.__wrapped__()
+    per_build = len(built)
+    assert per_build == 8  # the top-level parser and its 7 subcommands
+    del built[:]
+    cli._build_parser.cache_clear()
+    assert [run_cli(argv, capsys) for argv in session] == alone
+    assert len(built) == per_build
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import ldp_osc.cli\n"
+        "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0"]
 
 
 @pytest.mark.parametrize("steps", [["--N", "1000000000000000000"],
@@ -658,6 +718,10 @@ def test_only_the_samplers_import_numpy(tmp_path):
                 "--samples", "10"]
     for argv in (msq, simulate):
         assert _modules_after([argv]) == [[0], [True] * 3]
+    # an unknown method is refused before the samplers load
+    for argv in (["msq", "--method", "nope", "--h", "0.1"],
+                 ["simulate", "--method", "nope", "--h", "0.1", "--N", "10"]):
+        assert _modules_after([argv]) == [[1], [False] * 3]
 
 
 def test_probabilities_run_where_scipy_cannot_be_imported():
@@ -1012,6 +1076,23 @@ def test_noise_overflow_is_not_blamed_on_the_powers(tmp_path, capsys):
     assert run_cli(["prob", "--method", path, "--h", "0.5", "--N", "10",
                     "--interval", "0:1"], capsys) \
         == (2, "", "no applicable result: moments overflow float64 at N = 10 "
+                   "with det(A) = 1: the noise covariance alpha^2 h b b^T is "
+                   "too large\n")
+
+
+def test_simulate_stops_on_a_law_without_result_before_sampling(
+        tmp_path, capsys, monkeypatch):
+    from ldp_osc import sim
+
+    def no_sampling(config):
+        raise AssertionError("sampled before the laws were computed")
+
+    monkeypatch.setattr(sim, "simulate_paths", no_sampling)
+    path = _method_path(tmp_path, _ROTATION_FILE.format("1e160")
+                        .replace("b1 = 0", "b1 = 1e160"))
+    assert run_cli(["simulate", "--method", path, "--h", "0.5", "--N", "200",
+                    "--samples", "10"], capsys) \
+        == (2, "", "no applicable result: moments overflow float64 at N = 200 "
                    "with det(A) = 1: the noise covariance alpha^2 h b b^T is "
                    "too large\n")
 

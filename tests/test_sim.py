@@ -345,6 +345,20 @@ def test_msq_memory_does_not_grow_with_step_count():
     assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
 
 
+@pytest.mark.parametrize("per_step", [1, 3])
+def test_step_normals_holds_a_chunk_and_one_scratch(per_step):
+    # mix64's second scratch is the chunk's own memory
+    paths = 4096
+    chunk_bytes = CHUNK_ROWS // per_step * per_step * paths * 8
+
+    def run():
+        for _ in step_normals(0, 0, paths, 64, per_step):
+            pass
+
+    run()  # warm caches outside the measurement
+    assert _peak_bytes(run) <= 2 * chunk_bytes + 64 * 1024
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_msq_memory_per_path_is_one_float(threads, monkeypatch):
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
