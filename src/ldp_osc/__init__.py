@@ -14,7 +14,7 @@ rest of the API lives in the submodules (`methods`, `laws`, `ldp`, `sim`,
 # methods is the largest module: compiled first, while the heap is smallest,
 # its parse memory is reused by the imports after it, which lowers peak RSS
 from .methods import get_method
-from .oscillator import OscillatorParams
+from .oscillator import OscillatorParams, SimConfig
 from .laws import interval_probability, law_NA_N, law_x_N
 from .ldp import exact_preservation_search, preservation_report, rate_function
 
@@ -28,7 +28,7 @@ __all__ = [
 
 
 def __getattr__(name):  # PEP 562: the samplers import numpy on first use
-    if name in ("SimConfig", "msq_order", "simulate_paths"):
+    if name in ("msq_order", "simulate_paths"):
         from . import sim
         return getattr(sim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,10 +18,10 @@ report to a file instead of stdout (for `search` it names the directory that
 receives one method file per hit).
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
-`msq` and `simulate` check `--method` first and then import the samplers
-(numpy and scipy); every other command runs on the standard library. Worker
-threads for the samplers come from LDP_OSC_THREADS; results are
-bit-identical for any thread count. The parser is built on the first
+`msq` checks `--method` and its sweep, and `simulate` its configuration and
+laws, before they import the samplers (numpy and scipy); every other
+command runs on the standard library. Worker threads for the samplers come
+from LDP_OSC_THREADS; results are bit-identical for any thread count. The parser is built on the first
 `main()` call and reused by every later call in the same process.
 """
 
@@ -44,7 +44,7 @@ from .laws import DivergentMomentsError, interval_probability
 from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
     get_method, parse_method_file
 from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
-    rate_infimum
+    SimConfig, rate_infimum
 
 SCHEMA = "ldp-osc/1"
 
@@ -307,13 +307,14 @@ def _cmd_msq(args):
 def _cmd_simulate(args):
     method = _resolve_method(args.method)
     params = _params(args)
-    from .sim import SimConfig, simulate_paths
     config = SimConfig(method=method, h=args.h, steps=args.N,
                        samples=args.samples, seed=args.seed, params=params)
     observables = (("mean-position", "position"), ("mean-velocity", "velocity"))
-    # the laws go first: a law with no result ends the command before sampling
+    # the laws go first: a law with no result ends the command before numpy
+    # and scipy load
     laws = [observable_law(method, observable, args.h, args.N, params)
             if args.N >= 2 else None for observable, _ in observables]
+    from .sim import simulate_paths  # the samplers import numpy and scipy
     result = simulate_paths(config)
     rows = []
     for (observable, key), law in zip(observables, laws):

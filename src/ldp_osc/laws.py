@@ -38,11 +38,7 @@ from typing import NamedTuple
 
 from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
     evaluate
-from .oscillator import GaussianLaw
-
-
-# largest N a finite-N law accepts: the precision budget is tested up to here
-MAX_N = 10 ** 9
+from .oscillator import MAX_N, GaussianLaw
 
 
 class DivergentMomentsError(ValueError):

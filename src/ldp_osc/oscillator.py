@@ -3,8 +3,9 @@
 Writing the state as (X, Y) with Y = X', the solution rotates the initial
 state and adds a Gaussian convolution integral. Everything here is closed
 form: the model's parameters, scalar Gaussian laws and the long-horizon
-decay rates of the two path observables. `sim.exact_steps` samples the exact
-solution step by step.
+decay rates of the two path observables, and the samplers' configuration
+(`SimConfig`), which the CLI checks before numpy loads. `sim.ExactPaths`
+samples the exact solution step by step.
 
 Every decay rate here is quadratic, y -> k y^2, so a rate is its coefficient
 k, a float. k = inf is the degenerate rate, 0 at y = 0 and infinite
@@ -15,7 +16,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+# largest step count N a finite-N law or a sampler accepts: the laws'
+# precision budget is tested up to here
+MAX_N = 10 ** 9
 
 MEAN_POSITION = "mean-position"
 MEAN_VELOCITY = "mean-velocity"
@@ -49,6 +54,28 @@ class OscillatorParams:
                 <= 1.0 / (3.0 * sys.float_info.min):
             raise ValueError("alpha^2 and 1/(3 alpha^2) must be finite normal "
                              f"floats, got alpha = {self.alpha}")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """A `sim.simulate_paths` run: `samples` paths of `steps` steps of size h."""
+
+    method: object
+    h: float
+    steps: int
+    samples: int
+    seed: int = 0
+    params: OscillatorParams = field(default_factory=OscillatorParams)
+
+    def __post_init__(self):
+        if not self.h > 0:
+            raise ValueError(f"step size must be positive, got {self.h}")
+        if self.steps < 1:
+            raise ValueError(f"need at least one step, got {self.steps}")
+        if self.steps > MAX_N:
+            raise ValueError(f"need at most {MAX_N:.0e} steps, got {self.steps}")
+        if self.samples < 1:
+            raise ValueError(f"need at least one sample, got {self.samples}")
 
 
 @dataclass(frozen=True)

@@ -101,9 +101,9 @@ def fill_normals(keys, start, out, work):
     return ndtri(_fill_uniforms(keys, start, out, work), out=out)
 
 
-def step_normals(seed, lo, hi, steps, per_step):
+def step_normals(seed, lo, hi, steps, per_step, chunk_rows=CHUNK_ROWS):
     """Draws of paths lo..hi-1 for `steps` steps of `per_step` draws each,
-    step-major, CHUNK_ROWS // per_step steps per chunk.
+    step-major, chunk_rows // per_step steps per chunk.
 
     Allocates the keys and buffers now and returns an iterator over the
     chunks. Each chunk is a (per_step * count, hi - lo) view of one reused
@@ -113,7 +113,7 @@ def step_normals(seed, lo, hi, steps, per_step):
     one refills it.
     """
     keys = stream_keys(seed, np.arange(lo, hi))
-    chunk = min(CHUNK_ROWS // per_step, steps)
+    chunk = min(chunk_rows // per_step, steps)
     rows = np.empty((per_step * chunk, hi - lo))
     bits = np.empty(rows.shape, dtype=np.uint64)
     return _chunks(keys, rows, bits, steps, per_step, chunk)

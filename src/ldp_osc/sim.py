@@ -5,34 +5,53 @@ random stream keyed by (seed, path index), so results are bit-identical for
 any thread count and any block partition. Both samplers run on one block
 engine, `_run_blocks`, which maps a per-block task over fixed-size blocks of
 BLOCK paths on a thread pool. A task keeps its paths in a `_Paths`, whose
-`step` is every sampler's linear update, works in buffers sized by the
-block, never by the sample count, and writes only its own slice of the
-per-path result arrays; all summary reductions run once, in the calling
-thread, over the assembled arrays. Validation and warnings also stay in the
-calling thread. `msq_order`'s reference paths come from `exact_steps`, which
-samples the exact one-step law of the oscillator. Only this module and `rng`
-import numpy, and `rng` imports scipy, so importing this module is the one
-point where both load.
+`step` is every sampler's linear update, and works in buffers sized by the
+block, never by the sample count. Validation and warnings stay in the
+calling thread.
+
+`simulate_paths` writes each block's slice of the per-path result arrays and
+summarizes the assembled arrays once, in the calling thread. `msq_order`
+runs the step sizes of a sweep together, up to MSQ_PASS per pass of
+`_run_blocks`, so each normal is drawn once per pass: step k reads the same
+counter slots at every step size, and one noise stream per block feeds every
+step size whose step count reaches it. Each step size keeps its own exact
+paths (`ExactPaths`, which sample the exact one-step law of the oscillator)
+and method paths, the blocks of a pass take turns at stepping while the
+others draw, and each block reduces its per-path worst squared errors to an
+exact sum (`_exact_sum`). So `msq` memory grows neither with the
+sample count nor as h shrinks, and its mean square error is the exact mean,
+rounded once, for any block split or thread count.
+
+Only this module and `rng` import numpy, and `rng` imports scipy, so
+importing this module is the one point where both load.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import rng
-from .laws import MAX_N
 from .methods import decreasing_sweep, evaluate
-from .oscillator import OscillatorParams
+from .oscillator import MAX_N, OscillatorParams
 
 # paths per thread task
 BLOCK = 4096
+
+# step sizes per `msq` pass, and steps per noise chunk of a pass: a step
+# size keeps five BLOCK-long arrays (its exact and method states and the
+# worst errors), and 2-step chunks keep a block of a full pass within the
+# memory that one step size took with 16-row chunks
+MSQ_PASS = 5
+MSQ_CHUNK_STEPS = 2
 
 # Below this step the one-step noise covariance is numerically singular.
 MIN_STEP = 1e-8
@@ -41,7 +60,8 @@ _DEFAULT_PARAMS = OscillatorParams()
 
 
 def thread_count():
-    """Worker count: LDP_OSC_THREADS if set, else min(8, cpu count)."""
+    """Worker count: LDP_OSC_THREADS if set, else min(8, the number of CPUs
+    this process may run on)."""
     env = os.environ.get("LDP_OSC_THREADS")
     if env is not None:
         try:
@@ -51,6 +71,8 @@ def thread_count():
         if n < 1:
             raise ValueError(f"LDP_OSC_THREADS must be an integer >= 1, got {env!r}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -80,12 +102,17 @@ def _symmetric_sqrt(C):
 
 
 class _Paths:
-    """The state (x, y) of a block of paths and the scratch its step needs."""
+    """The state (x, y) of a block of paths and the scratch its step needs.
 
-    def __init__(self, params, n):
+    The scratch is a list [new_x, new_y, tmp] of arrays shaped like x; paths
+    that step in turn on one thread may share one list.
+    """
+
+    def __init__(self, params, n, scratch=None):
         self.x = np.full(n, float(params.x0))
         self.y = np.full(n, float(params.y0))
-        self._new_x, self._new_y, self._tmp = (np.empty(n) for _ in range(3))
+        self._scratch = [np.empty(n) for _ in range(3)] if scratch is None \
+            else scratch
 
     def step(self, M, u, v):
         """(x, y) <- M (x, y) + (u, v), in place.
@@ -93,7 +120,7 @@ class _Paths:
         Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
         bit-for-bit reproducibility rests on.
         """
-        new_x, new_y, tmp = self._new_x, self._new_y, self._tmp
+        new_x, new_y, tmp = self._scratch
         np.multiply(M[0][0], self.x, out=new_x)
         np.multiply(M[0][1], self.y, out=tmp)
         new_x += tmp
@@ -102,8 +129,8 @@ class _Paths:
         np.multiply(M[1][1], self.y, out=tmp)
         new_y += tmp
         new_y += v
-        self.x, self._new_x = new_x, self.x
-        self.y, self._new_y = new_y, self.y
+        self._scratch[:2] = self.x, self.y
+        self.x, self.y = new_x, new_y
 
 
 def check_step(delta):
@@ -115,69 +142,46 @@ def check_step(delta):
             f"step {delta} below {MIN_STEP}: noise covariance is numerically singular")
 
 
-def exact_steps(params, delta, steps, lo, hi, *, seed=0):
-    """Advance the exact trajectories of paths lo..hi-1 by `steps` steps of
-    size `delta`, yielding (dw, x, y) after each step.
+class ExactPaths(_Paths):
+    """Exact trajectories (X, Y) of the oscillator for a block of paths,
+    advanced in steps of size delta.
 
     Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
     3x3 covariance (symmetric square root factorization L), then applies
-    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). Step k consumes counter slots
-    3k, 3k+1 and 3k+2 of each path's stream, keyed by the global path index,
-    so the draws do not depend on how the paths are split into blocks.
-
-    The draws come from `rng.step_normals`, `rng.CHUNK_ROWS // 3` steps per
-    chunk: step j of a chunk is rows 3j..3j+2, and its triple is L times
-    those rows. Memory is O(hi - lo) whatever `steps` is: the yielded arrays
-    are reused buffers, valid until the generator advances.
+    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). The caller passes the
+    standard normals; `msq` gives step k draws 3k, 3k+1 and 3k+2 of each
+    path's stream (`rng.step_normals` with per_step 3), keyed by the global
+    path index, so a path's draws depend neither on the block split nor on
+    the step sizes that share them.
     """
-    check_step(delta)
-    # the draw buffers go first: allocated after the state arrays, they
-    # raised the peak RSS of `msq`
-    chunks = rng.step_normals(seed, lo, hi, steps, 3)
-    L = _symmetric_sqrt(step_noise_covariance(delta))
-    R = rotation(delta)
-    alpha = float(params.alpha)
-    n = hi - lo
-    tri = np.empty((3, n))
-    paths = _Paths(params, n)
-    u, v = np.empty(n), np.empty(n)
-    for draws in chunks:
-        for j in range(0, len(draws), 3):
-            np.matmul(L, draws[j:j + 3], out=tri)
-            np.multiply(alpha, tri[1], out=u)
-            np.multiply(alpha, tri[2], out=v)
-            paths.step(R, u, v)
-            yield tri[0], paths.x, paths.y
+
+    def __init__(self, params, delta, n, scratch=None):
+        check_step(delta)
+        super().__init__(params, n, scratch)
+        self._L = _symmetric_sqrt(step_noise_covariance(delta))
+        self._R = rotation(delta)
+        self._alpha = float(params.alpha)
+
+    def exact_step(self, draws, tri):
+        """Advance one step on `draws`, three rows of standard normals, and
+        return dW. tri is (3, n) scratch: dW is its row 0, and rows 1 and 2
+        are free again once this returns."""
+        np.matmul(self._L, draws, out=tri)
+        np.multiply(self._alpha, tri[1], out=tri[1])
+        np.multiply(self._alpha, tri[2], out=tri[2])
+        self.step(self._R, tri[1], tri[2])
+        return tri[0]
 
 
 def _run_blocks(samples, task):
     """Call task(lo, hi) for every BLOCK-path range of 0..samples-1 on a
-    thread pool of up to thread_count() workers, and return once all have
-    finished; a task's exception re-raises in the caller."""
+    thread pool of up to thread_count() workers, and return the tasks'
+    results in block order once all have finished; a task's exception
+    re-raises in the caller."""
     los = range(0, samples, BLOCK)
     his = [min(lo + BLOCK, samples) for lo in los]
     with ThreadPoolExecutor(min(thread_count(), len(los))) as pool:
-        list(pool.map(task, los, his))
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    method: object
-    h: float
-    steps: int
-    samples: int
-    seed: int = 0
-    params: OscillatorParams = field(default_factory=OscillatorParams)
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"step size must be positive, got {self.h}")
-        if self.steps < 1:
-            raise ValueError(f"need at least one step, got {self.steps}")
-        if self.steps > MAX_N:
-            raise ValueError(f"need at most {MAX_N:.0e} steps, got {self.steps}")
-        if self.samples < 1:
-            raise ValueError(f"need at least one sample, got {self.samples}")
+        return list(pool.map(task, los, his))
 
 
 @dataclass(frozen=True)
@@ -265,11 +269,13 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     drove the exact sampler, the squared state error is maximized over the
     grid, averaged over paths, and the root is fitted log-log against h.
 
-    Every step size is checked (and warned about) before any path runs. Each
-    step size runs its paths in BLOCK-path tasks (`_run_blocks`); each task
-    advances the exact and the method state of its paths together
-    (`_msq_block`), so memory is O(threads x BLOCK x CHUNK_ROWS) plus one
-    float64 per path, whatever the step size.
+    Every step size is checked (and warned about) before any path runs. The
+    step sizes run finest first, MSQ_PASS per pass of BLOCK-path tasks
+    (`_run_blocks`); each task advances the exact and the method state of
+    its paths at every step size of the pass together (`_msq_block`), so
+    memory is O(threads x BLOCK x MSQ_PASS) whatever the step sizes and the
+    sample count. The mean square error is the exact sum of the paths'
+    worst squared errors divided by `samples`, rounded once.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -291,12 +297,16 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                 stacklevel=2)
         check_step(h)
         runs.append((h, steps, *evaluate(method, h)))
-    worst = np.empty(samples)
+    finest_first = runs[::-1]
+    step_lock = threading.Lock()
+    mean_squares = []
+    for first in range(0, len(runs), MSQ_PASS):
+        group = finest_first[first:first + MSQ_PASS]
+        sums = _run_blocks(samples, partial(_msq_block, params, seed, group,
+                                            step_lock))
+        mean_squares += [_mean(column, samples) for column in zip(*sums)]
     errors = []
-    for h, steps, A, b in runs:
-        _run_blocks(samples, partial(_msq_block, params, h, steps, seed, A, b,
-                                     worst))
-        mean_sq = float(np.mean(worst))
+    for h, mean_sq in zip(hs, reversed(mean_squares)):
         if not mean_sq > 0.0:
             raise ValueError(f"zero strong error at h = {h:g}; nothing to fit")
         errors.append(math.sqrt(mean_sq))
@@ -304,24 +314,83 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                      fit_loglog_slope(hs, errors))
 
 
-def _msq_block(params, h, steps, seed, A, b, worst, lo, hi):
-    """Run paths lo..hi-1 of the method on the increments of their exact
-    trajectories; worst[lo:hi] receives each path's largest squared state
-    error over the grid."""
+def _msq_block(params, seed, runs, step_lock, lo, hi):
+    """Run paths lo..hi-1 of the method at every step size of `runs`, tuples
+    (h, steps, A, b) finest first, on the increments of their exact
+    trajectories; return, per step size, the `_exact_sum` of each path's
+    largest squared state error over the grid.
+
+    One noise stream covers the finest step count, MSQ_CHUNK_STEPS steps per
+    chunk, and each chunk feeds every step size whose step count reaches it.
+    Each step size runs the same operations, in the same order, as it would
+    alone. All paths share one step scratch and one (3, n) buffer, whose
+    rows 1 and 2 carry the exact noise, then the method's noise, then the
+    squared errors.
+
+    The blocks of a pass step their chunks in turn, under `step_lock`, and
+    draw the next chunk outside it. A step is many short numpy calls, each
+    of which hands the interpreter lock back and forth when two blocks step
+    at once; the draws are long calls that run in parallel with a step.
+    """
     n = hi - lo
-    nb1 = params.alpha * float(b[0])
-    nb2 = params.alpha * float(b[1])
-    paths = _Paths(params, n)
-    u, v = np.empty(n), np.empty(n)
-    block_worst = worst[lo:hi]
-    block_worst.fill(0.0)
-    for dw, ex, ey in exact_steps(params, h, steps, lo, hi, seed=seed):
-        np.multiply(nb1, dw, out=u)
-        np.multiply(nb2, dw, out=v)
-        paths.step(A, u, v)
-        np.subtract(paths.x, ex, out=u)
-        np.square(u, out=u)
-        np.subtract(paths.y, ey, out=v)
-        np.square(v, out=v)
-        u += v
-        np.maximum(block_worst, u, out=block_worst)
+    # the draw buffers go first: allocated after the state arrays, they
+    # raised the peak RSS of `msq`
+    chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, 3 * MSQ_CHUNK_STEPS)
+    tri = np.empty((3, n))
+    u, v = tri[1], tri[2]
+    scratch = [np.empty(n) for _ in range(3)]
+    states = [(steps, ExactPaths(params, h, n, scratch),
+               _Paths(params, n, scratch), A, params.alpha * float(b[0]),
+               params.alpha * float(b[1]), np.zeros(n))
+              for h, steps, A, b in runs]
+    done = 0
+    for draws in chunks:
+        count = len(draws) // 3
+        with step_lock:
+            for steps, exact, paths, A, nb1, nb2, worst in states:
+                for j in range(0, 3 * min(count, steps - done), 3):
+                    dw = exact.exact_step(draws[j:j + 3], tri)
+                    np.multiply(nb1, dw, out=u)
+                    np.multiply(nb2, dw, out=v)
+                    paths.step(A, u, v)
+                    np.subtract(paths.x, exact.x, out=u)
+                    np.square(u, out=u)
+                    np.subtract(paths.y, exact.y, out=v)
+                    np.square(v, out=v)
+                    u += v
+                    np.maximum(worst, u, out=worst)
+        done += count
+    return [_exact_sum(state[-1]) for state in states]
+
+
+def _exact_sum(values):
+    """The sum of the float64 `values` as an exact Fraction, or their float
+    sum (inf or nan) if one is not finite. Exact for fewer than 2**26 values.
+
+    Each value is d 2**(e - 53) with d an integer, |d| < 2**53, and e >=
+    -1073 (np.frexp). np.bincount sums the high and low halves of d (below
+    2**27 and 2**26) per exponent, exactly in float64, and the per-exponent
+    sums add up in Python integers, in units of 2**-1126.
+    """
+    if not np.isfinite(values).all():
+        return float(np.sum(values))
+    significand, exponent = np.frexp(values)
+    digits = np.ldexp(significand, 53)
+    high = np.floor(np.ldexp(digits, -26))
+    low = digits - np.ldexp(high, 26)
+    least = int(exponent.min())
+    bins = exponent - least
+    high_sums = np.bincount(bins, weights=high)
+    low_sums = np.bincount(bins, weights=low)
+    total = 0
+    for i in np.flatnonzero((high_sums != 0) | (low_sums != 0)):
+        total += ((int(high_sums[i]) << 26) + int(low_sums[i])) \
+            << (least + int(i) + 1073)
+    return Fraction(total, 1 << 1126)
+
+
+def _mean(sums, samples):
+    """The mean of `samples` values from their blocks' `_exact_sum`s, rounded
+    once; inf or nan if a block's sum is."""
+    nonfinite = [s for s in sums if isinstance(s, float)]
+    return sum(nonfinite) if nonfinite else float(sum(sums) / samples)

@@ -35,11 +35,11 @@ from ldp_osc.oscillator import (
     MEAN_POSITION,
     MEAN_VELOCITY,
     OscillatorParams,
+    SimConfig,
     continuous_rate,
     rate_infimum,
 )
-from ldp_osc.sim import SimConfig, fit_loglog_slope, msq_order, rotation, \
-    simulate_paths
+from ldp_osc.sim import fit_loglog_slope, msq_order, rotation, simulate_paths
 from oracles import finite_N_rate, mean_position_law
 
 PRESERVING = {VERDICT_EXACT, VERDICT_EXACT_NUMERIC, VERDICT_ASYMPTOTIC}

@@ -2,8 +2,8 @@
 
 The closed-form variances (test-side references in `oracles`) are checked
 against trapezoid quadrature of the defining kernel integrals, and the
-sampler (`exact_steps`) against both the closed-form terminal law and the
-one-step noise covariance.
+sampler (`ExactPaths`, stepped on the draws `msq` gives it) against both the
+closed-form terminal law and the one-step noise covariance.
 """
 
 import math
@@ -15,7 +15,8 @@ import pytest
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
-from ldp_osc.sim import exact_steps, rotation, step_noise_covariance
+from ldp_osc.rng import step_normals
+from ldp_osc.sim import ExactPaths, rotation, step_noise_covariance
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
                      terminal_position_law)
 
@@ -145,19 +146,26 @@ def test_step_noise_covariance_against_quadrature():
 
 
 def _exact_path(params, delta, steps, paths, seed):
-    # (dw, x, y) of every step, each of shape (steps, paths)
-    stream = exact_steps(params, delta, steps, 0, paths, seed=seed)
-    dw, x, y = zip(*((d.copy(), xs.copy(), ys.copy()) for d, xs, ys in stream))
+    # (dw, x, y) of every step, each of shape (steps, paths), stepped as
+    # `msq` steps it: three draws of each path's stream per step
+    exact = ExactPaths(params, delta, paths)
+    tri = np.empty((3, paths))
+    dw, x, y = [], [], []
+    for draws in step_normals(seed, 0, paths, steps, 3):
+        for j in range(0, len(draws), 3):
+            dw.append(exact.exact_step(draws[j:j + 3], tri).copy())
+            x.append(exact.x.copy())
+            y.append(exact.y.copy())
     return np.array(dw), np.array(x), np.array(y)
 
 
 def test_sampler_guards():
     params = OscillatorParams()
     with pytest.raises(ValueError):
-        next(exact_steps(params, 0.0, 5, 0, 1))
+        ExactPaths(params, 0.0, 1)
     with pytest.raises(ValueError):
-        next(exact_steps(params, 1e-9, 5, 0, 1))
-    assert list(exact_steps(params, 0.5, 0, 0, 1)) == []
+        ExactPaths(params, 1e-9, 1)
+    assert list(step_normals(0, 0, 1, 0, 3)) == []
 
 
 def test_sampler_matches_terminal_law():

@@ -2,23 +2,25 @@
 
 import hashlib
 import math
+import os
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracles
-from ldp_osc import cli, sim
+from ldp_osc import cli, rng, sim
 from ldp_osc.ldp import observable_law
 from ldp_osc.methods import get_method
-from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams
+from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams, \
+    SimConfig
 from ldp_osc.rng import CHUNK_ROWS, _fill_uniforms, fill_normals, mix64, \
     step_normals, stream_keys
 from ldp_osc.sim import (
     MsqReport,
-    SimConfig,
     fit_loglog_slope,
     msq_order,
     simulate_paths,
@@ -274,7 +276,11 @@ def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
 # multi-block msq runs: before msq moved onto the block engine); the kernels
 # must keep every printed digit. The first three were re-recorded when the
 # laws' 3x3 products moved from numpy (BLAS) to Python floats: the law_mean
-# and law_variance columns moved by 1-2 ulp, the Monte Carlo columns by none
+# and law_variance columns moved by 1-2 ulp, the Monte Carlo columns by none.
+# The three marked msq runs were re-recorded when msq's mean square error
+# became the exact mean of the per-path worst errors, rounded once, in place
+# of numpy's pairwise mean: each moved one error by 1 ulp (and the sweep's
+# slope in its last digits), while every per-path value stayed bit-identical
 GOLDEN_STDOUT = [
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
      "7e65a523ce335a14c7b2e932eed27c8ec7f01101f9f6d8b898485c030625f6e9"),
@@ -288,19 +294,22 @@ GOLDEN_STDOUT = [
      "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
     ("msq --method em --h 0.1 --samples 3000",
      "7f6ef315f2d6ed531668851573cb5dbb0cfc3d03363e9836b6a4c0482f835893"),
+    # re-recorded: exact mean
     ("msq --method beta:0.5 --h 0.1 --samples 3000",
-     "2a4617ca89a540c03fb723176013193163e725266b5bde0b6fab90f67d77c891"),
+     "c0eeff46ce0bf1824187272d786e5a2ee69384b9d0710d8a4700b5bbc08f28ee"),
+    # re-recorded: exact mean
     ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
-     "642412509f5882ae200d8a14da7d7592000a1bf7499098bae56329df67de5b03"),
+     "5f37dba0643e3afa62a130f9b8b4df0c7223006997e60bf1af51eb37a23f307a"),
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
      "3e12384f381b66d698188dbc6091b0227040e9ecfed6e70c052e6669f0ce21e5"),
     # more than one BLOCK of paths, so two threads split the work
     ("msq --method em --h 0.1 --samples 9001 --seed 4",
      "8fec16a58d90e97c8b5347db77a1de38048895e020ee00e3a76bfbf1f415e1ab"),
+    # re-recorded: exact mean
     ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
      "--y0 -0.2 --alpha 0.7 --format json",
-     "593b786528ec2afc4e4544cea174cec08d6718f4b68b3abafa1e12fa19389bc0"),
+     "8fe8e7ce57cb42720f9538ee53bbf79d7364864093e86619c2c0ab8d9b4fa381"),
 ]
 
 
@@ -345,14 +354,16 @@ def test_msq_memory_does_not_grow_with_step_count():
     assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
 
 
-@pytest.mark.parametrize("per_step", [1, 3])
-def test_step_normals_holds_a_chunk_and_one_scratch(per_step):
+@pytest.mark.parametrize("per_step, rows", [
+    (1, CHUNK_ROWS), (3, CHUNK_ROWS), (3, 3 * sim.MSQ_CHUNK_STEPS)],
+    ids=["1", "3", "3-msq"])
+def test_step_normals_holds_a_chunk_and_one_scratch(per_step, rows):
     # mix64's second scratch is the chunk's own memory
     paths = 4096
-    chunk_bytes = CHUNK_ROWS // per_step * per_step * paths * 8
+    chunk_bytes = rows // per_step * per_step * paths * 8
 
     def run():
-        for _ in step_normals(0, 0, paths, 64, per_step):
+        for _ in step_normals(0, 0, paths, 64, per_step, rows):
             pass
 
     run()  # warm caches outside the measurement
@@ -360,7 +371,9 @@ def test_step_normals_holds_a_chunk_and_one_scratch(per_step):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_msq_memory_per_path_is_one_float(threads, monkeypatch):
+def test_msq_memory_does_not_grow_with_samples(threads, monkeypatch):
+    # each block reduces its paths' errors to exact sums, so twice the
+    # blocks hold no more at once
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
 
     def peak(samples):
@@ -369,7 +382,21 @@ def test_msq_memory_per_path_is_one_float(threads, monkeypatch):
                                              params=PARAMS))
 
     peak(8192)  # warm caches outside the measurement
-    assert peak(16384) - peak(8192) <= 8192 * 8 + 64 * 1024
+    assert peak(16384) - peak(8192) <= 64 * 1024
+
+
+def test_msq_memory_does_not_grow_with_sweep_points(monkeypatch):
+    # twelve step sizes run in three passes, one after the other
+    monkeypatch.setenv("LDP_OSC_THREADS", "1")
+
+    def peak(points):
+        hs = [1.0 / steps for steps in range(2, 2 + points)]
+        return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
+                                             samples=2000, seed=0,
+                                             params=PARAMS))
+
+    peak(5)  # warm caches outside the measurement
+    assert peak(12) - peak(5) <= 64 * 1024
 
 
 @pytest.mark.parametrize("block", [64, 1000])
@@ -390,3 +417,112 @@ def test_msq_errors_do_not_depend_on_block_size(block, monkeypatch):
         assert errors() == reference
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_msq_error_does_not_depend_on_the_sweep(threads, monkeypatch):
+    # a step size shares its pass's noise stream and scratch with the other
+    # step sizes, and must not feel them
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+
+    def errors(hs):
+        report = msq_order(get_method("beta:0.5"), hs, T0=1.0, samples=5000,
+                           seed=2, params=PARAMS)
+        return dict(zip(report.h_values, report.errors))
+
+    whole = errors([0.2, 0.1, 0.05, 0.025])
+    assert errors([0.2, 0.1]) == {h: whole[h] for h in (0.2, 0.1)}
+    assert errors([0.05, 0.025]) == {h: whole[h] for h in (0.05, 0.025)}
+
+
+def test_msq_sweep_of_two_passes_matches_shorter_sweeps(monkeypatch):
+    monkeypatch.setenv("LDP_OSC_THREADS", "2")
+    passes = []
+    run_blocks = sim._run_blocks
+
+    def counting(samples, task):
+        passes.append(task)
+        return run_blocks(samples, task)
+
+    monkeypatch.setattr(sim, "_run_blocks", counting)
+
+    def errors(hs):
+        report = msq_order(get_method("em"), hs, T0=1.0, samples=4500,
+                           seed=1, params=PARAMS)
+        return dict(zip(report.h_values, report.errors))
+
+    hs = [1.0 / steps for steps in (4, 5, 6, 8, 10, 12, 16)]
+    whole = errors(hs)
+    assert sim.MSQ_PASS == 5 and len(passes) == 2
+    parts = {}
+    for part in (hs[:2], hs[2:5], hs[5:]):
+        parts.update(errors(part))
+    assert parts == whole
+
+
+def test_msq_draws_each_normal_once_per_pass(monkeypatch, capsys):
+    # the default sweep runs 10, 20, 40, 80 and 160 steps in one pass, so
+    # each path draws the 3 x 160 normals of the finest step size, not
+    # 3 x (10 + 20 + 40 + 80 + 160)
+    monkeypatch.setenv("LDP_OSC_THREADS", "1")
+    draws = []
+    fill_normals = rng.fill_normals
+
+    def counting(keys, start, out, work):
+        draws.append(out.size)
+        return fill_normals(keys, start, out, work)
+
+    monkeypatch.setattr(rng, "fill_normals", counting)
+    samples = 5000
+    assert cli.main(["msq", "--method", "em", "--h", "0.1", "--samples",
+                     str(samples)]) == 0
+    assert "\n0.00625,160," in capsys.readouterr().out
+    assert sum(draws) == 3 * 160 * samples
+
+
+def _fraction_sum(values):
+    return sum(map(Fraction, values.tolist()), Fraction(0))
+
+
+EXACT_SUM_CASES = {
+    "zeros": np.zeros(4096),
+    "subnormals": np.array([5e-324, 1e-320, 2.2e-308, 0.0, 1e-310, 5e-324]),
+    "wide range": 10.0 ** np.random.default_rng(0).uniform(-300, 300, 4096),
+    "signed wide range": np.random.default_rng(1).choice([-1.0, 1.0], 4096)
+    * 10.0 ** np.random.default_rng(2).uniform(-300, 300, 4096),
+    "1e+300 and 1e-300": np.array([1e300, 1e-300, 1e300, 3e-300] * 1024),
+    "constant tenths": np.full(4096, 0.1),
+    "constant huge": np.full(4096, 1.7e308),
+    "constant least subnormal": np.full(4096, 5e-324),
+    "one value": np.array([0.7]),
+}
+
+
+@pytest.mark.parametrize("values", EXACT_SUM_CASES.values(),
+                         ids=EXACT_SUM_CASES.keys())
+def test_exact_sum_is_the_fraction_sum(values):
+    assert sim._exact_sum(values) == _fraction_sum(values)
+
+
+def test_exact_sum_of_non_finite_values_is_their_float_sum():
+    assert sim._exact_sum(np.array([1.0, math.inf, 2.0])) == math.inf
+    assert math.isnan(sim._exact_sum(np.array([1.0, math.nan])))
+    assert math.isnan(sim._mean([Fraction(1), math.nan, Fraction(2)], 3))
+
+
+def test_mean_is_the_exact_mean_rounded_once():
+    # a pairwise float mean of these blocks is off by an ulp or more
+    blocks = [np.full(4096, 0.1), 10.0 ** np.random.default_rng(3).uniform(
+        -20, 0, 4096), np.array([1e-17] * 1000 + [1.0])]
+    samples = sum(len(b) for b in blocks)
+    exact = sum(_fraction_sum(b) for b in blocks) / samples
+    mean = sim._mean([sim._exact_sum(b) for b in blocks], samples)
+    assert mean == float(exact)
+    assert mean != float(np.mean(np.concatenate(blocks)))
+
+
+def test_default_thread_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("LDP_OSC_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert thread_count() == 1
