@@ -7,8 +7,8 @@ Monte Carlo backing, and a search for methods that preserve a decay rate
 exactly.
 
 The top level re-exports the names of the README's library example; the
-rest of the API lives in the submodules (`methods`, `laws`, `ldp`, `sim`,
-`oscillator`, `rng`, `cli`).
+rest of the API lives in the submodules (`methods`, `exact`, `laws`, `ldp`,
+`sim`, `oscillator`, `rng`, `cli`).
 """
 
 # methods is the largest module: compiled first, while the heap is smallest,

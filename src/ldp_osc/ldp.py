@@ -17,23 +17,22 @@ naming which. `preservation_report` checks that the sweep decreases, decides
 between those outcomes from the steps that have a rate (it skips the
 others), and upgrades a numerically exact verdict to an identity-level one
 when the closed forms are equal as functions of h, which exact arithmetic
-over h, pi and exp(i r h) decides. `exact_preservation_search` scans a
-quadratic perturbation family of the rotation step (the ansatz of
-`methods.ansatz_coefficients`) for methods that preserve a rate exactly,
-deciding each rational point by the same identity test, written once over
-the family's parameters.
+over h, pi and exp(i r h) decides (`exact`, loaded for a proof only).
+`exact_preservation_search` scans a quadratic perturbation family of the
+rotation step (the ansatz of `methods.ansatz_coefficients`) for methods that
+preserve a rate exactly, deciding each rational point by the same identity
+test, written once over the family's parameters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laws import law_NA_N, law_x_N
-from .methods import ANSATZ_H_RANGE, ANSATZ_POINTS, Exact, MethodDef, \
-    ProofDeclined, ansatz_coefficients, ansatz_expressions, check_conditions, \
-    coupling, decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
+from .methods import ANSATZ_H_RANGE, ANSATZ_POINTS, MethodDef, \
+    ansatz_coefficients, ansatz_expressions, check_conditions, coupling, \
+    decreasing_sweep, evaluate, evaluate_symbolic, format_method_file
 from .oscillator import MEAN_POSITION, OscillatorParams, check_observable, \
     continuous_rate
 
@@ -234,6 +233,7 @@ def _decays_to_zero(gaps):
 def _symbolic_exact(method, observable):
     """Outcome of the identity-level proof: PROOF_PROVED, PROOF_REFUTED or
     "declined: <reason>"."""
+    from .exact import ProofDeclined  # the proof engine loads for a proof only
     try:
         return PROOF_PROVED if _prove_modified_rate(method, observable) \
             else PROOF_REFUTED
@@ -245,30 +245,25 @@ def _prove_modified_rate(method, observable):
     """Decide whether the modified rate equals the continuous one at every h.
 
     Returns True for an identity and False when it fails (including c = 0).
-    Works on the exact coefficients at noise intensity 1 (both sides scale
-    the same way in alpha): float literals are exact rationals, and every
-    sin/cos(r h) is written through w^r and w^-r, w = exp(i h). The
-    functions pi^a h^b exp(i r h) are linearly independent, so each
-    quantity the test reads vanishes identically exactly when its numerator
-    has no terms. Raises ProofDeclined for coefficients that are not
-    rational functions of h and of sin, cos at rational multiples of h.
+    Works on the exact coefficients (`exact.Exact`) at noise intensity 1,
+    since both sides scale the same way in alpha. Raises ProofDeclined for
+    coefficients that are not rational functions of h and of sin, cos at
+    rational multiples of h.
     """
+    from .exact import ProofDeclined
     try:
         A, b, h = evaluate_symbolic(method)
     except TypeError as exc:
         raise ProofDeclined(
             f"coefficients do not evaluate at a symbolic h ({exc})") from None
-
-    def vanishes(x):
-        return not Exact.of(x).num
-
     det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    return vanishes(_exactness_gap(A, b, h, observable, vanishes(det - 1)))
+    return _exactness_gap(A, b, h, observable, (det - 1).vanishes()).vanishes()
 
 
 def _exactness_gap(A, b, h, observable, volume_preserving):
     """4 c h I - 1 for the continuous coefficient I, on exact coefficients:
     zero exactly when the modified rate is the continuous one; -1 for c = 0."""
+    from fractions import Fraction  # loaded with the proof engine
     target = Fraction(1, 3) if observable == MEAN_POSITION else 1
     c = _closed_form_log_mgf(A, b, h, observable, volume_preserving)
     return 4 * c * h * target - 1
@@ -277,40 +272,22 @@ def _exactness_gap(A, b, h, observable, volume_preserving):
 # --------------------------------------------------------------------------
 # search for exactly-preserving methods
 
-SEARCH_SIGMA_GRID = tuple(Fraction(k, 2) for k in (-1, 0, 1))
-SEARCH_D_GRID = tuple(Fraction(k, 2) for k in range(-2, 3))
+# halves, which floats hold exactly
+SEARCH_SIGMA_GRID = tuple(k / 2 for k in (-1, 0, 1))
+SEARCH_D_GRID = tuple(k / 2 for k in range(-2, 3))
 
-# the ansatz parameters as `Exact` variables, in the order of a point
-_ANSATZ_VARIABLES = (("c11",), ("c22",), ("sigma",), ("d1",), ("d2",))
+# the names of the ansatz parameters, in the order of a point
+_ANSATZ_VARIABLES = ("c11", "c22", "sigma", "d1", "d2")
 
 
 def _det_one_points():
-    """(c11, c22, sigma) for each sigma of the grid and each (rational) root
-    c11 of c^2 + c + sigma^2, with c22 = -1 - c11, so det = 1."""
+    """(c11, c22, sigma) for each sigma of the grid and each root c11 of
+    c^2 + c + sigma^2, with c22 = -1 - c11, so det = 1; the grid's roots are
+    0, -1/2 and -1, which floats hold exactly."""
     for sigma in SEARCH_SIGMA_GRID:
-        disc = 1 - 4 * sigma ** 2
-        root = Fraction(math.isqrt(disc.numerator), math.isqrt(disc.denominator))
+        root = math.sqrt(1 - 4 * sigma ** 2)
         for c11 in sorted({(root - 1) / 2, -(root + 1) / 2}):
             yield c11, -1 - c11, sigma
-
-
-def _h_coefficients(poly, values):
-    """The nonzero coefficients of the powers of h in poly once the variables
-    in values are set to those rationals, shortest first; none when poly
-    vanishes there."""
-    groups = {}
-    for mono, coef in poly.items():
-        rest = []
-        for var, e in mono:
-            if var in values:
-                coef *= values[var] ** e
-            else:
-                rest.append((var, e))
-        group = groups.setdefault(dict(mono).get(("h",), 0), {})
-        key = tuple(rest)
-        group[key] = group[key] + coef if key in group else coef
-    nonzero = ({m: c for m, c in g.items() if c} for g in groups.values())
-    return sorted(filter(None, nonzero), key=len)
 
 
 def _exact_points(observable):
@@ -319,20 +296,19 @@ def _exact_points(observable):
     branch) is built once over h and the parameters, and a point is exact
     when every h-coefficient of its numerator vanishes there and some
     h-coefficient of its denominator does not."""
-    params = [Exact.symbol(var) for var in _ANSATZ_VARIABLES]
+    from .exact import Exact  # the proof engine loads for the search only
+    params = [Exact.symbol(name) for name in _ANSATZ_VARIABLES]
     A, b, h = evaluate_symbolic(
         MethodDef("ansatz", ansatz_coefficients(*params)))
     gap = _exactness_gap(A, b, h, observable, True)
     for outer in _det_one_points():
-        values = dict(zip(_ANSATZ_VARIABLES, outer))
         # most points fail on the first, shortest coefficient
-        num = _h_coefficients(gap.num, values)
-        den = _h_coefficients(gap.den, values)
+        num, den = gap.h_coefficients(dict(zip(_ANSATZ_VARIABLES, outer)))
         for d1 in SEARCH_D_GRID:
             for d2 in SEARCH_D_GRID:
-                values = {("d1",): d1, ("d2",): d2}
-                if not any(_h_coefficients(p, values) for p in num) and \
-                        any(_h_coefficients(p, values) for p in den):
+                values = {"d1": d1, "d2": d2}
+                if all(c.vanishes(values) for c in num) and \
+                        not all(c.vanishes(values) for c in den):
                     yield (*outer, d1, d2)
 
 

@@ -307,6 +307,9 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
         mean_squares += [_mean(column, samples) for column in zip(*sums)]
     errors = []
     for h, mean_sq in zip(hs, reversed(mean_squares)):
+        if not math.isfinite(mean_sq):
+            raise ValueError(f"{method.name}: the strong error at h = {h:g} "
+                             "is not finite; the method diverges")
         if not mean_sq > 0.0:
             raise ValueError(f"zero strong error at h = {h:g}; nothing to fit")
         errors.append(math.sqrt(mean_sq))
@@ -346,7 +349,8 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
     done = 0
     for draws in chunks:
         count = len(draws) // 3
-        with step_lock:
+        # a diverging method overflows to inf and nan, which msq_order names
+        with step_lock, np.errstate(over="ignore", invalid="ignore"):
             for steps, exact, paths, A, nb1, nb2, worst in states:
                 for j in range(0, 3 * min(count, steps - done), 3):
                     dw = exact.exact_step(draws[j:j + 3], tri)

@@ -29,8 +29,9 @@ import sympy as sp
 
 from ldp_osc import methods
 from ldp_osc.laws import interval_probability
-from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, ProofDeclined, \
-    _closed_form_log_mgf, observable_law
+from ldp_osc.exact import ProofDeclined
+from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, _closed_form_log_mgf, \
+    observable_law
 from ldp_osc.methods import COEFFICIENT_KEYS
 from ldp_osc.oscillator import MEAN_POSITION, GaussianLaw, check_observable
 

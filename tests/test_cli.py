@@ -183,6 +183,18 @@ def test_usage_errors_exit_1(capsys):
         (prob + ["--N", "10", "--interval", "-x:1"],
          "bad number in --interval '-x:1'"),
         (["rates", "--method", "beta:0.5"], "provide --h or --h-sweep"),
+        (["rates", "--method", "ex", "--h-sweep", "0.1:1:2.9"],
+         "--h-sweep needs 0 < lo < hi < inf and an integer 2 <= n <= 1000, "
+         "got '0.1:1:2.9'"),
+        (prob + ["--N-sweep", "10:100:2.5", "--interval", "0:1"],
+         "--N-sweep needs 1 <= lo < hi < inf and an integer 2 <= n <= 1000, "
+         "got '10:100:2.5'"),
+        (["rates", "--method", "ex", "--h", "0.5", "--h-sweep", "0.1:1:3"],
+         "give --h or --h-sweep, not both"),
+        (["msq", "--method", "ex", "--h", "0.5", "--h-sweep", "0.1:1:3"],
+         "give --h or --h-sweep, not both"),
+        (prob + ["--N", "10", "--N-sweep", "10:100:3", "--interval", "0:1"],
+         "give --N or --N-sweep, not both"),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
 
@@ -270,6 +282,15 @@ def test_msq_rejects_bad_horizons(T0, capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: T0 must be a finite positive horizon, got {T0}\n"
+
+
+def test_msq_names_a_diverging_method(tmp_path, capsys):
+    # powers of 1e100 overflow to inf within a few steps, then inf - inf is nan
+    path = _method_path(tmp_path, "name = blowup\na11 = 1e100\na12 = 0\n"
+                        "a21 = 0\na22 = 1e100\nb1 = 1\nb2 = 1\n")
+    assert run_cli(["msq", "--method", path, "--h", "0.1", "--samples", "100"],
+                   capsys) == (1, "", "error: blowup: the strong error at h = "
+                               "0.1 is not finite; the method diverges\n")
 
 
 @pytest.mark.parametrize("option,value", [("--alpha", "inf"), ("--x0", "nan"),
@@ -693,12 +714,12 @@ def test_scipy_loads_only_for_sampling():
 _SAMPLER_MODULES = ("numpy", "scipy", "concurrent.futures")
 
 
-def _modules_after(argvs):
+def _modules_after(argvs, modules=_SAMPLER_MODULES):
     """Exit codes of argvs run through cli.main in a fresh interpreter, and
-    whether each of _SAMPLER_MODULES was imported afterwards."""
+    whether each of modules was imported afterwards."""
     script = ("import json, sys, ldp_osc.cli\n"
               "codes = [ldp_osc.cli.main(a) for a in json.loads(sys.argv[1])]\n"
-              f"loaded = [m in sys.modules for m in {_SAMPLER_MODULES!r}]\n"
+              f"loaded = [m in sys.modules for m in {modules!r}]\n"
               "print(json.dumps([codes, loaded]))\n")
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=120)
@@ -727,6 +748,31 @@ def test_only_the_samplers_import_numpy(tmp_path):
                             .replace("b1 = 0", "b1 = 1e160"))
     assert _modules_after([["simulate", "--method", overflow, "--h", "0.5",
                             "--N", "200"]]) == [[2], [False] * 3]
+
+
+def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
+    exact = ("ldp_osc.exact", "fractions")
+    # modules stay loaded, so one interpreter checks every command in turn
+    deterministic = [
+        ["catalog"],
+        ["conditions", "--method", "beta:0.5", "--h", "0.5"],
+        ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "100",
+         "--interval", "0.9:1.1"],
+        # not numerically exact, so no proof is attempted
+        ["rates", "--method", "theta:1", "--h", "0.5"],
+    ]
+    assert _modules_after([], exact) == [[], [False, False]]
+    assert _modules_after(deterministic, exact) == [[0] * 4, [False, False]]
+    # the samplers sum their errors in fractions, without the proof engine
+    samplers = [
+        ["msq", "--method", "beta:0.5", "--h", "0.1", "--samples", "10"],
+        ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+         "--samples", "10"],
+    ]
+    assert _modules_after(samplers, exact) == [[0, 0], [False, True]]
+    for argv in (["rates", "--method", "beta:0.5", "--observable",
+                  "mean-position", "--h", "0.5"], ["search"]):
+        assert _modules_after([argv], exact) == [[0], [True, True]]
 
 
 def test_probabilities_run_where_scipy_cannot_be_imported():

@@ -13,11 +13,9 @@ import oracles
 from ldp_osc.methods import (
     ANSATZ_H_RANGE,
     COEFFICIENT_KEYS,
-    Exact,
     MAX_NESTING,
     MethodDef,
     MethodFileError,
-    ProofDeclined,
     catalog,
     check_conditions,
     condition_b_diagnostics,
@@ -29,7 +27,8 @@ from ldp_osc.methods import (
     parse_expression,
     parse_method_file,
 )
-from ldp_osc.methods import _cos, _literal, _pi_like, _sin
+from ldp_osc.exact import Exact, ProofDeclined, _literal
+from ldp_osc.methods import _cos, _pi_like, _sin
 
 CATALOG_NAMES = [
     "em",
