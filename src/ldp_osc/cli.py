@@ -324,11 +324,11 @@ def _cmd_simulate(args):
     # and scipy load
     laws = [observable_law(method, observable, args.h, args.N, params)
             if args.N >= 2 else None for observable, _ in observables]
-    from .sim import simulate_paths  # the samplers import numpy and scipy
-    result = simulate_paths(config)
+    from .sim import simulate_summary  # the samplers import numpy and scipy
+    summary = simulate_summary(config)
     rows = []
     for (observable, key), law in zip(observables, laws):
-        stats = result.summary[key]
+        stats = summary[key]
         rows.append({
             "observable": observable,
             "samples": config.samples,

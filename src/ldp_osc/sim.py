@@ -3,24 +3,32 @@
 Sampling is deterministic by construction: every path owns a counter-based
 random stream keyed by (seed, path index), so results are bit-identical for
 any thread count and any block partition. Both samplers run on one block
-engine, `_run_blocks`, which maps a per-block task over fixed-size blocks of
-BLOCK paths on a thread pool. A task keeps its paths in a `_Paths`, whose
-`step` is every sampler's linear update, and works in buffers sized by the
-block, never by the sample count. Validation and warnings stay in the
-calling thread.
+engine, `_run_blocks`, which runs a per-block task over fixed-size blocks of
+BLOCK paths on a thread pool and yields the results in block order, with at
+most WINDOW tasks per worker submitted and not yet consumed. A task keeps
+its paths in a `_Paths`, whose `step` is every sampler's linear update, and
+works in buffers sized by the block, never by the sample count. Validation
+and warnings stay in the calling thread.
 
-`simulate_paths` writes each block's slice of the per-path result arrays and
-summarizes the assembled arrays once, in the calling thread. `msq_order`
-runs the step sizes of a sweep together, up to MSQ_PASS per pass of
-`_run_blocks`, so each normal is drawn once per pass: step k reads the same
-counter slots at every step size, and one noise stream per block feeds every
-step size whose step count reaches it. Each step size keeps its own exact
+`simulate_summary` reduces each block's two observables to their count,
+mean, sum of squared deviations from the mean (M2), min and max on the
+worker (`_moments`), and merges these in block order in the calling thread
+(`_merge`, the pairwise update of Chan, Golub and LeVeque 1979), so it keeps
+no per-path array and prints the same digits at any thread count.
+`simulate_paths` also returns the per-path arrays, for library callers, and
+takes its summary from the same merge.
+
+`msq_order` runs the step sizes of a sweep together, up to MSQ_PASS per pass
+of `_run_blocks`, so each normal is drawn once per pass: step k reads the
+same counter slots at every step size, and one noise stream per block feeds
+every step size whose step count reaches it. Each step size keeps its own exact
 paths (`ExactPaths`, which sample the exact one-step law of the oscillator)
 and method paths, the blocks of a pass take turns at stepping while the
 others draw, and each block reduces its per-path worst squared errors to an
-exact sum (`_exact_sum`). So `msq` memory grows neither with the
-sample count nor as h shrinks, and its mean square error is the exact mean,
-rounded once, for any block split or thread count.
+exact sum (`_exact_sum`), which the caller adds to running totals as the
+blocks arrive. So `msq` memory grows neither with the sample count nor as h
+shrinks, and its mean square error is the exact mean, rounded once, for any
+block split or thread count.
 
 Only this module and `rng` import numpy, and `rng` imports scipy, so
 importing this module is the one point where both load.
@@ -32,10 +40,11 @@ import math
 import os
 import threading
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -45,6 +54,10 @@ from .oscillator import MAX_N, OscillatorParams
 
 # paths per thread task
 BLOCK = 4096
+
+# tasks per worker that `_run_blocks` keeps submitted and not yet consumed:
+# one running and one finished or queued, so no worker waits on the caller
+WINDOW = 2
 
 # step sizes per `msq` pass, and steps per noise chunk of a pass: a step
 # size keeps five BLOCK-long arrays (its exact and method states and the
@@ -175,13 +188,20 @@ class ExactPaths(_Paths):
 
 def _run_blocks(samples, task):
     """Call task(lo, hi) for every BLOCK-path range of 0..samples-1 on a
-    thread pool of up to thread_count() workers, and return the tasks'
-    results in block order once all have finished; a task's exception
-    re-raises in the caller."""
+    thread pool of up to thread_count() workers, and yield the tasks'
+    results in block order. At most WINDOW tasks per worker are submitted
+    and not yet consumed, so the pool's bookkeeping does not grow with
+    `samples`; a task's exception re-raises in the caller."""
     los = range(0, samples, BLOCK)
-    his = [min(lo + BLOCK, samples) for lo in los]
-    with ThreadPoolExecutor(min(thread_count(), len(los))) as pool:
-        return list(pool.map(task, los, his))
+    workers = min(thread_count(), len(los))
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for lo in los:
+            if len(pending) == WINDOW * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, lo, min(lo + BLOCK, samples)))
+        while pending:
+            yield pending.popleft().result()
 
 
 @dataclass(frozen=True)
@@ -194,8 +214,9 @@ class SimResult:
     summary: dict
 
 
-def _run_block(config, A, b, out_pos, out_vel, lo, hi):
-    """Run paths lo..hi-1 and store their two observables.
+def _run_block(config, A, b, lo, hi):
+    """Run paths lo..hi-1 and return their two observables, the running
+    position average and the terminal position divided by elapsed time.
 
     Noise comes from `rng.step_normals`, one draw per step, so each step
     reads one contiguous row of a chunk of rng.CHUNK_ROWS steps. All buffers
@@ -221,31 +242,72 @@ def _run_block(config, A, b, out_pos, out_vel, lo, hi):
         for k in range(count):
             sum_x += paths.x
             paths.step(A, noise_x[k], noise_y[k])
-    out_pos[lo:hi] = sum_x / config.steps
-    out_vel[lo:hi] = paths.x / (config.steps * config.h)
+    return sum_x / config.steps, paths.x / (config.steps * config.h)
+
+
+def _block_moments(config, A, b, lo, hi):
+    """The `_moments` of both observables of paths lo..hi-1."""
+    return tuple(map(_moments, _run_block(config, A, b, lo, hi)))
+
+
+def simulate_summary(config):
+    """The summary of `simulate_paths(config)` without its per-path arrays:
+    memory is O(threads x BLOCK x CHUNK_ROWS) whatever the step and sample
+    counts."""
+    A, b = evaluate(config.method, config.h)
+    return _summary(_run_blocks(config.samples,
+                                partial(_block_moments, config, A, b)))
 
 
 def simulate_paths(config):
     """Run the method over `samples` independent paths; see SimResult."""
     A, b = evaluate(config.method, config.h)
-    pos = np.empty(config.samples)
-    vel = np.empty(config.samples)
-    _run_blocks(config.samples, partial(_run_block, config, A, b, pos, vel))
-    summary = {
-        "samples": int(config.samples),
-        "position": _summarize(pos),
-        "velocity": _summarize(vel),
-    }
-    return SimResult(pos, vel, summary)
+    paths = np.empty((2, config.samples))
+    moments = []
+    blocks = _run_blocks(config.samples, partial(_run_block, config, A, b))
+    for lo, block in zip(range(0, config.samples, BLOCK), blocks):
+        paths[:, lo:lo + len(block[0])] = block
+        moments.append(tuple(map(_moments, block)))
+    return SimResult(*paths, _summary(moments))
 
 
-def _summarize(values):
-    return {
-        "mean": float(np.mean(values)),
-        "variance": float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-    }
+def _moments(values):
+    """(count, mean, M2, min, max) of a block of values; M2 is the sum of
+    squared deviations from the mean, as np.var forms it."""
+    mean = np.mean(values)
+    return (len(values), float(mean), float(np.sum(np.square(values - mean))),
+            float(np.min(values)), float(np.max(values)))
+
+
+def _merge(a, b):
+    """The `_moments` of two batches together, by the pairwise update of
+    Chan, Golub and LeVeque (1979). A mean that is not finite merges as the
+    float sum of the means, which is what a float mean of the values gives."""
+    n_a, mean_a, m2_a, min_a, max_a = a
+    n_b, mean_b, m2_b, min_b, max_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    mean = mean_a + delta * (n_b / n) if math.isfinite(delta) \
+        else mean_a + mean_b
+    # np.minimum and np.maximum propagate nan, as np.min and np.max do
+    return (n, mean, m2_a + m2_b + delta * delta * (n_a * n_b / n),
+            float(np.minimum(min_a, min_b)), float(np.maximum(max_a, max_b)))
+
+
+def _summary(blocks):
+    """The summary dict from each block's pair of `_moments`, merged in block
+    order, so it does not depend on the thread count."""
+    position, velocity = reduce(
+        lambda a, b: [_merge(x, y) for x, y in zip(a, b)], blocks)
+    return {"samples": position[0], "position": _stats(position),
+            "velocity": _stats(velocity)}
+
+
+def _stats(moments):
+    """The printed summary of one observable from its merged `_moments`."""
+    n, mean, m2, low, high = moments
+    return {"mean": mean, "variance": m2 / (n - 1) if n > 1 else 0.0,
+            "min": low, "max": high}
 
 
 @dataclass(frozen=True)
@@ -302,9 +364,11 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     mean_squares = []
     for first in range(0, len(runs), MSQ_PASS):
         group = finest_first[first:first + MSQ_PASS]
-        sums = _run_blocks(samples, partial(_msq_block, params, seed, group,
-                                            step_lock))
-        mean_squares += [_mean(column, samples) for column in zip(*sums)]
+        totals = [Fraction(0)] * len(group)
+        for sums in _run_blocks(samples, partial(_msq_block, params, seed,
+                                                 group, step_lock)):
+            totals = list(map(_add_sums, totals, sums))
+        mean_squares += [_mean(total, samples) for total in totals]
     errors = []
     for h, mean_sq in zip(hs, reversed(mean_squares)):
         if not math.isfinite(mean_sq):
@@ -393,8 +457,14 @@ def _exact_sum(values):
     return Fraction(total, 1 << 1126)
 
 
-def _mean(sums, samples):
-    """The mean of `samples` values from their blocks' `_exact_sum`s, rounded
-    once; inf or nan if a block's sum is."""
-    nonfinite = [s for s in sums if isinstance(s, float)]
-    return sum(nonfinite) if nonfinite else float(sum(sums) / samples)
+def _add_sums(a, b):
+    """a + b for two `_exact_sum`s: exact while both are Fractions, else the
+    float sum of those that are not (inf or nan)."""
+    nonfinite = [s for s in (a, b) if isinstance(s, float)]
+    return sum(nonfinite) if nonfinite else a + b
+
+
+def _mean(total, samples):
+    """The mean of `samples` values from the `_add_sums` of their blocks'
+    `_exact_sum`s, rounded once; inf or nan if the total is."""
+    return total if isinstance(total, float) else float(total / samples)

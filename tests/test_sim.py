@@ -1,9 +1,12 @@
 """Tests for the counter-based RNG, the path simulator, and strong-order fits."""
 
 import hashlib
+import json
 import math
 import os
 import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -178,6 +181,27 @@ def test_summary_shape():
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
 
+def test_library_summary_is_what_simulate_prints(capsys):
+    # three blocks: the library and the CLI merge the same block moments,
+    # and the merge agrees with numpy over the whole per-path arrays
+    argv = ("simulate --method em --h 0.05 --N 37 --samples 9001 --seed 2 "
+            "--x0 0.3 --y0 -0.2 --format json").split()
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    config = SimConfig(get_method("em"), 0.05, 37, 9001, seed=2, params=PARAMS)
+    result = simulate_paths(config)
+    assert sim.simulate_summary(config) == result.summary
+    for row, key, values in zip(rows, ("position", "velocity"),
+                                (result.mean_position, result.mean_velocity)):
+        stats = result.summary[key]
+        assert row["samples"] == result.summary["samples"] == 9001
+        assert {k: row[k] for k in stats} == stats
+        assert stats["mean"] == pytest.approx(np.mean(values), rel=1e-14)
+        assert stats["variance"] == pytest.approx(np.var(values, ddof=1),
+                                                  rel=1e-14)
+        assert (stats["min"], stats["max"]) == (values.min(), values.max())
+
+
 def test_fit_loglog_slope_recovers_power():
     hs = [0.4, 0.2, 0.1, 0.05]
     errors = [3.0 * h ** 2 for h in hs]
@@ -219,9 +243,14 @@ def test_run_blocks_runs_every_range_once(threads, monkeypatch):
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
     samples = 2 * sim.BLOCK + 1
     ran = []
-    sim._run_blocks(samples, lambda lo, hi: ran.append((lo, hi)))
-    assert sorted(ran) == [(0, sim.BLOCK), (sim.BLOCK, 2 * sim.BLOCK),
-                           (2 * sim.BLOCK, samples)]
+
+    def task(lo, hi):
+        ran.append((lo, hi))
+        return lo, hi
+    blocks = [(0, sim.BLOCK), (sim.BLOCK, 2 * sim.BLOCK),
+              (2 * sim.BLOCK, samples)]
+    assert list(sim._run_blocks(samples, task)) == blocks
+    assert sorted(ran) == blocks
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -233,7 +262,36 @@ def test_run_blocks_reraises_a_task_error(threads, monkeypatch):
             raise ArithmeticError(f"block {lo}:{hi}")
     with pytest.raises(ArithmeticError,
                        match=f"block {sim.BLOCK}:{2 * sim.BLOCK}"):
-        sim._run_blocks(2 * sim.BLOCK + 1, task)
+        list(sim._run_blocks(2 * sim.BLOCK + 1, task))
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+def test_run_blocks_keeps_at_most_its_window_outstanding(threads,
+                                                         monkeypatch):
+    # a task counts itself as it starts and the caller counts each result it
+    # takes, slowly enough that free workers would run ahead; a task can
+    # start only once submitted, so started - taken bounds the tasks
+    # submitted and not yet consumed
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+    lock = threading.Lock()
+    started = taken = 0
+    outstanding = []
+
+    def task(lo, hi):
+        nonlocal started
+        with lock:
+            started += 1
+            outstanding.append(started - taken)
+        return lo
+
+    results = []
+    for lo in sim._run_blocks(40 * sim.BLOCK, task):
+        time.sleep(1e-3)
+        with lock:
+            taken += 1
+        results.append(lo)
+    assert results == list(range(0, 40 * sim.BLOCK, sim.BLOCK))
+    assert max(outstanding) <= 2 * int(threads)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -280,16 +338,24 @@ def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
 # The three marked msq runs were re-recorded when msq's mean square error
 # became the exact mean of the per-path worst errors, rounded once, in place
 # of numpy's pairwise mean: each moved one error by 1 ulp (and the sweep's
-# slope in its last digits), while every per-path value stayed bit-identical
+# slope in its last digits), while every per-path value stayed bit-identical.
+# The three marked simulate runs were re-recorded when simulate's summary
+# became a merge of per-block moments in block order (Chan, Golub and
+# LeVeque) in place of numpy's mean and variance over the whole per-path
+# arrays: means and variances moved by 1-2 ulp, min and max and every
+# per-path value by none; the one-path run has one block and did not move
 GOLDEN_STDOUT = [
+    # re-recorded: summary merged per block
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
-     "7e65a523ce335a14c7b2e932eed27c8ec7f01101f9f6d8b898485c030625f6e9"),
+     "752ab25e6c18f8b6de93227e96455b0031a41da8f47fbd69146328026bbb2ebb"),
+    # re-recorded: summary merged per block
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5 "
      "--format json",
-     "2c72a3260742b038639e4ebac64f40d26de5e8d7445aa5b3be5da11ca8707c03"),
+     "5b464c7fc8bc9ffe293efa27595e0700af67da372f583a53a4b935fbcb655e92"),
+    # re-recorded: summary merged per block
     ("simulate --method em --h 0.05 --N 37 --samples 5000 --seed 2 "
      "--x0 0.3 --y0 -0.2 --alpha 0.7 --format json",
-     "678e83b50c11c2d19745276d0ccfb7b27cac48ad635b0948f05b9a87f006af6a"),
+     "7a5f85a45c361d37570e412250d15e4fa19c5aac9a1c34b505650f5ec45a59c0"),
     ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
      "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
     ("msq --method em --h 0.1 --samples 3000",
@@ -344,6 +410,25 @@ def test_simulate_memory_does_not_grow_with_steps(monkeypatch):
     assert peak(5000) - peak(50) <= 64 * 1024
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_memory_does_not_grow_with_samples(threads, capsys,
+                                                    monkeypatch):
+    # each block reduces its observables to moments on its worker, so 64
+    # times the blocks hold no more at once
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+
+    def peak(samples):
+        argv = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "2",
+                "--samples", str(samples)]
+        try:
+            return _peak_bytes(lambda: cli.main(argv))
+        finally:
+            capsys.readouterr()
+
+    peak(2 * sim.BLOCK)  # warm caches outside the measurement
+    assert peak(128 * sim.BLOCK) - peak(2 * sim.BLOCK) <= 64 * 1024
+
+
 def test_msq_memory_does_not_grow_with_step_count():
     def peak(hs):
         return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
@@ -372,8 +457,9 @@ def test_step_normals_holds_a_chunk_and_one_scratch(per_step, rows):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_msq_memory_does_not_grow_with_samples(threads, monkeypatch):
-    # each block reduces its paths' errors to exact sums, so twice the
-    # blocks hold no more at once
+    # each block reduces its paths' errors to exact sums, which add into
+    # running totals as they arrive, so 32 times the blocks hold no more at
+    # once
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
 
     def peak(samples):
@@ -381,8 +467,8 @@ def test_msq_memory_does_not_grow_with_samples(threads, monkeypatch):
                                              T0=1.0, samples=samples, seed=0,
                                              params=PARAMS))
 
-    peak(8192)  # warm caches outside the measurement
-    assert peak(16384) - peak(8192) <= 64 * 1024
+    peak(2 * sim.BLOCK)  # warm caches outside the measurement
+    assert peak(64 * sim.BLOCK) - peak(2 * sim.BLOCK) <= 64 * 1024
 
 
 def test_msq_memory_does_not_grow_with_sweep_points(monkeypatch):
@@ -402,7 +488,8 @@ def test_msq_memory_does_not_grow_with_sweep_points(monkeypatch):
 @pytest.mark.parametrize("block", [64, 1000])
 def test_msq_errors_do_not_depend_on_block_size(block, monkeypatch):
     # more workers than cores and a short switch interval interleave the
-    # tasks' writes into the shared per-path array as much as possible
+    # tasks as much as possible; the exact sums of any block split add up to
+    # the same total
     def errors():
         return msq_order(get_method("beta:0.5"), [0.2, 0.1], T0=1.0,
                          samples=5000, seed=1, params=PARAMS).errors
@@ -507,7 +594,13 @@ def test_exact_sum_is_the_fraction_sum(values):
 def test_exact_sum_of_non_finite_values_is_their_float_sum():
     assert sim._exact_sum(np.array([1.0, math.inf, 2.0])) == math.inf
     assert math.isnan(sim._exact_sum(np.array([1.0, math.nan])))
-    assert math.isnan(sim._mean([Fraction(1), math.nan, Fraction(2)], 3))
+    # a running total stays the float sum of the non-finite block sums, even
+    # past an exact sum beyond the float range
+    total = sim._add_sums(Fraction(10 ** 400), math.inf)
+    assert sim._mean(sim._add_sums(total, Fraction(2)), 3) == math.inf
+    assert math.isnan(sim._mean(sim._add_sums(total, -math.inf), 3))
+    total = sim._add_sums(sim._add_sums(Fraction(1), math.nan), Fraction(2))
+    assert math.isnan(sim._mean(total, 3))
 
 
 def test_mean_is_the_exact_mean_rounded_once():
@@ -516,7 +609,10 @@ def test_mean_is_the_exact_mean_rounded_once():
         -20, 0, 4096), np.array([1e-17] * 1000 + [1.0])]
     samples = sum(len(b) for b in blocks)
     exact = sum(_fraction_sum(b) for b in blocks) / samples
-    mean = sim._mean([sim._exact_sum(b) for b in blocks], samples)
+    total = Fraction(0)
+    for b in blocks:
+        total = sim._add_sums(total, sim._exact_sum(b))
+    mean = sim._mean(total, samples)
     assert mean == float(exact)
     assert mean != float(np.mean(np.concatenate(blocks)))
 
