@@ -31,7 +31,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import re
@@ -104,6 +103,7 @@ def _jsonable(value):
 
 
 def emit_json(payload):
+    import json  # only JSON output loads it
     return json.dumps(_jsonable(payload), indent=2) + "\n"
 
 

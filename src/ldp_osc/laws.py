@@ -33,7 +33,6 @@ routes agreeing is a correctness check asserted in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
@@ -46,8 +45,7 @@ class DivergentMomentsError(ValueError):
     (det A > 1) or the noise covariance is too large."""
 
 
-@dataclass(frozen=True)
-class AugmentedMoments:
+class AugmentedMoments(NamedTuple):
     """Mean vector and covariance of (x_N, y_N, sum of positions)."""
 
     mean: tuple

@@ -27,7 +27,7 @@ test, written once over the family's parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laws import law_NA_N, law_x_N
 from .methods import ANSATZ_H_RANGE, ANSATZ_POINTS, MethodDef, \
@@ -131,8 +131,7 @@ def legendre_transform(c):
     return math.inf if c == 0.0 else 1.0 / (4.0 * c)
 
 
-@dataclass(frozen=True)
-class LdpClassification:
+class LdpClassification(NamedTuple):
     """Decay-rate data of one method at one step size; the rates are their
     coefficients."""
 
@@ -161,8 +160,7 @@ def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
     return law_x_N(method, h, N, params).scaled(1.0 / (N * h))
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     """Verdict on whether the modified rate matches the continuous rate.
 
     h_values are the admissible steps of the sweep and steps their

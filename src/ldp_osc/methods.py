@@ -41,9 +41,8 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from functools import singledispatch
-from typing import Callable
+from typing import Callable, NamedTuple
 
 
 @singledispatch
@@ -61,8 +60,7 @@ def _pi_like(h):
     return math.pi
 
 
-@dataclass(frozen=True)
-class MethodDef:
+class MethodDef(NamedTuple):
     """A named one-step method: h maps to the pair (A, b).
 
     coefficients returns nested lists so the same evaluator serves floats and
@@ -148,8 +146,7 @@ class NearDegenerateError(ValueError):
     """tr(A) is too close to +-2 sqrt(det A); the rotation angle is numerically lost."""
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Admissibility flags of a coefficient pair at one step size.
 
     theta: rotation angle of the complex pair sqrt(det) exp(+-i theta),
@@ -189,8 +186,7 @@ def check_conditions(A, b):
     return ConditionReport(det, tr, theta, a1, a2, a3, a4, excluded)
 
 
-@dataclass(frozen=True)
-class ConditionBDiagnostics:
+class ConditionBDiagnostics(NamedTuple):
     """Ratio tables measuring closeness to the Euler step as h decreases.
 
     r1 = (|a11-1| + |a22-1| + |a12-h| + |a21+h|) / h^2   stays bounded

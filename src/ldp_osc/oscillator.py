@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # largest step count N a finite-N law or a sampler accepts: the laws'
 # precision budget is tested up to here
@@ -34,15 +34,34 @@ def check_observable(observable):
     return observable
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Noise intensity and initial state (position x0, velocity y0)."""
+class _Checked:
+    """Base of a NamedTuple record that checks its fields: `_check` runs on
+    every construction, `_make` and `_replace` included."""
 
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _OscillatorParams(NamedTuple):
     alpha: float = 1.0
     x0: float = 0.0
     y0: float = 0.0
 
-    def __post_init__(self):
+
+class OscillatorParams(_Checked, _OscillatorParams):
+    """Noise intensity and initial state (position x0, velocity y0)."""
+
+    __slots__ = ()
+
+    def _check(self):
         for name, value in (("alpha", self.alpha), ("x0", self.x0), ("y0", self.y0)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -56,18 +75,21 @@ class OscillatorParams:
                              f"floats, got alpha = {self.alpha}")
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """A `sim.simulate_paths` run: `samples` paths of `steps` steps of size h."""
-
+class _SimConfig(NamedTuple):
     method: object
     h: float
     steps: int
     samples: int
     seed: int = 0
-    params: OscillatorParams = field(default_factory=OscillatorParams)
+    params: OscillatorParams = OscillatorParams()  # immutable, so shareable
 
-    def __post_init__(self):
+
+class SimConfig(_Checked, _SimConfig):
+    """A `sim.simulate_paths` run: `samples` paths of `steps` steps of size h."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.h > 0:
             raise ValueError(f"step size must be positive, got {self.h}")
         if self.steps < 1:
@@ -78,14 +100,17 @@ class SimConfig:
             raise ValueError(f"need at least one sample, got {self.samples}")
 
 
-@dataclass(frozen=True)
-class GaussianLaw:
-    """Scalar Gaussian distribution as a (mean, variance) pair."""
-
+class _GaussianLaw(NamedTuple):
     mean: float
     variance: float
 
-    def __post_init__(self):
+
+class GaussianLaw(_Checked, _GaussianLaw):
+    """Scalar Gaussian distribution as a (mean, variance) pair."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.variance >= 0:
             raise ValueError(f"variance must be nonnegative, got {self.variance}")
 

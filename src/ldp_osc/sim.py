@@ -42,9 +42,9 @@ import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,8 +204,7 @@ def _run_blocks(samples, task):
             yield pending.popleft().result()
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """One entry per path: the running position average and the terminal
     position divided by elapsed time."""
 
@@ -310,8 +309,7 @@ def _stats(moments):
             "min": low, "max": high}
 
 
-@dataclass(frozen=True)
-class MsqReport:
+class MsqReport(NamedTuple):
     h_values: tuple
     steps: tuple
     errors: tuple

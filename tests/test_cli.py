@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -774,6 +775,28 @@ def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
     for argv in (["rates", "--method", "beta:0.5", "--observable",
                   "mean-position", "--h", "0.5"], ["search"]):
         assert _modules_after([argv], exact) == [[0], [True, True]]
+
+
+def test_only_json_output_loads_json_and_no_command_loads_dataclasses():
+    # `_modules_after` loads json itself, so this script passes its commands
+    # as Python literals and prints a Python literal
+    prob = ["prob", "--method", "beta:0.5", "--h", "0.1", "--N", "100",
+            "--interval", "0.9:1.1"]
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('dataclasses', 'inspect', 'json')]\n"
+        "import ldp_osc.cli\n"
+        "seen = [loaded()]\n"
+        f"for argv in {[prob, prob + ['--format', 'json']]!r}:\n"
+        "    assert ldp_osc.cli.main(argv) == 0\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
+        [False, False, False], [False, False, False], [False, False, True]]
 
 
 def test_probabilities_run_where_scipy_cannot_be_imported():
