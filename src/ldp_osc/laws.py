@@ -30,8 +30,6 @@ times; it shares only the method coefficients with the kernel, so the two
 routes agreeing is a correctness check asserted in the test suite.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

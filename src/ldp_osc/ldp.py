@@ -24,8 +24,6 @@ preserve a rate exactly, deciding each rational point by the same identity
 test, written once over the family's parameters.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -35,8 +35,6 @@ Every number is a float64, like every coefficient, so integer arithmetic
 beyond 2^53 is not exact and 10^400 overflows.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re

@@ -12,8 +12,6 @@ k, a float. k = inf is the degenerate rate, 0 at y = 0 and infinite
 elsewhere, which `rate_infimum` handles with the same arithmetic.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple

@@ -34,8 +34,6 @@ Only this module and `rng` import numpy, and `rng` imports scipy, so
 importing this module is the one point where both load.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import threading
@@ -66,6 +64,10 @@ WINDOW = 2
 MSQ_PASS = 5
 MSQ_CHUNK_STEPS = 2
 
+# most workers LDP_OSC_THREADS may ask for: each running block holds its
+# buffers (about 1.25 MiB for `simulate`), so the bound caps sampler memory
+MAX_THREADS = 64
+
 # Below this step the one-step noise covariance is numerically singular.
 MIN_STEP = 1e-8
 
@@ -73,16 +75,17 @@ _DEFAULT_PARAMS = OscillatorParams()
 
 
 def thread_count():
-    """Worker count: LDP_OSC_THREADS if set, else min(8, the number of CPUs
-    this process may run on)."""
+    """Worker count: LDP_OSC_THREADS if set, an integer from 1 to
+    MAX_THREADS, else min(8, the number of CPUs this process may run on)."""
     env = os.environ.get("LDP_OSC_THREADS")
     if env is not None:
         try:
             n = int(env)
         except ValueError:
             n = 0
-        if n < 1:
-            raise ValueError(f"LDP_OSC_THREADS must be an integer >= 1, got {env!r}")
+        if not 1 <= n <= MAX_THREADS:
+            raise ValueError("LDP_OSC_THREADS must be an integer from 1 to "
+                             f"{MAX_THREADS}, got {env!r}")
         return n
     if hasattr(os, "sched_getaffinity"):
         return min(8, len(os.sched_getaffinity(0)))
@@ -115,35 +118,29 @@ def _symmetric_sqrt(C):
 
 
 class _Paths:
-    """The state (x, y) of a block of paths and the scratch its step needs.
-
-    The scratch is a list [new_x, new_y, tmp] of arrays shaped like x; paths
-    that step in turn on one thread may share one list.
+    """The state z = (x, y) of a block of paths, one (2, n) array, and the
+    (2, n) scratch its step needs; paths that step in turn on one thread may
+    share one scratch.
     """
 
     def __init__(self, params, n, scratch=None):
-        self.x = np.full(n, float(params.x0))
-        self.y = np.full(n, float(params.y0))
-        self._scratch = [np.empty(n) for _ in range(3)] if scratch is None \
-            else scratch
+        self.z = np.full((2, n), [[params.x0], [params.y0]], dtype=float)
+        self._p = np.empty((2, n)) if scratch is None else scratch
 
-    def step(self, M, u, v):
-        """(x, y) <- M (x, y) + (u, v), in place.
+    def step(self, M, noise):
+        """z <- M z + noise, in place, for a 2x2 array M and (2, n) noise.
 
-        Evaluated as (M00 x + M01 y) + u, the operation order every sampler's
-        bit-for-bit reproducibility rests on.
+        Row i is (M[i, 1] y + M[i, 0] x) + noise[i], which IEEE addition
+        makes bit for bit the reference order (M[i, 0] x + M[i, 1] y) +
+        noise[i] that every sampler's reproducibility rests on.
         """
-        new_x, new_y, tmp = self._scratch
-        np.multiply(M[0][0], self.x, out=new_x)
-        np.multiply(M[0][1], self.y, out=tmp)
-        new_x += tmp
-        new_x += u
-        np.multiply(M[1][0], self.x, out=new_y)
-        np.multiply(M[1][1], self.y, out=tmp)
-        new_y += tmp
-        new_y += v
-        self._scratch[:2] = self.x, self.y
-        self.x, self.y = new_x, new_y
+        z, p = self.z, self._p
+        np.multiply(M[:, :1], z[0], out=p)
+        # x is read into p, so it may go; y is read before it goes
+        np.multiply(M[0, 1], z[1], out=z[0])
+        np.multiply(M[1, 1], z[1], out=z[1])
+        z += p
+        z += noise
 
 
 def check_step(delta):
@@ -180,9 +177,7 @@ class ExactPaths(_Paths):
         return dW. tri is (3, n) scratch: dW is its row 0, and rows 1 and 2
         are free again once this returns."""
         np.matmul(self._L, draws, out=tri)
-        np.multiply(self._alpha, tri[1], out=tri[1])
-        np.multiply(self._alpha, tri[2], out=tri[2])
-        self.step(self._R, tri[1], tri[2])
+        self.step(self._R, np.multiply(self._alpha, tri[1:], out=tri[1:]))
         return tri[0]
 
 
@@ -221,27 +216,26 @@ def _run_block(config, A, b, lo, hi):
     reads one contiguous row of a chunk of rng.CHUNK_ROWS steps. All buffers
     are allocated once per block, so memory is O(BLOCK x CHUNK_ROWS)
     whatever the step count. The arithmetic is the reference recursion's,
-    operation for operation: dw = sqrt(h) z, then (a00 x + a01 y) +
-    (alpha b1) dw; folding sqrt(h) into alpha b1 would change the rounding.
+    operation for operation (`_Paths.step` adds each row's two products in
+    the other order, which IEEE addition commutes): dw = sqrt(h) z, then
+    (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would
+    change the rounding.
     """
     p = config.params
     n = hi - lo
-    noise_y = np.empty((min(rng.CHUNK_ROWS, config.steps), n))
+    A = np.array(A)
+    nb = p.alpha * np.array(b)[:, None]
     paths = _Paths(p, n)
+    noise = np.empty((2, n))
+    x = paths.z[0]
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
-    nb1 = p.alpha * float(b[0])
-    nb2 = p.alpha * float(b[1])
     for dw in rng.step_normals(config.seed, lo, hi, config.steps, 1):
-        count = len(dw)
         np.multiply(root_h, dw, out=dw)
-        # the x noise overwrites dw, so the y noise is taken from it first
-        np.multiply(nb2, dw, out=noise_y[:count])
-        noise_x = np.multiply(nb1, dw, out=dw)
-        for k in range(count):
-            sum_x += paths.x
-            paths.step(A, noise_x[k], noise_y[k])
-    return sum_x / config.steps, paths.x / (config.steps * config.h)
+        for row in dw:
+            sum_x += x
+            paths.step(A, np.multiply(nb, row, out=noise))
+    return sum_x / config.steps, x / (config.steps * config.h)
 
 
 def _block_moments(config, A, b, lo, hi):
@@ -402,29 +396,25 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
     # raised the peak RSS of `msq`
     chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, 3 * MSQ_CHUNK_STEPS)
     tri = np.empty((3, n))
-    u, v = tri[1], tri[2]
-    scratch = [np.empty(n) for _ in range(3)]
+    pair = tri[1:]
+    scratch = np.empty((2, n))
     states = [(steps, ExactPaths(params, h, n, scratch),
-               _Paths(params, n, scratch), A, params.alpha * float(b[0]),
-               params.alpha * float(b[1]), np.zeros(n))
+               _Paths(params, n, scratch), np.array(A),
+               params.alpha * np.array(b)[:, None], np.zeros(n))
               for h, steps, A, b in runs]
     done = 0
     for draws in chunks:
         count = len(draws) // 3
         # a diverging method overflows to inf and nan, which msq_order names
         with step_lock, np.errstate(over="ignore", invalid="ignore"):
-            for steps, exact, paths, A, nb1, nb2, worst in states:
+            for steps, exact, paths, A, nb, worst in states:
                 for j in range(0, 3 * min(count, steps - done), 3):
                     dw = exact.exact_step(draws[j:j + 3], tri)
-                    np.multiply(nb1, dw, out=u)
-                    np.multiply(nb2, dw, out=v)
-                    paths.step(A, u, v)
-                    np.subtract(paths.x, exact.x, out=u)
-                    np.square(u, out=u)
-                    np.subtract(paths.y, exact.y, out=v)
-                    np.square(v, out=v)
-                    u += v
-                    np.maximum(worst, u, out=worst)
+                    paths.step(A, np.multiply(nb, dw, out=pair))
+                    np.subtract(paths.z, exact.z, out=pair)
+                    np.square(pair, out=pair)
+                    np.add(pair[0], pair[1], out=pair[0])
+                    np.maximum(worst, pair[0], out=worst)
         done += count
     return [_exact_sum(state[-1]) for state in states]
 

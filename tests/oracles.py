@@ -6,6 +6,9 @@ at run time, kept here so the tests can check the package against them.
 - a pure-Python splitmix64 stream, which follows the recipe of the `rng`
   docstring with Python integers and `statistics.NormalDist`, sharing no
   code with `rng.fill_normals`;
+- the samplers' linear update as two rows of scalar-times-array products,
+  (M00 x + M01 y) + u and (M10 x + M11 y) + v, sharing no code with
+  `sim._Paths.step`;
 - the finite-N decay rate -log P(observable in interval) / N, and the
   interval probability itself in 50-digit mpmath;
 - a reader for the CSV documents the CLI emits;
@@ -102,6 +105,23 @@ def stream_normals(seed, paths, start, count):
     keys = [stream_key(seed, int(p)) for p in paths]
     return np.array([[inv_cdf(stream_uniform(key, i)) for key in keys]
                      for i in range(start, start + count)])
+
+
+# ---------------------------------------------------------------------------
+# the samplers' linear update
+
+
+def two_row_step(M, x, y, u, v):
+    """(x, y) <- M (x, y) + (u, v) as (M00 x + M01 y) + u and (M10 x + M11 y)
+    + v, one scalar-times-array product or sum at a time; returns the new
+    (x, y) and leaves the inputs unchanged."""
+    new_x = np.multiply(M[0][0], x)
+    new_x += np.multiply(M[0][1], y)
+    new_x += u
+    new_y = np.multiply(M[1][0], x)
+    new_y += np.multiply(M[1][1], y)
+    new_y += v
+    return new_x, new_y
 
 
 # ---------------------------------------------------------------------------

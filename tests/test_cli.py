@@ -587,7 +587,7 @@ def test_search_velocity_row_count(capsys):
         ["m1", "m2", "m3", "m4", "m5", "m6"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "65"])
 def test_bad_thread_count_is_an_input_error(value, capsys, monkeypatch):
     monkeypatch.setenv("LDP_OSC_THREADS", value)
     code, out, err = run_cli(["simulate", "--method", "ex", "--h", "0.2",

@@ -154,8 +154,8 @@ def _exact_path(params, delta, steps, paths, seed):
     for draws in step_normals(seed, 0, paths, steps, 3):
         for j in range(0, len(draws), 3):
             dw.append(exact.exact_step(draws[j:j + 3], tri).copy())
-            x.append(exact.x.copy())
-            y.append(exact.y.copy())
+            x.append(exact.z[0].copy())
+            y.append(exact.z[1].copy())
     return np.array(dw), np.array(x), np.array(y)
 
 

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from ldp_osc import cli, rng, sim
 from ldp_osc.ldp import observable_law
-from ldp_osc.methods import get_method
+from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams, \
     SimConfig
 from ldp_osc.rng import CHUNK_ROWS, _fill_uniforms, fill_normals, mix64, \
@@ -329,6 +329,38 @@ def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
     assert SimConfig(get_method("beta:0.5"), 0.1, 10 ** 9, 10).steps == 10 ** 9
 
 
+# edge values for the step: signed zeros, subnormals, infinities, values
+# whose products or sums overflow, and ordinary ones
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+          math.inf, -math.inf, 1.7976931348623157e308, -1e308, 1.0, -0.7]
+
+
+@pytest.mark.parametrize("matrix", ["em", "beta:0.5", "exact"])
+def test_step_is_the_two_row_recursion_bit_for_bit(matrix):
+    # the one (2, n) kernel reorders only the two products of each row's
+    # sum, which IEEE addition commutes, so every bit matches the two-row
+    # reference; nan matches by position, as its payload may differ
+    edges = np.array(_EDGES)
+    x, y, u, v = (g.ravel() for g in np.meshgrid(edges, edges, edges, edges))
+    noise = np.random.default_rng(3).standard_normal((4, 1000))
+    x, y, u, v = (np.concatenate([e, r]) for e, r in zip((x, y, u, v), noise))
+    n = len(x)
+    if matrix == "exact":
+        M = sim.ExactPaths(PARAMS, 0.7, 1)._R
+    else:
+        M = np.array(evaluate(get_method(matrix), 0.1)[0])
+    paths = sim._Paths(PARAMS, n)
+    paths.z[:] = x, y
+    with np.errstate(all="ignore"):
+        paths.step(M, np.array([u, v]))
+        expected = oracles.two_row_step(M, x, y, u, v)
+    for got, want in zip(paths.z, expected):
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        npt.assert_array_equal(got[~nan].view(np.uint64),
+                               want[~nan].view(np.uint64))
+
+
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
 # samplers moved to step-major buffers and streamed exact steps (the two
 # multi-block msq runs: before msq moved onto the block engine); the kernels
@@ -456,6 +488,23 @@ def test_step_normals_holds_a_chunk_and_one_scratch(per_step, rows):
 
     run()  # warm caches outside the measurement
     assert _peak_bytes(run) <= 2 * chunk_bytes + 64 * 1024
+
+
+def test_run_block_holds_a_chunk_its_scratch_and_a_few_rows():
+    # a block's noise is one (2, n) pair per step, formed from the chunk, so
+    # past the chunk and its uint64 scratch a block holds only rows: the
+    # state and its scratch (4), the noise (2), the running sum and the
+    # stream keys (2), with 4 to spare for numpy's temporaries
+    paths, row = sim.BLOCK, sim.BLOCK * 8
+    config = SimConfig(get_method("beta:0.5"), 0.1, 64, paths, seed=1,
+                       params=PARAMS)
+    A, b = evaluate(config.method, config.h)
+
+    def run():
+        sim._run_block(config, A, b, 0, paths)
+
+    run()  # warm caches outside the measurement
+    assert _peak_bytes(run) <= 2 * CHUNK_ROWS * row + 12 * row
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
