@@ -71,6 +71,11 @@ MAX_THREADS = 64
 # Below this step the one-step noise covariance is numerically singular.
 MIN_STEP = 1e-8
 
+# Jacobi sweeps of `_symmetric_sqrt`: a 3x3 symmetric matrix converges
+# quadratically, within 4 sweeps on the step covariances from MIN_STEP up
+_JACOBI_SWEEPS = 16
+_JACOBI_TOL = 2.0 ** -53
+
 _DEFAULT_PARAMS = OscillatorParams()
 
 
@@ -111,34 +116,91 @@ def step_noise_covariance(delta):
 
 
 def _symmetric_sqrt(C):
-    # eigh keeps the factor symmetric; Cholesky would also work but reorders
-    # sensitivity onto the last column
-    w, V = np.linalg.eigh(C)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    """The symmetric square root V sqrt(max(w, 0)) V^T of a symmetric 3x3
+    matrix C = V diag(w) V^T, as a list of rows of Python floats.
+
+    The eigenvectors come from cyclic Jacobi rotations (Golub and Van Loan,
+    Matrix Computations, section 8.5), which stop once every off-diagonal
+    entry is below 2**-53 of the geometric mean of its two diagonal
+    entries; each entry of the root is one math.fsum. So the factor is
+    exactly symmetric and depends on no BLAS or LAPACK build. A symmetric
+    root keeps each draw of the exact sampler where any symmetric root puts
+    it; a Cholesky factor would be a different realization.
+    """
+    a = [[float(v) for v in row] for row in C]
+    V = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            apq = a[p][q]
+            if abs(apq) <= _JACOBI_TOL * math.sqrt(abs(a[p][p] * a[q][q])):
+                continue
+            rotated = True
+            # the rotation (c, s) of Golub and Van Loan's symSchur2, which
+            # zeroes a[p][q]; t = s / c is the smaller root of its quadratic
+            tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            a[p][p] -= t * apq
+            a[q][q] += t * apq
+            a[p][q] = a[q][p] = 0.0
+            r = 3 - p - q
+            g, h = a[r][p], a[r][q]
+            a[r][p] = a[p][r] = c * g - s * h
+            a[r][q] = a[q][r] = s * g + c * h
+            for row in V:
+                g, h = row[p], row[q]
+                row[p] = c * g - s * h
+                row[q] = s * g + c * h
+        if not rotated:
+            break
+    root = [math.sqrt(max(a[k][k], 0.0)) for k in range(3)]
+    L = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            L[i][j] = L[j][i] = math.fsum(V[i][k] * root[k] * V[j][k]
+                                          for k in range(3))
+    return L
+
+
+def exact_factor(delta, alpha):
+    """The noise factor of the exact sampler at step delta: the symmetric
+    square root of `step_noise_covariance(delta)` with rows 1 and 2 scaled
+    by alpha, as a 3x3 array, so that L d for standard normals d is
+    (dW, alpha I1, alpha I2)."""
+    check_step(delta)
+    L = _symmetric_sqrt(step_noise_covariance(delta))
+    return np.array([L[0], [alpha * v for v in L[1]],
+                     [alpha * v for v in L[2]]])
 
 
 class _Paths:
-    """The state z = (x, y) of a block of paths, one (2, n) array, and the
-    (2, n) scratch its step needs; paths that step in turn on one thread may
-    share one scratch.
+    """The state z = (x, y) of a block of paths, a (2, n) array, or a stack
+    of such states, a (k, 2, n) array, and the scratch of the same shape
+    that its step needs; paths that step in turn on one thread may share
+    one scratch.
     """
 
-    def __init__(self, params, n, scratch=None):
-        self.z = np.full((2, n), [[params.x0], [params.y0]], dtype=float)
-        self._p = np.empty((2, n)) if scratch is None else scratch
+    def __init__(self, params, n, scratch=None, stack=()):
+        shape = stack + (2, n)
+        self.z = np.full(shape, [[params.x0], [params.y0]], dtype=float)
+        self._p = np.empty(shape) if scratch is None else scratch
 
     def step(self, M, noise):
-        """z <- M z + noise, in place, for a 2x2 array M and (2, n) noise.
+        """z <- M z + noise, in place, for a 2x2 array M and (2, n) noise,
+        or layer by layer for a stack: (k, 2, 2) M and (k, 2, n) noise.
 
         Row i is (M[i, 1] y + M[i, 0] x) + noise[i], which IEEE addition
         makes bit for bit the reference order (M[i, 0] x + M[i, 1] y) +
         noise[i] that every sampler's reproducibility rests on.
         """
         z, p = self.z, self._p
-        np.multiply(M[:, :1], z[0], out=p)
+        x, y = z[..., 0, :], z[..., 1, :]
+        np.multiply(M[..., :1], x[..., None, :], out=p)
         # x is read into p, so it may go; y is read before it goes
-        np.multiply(M[0, 1], z[1], out=z[0])
-        np.multiply(M[1, 1], z[1], out=z[1])
+        np.multiply(M[..., 0, 1:], y, out=x)
+        np.multiply(M[..., 1, 1:], y, out=y)
         z += p
         z += noise
 
@@ -154,31 +216,47 @@ def check_step(delta):
 
 class ExactPaths(_Paths):
     """Exact trajectories (X, Y) of the oscillator for a block of paths,
-    advanced in steps of size delta.
+    advanced in steps of size delta, stacked with the paths of one-step
+    methods (A, b) that run on the same Brownian increments: z[0] is the
+    exact state and z[1 + i] that of method i.
 
     Each step draws the Gaussian triple (dW, I1, I2) jointly from its exact
-    3x3 covariance (symmetric square root factorization L), then applies
-    (X, Y) <- R(delta) (X, Y) + alpha (I1, I2). The caller passes the
-    standard normals; `msq` gives step k draws 3k, 3k+1 and 3k+2 of each
-    path's stream (`rng.step_normals` with per_step 3), keyed by the global
-    path index, so a path's draws depend neither on the block split nor on
-    the step sizes that share them.
+    3x3 covariance, as L d for the `exact_factor` L, and steps the whole
+    stack at once: (X, Y) <- R(delta) (X, Y) + alpha (I1, I2), and each
+    method's state <- A state + alpha b dW. The caller passes the standard
+    normals; `msq` gives step k draws 3k, 3k+1 and 3k+2 of each path's
+    stream (`rng.step_normals` with per_step 3), keyed by the global path
+    index, so a path's draws depend neither on the block split nor on the
+    step sizes that share them.
     """
 
-    def __init__(self, params, delta, n, scratch=None):
-        check_step(delta)
-        super().__init__(params, n, scratch)
-        self._L = _symmetric_sqrt(step_noise_covariance(delta))
-        self._R = rotation(delta)
-        self._alpha = float(params.alpha)
+    def __init__(self, params, delta, factor, methods, n, scratch=None):
+        super().__init__(params, n, scratch, (1 + len(methods),))
+        self._L = factor
+        self._M = np.array([rotation(delta)] + [A for A, _ in methods])
+        self._nb = params.alpha * np.array([b for _, b in methods],
+                                           dtype=float).reshape(-1, 2, 1)
 
-    def exact_step(self, draws, tri):
-        """Advance one step on `draws`, three rows of standard normals, and
-        return dW. tri is (3, n) scratch: dW is its row 0, and rows 1 and 2
-        are free again once this returns."""
-        np.matmul(self._L, draws, out=tri)
-        self.step(self._R, np.multiply(self._alpha, tri[1:], out=tri[1:]))
-        return tri[0]
+    def exact_step(self, draws, noise, tmp):
+        """Advance the stack one step on `draws`, three rows of standard
+        normals, and return dW.
+
+        noise is scratch of 1 + 2 len(z) rows: dW is its row 0, and the
+        other rows are free again once this returns. tmp is (3, n) scratch,
+        which may share memory with the step scratch. Row i of L d is
+        (L[i, 0] d0 + L[i, 1] d1) + L[i, 2] d2.
+        """
+        L = self._L
+        tri = noise[:3]
+        np.multiply(L[:, :1], draws[0], out=tri)
+        np.multiply(L[:, 1:2], draws[1], out=tmp)
+        tri += tmp
+        np.multiply(L[:, 2:], draws[2], out=tmp)
+        tri += tmp
+        n = noise.shape[1]
+        np.multiply(self._nb, tri[0], out=noise[3:].reshape(-1, 2, n))
+        self.step(self._M, noise[1:].reshape(self.z.shape))
+        return noise[0]
 
 
 def _run_blocks(samples, task):
@@ -311,8 +389,15 @@ class MsqReport(NamedTuple):
 
 
 def fit_loglog_slope(h_values, errors):
-    return float(np.polyfit(np.log(np.asarray(h_values, dtype=float)),
-                            np.log(np.asarray(errors, dtype=float)), 1)[0])
+    """The least-squares slope of log(error) against log(h), in closed form:
+    sum((x - mean x) (y - mean y)) / sum((x - mean x)^2), each sum and mean
+    by math.fsum."""
+    x = [math.log(h) for h in h_values]
+    y = [math.log(e) for e in errors]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    return math.fsum(d * (v - y_mean) for d, v in zip(dx, y)) \
+        / math.fsum(d * d for d in dx)
 
 
 def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
@@ -350,7 +435,8 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                 f"T0/h = {ratio:g} is not an integer; comparing over {steps} steps",
                 stacklevel=2)
         check_step(h)
-        runs.append((h, steps, *evaluate(method, h)))
+        runs.append((h, steps, evaluate(method, h),
+                     exact_factor(h, float(params.alpha))))
     finest_first = runs[::-1]
     step_lock = threading.Lock()
     mean_squares = []
@@ -375,16 +461,17 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
 
 def _msq_block(params, seed, runs, step_lock, lo, hi):
     """Run paths lo..hi-1 of the method at every step size of `runs`, tuples
-    (h, steps, A, b) finest first, on the increments of their exact
-    trajectories; return, per step size, the `_exact_sum` of each path's
-    largest squared state error over the grid.
+    (h, steps, (A, b), L) finest first with L the `exact_factor`, on the
+    increments of their exact trajectories; return, per step size, the
+    `_exact_sum` of each path's largest squared state error over the grid.
 
     One noise stream covers the finest step count, MSQ_CHUNK_STEPS steps per
     chunk, and each chunk feeds every step size whose step count reaches it.
-    Each step size runs the same operations, in the same order, as it would
-    alone. All paths share one step scratch and one (3, n) buffer, whose
-    rows 1 and 2 carry the exact noise, then the method's noise, then the
-    squared errors.
+    Each step size holds its exact and its method paths as one stack
+    (`ExactPaths`) and runs the same operations, in the same order, as it
+    would alone. All step sizes share one step scratch, whose first three
+    rows also form the exact noise, and one (5, n) buffer: dW, the exact
+    noise and the method's noise, then the squared errors.
 
     The blocks of a pass step their chunks in turn, under `step_lock`, and
     draw the next chunk outside it. A step is many short numpy calls, each
@@ -395,23 +482,22 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
     # the draw buffers go first: allocated after the state arrays, they
     # raised the peak RSS of `msq`
     chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, 3 * MSQ_CHUNK_STEPS)
-    tri = np.empty((3, n))
-    pair = tri[1:]
-    scratch = np.empty((2, n))
-    states = [(steps, ExactPaths(params, h, n, scratch),
-               _Paths(params, n, scratch), np.array(A),
-               params.alpha * np.array(b)[:, None], np.zeros(n))
-              for h, steps, A, b in runs]
+    noise = np.empty((5, n))
+    pair = noise[1:3]
+    scratch = np.empty((2, 2, n))
+    tmp = scratch.reshape(4, n)[:3]
+    states = [(steps, ExactPaths(params, h, L, (method,), n, scratch),
+               np.zeros(n))
+              for h, steps, method, L in runs]
     done = 0
     for draws in chunks:
         count = len(draws) // 3
         # a diverging method overflows to inf and nan, which msq_order names
         with step_lock, np.errstate(over="ignore", invalid="ignore"):
-            for steps, exact, paths, A, nb, worst in states:
+            for steps, paths, worst in states:
                 for j in range(0, 3 * min(count, steps - done), 3):
-                    dw = exact.exact_step(draws[j:j + 3], tri)
-                    paths.step(A, np.multiply(nb, dw, out=pair))
-                    np.subtract(paths.z, exact.z, out=pair)
+                    paths.exact_step(draws[j:j + 3], noise, tmp)
+                    np.subtract(paths.z[1], paths.z[0], out=pair)
                     np.square(pair, out=pair)
                     np.add(pair[0], pair[1], out=pair[0])
                     np.maximum(worst, pair[0], out=worst)

@@ -16,7 +16,8 @@ from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
 from ldp_osc.rng import step_normals
-from ldp_osc.sim import ExactPaths, rotation, step_noise_covariance
+from ldp_osc.sim import ExactPaths, exact_factor, rotation, \
+    step_noise_covariance
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
                      terminal_position_law)
 
@@ -148,23 +149,24 @@ def test_step_noise_covariance_against_quadrature():
 def _exact_path(params, delta, steps, paths, seed):
     # (dw, x, y) of every step, each of shape (steps, paths), stepped as
     # `msq` steps it: three draws of each path's stream per step
-    exact = ExactPaths(params, delta, paths)
-    tri = np.empty((3, paths))
+    exact = ExactPaths(params, delta, exact_factor(delta, params.alpha), (),
+                       paths)
+    noise, tmp = np.empty((3, paths)), np.empty((3, paths))
     dw, x, y = [], [], []
     for draws in step_normals(seed, 0, paths, steps, 3):
         for j in range(0, len(draws), 3):
-            dw.append(exact.exact_step(draws[j:j + 3], tri).copy())
-            x.append(exact.z[0].copy())
-            y.append(exact.z[1].copy())
+            dw.append(exact.exact_step(draws[j:j + 3], noise, tmp).copy())
+            x.append(exact.z[0, 0].copy())
+            y.append(exact.z[0, 1].copy())
     return np.array(dw), np.array(x), np.array(y)
 
 
 def test_sampler_guards():
     params = OscillatorParams()
     with pytest.raises(ValueError):
-        ExactPaths(params, 0.0, 1)
+        exact_factor(0.0, params.alpha)
     with pytest.raises(ValueError):
-        ExactPaths(params, 1e-9, 1)
+        exact_factor(1e-9, params.alpha)
     assert list(step_normals(0, 0, 1, 0, 3)) == []
 
 

@@ -335,30 +335,44 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
           math.inf, -math.inf, 1.7976931348623157e308, -1e308, 1.0, -0.7]
 
 
-@pytest.mark.parametrize("matrix", ["em", "beta:0.5", "exact"])
-def test_step_is_the_two_row_recursion_bit_for_bit(matrix):
-    # the one (2, n) kernel reorders only the two products of each row's
-    # sum, which IEEE addition commutes, so every bit matches the two-row
-    # reference; nan matches by position, as its payload may differ
+def _assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    npt.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _step_matrix(matrix):
+    if matrix == "exact":
+        return sim.rotation(0.7)
+    return np.array(evaluate(get_method(matrix), 0.1)[0])
+
+
+@pytest.mark.parametrize("matrices", [("em",), ("beta:0.5",), ("exact",),
+                                      ("exact", "beta:0.5")],
+                         ids=["em", "beta:0.5", "exact", "stacked"])
+def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
+    # the one kernel reorders only the two products of each row's sum, which
+    # IEEE addition commutes, so every bit matches the two-row reference,
+    # for one (2, n) state or layer by layer for a stack of them; nan
+    # matches by position, as its payload may differ
     edges = np.array(_EDGES)
     x, y, u, v = (g.ravel() for g in np.meshgrid(edges, edges, edges, edges))
     noise = np.random.default_rng(3).standard_normal((4, 1000))
     x, y, u, v = (np.concatenate([e, r]) for e, r in zip((x, y, u, v), noise))
     n = len(x)
-    if matrix == "exact":
-        M = sim.ExactPaths(PARAMS, 0.7, 1)._R
-    else:
-        M = np.array(evaluate(get_method(matrix), 0.1)[0])
-    paths = sim._Paths(PARAMS, n)
-    paths.z[:] = x, y
+    # layer i steps the inputs rolled by i paths, so the layers differ
+    layers = [(_step_matrix(m), *(np.roll(a, i) for a in (x, y, u, v)))
+              for i, m in enumerate(matrices)]
+    stack = () if len(layers) == 1 else (len(layers),)
+    M = np.reshape([layer[0] for layer in layers], stack + (2, 2))
+    paths = sim._Paths(PARAMS, n, stack=stack)
+    paths.z[:] = np.reshape([layer[1:3] for layer in layers], paths.z.shape)
     with np.errstate(all="ignore"):
-        paths.step(M, np.array([u, v]))
-        expected = oracles.two_row_step(M, x, y, u, v)
-    for got, want in zip(paths.z, expected):
-        nan = np.isnan(want)
-        assert (np.isnan(got) == nan).all()
-        npt.assert_array_equal(got[~nan].view(np.uint64),
-                               want[~nan].view(np.uint64))
+        paths.step(M, np.reshape([layer[3:] for layer in layers],
+                                 paths.z.shape))
+        for got, layer in zip(paths.z.reshape(-1, 2, n), layers):
+            for got_row, want in zip(got, oracles.two_row_step(*layer)):
+                _assert_same_bits(got_row, want)
 
 
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
@@ -375,7 +389,11 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrix):
 # became a merge of per-block moments in block order (Chan, Golub and
 # LeVeque) in place of numpy's mean and variance over the whole per-path
 # arrays: means and variances moved by 1-2 ulp, min and max and every
-# per-path value by none; the one-path run has one block and did not move
+# per-path value by none; the one-path run has one block and did not move.
+# Every msq run was re-recorded when msq stopped calling BLAS and LAPACK (a
+# Jacobi noise factor in Python floats, the exact noise as elementwise
+# products, the fit in closed form): errors moved in their last 2-4
+# digits, and the digest no longer depends on the BLAS kernel the CPU picks
 GOLDEN_STDOUT = [
     # re-recorded: summary merged per block
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
@@ -390,24 +408,27 @@ GOLDEN_STDOUT = [
      "7a5f85a45c361d37570e412250d15e4fa19c5aac9a1c34b505650f5ec45a59c0"),
     ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
      "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
+    # re-recorded: no BLAS
     ("msq --method em --h 0.1 --samples 3000",
-     "7f6ef315f2d6ed531668851573cb5dbb0cfc3d03363e9836b6a4c0482f835893"),
-    # re-recorded: exact mean
+     "903243d623fe712ca4e021ed773d8e1d22215fc1dd2c6d30a1527853d84e839c"),
+    # re-recorded: exact mean; no BLAS
     ("msq --method beta:0.5 --h 0.1 --samples 3000",
-     "c0eeff46ce0bf1824187272d786e5a2ee69384b9d0710d8a4700b5bbc08f28ee"),
-    # re-recorded: exact mean
+     "c41c13b5afd23ab52aa5f182cc2f6aa61d908ac06a34684a76c1c64bc01d4fa3"),
+    # re-recorded: exact mean; no BLAS
     ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
-     "5f37dba0643e3afa62a130f9b8b4df0c7223006997e60bf1af51eb37a23f307a"),
+     "741da87c43c50d24f61ffbccedf1b4b149537e83b7c62c4b2a4a76eb214a9c9b"),
+    # re-recorded: no BLAS
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
-     "3e12384f381b66d698188dbc6091b0227040e9ecfed6e70c052e6669f0ce21e5"),
-    # more than one BLOCK of paths, so two threads split the work
+     "d06a06c857aa7d1718b7732f34aa77da27dfb2df6c72bdee4f7591c00b1e2119"),
+    # more than one BLOCK of paths, so two threads split the work;
+    # re-recorded: no BLAS
     ("msq --method em --h 0.1 --samples 9001 --seed 4",
-     "8fec16a58d90e97c8b5347db77a1de38048895e020ee00e3a76bfbf1f415e1ab"),
-    # re-recorded: exact mean
+     "c3eeb72afecab73b4faa0ee3714b0e8389f90bdf88c0392a8a8450a70bcf65b8"),
+    # re-recorded: exact mean; no BLAS
     ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
      "--y0 -0.2 --alpha 0.7 --format json",
-     "8fe8e7ce57cb42720f9538ee53bbf79d7364864093e86619c2c0ab8d9b4fa381"),
+     "2cd8853ed0ce3e06c0ac7b2086412cb0c478169069c0765b5a38c4a427b0d0ab"),
 ]
 
 
