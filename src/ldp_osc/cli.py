@@ -25,8 +25,6 @@ from LDP_OSC_THREADS; results are bit-identical for any thread count. The parser
 `main()` call and reused by every later call in the same process.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import functools

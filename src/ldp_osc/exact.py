@@ -16,8 +16,6 @@ with i adjoined (pi is transcendental), so a polynomial is identically zero
 exactly when its dict is empty. No other module reads these dicts.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

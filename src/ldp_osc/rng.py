@@ -27,8 +27,6 @@ ldp_osc.sim` takes 0.35-0.5 s: scipy.special 0.24-0.32 s and 26 MiB of RSS,
 numpy 0.07-0.10 s and 14 MiB.
 """
 
-from __future__ import annotations
-
 import numpy as np
 from scipy.special import ndtri
 

@@ -407,6 +407,9 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     For each step size the method runs on the very Brownian increments that
     drove the exact sampler, the squared state error is maximized over the
     grid, averaged over paths, and the root is fitted log-log against h.
+    Every step size h runs round(T0/h) steps of T0/round(T0/h), so all of
+    them share the horizon T0; the report gives these steps, and two step
+    sizes with the same step count are an error.
 
     Every step size is checked (and warned about) before any path runs. The
     step sizes run finest first, MSQ_PASS per pass of BLOCK-path tasks
@@ -420,9 +423,9 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
         raise ValueError(f"need at least one sample, got {samples}")
     if not (math.isfinite(T0) and T0 > 0):
         raise ValueError(f"T0 must be a finite positive horizon, got {T0}")
-    hs = decreasing_sweep(h_values)
     runs = []
-    for h in hs:
+    given = decreasing_sweep(h_values)
+    for i, h in enumerate(given):
         ratio = T0 / h
         if ratio > MAX_N:
             raise ValueError(f"T0/h = {ratio:g} steps at h = {h:g}; need at most "
@@ -430,13 +433,19 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
         steps = round(ratio)
         if steps < 1:
             raise ValueError(f"horizon {T0:g} shorter than one step of {h:g}")
+        step = T0 / steps
+        if runs and steps == runs[-1][1]:
+            raise ValueError(f"h = {given[i - 1]:g} and h = {h:g} both give "
+                             f"{steps} steps over T0 = {T0:g}; each step size "
+                             "needs its own step count")
         if abs(ratio - steps) > 1e-9 * max(1.0, steps):
             warnings.warn(
-                f"T0/h = {ratio:g} is not an integer; comparing over {steps} steps",
-                stacklevel=2)
-        check_step(h)
-        runs.append((h, steps, evaluate(method, h),
-                     exact_factor(h, float(params.alpha))))
+                f"T0/h = {ratio:g} is not an integer; comparing over {steps} "
+                f"steps of {step:g}", stacklevel=2)
+        check_step(step)
+        runs.append((step, steps, evaluate(method, step),
+                     exact_factor(step, float(params.alpha))))
+    hs = tuple(run[0] for run in runs)
     finest_first = runs[::-1]
     step_lock = threading.Lock()
     mean_squares = []

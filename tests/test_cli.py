@@ -262,8 +262,10 @@ def test_msq_warnings_print_message_lines(capsys):
     assert code == 0
     assert len(parse_csv(out)) == 4
     assert err == (
-        "warning: T0/h = 10.7722 is not an integer; comparing over 11 steps\n"
-        "warning: T0/h = 23.2079 is not an integer; comparing over 23 steps\n")
+        "warning: T0/h = 10.7722 is not an integer; comparing over 11 steps "
+        "of 0.0909091\n"
+        "warning: T0/h = 23.2079 is not an integer; comparing over 23 steps "
+        "of 0.0434783\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -910,12 +912,15 @@ GOLDEN_VERDICTS = [
      "17cbaa7e4d5e4983a98bf4dd2a4f3f77700f065a7751ec68dc4be8624eae339d"),
     ("rates --method ex --h-sweep 2:4:2", 0,
      "9833c38752f1aeb32082649a5a38d68a8ad0208f0a2418ce86d1eade37c43a65"),
-    # T0/h is not an integer, so the steps column is the rounded ratio;
+    # T0/h is not an integer, so the steps column is the rounded ratio and
+    # the h column the step T0/steps that ran;
     # re-recorded when msq's mean became the exact mean rounded once (the
     # h = 0.025 error moved by 1 ulp), and when msq stopped calling BLAS and
-    # LAPACK (errors moved in their last 2-4 digits)
+    # LAPACK (errors moved in their last 2-4 digits), and when every step
+    # size came to run T0/round(T0/h), so that h = 0.1 runs 9 steps of
+    # 0.95/9 in place of 9 steps of 0.1 (every row moved)
     ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
-     "893cc62b83753f52a9c319d6f63c37d9184c952ea7fcc3dcaae36fe4aacafd59"),
+     "daa4894ef83e43fef4c055816eb6ecce66f321068153970ace0193b9b36e2a90"),
 ]
 # `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
 # recorded before the command printed `condition_b_diagnostics`' own reports;

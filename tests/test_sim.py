@@ -1,15 +1,19 @@
 """Tests for the counter-based RNG, the path simulator, and strong-order fits."""
 
+import ast
 import hashlib
 import json
 import math
 import os
+import platform
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -208,6 +212,26 @@ def test_fit_loglog_slope_recovers_power():
     assert fit_loglog_slope(hs, errors) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_fit_loglog_slope_matches_a_50_digit_least_squares_fit():
+    # the same float points, their logs and the normal-equation slope in
+    # 50-digit arithmetic
+    draw = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(draw.integers(2, 13))
+        hs = sorted(10.0 ** draw.uniform(-5.0, 0.5, n), reverse=True)
+        order, scale = draw.uniform(0.5, 3.0), 10.0 ** draw.uniform(-3, 2)
+        errors = [scale * h ** order * math.exp(0.3 * draw.standard_normal())
+                  for h in hs]
+        with mpmath.workdps(50):
+            x = [mpmath.log(mpmath.mpf(h)) for h in hs]
+            y = [mpmath.log(mpmath.mpf(e)) for e in errors]
+            x_mean, y_mean = sum(x) / n, sum(y) / n
+            slope = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) \
+                / sum((a - x_mean) ** 2 for a in x)
+        assert fit_loglog_slope(hs, errors) == pytest.approx(float(slope),
+                                                             rel=1e-13)
+
+
 def test_msq_order_first_order_methods():
     hs = [0.1 * 2.0 ** -k for k in range(4)]
     em = msq_order(get_method("em"), hs, T0=1.0, samples=2000, seed=0,
@@ -225,8 +249,32 @@ def test_msq_order_warns_on_fractional_step_count():
     with pytest.warns(UserWarning, match="not an integer"):
         report = msq_order(get_method("ex"), [0.3, 0.15], T0=1.0, samples=50,
                            seed=0, params=PARAMS)
-    # the step counts that ran: 1/0.3 rounds to 3, 1/0.15 to 7
+    # the step counts that ran: 1/0.3 rounds to 3, 1/0.15 to 7, and the
+    # steps that ran, which share the horizon 1
     assert report.steps == (3, 7)
+    assert report.h_values == (1.0 / 3, 1.0 / 7)
+
+
+def test_msq_order_runs_every_step_size_over_the_horizon():
+    # 0.95/0.1 rounds to 9 steps and 0.95/0.05 to 19: each runs its steps of
+    # 0.95/steps, the same steps a sweep given those steps runs
+    with pytest.warns(UserWarning, match="comparing over 9 steps of 0.105556"):
+        report = msq_order(get_method("beta:0.5"), [0.1, 0.05], T0=0.95,
+                           samples=500, seed=3, params=PARAMS)
+    assert report.steps == (9, 19)
+    assert report.h_values == (0.95 / 9, 0.95 / 19)
+    exact = msq_order(get_method("beta:0.5"), report.h_values, T0=0.95,
+                      samples=500, seed=3, params=PARAMS)
+    assert exact == report
+
+
+def test_msq_order_rejects_step_sizes_with_one_step_count(monkeypatch):
+    def no_blocks(samples, task):
+        raise AssertionError("a block runner started")
+    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
+    with pytest.raises(ValueError, match="h = 0.32 and h = 0.3 both give 3 "
+                       "steps over T0 = 1"), pytest.warns(UserWarning):
+        msq_order(get_method("em"), [0.32, 0.3, 0.1], samples=10)
 
 
 def test_msq_order_guards():
@@ -375,6 +423,88 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
                 _assert_same_bits(got_row, want)
 
 
+@pytest.mark.parametrize("delta", np.geomspace(sim.MIN_STEP, 1.9, 25).tolist())
+def test_noise_factor_is_the_symmetric_square_root(delta):
+    # against the 50-digit symmetric root of the same float covariance, with
+    # negative eigenvalues clipped to 0 as the factor clips them. The square
+    # root is operator monotone, |sqrt(A) - sqrt(B)| <= |A - B|^(1/2), so a
+    # backward error of a few ulps of C bounds the factor's error by the root
+    # of that; the residual L L - C is those ulps plus what the clip adds
+    C = sim.step_noise_covariance(delta)
+    L = sim.exact_factor(delta, 1.0)
+    assert (L == L.T).all()
+    ulp = 2.0 ** -53 * float(np.abs(C).max())
+    with mpmath.workdps(50):
+        exact = mpmath.matrix(C.tolist())
+        eigenvalues, vectors = mpmath.eigsy(exact)
+        root = vectors * mpmath.diag([mpmath.sqrt(max(e, 0))
+                                      for e in eigenvalues]) * vectors.T
+        factor = mpmath.matrix(L.tolist())
+        error = mpmath.mnorm(factor - root, "inf")
+        residual = mpmath.mnorm(factor * factor - exact, "inf")
+        clipped = -min(min(eigenvalues), 0)
+    assert error <= math.sqrt(32 * ulp)
+    assert residual <= 3 * clipped + 32 * ulp
+
+
+def test_noise_factor_folds_alpha_into_the_noise_rows():
+    L = sim.exact_factor(0.3, 1.0)
+    npt.assert_array_equal(sim.exact_factor(0.3, 0.7),
+                           [L[0], 0.7 * L[1], 0.7 * L[2]])
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.machine() == "x86_64"),
+                    reason="OpenBLAS core types are named for x86-64 Linux")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_msq_digits_do_not_depend_on_the_blas_kernel(coretype):
+    # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS (numpy's wheels) run
+    # another CPU's kernels; msq calls none, so its stdout keeps its digest
+    if coretype == "Haswell" and not {"avx2", "fma"} <= _cpu_flags():
+        pytest.skip("the Haswell kernels need avx2 and fma")
+    command, digest = GOLDEN_STDOUT[4]
+    assert command == "msq --method em --h 0.1 --samples 3000"
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, LDP_OSC_THREADS="2")
+    proc = subprocess.run([sys.executable, "-m", "ldp_osc.cli",
+                           *command.split()], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+# numpy names that reach BLAS or LAPACK
+_BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum",
+               "linalg", "polyfit", "lstsq", "cov", "corrcoef"}
+
+
+@pytest.mark.parametrize("module", [sim, rng], ids=["sim", "rng"])
+def test_samplers_reach_no_blas(module):
+    # the kernel test above runs only on x86-64 Linux; this holds everywhere
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append(("@", node.lineno))
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name is not None and _BLAS_NAMES & set(name.split(".")):
+            found.append((name, node.lineno))
+    assert found == []
+
+
 # SHA-256 of the stdout of small simulate and msq runs, recorded before the
 # samplers moved to step-major buffers and streamed exact steps (the two
 # multi-block msq runs: before msq moved onto the block engine); the kernels
@@ -393,7 +523,11 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
 # Every msq run was re-recorded when msq stopped calling BLAS and LAPACK (a
 # Jacobi noise factor in Python floats, the exact noise as elementwise
 # products, the fit in closed form): errors moved in their last 2-4
-# digits, and the digest no longer depends on the BLAS kernel the CPU picks
+# digits, and the digest no longer depends on the BLAS kernel the CPU picks.
+# The two marked sweeps were then re-recorded when every step size came to
+# run T0/round(T0/h): their two middle step sizes, where T0/h is not an
+# integer, moved to the common horizon T0, and the h column prints the step
+# that ran
 GOLDEN_STDOUT = [
     # re-recorded: summary merged per block
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
@@ -417,18 +551,18 @@ GOLDEN_STDOUT = [
     # re-recorded: exact mean; no BLAS
     ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
      "741da87c43c50d24f61ffbccedf1b4b149537e83b7c62c4b2a4a76eb214a9c9b"),
-    # re-recorded: no BLAS
+    # re-recorded: no BLAS; common horizon
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
-     "d06a06c857aa7d1718b7732f34aa77da27dfb2df6c72bdee4f7591c00b1e2119"),
+     "57e1ca4b6fbd79469ba896b8f3f491aabf322684772f1e70c8a4a84ec5534b71"),
     # more than one BLOCK of paths, so two threads split the work;
     # re-recorded: no BLAS
     ("msq --method em --h 0.1 --samples 9001 --seed 4",
      "c3eeb72afecab73b4faa0ee3714b0e8389f90bdf88c0392a8a8450a70bcf65b8"),
-    # re-recorded: exact mean; no BLAS
+    # re-recorded: exact mean; no BLAS; common horizon
     ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
      "--y0 -0.2 --alpha 0.7 --format json",
-     "2cd8853ed0ce3e06c0ac7b2086412cb0c478169069c0765b5a38c4a427b0d0ab"),
+     "ea675de95d09415b55dd6bef191c4c608d1a2db061c6f0257ce65b133feb4503"),
 ]
 
 
