@@ -21,14 +21,22 @@ takes its summary from the same merge.
 `msq_order` runs the step sizes of a sweep together, up to MSQ_PASS per pass
 of `_run_blocks`, so each normal is drawn once per pass: step k reads the
 same counter slots at every step size, and one noise stream per block feeds
-every step size whose step count reaches it. Each step size keeps its own exact
-paths (`ExactPaths`, which sample the exact one-step law of the oscillator)
-and method paths, the blocks of a pass take turns at stepping while the
-others draw, and each block reduces its per-path worst squared errors to an
-exact sum (`_exact_sum`), which the caller adds to running totals as the
+every step size whose step count reaches it. A given step h runs
+round(T0/h) steps of T0/round(T0/h), so every step size ends at the horizon
+T0. Each step size keeps its exact and method paths as one stack
+(`ExactPaths`, which samples the exact one-step law of the oscillator). The
+blocks of a pass take turns at stepping while the others draw, and each
+block reduces its per-path worst squared errors to an exact sum
+(`_exact_sum`), which the caller adds to running totals as the
 blocks arrive. So `msq` memory grows neither with the sample count nor as h
 shrinks, and its mean square error is the exact mean, rounded once, for any
 block split or thread count.
+
+No sampler reaches BLAS or LAPACK: the exact noise factor is a Jacobi
+eigen-iteration in Python floats (`_symmetric_sqrt`), the noise and every
+step are elementwise numpy calls, and the fit is a closed form summed by
+math.fsum. So the printed digits rest on IEEE arithmetic and the C math
+library alone, whatever BLAS kernel the CPU selects.
 
 Only this module and `rng` import numpy, and `rng` imports scipy, so
 importing this module is the one point where both load.
@@ -71,8 +79,9 @@ MAX_THREADS = 64
 # Below this step the one-step noise covariance is numerically singular.
 MIN_STEP = 1e-8
 
-# Jacobi sweeps of `_symmetric_sqrt`: a 3x3 symmetric matrix converges
-# quadratically, within 4 sweeps on the step covariances from MIN_STEP up
+# most Jacobi sweeps of `_symmetric_sqrt`: on 600 step covariances from
+# MIN_STEP to 1.9 its root stops changing after 2 or 3, and the cap bounds
+# the loop should rounding keep a rotation alive
 _JACOBI_SWEEPS = 16
 _JACOBI_TOL = 2.0 ** -53
 
@@ -123,9 +132,10 @@ def _symmetric_sqrt(C):
     Matrix Computations, section 8.5), which stop once every off-diagonal
     entry is below 2**-53 of the geometric mean of its two diagonal
     entries; each entry of the root is one math.fsum. So the factor is
-    exactly symmetric and depends on no BLAS or LAPACK build. A symmetric
-    root keeps each draw of the exact sampler where any symmetric root puts
-    it; a Cholesky factor would be a different realization.
+    exactly symmetric and depends on no BLAS or LAPACK build. The symmetric
+    root is the one positive semidefinite root of C, so C fixes each draw of
+    the exact sampler up to rounding; a Cholesky factor would give another
+    realization of the same law.
     """
     a = [[float(v) for v in row] for row in C]
     V = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
@@ -253,9 +263,9 @@ class ExactPaths(_Paths):
         tri += tmp
         np.multiply(L[:, 2:], draws[2], out=tmp)
         tri += tmp
-        n = noise.shape[1]
-        np.multiply(self._nb, tri[0], out=noise[3:].reshape(-1, 2, n))
-        self.step(self._M, noise[1:].reshape(self.z.shape))
+        stacked = noise[1:].reshape(self.z.shape)
+        np.multiply(self._nb, tri[0], out=stacked[1:])
+        self.step(self._M, stacked)
         return noise[0]
 
 
@@ -478,9 +488,10 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
     chunk, and each chunk feeds every step size whose step count reaches it.
     Each step size holds its exact and its method paths as one stack
     (`ExactPaths`) and runs the same operations, in the same order, as it
-    would alone. All step sizes share one step scratch, whose first three
-    rows also form the exact noise, and one (5, n) buffer: dW, the exact
-    noise and the method's noise, then the squared errors.
+    would alone. All step sizes share one (2, 2, n) step scratch, whose
+    first three rows are also the scratch of the exact noise, and one
+    (5, n) buffer: dW, the exact noise and the method's noise, then the
+    squared errors.
 
     The blocks of a pass step their chunks in turn, under `step_lock`, and
     draw the next chunk outside it. A step is many short numpy calls, each
