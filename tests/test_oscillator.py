@@ -12,6 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
@@ -149,13 +150,12 @@ def test_step_noise_covariance_against_quadrature():
 def _exact_path(params, delta, steps, paths, seed):
     # (dw, x, y) of every step, each of shape (steps, paths), stepped as
     # `msq` steps it: three draws of each path's stream per step
-    exact = ExactPaths(params, delta, exact_factor(delta, params.alpha), (),
-                       paths)
-    noise, tmp = np.empty((3, paths)), np.empty((3, paths))
+    exact = ExactPaths(params, delta, exact_factor(delta, params.alpha),
+                       evaluate(get_method("em"), delta), paths)
     dw, x, y = [], [], []
     for draws in step_normals(seed, 0, paths, steps, 3):
         for j in range(0, len(draws), 3):
-            dw.append(exact.exact_step(draws[j:j + 3], noise, tmp).copy())
+            dw.append(exact.exact_step(draws[j:j + 3]).copy())
             x.append(exact.z[0, 0].copy())
             y.append(exact.z[0, 1].copy())
     return np.array(dw), np.array(x), np.array(y)

@@ -413,11 +413,10 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
               for i, m in enumerate(matrices)]
     stack = () if len(layers) == 1 else (len(layers),)
     M = np.reshape([layer[0] for layer in layers], stack + (2, 2))
-    paths = sim._Paths(PARAMS, n, stack=stack)
+    paths = sim._Paths(PARAMS, M, n, stack=stack)
     paths.z[:] = np.reshape([layer[1:3] for layer in layers], paths.z.shape)
     with np.errstate(all="ignore"):
-        paths.step(M, np.reshape([layer[3:] for layer in layers],
-                                 paths.z.shape))
+        paths.step(np.reshape([layer[3:] for layer in layers], paths.z.shape))
         for got, layer in zip(paths.z.reshape(-1, 2, n), layers):
             for got_row, want in zip(got, oracles.two_row_step(*layer)):
                 _assert_same_bits(got_row, want)
