@@ -913,12 +913,13 @@ GOLDEN_VERDICTS = [
     ("rates --method ex --h-sweep 2:4:2", 0,
      "9833c38752f1aeb32082649a5a38d68a8ad0208f0a2418ce86d1eade37c43a65"),
     # T0/h is not an integer, so the steps column is the rounded ratio and
-    # the h column the step T0/steps that ran;
-    # re-recorded when msq's mean became the exact mean rounded once (the
-    # h = 0.025 error moved by 1 ulp), and when msq stopped calling BLAS and
-    # LAPACK (errors moved in their last 2-4 digits), and when every step
-    # size came to run T0/round(T0/h), so that h = 0.1 runs 9 steps of
-    # 0.95/9 in place of 9 steps of 0.1 (every row moved)
+    # the h column the step T0/steps that ran; re-recorded when msq's mean
+    # became the exact mean rounded once (the h = 0.025 error moved by 1
+    # ulp), when msq stopped calling BLAS and LAPACK (errors moved from
+    # their 10th significant digit on), and when every step size came to run
+    # T0/round(T0/h): h = 0.1 runs 9 steps of 0.95/9 in place of 9 steps of
+    # 0.1, and the finer rows print their steps, 1 ulp below 0.05, 0.025,
+    # 0.0125 and 0.00625
     ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
      "daa4894ef83e43fef4c055816eb6ecce66f321068153970ace0193b9b36e2a90"),
 ]

@@ -263,9 +263,9 @@ def test_msq_order_runs_every_step_size_over_the_horizon():
                            samples=500, seed=3, params=PARAMS)
     assert report.steps == (9, 19)
     assert report.h_values == (0.95 / 9, 0.95 / 19)
-    exact = msq_order(get_method("beta:0.5"), report.h_values, T0=0.95,
+    again = msq_order(get_method("beta:0.5"), report.h_values, T0=0.95,
                       samples=500, seed=3, params=PARAMS)
-    assert exact == report
+    assert again == report
 
 
 def test_msq_order_rejects_step_sizes_with_one_step_count(monkeypatch):
@@ -383,12 +383,6 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
           math.inf, -math.inf, 1.7976931348623157e308, -1e308, 1.0, -0.7]
 
 
-def _assert_same_bits(got, want):
-    nan = np.isnan(want)
-    assert (np.isnan(got) == nan).all()
-    npt.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-
-
 def _step_matrix(matrix):
     if matrix == "exact":
         return sim.rotation(0.7)
@@ -419,7 +413,10 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
         paths.step(np.reshape([layer[3:] for layer in layers], paths.z.shape))
         for got, layer in zip(paths.z.reshape(-1, 2, n), layers):
             for got_row, want in zip(got, oracles.two_row_step(*layer)):
-                _assert_same_bits(got_row, want)
+                nan = np.isnan(want)
+                assert (np.isnan(got_row) == nan).all()
+                npt.assert_array_equal(got_row[~nan].view(np.uint64),
+                                       want[~nan].view(np.uint64))
 
 
 @pytest.mark.parametrize("delta", np.geomspace(sim.MIN_STEP, 1.9, 25).tolist())
@@ -521,8 +518,9 @@ def test_samplers_reach_no_blas(module):
 # per-path value by none; the one-path run has one block and did not move.
 # Every msq run was re-recorded when msq stopped calling BLAS and LAPACK (a
 # Jacobi noise factor in Python floats, the exact noise as elementwise
-# products, the fit in closed form): errors moved in their last 2-4
-# digits, and the digest no longer depends on the BLAS kernel the CPU picks.
+# products, the fit in closed form): errors moved from their 10th
+# significant digit (finest step) to their 15th (coarsest), and the digest
+# no longer depends on the BLAS kernel the CPU picks.
 # The two marked sweeps were then re-recorded when every step size came to
 # run T0/round(T0/h): their two middle step sizes, where T0/h is not an
 # integer, moved to the common horizon T0, and the h column prints the step
