@@ -16,8 +16,16 @@ so each draw consumes exactly one counter slot.
 The kernel is `fill_normals`: it writes draw start + k of stream p to row k,
 column p of a caller-owned (count, paths) buffer, so the draws of one step are
 one contiguous row, and it runs the whole chain above in place in that buffer
-and a caller-owned uint64 scratch pair. Both samplers take their noise from
-`step_normals`, which owns the keys, the buffers and the chunk loop.
+and a caller-owned uint64 scratch. Both samplers take their noise from
+`step_normals`, which owns the keys, the chunk and the chunk loop.
+
+The lock rule, which `sim` keeps too: each sampler run has one lock, and
+mix64's uint64 scratch belongs to the run, so only the lock's holder touches
+it. The uniform stage (counters and mix64, many short numpy calls) runs under
+the lock; ndtri runs outside it, one call per chunk, because it releases the
+interpreter lock for its whole call and so runs beside the holder's work,
+where two threads making short numpy calls at once would trade the
+interpreter lock call by call.
 
 Only `sim` imports this module, and only the samplers import `sim`, so
 scipy.special loads with them, in the thread that imports `sim`, and never
@@ -72,15 +80,15 @@ def stream_keys(seed, paths):
     return mix64(offset)
 
 
-def _fill_uniforms(keys, start, out, work):
-    # out[k, p] = uniform draw start + k of stream keys[p]; work[0] and work[1]
-    # are uint64 scratch shaped like out
-    bits, tmp = work
+def _fill_uniforms(keys, start, out, bits):
+    # out[k, p] = uniform draw start + k of stream keys[p]; bits is uint64
+    # scratch shaped like out, and mix64's second scratch is out itself, which
+    # is written only after its last read
     with np.errstate(over="ignore"):
         steps = np.arange(start + 1, start + 1 + out.shape[0], dtype=np.uint64)
         np.multiply(steps, GOLDEN, out=steps)
         np.add(keys, steps[:, None], out=bits)
-    mix64(bits, out=bits, tmp=tmp)
+    mix64(bits, out=bits, tmp=out.view(np.uint64))
     np.right_shift(bits, np.uint64(11), out=bits)
     # the 53-bit values convert exactly; copyto converts in place, where a
     # mixed uint64 + float add would cast through a 64 KiB scratch buffer
@@ -90,43 +98,43 @@ def _fill_uniforms(keys, start, out, work):
     return out
 
 
-def fill_normals(keys, start, out, work):
+def fill_normals(keys, start, out, bits, lock):
     """Step-major normal draws in caller-owned buffers; returns `out`.
 
-    out is a float64 array of shape (count, len(keys)): row k receives draw
-    start + k of every stream. work is a pair of uint64 scratch arrays
-    shaped like out; the second may be out itself viewed as uint64, since out
-    is written only after its last read. Apart from a count-long counter
-    row, nothing is allocated.
+    out is a C-contiguous float64 array of shape (count, len(keys)): row k
+    receives draw start + k of every stream. bits is uint64 scratch shaped
+    like out that only the holder of `lock` touches: the uniform stage runs
+    under the lock, and ndtri turns out's uniforms into normals in place
+    after it is released. Apart from a count-long counter row, nothing is
+    allocated.
     """
-    return ndtri(_fill_uniforms(keys, start, out, work), out=out)
+    with lock:
+        _fill_uniforms(keys, start, out, bits)
+    return ndtri(out, out=out)
 
 
-def step_normals(seed, lo, hi, steps, per_step, chunk_rows=CHUNK_ROWS):
+def step_normals(seed, lo, hi, steps, per_step, lock, bits):
     """Draws of paths lo..hi-1 for `steps` steps of `per_step` draws each,
-    step-major, chunk_rows // per_step steps per chunk.
+    step-major, len(bits) // per_step steps per chunk.
 
-    Allocates the keys and buffers now and returns an iterator over the
-    chunks. Each chunk is a (per_step * count, hi - lo) view of one reused
-    buffer: row per_step * j + i holds draw i of the chunk's step j for
-    every path, and step k takes draws per_step * k .. per_step * k +
-    per_step - 1 of each stream. The caller may overwrite a chunk; the next
-    one refills it.
+    bits is mix64's uint64 scratch, (rows, hi - lo) and C-contiguous, which
+    only the holder of `lock` touches (`fill_normals`). Allocates the keys
+    and the chunk now and returns an iterator over the chunks. Each chunk is
+    a (per_step * count, hi - lo) view of one reused buffer: row per_step *
+    j + i holds draw i of the chunk's step j for every path, and step k
+    takes draws per_step * k .. per_step * k + per_step - 1 of each stream.
+    The caller may overwrite a chunk; the next one refills it.
     """
     keys = stream_keys(seed, np.arange(lo, hi))
-    chunk = min(chunk_rows // per_step, steps)
+    chunk = min(len(bits) // per_step, steps)
     rows = np.empty((per_step * chunk, hi - lo))
-    bits = np.empty(rows.shape, dtype=np.uint64)
-    return _chunks(keys, rows, bits, steps, per_step, chunk)
+    return _chunks(keys, rows, bits, lock, steps, per_step, chunk)
 
 
-def _chunks(keys, rows, bits, steps, per_step, chunk):
+def _chunks(keys, rows, bits, lock, steps, per_step, chunk):
     done = 0
     while done < steps:
         used = per_step * min(chunk, steps - done)
-        out = rows[:used]
-        # mix64's scratch is the chunk itself: fill_normals writes the chunk
-        # only after its last read of the scratch
-        yield fill_normals(keys, per_step * done, out,
-                           (bits[:used], out.view(np.uint64)))
+        yield fill_normals(keys, per_step * done, rows[:used], bits[:used],
+                           lock)
         done += chunk

@@ -10,6 +10,21 @@ its paths in a `_Paths`, whose `step` is every sampler's linear update, and
 works in buffers sized by the block, never by the sample count. Validation
 and warnings stay in the calling thread.
 
+Each run (one `simulate_summary` or `simulate_paths` call, or one pass of
+`msq_order`) has one lock, held in a `_Shared` with the buffers that only the
+lock's holder touches: mix64's uint64 scratch for a chunk of draws, the step
+scratch and the noise rows. The rule, kept in `rng` as well: the uniform
+stage of each chunk's draws and every step of the chunk run under the lock,
+and only scipy's ndtri runs outside it, one call per chunk. A step is many
+short numpy calls, and two threads making such calls at once trade the
+interpreter lock call by call; ndtri releases it for its whole call, so one
+block's draws run beside another's steps. A running block keeps only what
+outlives a chunk or is written outside the lock: its chunk, its state, its
+running sums or worst errors, and its keys. The run's buffers are freed with
+the run, and two runs on two threads neither share them nor wait for each
+other. The streams are counter-based, so how the blocks interleave moves no
+digit.
+
 `simulate_summary` reduces each block's two observables to their count,
 mean, sum of squared deviations from the mean (M2), min and max on the
 worker (`_moments`), and merges these in block order in the calling thread
@@ -24,9 +39,8 @@ same counter slots at every step size, and one noise stream per block feeds
 every step size whose step count reaches it. A given step h runs
 round(T0/h) steps of T0/round(T0/h), so every step size ends at the horizon
 T0. Each step size keeps its exact and method paths as one stack
-(`ExactPaths`, which samples the exact one-step law of the oscillator). The
-blocks of a pass take turns at stepping while the others draw, and each
-block reduces its per-path worst squared errors to an exact sum
+(`ExactPaths`, which samples the exact one-step law of the oscillator).
+Each block reduces its per-path worst squared errors to an exact sum
 (`_exact_sum`), which the caller adds to running totals as the
 blocks arrive. So `msq` memory grows neither with the sample count nor as h
 shrinks, and its mean square error is the exact mean, rounded once, for any
@@ -73,7 +87,8 @@ MSQ_PASS = 5
 MSQ_CHUNK_STEPS = 2
 
 # most workers LDP_OSC_THREADS may ask for: each running block holds its
-# buffers (about 1.25 MiB for `simulate`), so the bound caps sampler memory
+# chunk, state and sums (about 0.6 MiB for `simulate`), so the bound caps
+# sampler memory
 MAX_THREADS = 64
 
 # Below this step the one-step noise covariance is numerically singular.
@@ -189,7 +204,8 @@ class _Paths:
     """The state z = (x, y) of a block of paths, a (2, n) array, or a stack
     of such states, a (k, 2, n) array, with the matrix M of its linear step,
     2x2 or (k, 2, 2), and the scratch of z's shape that the step needs;
-    paths that step in turn on one thread may share one scratch.
+    paths that step in turn, as a run's blocks do under its lock, may share
+    one scratch.
     """
 
     def __init__(self, params, M, n, scratch=None, stack=()):
@@ -245,9 +261,10 @@ class ExactPaths(_Paths):
     global path index, so a path's draws depend neither on the block split
     nor on the step sizes that share them.
 
-    Paths that step in turn on one thread may share the (2, 2, n) step
-    scratch, whose first three rows are also the scratch of L d, and the
-    (5, n) noise buffer: dW, the exact noise and the method's noise.
+    Paths that step in turn, as a run's blocks do under its lock, may share
+    the (2, 2, n) step scratch, whose first three rows are also the scratch
+    of L d, and the (5, n) noise buffer: dW, the exact noise and the
+    method's noise.
     """
 
     def __init__(self, params, delta, factor, method, n, scratch=None,
@@ -281,6 +298,27 @@ class ExactPaths(_Paths):
         return self._dw
 
 
+class _Shared:
+    """The lock of one sampler run and the buffers that only its holder
+    touches, which the run's blocks share: mix64's uint64 scratch of
+    `chunk_rows` rows, the step scratch of shape step_shape + (n,) and
+    `noise_rows` noise rows, for blocks of up to n paths.
+    """
+
+    def __init__(self, n, chunk_rows, step_shape, noise_rows):
+        self.lock = threading.Lock()
+        shapes = (chunk_rows,), step_shape, (noise_rows,)
+        self._buffers = [(np.empty(math.prod(shape) * n, dtype), shape)
+                         for shape, dtype in zip(shapes,
+                                                 (np.uint64, float, float))]
+
+    def buffers(self, n):
+        """The mix64 scratch, step scratch and noise rows of a block of n
+        paths: C-contiguous views, shaped for n, of the run's buffers."""
+        return [flat[:math.prod(shape) * n].reshape(shape + (n,))
+                for flat, shape in self._buffers]
+
+
 def _run_blocks(samples, task):
     """Call task(lo, hi) for every BLOCK-path range of 0..samples-1 on a
     thread pool of up to thread_count() workers, and yield the tasks'
@@ -308,39 +346,51 @@ class SimResult(NamedTuple):
     summary: dict
 
 
-def _run_block(config, A, b, lo, hi):
+def _simulate_shared(config):
+    """The `_Shared` of a `simulate` run: mix64's scratch for a chunk of
+    rng.CHUNK_ROWS steps, the (2, n) step scratch and the (2, n) noise
+    pair."""
+    return _Shared(min(BLOCK, config.samples),
+                   min(rng.CHUNK_ROWS, config.steps), (2,), 2)
+
+
+def _run_block(config, A, b, shared, lo, hi):
     """Run paths lo..hi-1 and return their two observables, the running
     position average and the terminal position divided by elapsed time.
 
     Noise comes from `rng.step_normals`, one draw per step, so each step
-    reads one contiguous row of a chunk of rng.CHUNK_ROWS steps. All buffers
-    are allocated once per block, so memory is O(BLOCK x CHUNK_ROWS)
-    whatever the step count. The arithmetic is the reference recursion's,
-    operation for operation (`_Paths.step` adds each row's two products in
-    the other order, which IEEE addition commutes): dw = sqrt(h) z, then
-    (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would
-    change the rounding.
+    reads one contiguous row of a chunk of rng.CHUNK_ROWS steps, and the
+    block steps each chunk under the lock of `shared`, the run's `_Shared`,
+    whose step scratch and noise pair it uses. The block's own buffers are
+    allocated once, so memory is O(BLOCK x CHUNK_ROWS) whatever the step
+    count. The arithmetic is the reference recursion's, operation for
+    operation (`_Paths.step` adds each row's two products in the other
+    order, which IEEE addition commutes): dw = sqrt(h) z, then (a00 x + a01
+    y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would change the
+    rounding.
     """
     p = config.params
     n = hi - lo
-    A = np.array(A)
+    bits, scratch, noise = shared.buffers(n)
+    chunks = rng.step_normals(config.seed, lo, hi, config.steps, 1,
+                              shared.lock, bits)
     nb = p.alpha * np.array(b)[:, None]
-    paths = _Paths(p, A, n)
-    noise = np.empty((2, n))
+    paths = _Paths(p, np.array(A), n, scratch)
     x = paths.z[0]
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
-    for dw in rng.step_normals(config.seed, lo, hi, config.steps, 1):
-        np.multiply(root_h, dw, out=dw)
-        for row in dw:
-            sum_x += x
-            paths.step(np.multiply(nb, row, out=noise))
+    for dw in chunks:
+        with shared.lock:
+            np.multiply(root_h, dw, out=dw)
+            for row in dw:
+                sum_x += x
+                paths.step(np.multiply(nb, row, out=noise))
     return sum_x / config.steps, x / (config.steps * config.h)
 
 
-def _block_moments(config, A, b, lo, hi):
+def _block_moments(config, A, b, shared, lo, hi):
     """The `_moments` of both observables of paths lo..hi-1."""
-    return tuple(map(_moments, _run_block(config, A, b, lo, hi)))
+    return tuple(map(_moments, _run_block(config, A, b, shared, lo, hi)))
 
 
 def simulate_summary(config):
@@ -348,8 +398,8 @@ def simulate_summary(config):
     memory is O(threads x BLOCK x CHUNK_ROWS) whatever the step and sample
     counts."""
     A, b = evaluate(config.method, config.h)
-    return _summary(_run_blocks(config.samples,
-                                partial(_block_moments, config, A, b)))
+    return _summary(_run_blocks(config.samples, partial(
+        _block_moments, config, A, b, _simulate_shared(config))))
 
 
 def simulate_paths(config):
@@ -357,7 +407,8 @@ def simulate_paths(config):
     A, b = evaluate(config.method, config.h)
     paths = np.empty((2, config.samples))
     moments = []
-    blocks = _run_blocks(config.samples, partial(_run_block, config, A, b))
+    blocks = _run_blocks(config.samples, partial(_run_block, config, A, b,
+                                                 _simulate_shared(config)))
     for lo, block in zip(range(0, config.samples, BLOCK), blocks):
         paths[:, lo:lo + len(block[0])] = block
         moments.append(tuple(map(_moments, block)))
@@ -469,13 +520,14 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                      exact_factor(step, float(params.alpha))))
     hs = tuple(run[0] for run in runs)
     finest_first = runs[::-1]
-    step_lock = threading.Lock()
     mean_squares = []
     for first in range(0, len(runs), MSQ_PASS):
         group = finest_first[first:first + MSQ_PASS]
+        shared = _Shared(min(BLOCK, samples),
+                         3 * min(MSQ_CHUNK_STEPS, group[0][1]), (2, 2), 5)
         totals = [Fraction(0)] * len(group)
         for sums in _run_blocks(samples, partial(_msq_block, params, seed,
-                                                 group, step_lock)):
+                                                 group, shared)):
             totals = list(map(_add_sums, totals, sums))
         mean_squares += [_mean(total, samples) for total in totals]
     errors = []
@@ -490,34 +542,37 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                      fit_loglog_slope(hs, errors))
 
 
-def _msq_block(params, seed, runs, step_lock, lo, hi):
+def _msq_block(params, seed, runs, shared, lo, hi):
+    """Per step size of `runs`, the `_exact_sum` of the `_msq_worst` errors
+    of paths lo..hi-1; the sums run once the block's chunk and states are
+    freed."""
+    return [_exact_sum(worst)
+            for worst in _msq_worst(params, seed, runs, shared, lo, hi)]
+
+
+def _msq_worst(params, seed, runs, shared, lo, hi):
     """Run paths lo..hi-1 of the method at every step size of `runs`, tuples
     (h, steps, (A, b), L) finest first with L the `exact_factor`, on the
-    increments of their exact trajectories; return, per step size, the
-    `_exact_sum` of each path's largest squared state error over the grid.
+    increments of their exact trajectories; return, per step size, each
+    path's largest squared state error over the grid.
 
     One noise stream covers the finest step count, MSQ_CHUNK_STEPS steps per
     chunk, and each chunk feeds every step size whose step count reaches it.
     Each step size holds its exact and its method paths as one stack
     (`ExactPaths`) and runs the same operations, in the same order, as it
-    would alone. All step sizes share one (2, 2, n) step scratch, whose
-    first three rows are also the scratch of the exact noise, and one
-    (5, n) buffer: dW, the exact noise and the method's noise, then the
-    squared errors.
-
-    The blocks of a pass step their chunks in turn, under `step_lock`, and
-    draw the next chunk outside it. A step is many short numpy calls, each
-    of which hands the interpreter lock back and forth when two blocks step
-    at once; the draws are long calls that run in parallel with a step.
+    would alone. The block steps each chunk under the lock of `shared`, the
+    pass's `_Shared`, whose buffers every step size of every block uses: the
+    (2, 2, n) step scratch, whose first three rows are also the scratch of
+    the exact noise, and the (5, n) noise buffer: dW, the exact noise and
+    the method's noise, then the squared errors.
     """
     n = hi - lo
+    bits, scratch, noise = shared.buffers(n)
     # the draw buffers go first: allocated after the state arrays, they
     # raised the peak RSS of `msq`
-    chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, 3 * MSQ_CHUNK_STEPS)
-    noise = np.empty((5, n))
+    chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, shared.lock, bits)
     pair = noise[1:3]
     first, second = pair
-    scratch = np.empty((2, 2, n))
     states = []
     for h, steps, method, L in runs:
         paths = ExactPaths(params, h, L, method, n, scratch, noise)
@@ -526,7 +581,7 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
     for draws in chunks:
         count = len(draws) // 3
         # a diverging method overflows to inf and nan, which msq_order names
-        with step_lock, np.errstate(over="ignore", invalid="ignore"):
+        with shared.lock, np.errstate(over="ignore", invalid="ignore"):
             for steps, paths, exact, approx, worst in states:
                 for j in range(0, 3 * min(count, steps - done), 3):
                     paths.exact_step(draws[j:j + 3])
@@ -535,7 +590,7 @@ def _msq_block(params, seed, runs, step_lock, lo, hi):
                     np.add(first, second, out=first)
                     np.maximum(worst, first, out=worst)
         done += count
-    return [_exact_sum(state[-1]) for state in states]
+    return [state[-1] for state in states]
 
 
 def _exact_sum(values):

@@ -7,6 +7,7 @@ closed-form terminal law and the one-step noise covariance.
 """
 
 import math
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -16,7 +17,7 @@ from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
-from ldp_osc.rng import step_normals
+from ldp_osc.rng import CHUNK_ROWS, step_normals
 from ldp_osc.sim import ExactPaths, exact_factor, rotation, \
     step_noise_covariance
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
@@ -153,7 +154,9 @@ def _exact_path(params, delta, steps, paths, seed):
     exact = ExactPaths(params, delta, exact_factor(delta, params.alpha),
                        evaluate(get_method("em"), delta), paths)
     dw, x, y = [], [], []
-    for draws in step_normals(seed, 0, paths, steps, 3):
+    bits = np.empty((CHUNK_ROWS, paths), dtype=np.uint64)
+    for draws in step_normals(seed, 0, paths, steps, 3, threading.Lock(),
+                              bits):
         for j in range(0, len(draws), 3):
             dw.append(exact.exact_step(draws[j:j + 3]).copy())
             x.append(exact.z[0, 0].copy())
@@ -167,7 +170,8 @@ def test_sampler_guards():
         exact_factor(0.0, params.alpha)
     with pytest.raises(ValueError):
         exact_factor(1e-9, params.alpha)
-    assert list(step_normals(0, 0, 1, 0, 3)) == []
+    bits = np.empty((CHUNK_ROWS, 1), dtype=np.uint64)
+    assert list(step_normals(0, 0, 1, 0, 3, threading.Lock(), bits)) == []
 
 
 def test_sampler_matches_terminal_law():

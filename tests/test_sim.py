@@ -40,8 +40,15 @@ PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 def _normals(seed, paths, start, count):
     keys = stream_keys(seed, np.asarray(paths))
     out = np.empty((count, len(keys)))
-    return fill_normals(keys, start, out,
-                        np.empty((2,) + out.shape, dtype=np.uint64))
+    return fill_normals(keys, start, out, np.empty(out.shape, dtype=np.uint64),
+                        threading.Lock())
+
+
+def _step_normals(seed, lo, hi, steps, per_step, rows=CHUNK_ROWS):
+    # step_normals with its own lock and a mix64 scratch for chunks of at
+    # most `rows` rows
+    bits = np.empty((rows // per_step * per_step, hi - lo), dtype=np.uint64)
+    return step_normals(seed, lo, hi, steps, per_step, threading.Lock(), bits)
 
 
 def test_rng_frozen_values():
@@ -60,8 +67,9 @@ def test_fill_normals_is_step_major_normals():
     # statistics.NormalDist) agree to rounding
     paths = np.array([0, 1, 5, 4095, 123456])
     out = np.empty((6, 5))
-    work = np.empty((2, 6, 5), dtype=np.uint64)
-    assert fill_normals(stream_keys(7, paths), 11, out, work) is out
+    bits = np.empty((6, 5), dtype=np.uint64)
+    assert fill_normals(stream_keys(7, paths), 11, out, bits,
+                        threading.Lock()) is out
     npt.assert_allclose(out, oracles.stream_normals(7, paths, 11, 6),
                         rtol=1e-12, atol=1e-14)
 
@@ -79,7 +87,7 @@ def test_rng_partition_invariance():
 def test_rng_uniforms_land_in_open_interval():
     keys = stream_keys(3, np.arange(100))
     u = np.empty((50, 100))
-    _fill_uniforms(keys, 0, u, np.empty((2, 50, 100), dtype=np.uint64))
+    _fill_uniforms(keys, 0, u, np.empty((50, 100), dtype=np.uint64))
     assert np.all(u > 0.0)
     assert np.all(u < 1.0)
     # sane first and second moments for this sample size
@@ -99,7 +107,7 @@ def test_rng_distinct_streams_and_seeds():
 def test_step_normals_chunks_are_the_stream(per_step, steps):
     # the chunks, laid end to end, are draws 0..per_step * steps - 1 of paths
     # lo..hi-1, and each is at most CHUNK_ROWS rows
-    chunks = [c.copy() for c in step_normals(9, 3, 10, steps, per_step)]
+    chunks = [c.copy() for c in _step_normals(9, 3, 10, steps, per_step)]
     assert all(len(c) % per_step == 0 and len(c) <= CHUNK_ROWS
                for c in chunks)
     npt.assert_array_equal(np.concatenate(chunks),
@@ -573,6 +581,96 @@ def test_sampler_stdout_matches_golden_digest(command, digest, threads,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class _OwnedLock:
+    """A lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._owner = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        self._owner = threading.get_ident()
+
+    def __exit__(self, *exc):
+        self._owner = None
+        self._lock.release()
+
+    def held(self):
+        return self._owner == threading.get_ident()
+
+
+_LOCKED_RUNS = {
+    "simulate_summary": lambda: sim.simulate_summary(SimConfig(
+        get_method("beta:0.5"), 0.1, 40, 3 * sim.BLOCK, seed=1,
+        params=PARAMS)),
+    "simulate_paths": lambda: simulate_paths(SimConfig(
+        get_method("em"), 0.1, 20, 2 * sim.BLOCK + 5, seed=2, params=PARAMS)),
+    "msq_order": lambda: msq_order(get_method("beta:0.5"), [0.2, 0.1],
+                                   samples=2 * sim.BLOCK + 5, seed=3,
+                                   params=PARAMS),
+}
+
+
+@pytest.mark.parametrize("run", _LOCKED_RUNS.values(), ids=_LOCKED_RUNS)
+def test_samplers_keep_the_lock_rule(run, monkeypatch):
+    # the uniform stage and every step run under the run's lock, and ndtri
+    # outside it; each lock is a run's, so a thread holding none of them
+    # holds no run's lock
+    monkeypatch.setenv("LDP_OSC_THREADS", "2")
+    locks = []
+    calls = {"uniforms": 0, "ndtri": 0, "step": 0}
+
+    class Shared(sim._Shared):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.lock = _OwnedLock()
+            locks.append(self.lock)
+
+    def held():
+        return any(lock.held() for lock in locks)
+
+    def checked(name, fn, locked):
+        def check(*args, **kwargs):
+            assert held() == locked, f"{name} ran with the lock held: {held()}"
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return check
+
+    monkeypatch.setattr(sim, "_Shared", Shared)
+    monkeypatch.setattr(rng, "_fill_uniforms",
+                        checked("uniforms", rng._fill_uniforms, True))
+    monkeypatch.setattr(rng, "ndtri", checked("ndtri", rng.ndtri, False))
+    monkeypatch.setattr(sim._Paths, "step",
+                        checked("step", sim._Paths.step, True))
+    run()
+    assert locks and min(calls.values()) > 0, calls
+
+
+# multi-block runs: more workers than cores and a short switch interval
+# interleave the blocks as much as possible
+_INTERLEAVED = [GOLDEN_STDOUT[0][0], GOLDEN_STDOUT[8][0], GOLDEN_STDOUT[9][0]]
+
+
+@pytest.mark.parametrize("command", _INTERLEAVED)
+def test_interleaved_blocks_print_the_one_worker_bytes(command, capsys,
+                                                       monkeypatch):
+    # the run's shared buffers are touched only under its lock, so no
+    # interleaving of the blocks moves a byte
+    def stdout(threads):
+        monkeypatch.setenv("LDP_OSC_THREADS", threads)
+        assert cli.main(command.split()) == 0
+        return capsys.readouterr().out
+
+    reference = stdout("1")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert stdout("4") == reference
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def _peak_bytes(run):
     tracemalloc.start()
     try:
@@ -630,33 +728,39 @@ def test_msq_memory_does_not_grow_with_step_count():
     (1, CHUNK_ROWS), (3, CHUNK_ROWS), (3, 3 * sim.MSQ_CHUNK_STEPS)],
     ids=["1", "3", "3-msq"])
 def test_step_normals_holds_a_chunk_and_one_scratch(per_step, rows):
-    # mix64's second scratch is the chunk's own memory
+    # mix64's second scratch is the chunk's own memory, and its first is the
+    # caller's
     paths = 4096
     chunk_bytes = rows // per_step * per_step * paths * 8
 
     def run():
-        for _ in step_normals(0, 0, paths, 64, per_step, rows):
+        for _ in _step_normals(0, 0, paths, 64, per_step, rows):
             pass
 
     run()  # warm caches outside the measurement
     assert _peak_bytes(run) <= 2 * chunk_bytes + 64 * 1024
 
 
-def test_run_block_holds_a_chunk_its_scratch_and_a_few_rows():
-    # a block's noise is one (2, n) pair per step, formed from the chunk, so
-    # past the chunk and its uint64 scratch a block holds only rows: the
-    # state and its scratch (4), the noise (2), the running sum and the
-    # stream keys (2), with 4 to spare for numpy's temporaries
-    paths, row = sim.BLOCK, sim.BLOCK * 8
-    config = SimConfig(get_method("beta:0.5"), 0.1, 64, paths, seed=1,
-                       params=PARAMS)
-    A, b = evaluate(config.method, config.h)
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
+        threads, monkeypatch):
+    # the run's blocks share one set of the buffers that only the lock's
+    # holder touches: mix64's uint64 scratch for a chunk, the step scratch
+    # (2) and the noise pair (2). Past that, a running block holds its chunk
+    # and a few rows: the state (2), the running sum and the stream keys (2),
+    # with 4 to spare for its results and numpy's temporaries. One block
+    # runs per worker
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+    workers, row = int(threads), sim.BLOCK * 8
+    config = SimConfig(get_method("beta:0.5"), 0.1, 64, workers * sim.BLOCK,
+                       seed=1, params=PARAMS)
 
     def run():
-        sim._run_block(config, A, b, 0, paths)
+        sim.simulate_summary(config)
 
     run()  # warm caches outside the measurement
-    assert _peak_bytes(run) <= 2 * CHUNK_ROWS * row + 12 * row
+    shared = (CHUNK_ROWS + 4) * row
+    assert _peak_bytes(run) <= shared + workers * (CHUNK_ROWS + 8) * row
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -759,9 +863,9 @@ def test_msq_draws_each_normal_once_per_pass(monkeypatch, capsys):
     draws = []
     fill_normals = rng.fill_normals
 
-    def counting(keys, start, out, work):
+    def counting(keys, start, out, bits, lock):
         draws.append(out.size)
-        return fill_normals(keys, start, out, work)
+        return fill_normals(keys, start, out, bits, lock)
 
     monkeypatch.setattr(rng, "fill_normals", counting)
     samples = 5000
