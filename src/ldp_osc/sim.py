@@ -513,7 +513,7 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                              "needs its own step count")
         if abs(ratio - steps) > 1e-9 * max(1.0, steps):
             warnings.warn(
-                f"T0/h = {ratio:g} is not an integer; comparing over {steps} "
+                f"T0/h = {ratio!r} is not an integer; comparing over {steps} "
                 f"steps of {step:g}", stacklevel=2)
         check_step(step)
         runs.append((step, steps, evaluate(method, step),

@@ -262,10 +262,21 @@ def test_msq_warnings_print_message_lines(capsys):
     assert code == 0
     assert len(parse_csv(out)) == 4
     assert err == (
-        "warning: T0/h = 10.7722 is not an integer; comparing over 11 steps "
-        "of 0.0909091\n"
-        "warning: T0/h = 23.2079 is not an integer; comparing over 23 steps "
-        "of 0.0434783\n")
+        "warning: T0/h = 10.772173450159416 is not an integer; comparing over "
+        "11 steps of 0.0909091\n"
+        "warning: T0/h = 23.207944168063886 is not an integer; comparing over "
+        "23 steps of 0.0434783\n")
+
+
+def test_msq_warning_prints_the_ratio_that_was_rounded(capsys):
+    # 0.95 / 0.1 is 9.499999999999998 in float64, so 9 steps run; six
+    # significant digits would print 9.5
+    code, out, err = run_cli(
+        ["msq", "--method", "beta:0.5", "--h", "0.1", "--T0", "0.95",
+         "--samples", "20"], capsys)
+    assert code == 0
+    assert err.startswith("warning: T0/h = 9.499999999999998 is not an "
+                          "integer; comparing over 9 steps of 0.105556\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
