@@ -129,14 +129,39 @@ def rotation(delta):
 
 def step_noise_covariance(delta):
     """Covariance of (dW, I1, I2) over one step, where I1 = int sin(delta-s) dW
-    and I2 = int cos(delta-s) dW are the exact noise contributions to (X, Y)."""
-    s, c = math.sin(delta), math.cos(delta)
-    s2 = math.sin(2.0 * delta)
+    and I2 = int cos(delta-s) dW are the exact noise contributions to (X, Y).
+
+    No entry cancels: 1 - cos(delta) is 2 sin(delta/2)^2, and Var I1 =
+    (2 delta - sin(2 delta)) / 4 takes the difference from its Taylor series
+    below delta = 1 (`_minus_sine`), so each entry is within a few ulp at
+    every step down to MIN_STEP.
+    """
+    s, half = math.sin(delta), math.sin(0.5 * delta)
+    u = 2.0 * delta
+    one_minus_cos = 2.0 * half * half
     return np.array([
-        [delta, 1.0 - c, s],
-        [1.0 - c, 0.5 * delta - 0.25 * s2, 0.5 * s * s],
-        [s, 0.5 * s * s, 0.5 * delta + 0.25 * s2],
+        [delta, one_minus_cos, s],
+        [one_minus_cos, 0.25 * _minus_sine(u), 0.5 * s * s],
+        [s, 0.5 * s * s, 0.25 * (u + math.sin(u))],
     ])
+
+
+# the denominators (2k + 4)(2k + 5) of the ratios of successive terms of
+# u - sin(u) = u^3/3! - u^5/5! + ...; at u = 2 the eleventh ratio takes the
+# product below 2**-53
+_SINE_RATIOS = tuple((2 * k + 4) * (2 * k + 5) for k in range(11))
+
+
+def _minus_sine(u):
+    """u - sin(u) for u >= 0: below 2, where the difference cancels, the
+    Taylor series in nested form, u^3/6 (1 - u^2/20 (1 - u^2/42 (...)))."""
+    if u >= 2.0:
+        return u - math.sin(u)
+    v = u * u
+    nested = 1.0
+    for d in reversed(_SINE_RATIOS):
+        nested = 1.0 - v / d * nested
+    return u * v / 6.0 * nested
 
 
 def _symmetric_sqrt(C):

@@ -930,9 +930,11 @@ GOLDEN_VERDICTS = [
     # their 10th significant digit on), and when every step size came to run
     # T0/round(T0/h): h = 0.1 runs 9 steps of 0.95/9 in place of 9 steps of
     # 0.1, and the finer rows print their steps, 1 ulp below 0.05, 0.025,
-    # 0.0125 and 0.00625
+    # 0.0125 and 0.00625; and when the step noise covariance stopped
+    # cancelling at small steps (errors moved from their 11th significant
+    # digit on)
     ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
-     "daa4894ef83e43fef4c055816eb6ecce66f321068153970ace0193b9b36e2a90"),
+     "4d9e66e94bfce58911cce312c0aa33e1845a8697838e623b2fc941125d1288d4"),
 ]
 # `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
 # recorded before the command printed `condition_b_diagnostics`' own reports;

@@ -427,6 +427,28 @@ def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
                                        want[~nan].view(np.uint64))
 
 
+def test_step_noise_covariance_is_within_a_few_ulp_of_50_digits():
+    # no entry cancels at small steps: at MIN_STEP the direct forms of Var I1
+    # and 1 - cos(delta) are 0.0; the steps around delta = 1 straddle the
+    # switch from the series of 2 delta - sin(2 delta) to its direct form
+    deltas = np.geomspace(sim.MIN_STEP, 1.9, 301).tolist() \
+        + [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+    worst = 0.0
+    with mpmath.workdps(50):
+        for delta in deltas:
+            d = mpmath.mpf(delta)
+            s, c, s2 = mpmath.sin(d), mpmath.cos(d), mpmath.sin(2 * d)
+            exact = [[d, 1 - c, s], [1 - c, d / 2 - s2 / 4, s * s / 2],
+                     [s, s * s / 2, d / 2 + s2 / 4]]
+            got = sim.step_noise_covariance(delta)
+            for i in range(3):
+                for j in range(3):
+                    want = exact[i][j]
+                    error = abs(mpmath.mpf(float(got[i, j])) - want)
+                    worst = max(worst, float(error) / math.ulp(float(want)))
+    assert worst <= 4
+
+
 @pytest.mark.parametrize("delta", np.geomspace(sim.MIN_STEP, 1.9, 25).tolist())
 def test_noise_factor_is_the_symmetric_square_root(delta):
     # against the 50-digit symmetric root of the same float covariance, with
@@ -532,7 +554,11 @@ def test_samplers_reach_no_blas(module):
 # The two marked sweeps were then re-recorded when every step size came to
 # run T0/round(T0/h): their two middle step sizes, where T0/h is not an
 # integer, moved to the common horizon T0, and the h column prints the step
-# that ran
+# that ran.
+# Every msq run was re-recorded when the step noise covariance stopped
+# cancelling at small steps (1 - cos as 2 sin^2, Var I1 from a series): each
+# exact factor moved by roundoff, and the errors from their 11th to 13th
+# significant digit
 GOLDEN_STDOUT = [
     # re-recorded: summary merged per block
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
@@ -547,27 +573,27 @@ GOLDEN_STDOUT = [
      "7a5f85a45c361d37570e412250d15e4fa19c5aac9a1c34b505650f5ec45a59c0"),
     ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
      "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
-    # re-recorded: no BLAS
+    # re-recorded: no BLAS; covariance
     ("msq --method em --h 0.1 --samples 3000",
-     "903243d623fe712ca4e021ed773d8e1d22215fc1dd2c6d30a1527853d84e839c"),
-    # re-recorded: exact mean; no BLAS
+     "30395fa98216c475d0ae5a7cc2da09fdf62cce6394ff26ec5a4a495f9cd1bbe8"),
+    # re-recorded: exact mean; no BLAS; covariance
     ("msq --method beta:0.5 --h 0.1 --samples 3000",
-     "c41c13b5afd23ab52aa5f182cc2f6aa61d908ac06a34684a76c1c64bc01d4fa3"),
-    # re-recorded: exact mean; no BLAS
+     "2e9d98f1d0bcb887ec831e61607021e2849ae92accfb80df14991f10ffb73da4"),
+    # re-recorded: exact mean; no BLAS; covariance
     ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
-     "741da87c43c50d24f61ffbccedf1b4b149537e83b7c62c4b2a4a76eb214a9c9b"),
-    # re-recorded: no BLAS; common horizon
+     "62fea06440fec7ae7a649348f0acd553f52a72ac890c1041c26bf705f5bc3542"),
+    # re-recorded: no BLAS; common horizon; covariance
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
-     "57e1ca4b6fbd79469ba896b8f3f491aabf322684772f1e70c8a4a84ec5534b71"),
+     "c5672a5ef449687e4678d6539a6ebf3ec8ed782d61a1909d9a8875ae39ebaa0e"),
     # more than one BLOCK of paths, so two threads split the work;
-    # re-recorded: no BLAS
+    # re-recorded: no BLAS; covariance
     ("msq --method em --h 0.1 --samples 9001 --seed 4",
-     "c3eeb72afecab73b4faa0ee3714b0e8389f90bdf88c0392a8a8450a70bcf65b8"),
-    # re-recorded: exact mean; no BLAS; common horizon
+     "a0c01ce46f822643c60c2ad199f49eb6d3e3c3676e37664373fb4513e05ea795"),
+    # re-recorded: exact mean; no BLAS; common horizon; covariance
     ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
      "--y0 -0.2 --alpha 0.7 --format json",
-     "ea675de95d09415b55dd6bef191c4c608d1a2db061c6f0257ce65b133feb4503"),
+     "eeee210864d0de70e7650cefc3a077aef1270781d93bf380079f3848104aa531"),
 ]
 
 
