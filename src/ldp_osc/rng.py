@@ -19,13 +19,10 @@ one contiguous row, and it runs the whole chain above in place in that buffer
 and a caller-owned uint64 scratch. Both samplers take their noise from
 `step_normals`, which owns the keys, the chunk and the chunk loop.
 
-The lock rule, which `sim` keeps too: each sampler run has one lock, and
-mix64's uint64 scratch belongs to the run, so only the lock's holder touches
-it. The uniform stage (counters and mix64, many short numpy calls) runs under
-the lock; ndtri runs outside it, one call per chunk, because it releases the
-interpreter lock for its whole call and so runs beside the holder's work,
-where two threads making short numpy calls at once would trade the
-interpreter lock call by call.
+The lock rule of `sim` holds here too: mix64's uint64 scratch belongs to the
+sampler run, and only the holder of the run's lock touches it. So the
+uniform stage runs under that lock, and ndtri, which releases the
+interpreter lock for its whole call, runs outside it, one call per chunk.
 
 Only `sim` imports this module, and only the samplers import `sim`, so
 scipy.special loads with them, in the thread that imports `sim`, and never

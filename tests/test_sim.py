@@ -658,7 +658,8 @@ def test_samplers_keep_the_lock_rule(run, monkeypatch):
 
     def checked(name, fn, locked):
         def check(*args, **kwargs):
-            assert held() == locked, f"{name} ran with the lock held: {held()}"
+            assert held() == locked, \
+                f"{name} ran with the run lock {'free' if locked else 'held'}"
             calls[name] += 1
             return fn(*args, **kwargs)
         return check
