@@ -8,7 +8,7 @@ exactly.
 
 The top level re-exports the names of the README's library example; the
 rest of the API lives in the submodules (`methods`, `exact`, `laws`, `ldp`,
-`sim`, `oscillator`, `rng`, `cli`).
+`sim`, `oscillator`, `cli`).
 """
 
 # methods is the largest module: compiled first, while the heap is smallest,

@@ -19,7 +19,7 @@ receives one method file per hit).
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
 `msq` checks `--method` and its sweep, and `simulate` its configuration and
-laws, before they import the samplers (numpy and scipy); every other
+laws, before they import the samplers (numpy); every other
 command runs on the standard library. Worker threads for the samplers come
 from LDP_OSC_THREADS; results are bit-identical for any thread count. The parser is built on the first
 `main()` call and reused by every later call in the same process.
@@ -300,7 +300,7 @@ def _cmd_msq(args):
     method = _resolve_method(args.method)
     params = _params(args)
     hs = _h_values(args, MSQ_SWEEP_POINTS)
-    from .sim import msq_order  # the samplers import numpy and scipy
+    from .sim import msq_order  # the samplers import numpy
     report = msq_order(method, hs, T0=args.T0, samples=args.samples,
                        seed=args.seed, params=params)
     rows = [{"h": h, "steps": steps, "error": err}
@@ -319,10 +319,10 @@ def _cmd_simulate(args):
                        samples=args.samples, seed=args.seed, params=params)
     observables = (("mean-position", "position"), ("mean-velocity", "velocity"))
     # the laws go first: a law with no result ends the command before numpy
-    # and scipy load
+    # loads
     laws = [observable_law(method, observable, args.h, args.N, params)
             if args.N >= 2 else None for observable, _ in observables]
-    from .sim import simulate_summary  # the samplers import numpy and scipy
+    from .sim import simulate_summary  # the samplers import numpy
     summary = simulate_summary(config)
     rows = []
     for (observable, key), law in zip(observables, laws):

@@ -1,29 +1,31 @@
 """Monte Carlo simulation of one-step methods and mean-square order fits.
 
-Sampling is deterministic by construction: every path owns a counter-based
-random stream keyed by (seed, path index), so results are bit-identical for
-any thread count and any block partition. Both samplers run on one block
-engine, `_run_blocks`, which runs a per-block task over fixed-size blocks of
-BLOCK paths on a thread pool and yields the results in block order, with at
-most WINDOW tasks per worker submitted and not yet consumed. A task keeps
-its paths in a `_Paths`, whose `step` is every sampler's linear update, and
-works in buffers sized by the block, never by the sample count. Validation
-and warnings stay in the calling thread.
+Sampling is deterministic by construction: every block of BLOCK paths owns
+one random stream, numpy's SFC64 generator keyed by (seed mod 2**64, the
+block's first path index) through a SeedSequence, and draws its normals
+from it with numpy's ziggurat sampler (`fill_normals`). Results are
+bit-identical for any thread count and any chunk size, and depend on BLOCK,
+which sets the keys. Both samplers run on one block engine, `_run_blocks`,
+which runs a per-block task over fixed-size blocks of BLOCK paths on a
+thread pool and yields the results in block order, with at most WINDOW
+tasks per worker submitted and not yet consumed. A task keeps its paths in
+a `_Paths`, whose `step` is every sampler's linear update, and works in
+buffers sized by the block, never by the sample count. Validation and
+warnings stay in the calling thread.
 
 Each run (one `simulate_summary` or `simulate_paths` call, or one pass of
 `msq_order`) has one lock, held in a `_Shared` with the buffers that only the
-lock's holder touches: mix64's uint64 scratch for a chunk of draws, the step
-scratch and the noise rows. The rule, kept in `rng` as well: the uniform
-stage of each chunk's draws and every step of the chunk run under the lock,
-and only scipy's ndtri runs outside it, one call per chunk. A step is many
-short numpy calls, and two threads making such calls at once trade the
-interpreter lock call by call; ndtri releases it for its whole call, so one
-block's draws run beside another's steps. A running block keeps only what
-outlives a chunk or is written outside the lock: its chunk, its state, its
-running sums or worst errors, and its keys. The run's buffers are freed with
-the run, and two runs on two threads neither share them nor wait for each
-other. The streams are counter-based, so how the blocks interleave moves no
-digit.
+lock's holder touches: the step scratch and the noise rows. The rule: every
+step of a chunk runs under the lock, and the chunk's draws run outside it,
+into the block's own chunk, one `fill_normals` call per chunk. A step is
+many short numpy calls, and two threads making such calls at once trade the
+interpreter lock call by call; the ziggurat releases it for its whole call,
+so one block's draws run beside another's steps. A running block keeps only
+what outlives a chunk or is written outside the lock: its generator, its
+chunk, its state, and its running sums or worst errors. The run's buffers
+are freed with the run, and two runs on two threads neither share them nor
+wait for each other. Each block reads only its own stream, so how the blocks
+interleave moves no digit.
 
 `simulate_summary` reduces each block's two observables to their count,
 mean, sum of squared deviations from the mean (M2), min and max on the
@@ -34,26 +36,27 @@ no per-path array and prints the same digits at any thread count.
 takes its summary from the same merge.
 
 `msq_order` runs the step sizes of a sweep together, up to MSQ_PASS per pass
-of `_run_blocks`, so each normal is drawn once per pass: step k reads the
-same counter slots at every step size, and one noise stream per block feeds
-every step size whose step count reaches it. A given step h runs
-round(T0/h) steps of T0/round(T0/h), so every step size ends at the horizon
-T0. Each step size keeps its exact and method paths as one stack
-(`ExactPaths`, which samples the exact one-step law of the oscillator).
-Each block reduces its per-path worst squared errors to an exact sum
-(`_exact_sum`), which the caller adds to running totals as the
-blocks arrive. So `msq` memory grows neither with the sample count nor as h
-shrinks, and its mean square error is the exact mean, rounded once, for any
-block split or thread count.
+of `_run_blocks`, so each normal is drawn once per pass: every pass keys its
+blocks alike, so step k reads the same draws at every step size of every
+pass, and one noise stream per block feeds every step size whose step count
+reaches it. A given step h runs round(T0/h) steps of T0/round(T0/h), so
+every step size ends at the horizon T0. Each step size keeps its exact and
+method paths as one stack (`ExactPaths`, which samples the exact one-step
+law of the oscillator). Each block reduces its per-path worst squared errors
+to a float sum, which the caller adds to running totals in block order as
+the blocks arrive. So `msq` memory grows neither with the sample count nor
+as h shrinks, and its mean square error is the same for any thread count or
+pass grouping.
 
 No sampler reaches BLAS or LAPACK: the exact noise factor is a Jacobi
 eigen-iteration in Python floats (`_symmetric_sqrt`), the noise and every
 step are elementwise numpy calls, and the fit is a closed form summed by
-math.fsum. So the printed digits rest on IEEE arithmetic and the C math
-library alone, whatever BLAS kernel the CPU selects.
+math.fsum. So the printed digits rest on IEEE arithmetic, the C math library
+and numpy's generators alone, whatever BLAS kernel the CPU selects.
 
-Only this module and `rng` import numpy, and `rng` imports scipy, so
-importing this module is the one point where both load.
+Only this module imports numpy at module level (the test reference
+`laws.oracle_moments` imports it in its body), so importing this module is
+the one point where a command loads numpy.
 """
 
 import math
@@ -62,13 +65,11 @@ import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
 from .methods import decreasing_sweep, evaluate
 from .oscillator import MAX_N, OscillatorParams
 
@@ -78,6 +79,10 @@ BLOCK = 4096
 # tasks per worker that `_run_blocks` keeps submitted and not yet consumed:
 # one running and one finished or queued, so no worker waits on the caller
 WINDOW = 2
+
+# steps per noise chunk of `simulate`: a chunk of a block is 16 x 4096
+# float64, 0.5 MiB
+CHUNK_STEPS = 16
 
 # step sizes per `msq` pass, and steps per noise chunk of a pass: a step
 # size keeps five BLOCK-long arrays (its exact and method states and the
@@ -99,6 +104,9 @@ MIN_STEP = 1e-8
 # the loop should rounding keep a rotation alive
 _JACOBI_SWEEPS = 16
 _JACOBI_TOL = 2.0 ** -53
+
+# seeds reduce mod 2**64: SeedSequence takes no negative entropy
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 _DEFAULT_PARAMS = OscillatorParams()
 
@@ -282,9 +290,8 @@ class ExactPaths(_Paths):
     once with the matrices (R(delta), A): (X, Y) <- R(delta) (X, Y) + alpha
     (I1, I2), and the method's state <- A state + alpha b dW. The caller
     passes the standard normals; `msq` gives step k draws 3k, 3k+1 and 3k+2
-    of each path's stream (`rng.step_normals` with per_step 3), keyed by the
-    global path index, so a path's draws depend neither on the block split
-    nor on the step sizes that share them.
+    of its block's stream (`step_normals` with per_step 3), so a path's
+    draws do not depend on the step sizes that share them.
 
     Paths that step in turn, as a run's blocks do under its lock, may share
     the (2, 2, n) step scratch, whose first three rows are also the scratch
@@ -325,23 +332,58 @@ class ExactPaths(_Paths):
 
 class _Shared:
     """The lock of one sampler run and the buffers that only its holder
-    touches, which the run's blocks share: mix64's uint64 scratch of
-    `chunk_rows` rows, the step scratch of shape step_shape + (n,) and
-    `noise_rows` noise rows, for blocks of up to n paths.
+    touches, which the run's blocks share: the step scratch of shape
+    step_shape + (n,) and `noise_rows` noise rows, for blocks of up to n
+    paths.
     """
 
-    def __init__(self, n, chunk_rows, step_shape, noise_rows):
+    def __init__(self, n, step_shape, noise_rows):
         self.lock = threading.Lock()
-        shapes = (chunk_rows,), step_shape, (noise_rows,)
-        self._buffers = [(np.empty(math.prod(shape) * n, dtype), shape)
-                         for shape, dtype in zip(shapes,
-                                                 (np.uint64, float, float))]
+        self._buffers = [(np.empty(math.prod(shape) * n), shape)
+                         for shape in (step_shape, (noise_rows,))]
 
     def buffers(self, n):
-        """The mix64 scratch, step scratch and noise rows of a block of n
-        paths: C-contiguous views, shaped for n, of the run's buffers."""
+        """The step scratch and noise rows of a block of n paths:
+        C-contiguous views, shaped for n, of the run's buffers."""
         return [flat[:math.prod(shape) * n].reshape(shape + (n,))
                 for flat, shape in self._buffers]
+
+
+def fill_normals(generator, out):
+    """Fill `out`, a C-contiguous float64 array, in place with the next
+    out.size standard normals of `generator`, in C order, and return it.
+
+    This is numpy's ziggurat (`Generator.standard_normal`), which releases
+    the interpreter lock for its whole call. Consecutive fills continue one
+    stream, so they give the values one larger draw would.
+    """
+    return generator.standard_normal(out=out)
+
+
+def step_normals(seed, lo, hi, steps, per_step, chunk):
+    """Draws of the block of paths lo..hi-1 for `steps` steps of `per_step`
+    draws each, step-major, `chunk` steps per chunk.
+
+    The block's stream is numpy's SFC64 generator seeded by a SeedSequence
+    of (seed mod 2**64, lo), so it depends on the block's first path index,
+    and a path's draws on the block split. Allocates the generator and the
+    chunk now and returns an iterator over the chunks. Each chunk is a
+    (per_step * count, hi - lo) view of one reused buffer, which
+    `fill_normals` refills with the stream's next draws: row per_step * j + i
+    holds draw i of the chunk's step j for every path, and the chunks laid
+    end to end are the stream's first per_step * steps rows, whatever
+    `chunk` is. The caller may overwrite a chunk; the next one refills it.
+    """
+    generator = np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence((int(seed) & _MASK, lo))))
+    rows = np.empty((per_step * min(chunk, steps), hi - lo))
+    return _chunks(generator, rows, steps, per_step, chunk)
+
+
+def _chunks(generator, rows, steps, per_step, chunk):
+    for done in range(0, steps, chunk):
+        yield fill_normals(generator,
+                           rows[:per_step * min(chunk, steps - done)])
 
 
 def _run_blocks(samples, task):
@@ -372,41 +414,39 @@ class SimResult(NamedTuple):
 
 
 def _simulate_shared(config):
-    """The `_Shared` of a `simulate` run: mix64's scratch for a chunk of
-    rng.CHUNK_ROWS steps, the (2, n) step scratch and the (2, n) noise
-    pair."""
-    return _Shared(min(BLOCK, config.samples),
-                   min(rng.CHUNK_ROWS, config.steps), (2,), 2)
+    """The `_Shared` of a `simulate` run: the (2, n) step scratch and the
+    (2, n) noise pair."""
+    return _Shared(min(BLOCK, config.samples), (2,), 2)
 
 
 def _run_block(config, A, b, shared, lo, hi):
     """Run paths lo..hi-1 and return their two observables, the running
     position average and the terminal position divided by elapsed time.
 
-    Noise comes from `rng.step_normals`, one draw per step, so each step
-    reads one contiguous row of a chunk of rng.CHUNK_ROWS steps, and the
-    block steps each chunk under the lock of `shared`, the run's `_Shared`,
-    whose step scratch and noise pair it uses. The block's own buffers are
-    allocated once, so memory is O(BLOCK x CHUNK_ROWS) whatever the step
-    count. The arithmetic is the reference recursion's, operation for
-    operation (`_Paths.step` adds each row's two products in the other
+    Noise comes from `step_normals`, one draw per step, so each step reads
+    one contiguous row of a chunk of CHUNK_STEPS steps, drawn outside the
+    lock of `shared`, the run's `_Shared`; the block steps each chunk under
+    that lock, with the run's step scratch and noise pair. The block's own
+    buffers are allocated once, so memory is O(BLOCK x CHUNK_STEPS) whatever
+    the step count. The arithmetic is the reference recursion's, operation
+    for operation (`_Paths.step` adds each row's two products in the other
     order, which IEEE addition commutes): dw = sqrt(h) z, then (a00 x + a01
     y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would change the
     rounding.
     """
     p = config.params
     n = hi - lo
-    bits, scratch, noise = shared.buffers(n)
-    chunks = rng.step_normals(config.seed, lo, hi, config.steps, 1,
-                              shared.lock, bits)
+    scratch, noise = shared.buffers(n)
+    chunks = step_normals(config.seed, lo, hi, config.steps, 1, CHUNK_STEPS)
     nb = p.alpha * np.array(b)[:, None]
     paths = _Paths(p, np.array(A), n, scratch)
     x = paths.z[0]
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
     for dw in chunks:
+        # the chunk is the block's own, so it scales outside the lock
+        np.multiply(root_h, dw, out=dw)
         with shared.lock:
-            np.multiply(root_h, dw, out=dw)
             for row in dw:
                 sum_x += x
                 paths.step(np.multiply(nb, row, out=noise))
@@ -420,7 +460,7 @@ def _block_moments(config, A, b, shared, lo, hi):
 
 def simulate_summary(config):
     """The summary of `simulate_paths(config)` without its per-path arrays:
-    memory is O(threads x BLOCK x CHUNK_ROWS) whatever the step and sample
+    memory is O(threads x BLOCK x CHUNK_STEPS) whatever the step and sample
     counts."""
     A, b = evaluate(config.method, config.h)
     return _summary(_run_blocks(config.samples, partial(
@@ -514,8 +554,9 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     (`_run_blocks`); each task advances the exact and the method state of
     its paths at every step size of the pass together (`_msq_block`), so
     memory is O(threads x BLOCK x MSQ_PASS) whatever the step sizes and the
-    sample count. The mean square error is the exact sum of the paths'
-    worst squared errors divided by `samples`, rounded once.
+    sample count. The mean square error is the sum of the blocks' float
+    sums of their paths' worst squared errors, added in block order and
+    divided by `samples`.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -548,13 +589,12 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
     mean_squares = []
     for first in range(0, len(runs), MSQ_PASS):
         group = finest_first[first:first + MSQ_PASS]
-        shared = _Shared(min(BLOCK, samples),
-                         3 * min(MSQ_CHUNK_STEPS, group[0][1]), (2, 2), 5)
-        totals = [Fraction(0)] * len(group)
+        shared = _Shared(min(BLOCK, samples), (2, 2), 5)
+        totals = [0.0] * len(group)
         for sums in _run_blocks(samples, partial(_msq_block, params, seed,
                                                  group, shared)):
-            totals = list(map(_add_sums, totals, sums))
-        mean_squares += [_mean(total, samples) for total in totals]
+            totals = [total + block for total, block in zip(totals, sums)]
+        mean_squares += [total / samples for total in totals]
     errors = []
     for h, mean_sq in zip(hs, reversed(mean_squares)):
         if not math.isfinite(mean_sq):
@@ -568,11 +608,12 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
 
 
 def _msq_block(params, seed, runs, shared, lo, hi):
-    """Per step size of `runs`, the `_exact_sum` of the `_msq_worst` errors
-    of paths lo..hi-1; the sums run once the block's chunk and states are
-    freed."""
-    return [_exact_sum(worst)
-            for worst in _msq_worst(params, seed, runs, shared, lo, hi)]
+    """Per step size of `runs`, the float sum of the `_msq_worst` errors of
+    paths lo..hi-1, inf or nan for a diverging method; the sums run once the
+    block's chunk and states are freed."""
+    worsts = _msq_worst(params, seed, runs, shared, lo, hi)
+    with np.errstate(over="ignore"):
+        return [float(np.sum(worst)) for worst in worsts]
 
 
 def _msq_worst(params, seed, runs, shared, lo, hi):
@@ -585,17 +626,18 @@ def _msq_worst(params, seed, runs, shared, lo, hi):
     chunk, and each chunk feeds every step size whose step count reaches it.
     Each step size holds its exact and its method paths as one stack
     (`ExactPaths`) and runs the same operations, in the same order, as it
-    would alone. The block steps each chunk under the lock of `shared`, the
-    pass's `_Shared`, whose buffers every step size of every block uses: the
-    (2, 2, n) step scratch, whose first three rows are also the scratch of
-    the exact noise, and the (5, n) noise buffer: dW, the exact noise and
-    the method's noise, then the squared errors.
+    would alone. The chunks are drawn outside the lock of `shared`, the
+    pass's `_Shared`, and the block steps each chunk under it, with the
+    buffers that every step size of every block uses: the (2, 2, n) step
+    scratch, whose first three rows are also the scratch of the exact noise,
+    and the (5, n) noise buffer: dW, the exact noise and the method's noise,
+    then the squared errors.
     """
     n = hi - lo
-    bits, scratch, noise = shared.buffers(n)
+    scratch, noise = shared.buffers(n)
     # the draw buffers go first: allocated after the state arrays, they
     # raised the peak RSS of `msq`
-    chunks = rng.step_normals(seed, lo, hi, runs[0][1], 3, shared.lock, bits)
+    chunks = step_normals(seed, lo, hi, runs[0][1], 3, MSQ_CHUNK_STEPS)
     pair = noise[1:3]
     first, second = pair
     states = []
@@ -616,42 +658,3 @@ def _msq_worst(params, seed, runs, shared, lo, hi):
                     np.maximum(worst, first, out=worst)
         done += count
     return [state[-1] for state in states]
-
-
-def _exact_sum(values):
-    """The sum of the float64 `values` as an exact Fraction, or their float
-    sum (inf or nan) if one is not finite. Exact for fewer than 2**26 values.
-
-    Each value is d 2**(e - 53) with d an integer, |d| < 2**53, and e >=
-    -1073 (np.frexp). np.bincount sums the high and low halves of d (below
-    2**27 and 2**26) per exponent, exactly in float64, and the per-exponent
-    sums add up in Python integers, in units of 2**-1126.
-    """
-    if not np.isfinite(values).all():
-        return float(np.sum(values))
-    significand, exponent = np.frexp(values)
-    digits = np.ldexp(significand, 53)
-    high = np.floor(np.ldexp(digits, -26))
-    low = digits - np.ldexp(high, 26)
-    least = int(exponent.min())
-    bins = exponent - least
-    high_sums = np.bincount(bins, weights=high)
-    low_sums = np.bincount(bins, weights=low)
-    total = 0
-    for i in np.flatnonzero((high_sums != 0) | (low_sums != 0)):
-        total += ((int(high_sums[i]) << 26) + int(low_sums[i])) \
-            << (least + int(i) + 1073)
-    return Fraction(total, 1 << 1126)
-
-
-def _add_sums(a, b):
-    """a + b for two `_exact_sum`s: exact while both are Fractions, else the
-    float sum of those that are not (inf or nan)."""
-    nonfinite = [s for s in (a, b) if isinstance(s, float)]
-    return sum(nonfinite) if nonfinite else a + b
-
-
-def _mean(total, samples):
-    """The mean of `samples` values from the `_add_sums` of their blocks'
-    `_exact_sum`s, rounded once; inf or nan if the total is."""
-    return total if isinstance(total, float) else float(total / samples)

@@ -3,9 +3,8 @@ at run time, kept here so the tests can check the package against them.
 
 - the continuous-time laws of the integrated and the terminal position, and
   the continuous log-MGF coefficient;
-- a pure-Python splitmix64 stream, which follows the recipe of the `rng`
-  docstring with Python integers and `statistics.NormalDist`, sharing no
-  code with `rng.fill_normals`;
+- the samplers' per-block normal stream as one call to numpy's generator,
+  which the chunked draws of `sim.step_normals` must equal bit for bit;
 - the samplers' linear update as two rows of scalar-times-array products,
   (M00 x + M01 y) + u and (M10 x + M11 y) + v, sharing no code with
   `sim._Paths.step`;
@@ -24,7 +23,6 @@ at run time, kept here so the tests can check the package against them.
 
 import csv
 import math
-from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -77,34 +75,16 @@ def continuous_log_mgf_coefficient(observable, params):
 
 
 # ---------------------------------------------------------------------------
-# splitmix64 streams in Python integers
-
-_MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+# the samplers' per-block normal streams
 
 
-def splitmix64(z):
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key(seed, path):
-    return splitmix64((seed + (path + 1) * _GOLDEN) & _MASK)
-
-
-def stream_uniform(key, i):
-    return (float(splitmix64((key + (i + 1) * _GOLDEN) & _MASK) >> 11)
-            + 0.5) * 2.0 ** -53
-
-
-def stream_normals(seed, paths, start, count):
-    """Draws start..start+count-1 of each path's stream, step-major: shape
-    (count, len(paths)), like `rng.fill_normals`."""
-    inv_cdf = NormalDist().inv_cdf
-    keys = [stream_key(seed, int(p)) for p in paths]
-    return np.array([[inv_cdf(stream_uniform(key, i)) for key in keys]
-                     for i in range(start, start + count)])
+def block_normals(seed, lo, n, count):
+    """The first `count` draws of each of the n paths of the block whose
+    first path is lo, step-major, shape (count, n), in one call: numpy's
+    SFC64 seeded by a SeedSequence of (seed mod 2**64, lo), and one ziggurat
+    draw of the whole array."""
+    bits = np.random.SFC64(np.random.SeedSequence((seed % 2 ** 64, lo)))
+    return np.random.Generator(bits).standard_normal((count, n))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ LAYERS = README.parent / "bench" / "layers.py"
 
 # names the benchmark still wraps although their code is gone, so their
 # per-layer metrics read 0; ROADMAP item 1 retargets them
-STALE_TARGETS = {("rng", "normals"), ("rng", "uniforms"),
+STALE_TARGETS = {("rng", "normals"), ("rng", "uniforms"), ("rng", "mix64"),
+                 ("rng", "stream_keys"),
                  ("oscillator", "sample_exact_path"),
                  ("spectral", "weight_vector"), ("spectral", "alpha_hat"),
                  ("ldp", "_exact_at_probes")}

@@ -546,6 +546,24 @@ def test_simulate_deterministic_across_thread_env(capsys, monkeypatch):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "msq"])
+def test_samplers_reduce_every_seed_mod_2_64(command, capsys):
+    # -1 runs as 2**64 - 1 and 2**64 as 0; the footer echoes the seed given
+    argv = {"simulate": ["simulate", "--method", "em", "--h", "0.1", "--N",
+                         "10", "--samples", "20"],
+            "msq": ["msq", "--method", "em", "--h", "0.1", "--samples",
+                    "20"]}[command]
+
+    def rows(seed):
+        code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
+        assert (code, err) == (0, "")
+        assert f"seed = {seed}" in out
+        return parse_csv(out)
+
+    assert rows(-1) == rows(2 ** 64 - 1) != rows(0)
+    assert rows(2 ** 64) == rows(0)
+
+
 def test_search_position_writes_method_files(tmp_path, capsys):
     out_dir = tmp_path / "hits"
     code, out, _ = run_cli(
@@ -704,29 +722,19 @@ def test_proofs_run_where_sympy_cannot_be_imported():
     assert payload["proof"] == "proved"
 
 
-def test_scipy_loads_only_for_sampling():
-    script = (
-        "import sys, ldp_osc.cli\n"
-        "print('scipy' in sys.modules)\n"
-        "run = ldp_osc.cli.main\n"
-        "codes = [run(['rates', '--method', 'm2', '--h', '0.5']),\n"
-        "         run(['search', '--observable', 'mean-velocity']),\n"
-        "         run(['prob', '--method', 'em', '--h', '0.1', '--N', '10',\n"
-        "              '--interval', '0.9:1.1'])]\n"
-        "print(codes, 'scipy' in sys.modules)\n"
-        "code = run(['simulate', '--method', 'em', '--h', '0.1', '--N', '1',"
-        " '--samples', '1'])\n"
-        "print(code, 'scipy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "False"
-    assert "[0, 0, 0] False" in lines
-    assert lines[-1] == "0 True"
+def test_no_command_loads_scipy():
+    # one interpreter runs every kind of command, the samplers included
+    argvs = [["rates", "--method", "m2", "--h", "0.5"],
+             ["search", "--observable", "mean-velocity"],
+             ["prob", "--method", "em", "--h", "0.1", "--N", "10",
+              "--interval", "0.9:1.1"],
+             ["simulate", "--method", "em", "--h", "0.1", "--N", "10",
+              "--samples", "10"],
+             ["msq", "--method", "em", "--h", "0.1", "--samples", "10"]]
+    assert _modules_after(argvs, ("scipy",)) == [[0] * 5, [False]]
 
 
-_SAMPLER_MODULES = ("numpy", "scipy", "concurrent.futures")
+_SAMPLER_MODULES = ("numpy", "concurrent.futures")
 
 
 def _modules_after(argvs, modules=_SAMPLER_MODULES):
@@ -748,21 +756,21 @@ def test_only_the_samplers_import_numpy(tmp_path):
     deterministic = [argv for argv in readme if argv[0] in
                      ("catalog", "conditions", "rates", "prob", "search")]
     assert len(deterministic) == 6
-    assert _modules_after(deterministic) == [[0] * 6, [False] * 3]
+    assert _modules_after(deterministic) == [[0] * 6, [False] * 2]
     msq, = (argv for argv in readme if argv[0] == "msq")
     simulate = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
                 "--samples", "10"]
     for argv in (msq, simulate):
-        assert _modules_after([argv]) == [[0], [True] * 3]
+        assert _modules_after([argv]) == [[0], [True] * 2]
     # an unknown method is refused before the samplers load
     for argv in (["msq", "--method", "nope", "--h", "0.1"],
                  ["simulate", "--method", "nope", "--h", "0.1", "--N", "10"]):
-        assert _modules_after([argv]) == [[1], [False] * 3]
+        assert _modules_after([argv]) == [[1], [False] * 2]
     # and a law without result ends simulate before they load
     overflow = _method_path(tmp_path, _ROTATION_FILE.format("1e160")
                             .replace("b1 = 0", "b1 = 1e160"))
     assert _modules_after([["simulate", "--method", overflow, "--h", "0.5",
-                            "--N", "200"]]) == [[2], [False] * 3]
+                            "--N", "200"]]) == [[2], [False] * 2]
 
 
 def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
@@ -778,13 +786,13 @@ def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
     ]
     assert _modules_after([], exact) == [[], [False, False]]
     assert _modules_after(deterministic, exact) == [[0] * 4, [False, False]]
-    # the samplers sum their errors in fractions, without the proof engine
+    # the samplers load neither
     samplers = [
         ["msq", "--method", "beta:0.5", "--h", "0.1", "--samples", "10"],
         ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
          "--samples", "10"],
     ]
-    assert _modules_after(samplers, exact) == [[0, 0], [False, True]]
+    assert _modules_after(samplers, exact) == [[0, 0], [False, False]]
     for argv in (["rates", "--method", "beta:0.5", "--observable",
                   "mean-position", "--h", "0.5"], ["search"]):
         assert _modules_after([argv], exact) == [[0], [True, True]]
@@ -812,18 +820,22 @@ def test_only_json_output_loads_json_and_no_command_loads_dataclasses():
         [False, False, False], [False, False, False], [False, False, True]]
 
 
-def test_probabilities_run_where_scipy_cannot_be_imported():
+def test_probabilities_and_samplers_run_where_scipy_cannot_be_imported():
+    argvs = [["prob", "--method", "beta:0.5", "--h", "0.1", "--N-sweep",
+              "100:100000:4", "--interval", "0.9:1.1"],
+             ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+              "--samples", "10"],
+             ["msq", "--method", "em", "--h", "0.1", "--samples", "10"]]
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "sys.modules['scipy'] = None  # any import of scipy raises\n"
         "import ldp_osc.cli\n"
-        "print(ldp_osc.cli.main(['prob', '--method', 'beta:0.5', '--h', '0.1',"
-        " '--N-sweep', '100:100000:4', '--interval', '0.9:1.1']))\n")
-    proc = subprocess.run([sys.executable, "-c", script],
+        "print([ldp_osc.cli.main(a) for a in json.loads(sys.argv[1])])\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
 
 
 # SHA-256 of the stdout of the deterministic verdict commands, recorded before
@@ -932,9 +944,10 @@ GOLDEN_VERDICTS = [
     # 0.1, and the finer rows print their steps, 1 ulp below 0.05, 0.025,
     # 0.0125 and 0.00625; and when the step noise covariance stopped
     # cancelling at small steps (errors moved from their 11th significant
-    # digit on)
+    # digit on); and when the normals came from numpy's per-block SFC64
+    # streams (every error moved)
     ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
-     "4d9e66e94bfce58911cce312c0aa33e1845a8697838e623b2fc941125d1288d4"),
+     "109f3946c5a0bd81d49e4bd9bb2a376273f54b7f3d299e6783965c1dbc8094c0"),
 ]
 # `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
 # recorded before the command printed `condition_b_diagnostics`' own reports;

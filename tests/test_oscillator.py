@@ -7,7 +7,6 @@ closed-form terminal law and the one-step noise covariance.
 """
 
 import math
-import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -17,9 +16,8 @@ from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
-from ldp_osc.rng import CHUNK_ROWS, step_normals
-from ldp_osc.sim import ExactPaths, exact_factor, rotation, \
-    step_noise_covariance
+from ldp_osc.sim import MSQ_CHUNK_STEPS, ExactPaths, exact_factor, rotation, \
+    step_noise_covariance, step_normals
 from oracles import (continuous_log_mgf_coefficient, mean_position_law,
                      terminal_position_law)
 
@@ -150,13 +148,12 @@ def test_step_noise_covariance_against_quadrature():
 
 def _exact_path(params, delta, steps, paths, seed):
     # (dw, x, y) of every step, each of shape (steps, paths), stepped as
-    # `msq` steps it: three draws of each path's stream per step
+    # `msq` steps it: three draws of each path per step, from one block's
+    # stream
     exact = ExactPaths(params, delta, exact_factor(delta, params.alpha),
                        evaluate(get_method("em"), delta), paths)
     dw, x, y = [], [], []
-    bits = np.empty((CHUNK_ROWS, paths), dtype=np.uint64)
-    for draws in step_normals(seed, 0, paths, steps, 3, threading.Lock(),
-                              bits):
+    for draws in step_normals(seed, 0, paths, steps, 3, MSQ_CHUNK_STEPS):
         for j in range(0, len(draws), 3):
             dw.append(exact.exact_step(draws[j:j + 3]).copy())
             x.append(exact.z[0, 0].copy())
@@ -170,8 +167,7 @@ def test_sampler_guards():
         exact_factor(0.0, params.alpha)
     with pytest.raises(ValueError):
         exact_factor(1e-9, params.alpha)
-    bits = np.empty((CHUNK_ROWS, 1), dtype=np.uint64)
-    assert list(step_normals(0, 0, 1, 0, 3, threading.Lock(), bits)) == []
+    assert list(step_normals(0, 0, 1, 0, 3, MSQ_CHUNK_STEPS)) == []
 
 
 def test_sampler_matches_terminal_law():

@@ -1,4 +1,5 @@
-"""Tests for the counter-based RNG, the path simulator, and strong-order fits."""
+"""Tests for the per-block random streams, the path simulator, and
+strong-order fits."""
 
 import ast
 import hashlib
@@ -11,7 +12,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,106 +19,79 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from ldp_osc import cli, rng, sim
+from ldp_osc import cli, sim
 from ldp_osc.ldp import observable_law
 from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams, \
     SimConfig
-from ldp_osc.rng import CHUNK_ROWS, _fill_uniforms, fill_normals, mix64, \
-    step_normals, stream_keys
 from ldp_osc.sim import (
+    CHUNK_STEPS,
     MsqReport,
     fit_loglog_slope,
     msq_order,
     simulate_paths,
+    step_normals,
     thread_count,
 )
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
 
-def _normals(seed, paths, start, count):
-    keys = stream_keys(seed, np.asarray(paths))
-    out = np.empty((count, len(keys)))
-    return fill_normals(keys, start, out, np.empty(out.shape, dtype=np.uint64),
-                        threading.Lock())
+def _draws(seed, lo, hi, steps, per_step=1, chunk=CHUNK_STEPS):
+    # the chunks of step_normals laid end to end; each is copied as it
+    # comes, since the next one refills the same buffer
+    chunks = [c.copy() for c in step_normals(seed, lo, hi, steps, per_step,
+                                             chunk)]
+    assert all(len(c) <= per_step * chunk for c in chunks)
+    return np.concatenate(chunks)
 
 
-def _step_normals(seed, lo, hi, steps, per_step, rows=CHUNK_ROWS):
-    # step_normals with its own lock and a mix64 scratch for chunks of at
-    # most `rows` rows
-    bits = np.empty((rows // per_step * per_step, hi - lo), dtype=np.uint64)
-    return step_normals(seed, lo, hi, steps, per_step, threading.Lock(), bits)
-
-
-def test_rng_frozen_values():
-    # recomputed by hand from the splitmix64 recipe in the module docstring
-    assert int(stream_keys(0, np.array([0]))[0]) == 16294208416658607535
-    assert oracles.stream_key(0, 0) == 16294208416658607535
-    first = _normals(0, [0], 0, 1)[0, 0]
-    assert first == pytest.approx(0.3919393499913912, rel=1e-12)
-    assert oracles.stream_normals(0, [0], 0, 1)[0, 0] \
-        == pytest.approx(0.3919393499913912, rel=1e-12)
-
-
-def test_fill_normals_is_step_major_normals():
-    # row k, column p is draw start + k of path p, as the splitmix64 recipe
-    # in Python integers gives it; the two inverse CDFs (scipy's ndtri,
-    # statistics.NormalDist) agree to rounding
-    paths = np.array([0, 1, 5, 4095, 123456])
-    out = np.empty((6, 5))
-    bits = np.empty((6, 5), dtype=np.uint64)
-    assert fill_normals(stream_keys(7, paths), 11, out, bits,
-                        threading.Lock()) is out
-    npt.assert_allclose(out, oracles.stream_normals(7, paths, 11, 6),
-                        rtol=1e-12, atol=1e-14)
-
-
-def test_rng_partition_invariance():
-    # draws depend only on (seed, path, index), not on how they are batched
-    whole = _normals(7, np.arange(5), 0, 64)
-    split = np.concatenate([_normals(7, np.arange(5), 0, 10),
-                            _normals(7, np.arange(5), 10, 30),
-                            _normals(7, np.arange(5), 40, 24)])
-    npt.assert_array_equal(whole, split)
-    npt.assert_array_equal(whole[:, 2], _normals(7, [2], 0, 64)[:, 0])
-
-
-def test_rng_uniforms_land_in_open_interval():
-    keys = stream_keys(3, np.arange(100))
-    u = np.empty((50, 100))
-    _fill_uniforms(keys, 0, u, np.empty((50, 100), dtype=np.uint64))
-    assert np.all(u > 0.0)
-    assert np.all(u < 1.0)
-    # sane first and second moments for this sample size
-    assert abs(float(np.mean(u)) - 0.5) < 0.01
-    assert abs(float(np.var(u)) - 1.0 / 12.0) < 0.01
-
-
-def test_rng_distinct_streams_and_seeds():
-    a = _normals(0, np.arange(4), 0, 8)
-    b = _normals(1, np.arange(4), 0, 8)
-    assert not np.allclose(a, b)
-    assert not np.allclose(a[:, 0], a[:, 1])
+def test_stream_frozen_values():
+    # the first draw of seed 0, block 0; numpy keeps SFC64 and SeedSequence
+    # stable (NEP 19), and this pins Generator.standard_normal as well
+    first = -0.5423652285985597
+    assert _draws(0, 0, 1, 1)[0, 0] == first
+    assert oracles.block_normals(0, 0, 1, 1)[0, 0] == first
 
 
 @pytest.mark.parametrize("per_step", [1, 3])
 @pytest.mark.parametrize("steps", [1, 4, 16, 37])
-def test_step_normals_chunks_are_the_stream(per_step, steps):
-    # the chunks, laid end to end, are draws 0..per_step * steps - 1 of paths
-    # lo..hi-1, and each is at most CHUNK_ROWS rows
-    chunks = [c.copy() for c in _step_normals(9, 3, 10, steps, per_step)]
-    assert all(len(c) % per_step == 0 and len(c) <= CHUNK_ROWS
-               for c in chunks)
-    npt.assert_array_equal(np.concatenate(chunks),
-                           _normals(9, np.arange(3, 10), 0, per_step * steps))
+def test_step_normals_are_one_draw_of_the_block_stream(per_step, steps):
+    # the chunks, laid end to end, are one step-major draw of the block's
+    # stream, keyed by its first path index
+    npt.assert_array_equal(_draws(9, 3, 10, steps, per_step),
+                           oracles.block_normals(9, 3, 7, per_step * steps))
 
 
-def test_mix64_is_deterministic_and_bijective_on_samples():
-    values = np.arange(1, 1000, dtype=np.uint64)
-    hashed = mix64(values)
-    assert len(np.unique(hashed)) == len(values)
-    npt.assert_array_equal(hashed, mix64(values.copy()))
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("chunk", [1, 2, 6, 32])
+def test_draws_do_not_depend_on_chunk_size_or_thread_count(chunk, threads,
+                                                           monkeypatch):
+    # sequential fills continue one stream, so 6-row chunks give one 32-row
+    # draw; blocks drawn on several workers at once, with a short switch
+    # interval, give the draws of one worker
+    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+    samples = 3 * sim.BLOCK + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        blocks = list(sim._run_blocks(samples, lambda lo, hi: _draws(
+            7, lo, hi, 32, chunk=chunk)))
+    finally:
+        sys.setswitchinterval(interval)
+    for lo, block in zip(range(0, samples, sim.BLOCK), blocks):
+        npt.assert_array_equal(block, oracles.block_normals(
+            7, lo, min(sim.BLOCK, samples - lo), 32))
+
+
+def test_seeds_and_blocks_give_distinct_draws():
+    a = _draws(5, 0, 4, 8)
+    assert not np.isin(_draws(6, 0, 4, 8), a).any()
+    assert not np.isin(_draws(5, sim.BLOCK, sim.BLOCK + 4, 8), a).any()
+    assert len(np.unique(a)) == a.size
+    # seeds reduce mod 2**64, as SeedSequence takes no negative entropy
+    npt.assert_array_equal(_draws(-1, 0, 4, 8), _draws(2 ** 64 - 1, 0, 4, 8))
+    npt.assert_array_equal(_draws(2 ** 64 + 5, 0, 4, 8), a)
 
 
 def test_simulation_same_seed_reproduces():
@@ -514,10 +487,9 @@ _BLAS_NAMES = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum",
                "linalg", "polyfit", "lstsq", "cov", "corrcoef"}
 
 
-@pytest.mark.parametrize("module", [sim, rng], ids=["sim", "rng"])
-def test_samplers_reach_no_blas(module):
+def test_samplers_reach_no_blas():
     # the kernel test above runs only on x86-64 Linux; this holds everywhere
-    with open(module.__file__, encoding="utf-8") as source:
+    with open(sim.__file__, encoding="utf-8") as source:
         tree = ast.parse(source.read())
     found = []
     for node in ast.walk(tree):
@@ -559,41 +531,48 @@ def test_samplers_reach_no_blas(module):
 # cancelling at small steps (1 - cos as 2 sin^2, Var I1 from a series): each
 # exact factor moved by roundoff, and the errors from their 11th to 13th
 # significant digit
+# Every run was re-recorded when the normals came from numpy's SFC64
+# generator, one stream per block of paths, and its ziggurat, in place of
+# the splitmix64 counter stream and scipy's ndtri: every Monte Carlo digit
+# moved, the law columns did not; msq's block sums became float sums, which
+# the exact-mean marker no longer describes
 GOLDEN_STDOUT = [
-    # re-recorded: summary merged per block
+    # re-recorded: summary merged per block; numpy streams
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
-     "752ab25e6c18f8b6de93227e96455b0031a41da8f47fbd69146328026bbb2ebb"),
-    # re-recorded: summary merged per block
+     "76182d12f9ad19dba509c8992e0b8ef6cf04f34befbd5026a2b71de9a6d4f683"),
+    # re-recorded: summary merged per block; numpy streams
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5 "
      "--format json",
-     "5b464c7fc8bc9ffe293efa27595e0700af67da372f583a53a4b935fbcb655e92"),
-    # re-recorded: summary merged per block
+     "8d4197e815ed6eba72264c8e43d421fce71b1608fe0aa21150132cbc80bec52b"),
+    # re-recorded: summary merged per block; numpy streams
     ("simulate --method em --h 0.05 --N 37 --samples 5000 --seed 2 "
      "--x0 0.3 --y0 -0.2 --alpha 0.7 --format json",
-     "7a5f85a45c361d37570e412250d15e4fa19c5aac9a1c34b505650f5ec45a59c0"),
+     "4a5b0be3aeb27a1aa1321efef268e61442094aa0c8984c3d167ac842ff6089b2"),
+    # re-recorded: numpy streams
     ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
-     "2574cbbeb2eacd691e0974ffd8391e5902a3a00ff6c196facd7933dc857fcb54"),
-    # re-recorded: no BLAS; covariance
+     "b010c5b3b4cbc811d2d8f481508c61125fb672641a43b20061dd14d083befcf9"),
+    # re-recorded: no BLAS; covariance; numpy streams
     ("msq --method em --h 0.1 --samples 3000",
-     "30395fa98216c475d0ae5a7cc2da09fdf62cce6394ff26ec5a4a495f9cd1bbe8"),
-    # re-recorded: exact mean; no BLAS; covariance
+     "849442c993cf675a5399864822c20817d3310f4b6c5853c5d3d3e7adfc1538a3"),
+    # re-recorded: exact mean; no BLAS; covariance; numpy streams
     ("msq --method beta:0.5 --h 0.1 --samples 3000",
-     "2e9d98f1d0bcb887ec831e61607021e2849ae92accfb80df14991f10ffb73da4"),
-    # re-recorded: exact mean; no BLAS; covariance
+     "aca4722676a17659d0efdec51c5435bb39ac5a48ff648075455090514cb8c5dd"),
+    # re-recorded: exact mean; no BLAS; covariance; numpy streams
     ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
-     "62fea06440fec7ae7a649348f0acd553f52a72ac890c1041c26bf705f5bc3542"),
-    # re-recorded: no BLAS; common horizon; covariance
+     "3cf2ccffae217ede5453c2d990f87e023ad498db325be7280b8612411b7e0910"),
+    # re-recorded: no BLAS; common horizon; covariance; numpy streams
     ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
      "--alpha 0.7 --format json",
-     "c5672a5ef449687e4678d6539a6ebf3ec8ed782d61a1909d9a8875ae39ebaa0e"),
+     "71cafedcf4036dc4e3e03dc274bae33fc2b779e6b3ea5b5336da7698c231af6b"),
     # more than one BLOCK of paths, so two threads split the work;
-    # re-recorded: no BLAS; covariance
+    # re-recorded: no BLAS; covariance; numpy streams
     ("msq --method em --h 0.1 --samples 9001 --seed 4",
-     "a0c01ce46f822643c60c2ad199f49eb6d3e3c3676e37664373fb4513e05ea795"),
-    # re-recorded: exact mean; no BLAS; common horizon; covariance
+     "2d8ce9d542e9898ceb63ab25e20970f91560c2b923cea2831942a7f44e9bf32e"),
+    # re-recorded: exact mean; no BLAS; common horizon; covariance; numpy
+    # streams
     ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
      "--y0 -0.2 --alpha 0.7 --format json",
-     "eeee210864d0de70e7650cefc3a077aef1270781d93bf380079f3848104aa531"),
+     "6f35e3df43d3b505334eb0a2129079bb210ffab45f85c7654f1828d06c35eb31"),
 ]
 
 
@@ -640,12 +619,11 @@ _LOCKED_RUNS = {
 
 @pytest.mark.parametrize("run", _LOCKED_RUNS.values(), ids=_LOCKED_RUNS)
 def test_samplers_keep_the_lock_rule(run, monkeypatch):
-    # the uniform stage and every step run under the run's lock, and ndtri
-    # outside it; each lock is a run's, so a thread holding none of them
-    # holds no run's lock
+    # every step runs under the run's lock, and the draws outside it; each
+    # lock is a run's, so a thread holding none of them holds no run's lock
     monkeypatch.setenv("LDP_OSC_THREADS", "2")
     locks = []
-    calls = {"uniforms": 0, "ndtri": 0, "step": 0}
+    calls = {"draws": 0, "step": 0}
 
     class Shared(sim._Shared):
         def __init__(self, *args):
@@ -665,9 +643,8 @@ def test_samplers_keep_the_lock_rule(run, monkeypatch):
         return check
 
     monkeypatch.setattr(sim, "_Shared", Shared)
-    monkeypatch.setattr(rng, "_fill_uniforms",
-                        checked("uniforms", rng._fill_uniforms, True))
-    monkeypatch.setattr(rng, "ndtri", checked("ndtri", rng.ndtri, False))
+    monkeypatch.setattr(sim, "fill_normals",
+                        checked("draws", sim.fill_normals, False))
     monkeypatch.setattr(sim._Paths, "step",
                         checked("step", sim._Paths.step, True))
     run()
@@ -751,32 +728,29 @@ def test_msq_memory_does_not_grow_with_step_count():
     assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
 
 
-@pytest.mark.parametrize("per_step, rows", [
-    (1, CHUNK_ROWS), (3, CHUNK_ROWS), (3, 3 * sim.MSQ_CHUNK_STEPS)],
-    ids=["1", "3", "3-msq"])
-def test_step_normals_holds_a_chunk_and_one_scratch(per_step, rows):
-    # mix64's second scratch is the chunk's own memory, and its first is the
-    # caller's
+@pytest.mark.parametrize("per_step, chunk", [
+    (1, CHUNK_STEPS), (3, sim.MSQ_CHUNK_STEPS)], ids=["simulate", "msq"])
+def test_step_normals_holds_one_chunk(per_step, chunk):
+    # the generator fills the chunk in place and keeps only its own state
     paths = 4096
-    chunk_bytes = rows // per_step * per_step * paths * 8
+    chunk_bytes = per_step * chunk * paths * 8
 
     def run():
-        for _ in _step_normals(0, 0, paths, 64, per_step, rows):
+        for _ in step_normals(0, 0, paths, 64, per_step, chunk):
             pass
 
     run()  # warm caches outside the measurement
-    assert _peak_bytes(run) <= 2 * chunk_bytes + 64 * 1024
+    assert _peak_bytes(run) <= chunk_bytes + 64 * 1024
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
         threads, monkeypatch):
     # the run's blocks share one set of the buffers that only the lock's
-    # holder touches: mix64's uint64 scratch for a chunk, the step scratch
-    # (2) and the noise pair (2). Past that, a running block holds its chunk
-    # and a few rows: the state (2), the running sum and the stream keys (2),
-    # with 4 to spare for its results and numpy's temporaries. One block
-    # runs per worker
+    # holder touches: the step scratch (2) and the noise pair (2). Past
+    # that, a running block holds its chunk and a few rows: the state (2)
+    # and the running sum (1), with 4 to spare for its results and numpy's
+    # temporaries. One block runs per worker
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
     workers, row = int(threads), sim.BLOCK * 8
     config = SimConfig(get_method("beta:0.5"), 0.1, 64, workers * sim.BLOCK,
@@ -786,8 +760,8 @@ def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
         sim.simulate_summary(config)
 
     run()  # warm caches outside the measurement
-    shared = (CHUNK_ROWS + 4) * row
-    assert _peak_bytes(run) <= shared + workers * (CHUNK_ROWS + 8) * row
+    shared = 4 * row
+    assert _peak_bytes(run) <= shared + workers * (CHUNK_STEPS + 7) * row
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -820,18 +794,20 @@ def test_msq_memory_does_not_grow_with_sweep_points(monkeypatch):
     assert peak(12) - peak(5) <= 64 * 1024
 
 
-@pytest.mark.parametrize("block", [64, 1000])
-def test_msq_errors_do_not_depend_on_block_size(block, monkeypatch):
+@pytest.mark.parametrize("msq_pass", [1, 2])
+def test_msq_errors_do_not_depend_on_threads_or_pass_grouping(msq_pass,
+                                                             monkeypatch):
     # more workers than cores and a short switch interval interleave the
-    # tasks as much as possible; the exact sums of any block split add up to
-    # the same total
+    # tasks as much as possible; every pass keys its blocks alike, so a step
+    # size reads the same draws in whichever pass it runs, and the block sums
+    # add in block order
     def errors():
-        return msq_order(get_method("beta:0.5"), [0.2, 0.1], T0=1.0,
+        return msq_order(get_method("beta:0.5"), [0.2, 0.1, 0.05], T0=1.0,
                          samples=5000, seed=1, params=PARAMS).errors
 
     monkeypatch.setenv("LDP_OSC_THREADS", "1")
     reference = errors()
-    monkeypatch.setattr(sim, "BLOCK", block)
+    monkeypatch.setattr(sim, "MSQ_PASS", msq_pass)
     monkeypatch.setenv("LDP_OSC_THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -839,6 +815,18 @@ def test_msq_errors_do_not_depend_on_block_size(block, monkeypatch):
         assert errors() == reference
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_msq_names_an_error_sum_that_overflows(monkeypatch):
+    # each worst error is finite, but a block's float sum overflows to inf,
+    # with no RuntimeWarning, and msq_order names it
+    def huge_errors(params, seed, runs, shared, lo, hi):
+        return [np.full(hi - lo, 1.7e308) for _ in runs]
+
+    monkeypatch.setattr(sim, "_msq_worst", huge_errors)
+    with pytest.raises(ValueError, match="em: the strong error at h = 0.2 is "
+                       "not finite; the method diverges"):
+        msq_order(get_method("em"), [0.2, 0.1], samples=10)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -888,68 +876,18 @@ def test_msq_draws_each_normal_once_per_pass(monkeypatch, capsys):
     # 3 x (10 + 20 + 40 + 80 + 160)
     monkeypatch.setenv("LDP_OSC_THREADS", "1")
     draws = []
-    fill_normals = rng.fill_normals
+    fill_normals = sim.fill_normals
 
-    def counting(keys, start, out, bits, lock):
+    def counting(generator, out):
         draws.append(out.size)
-        return fill_normals(keys, start, out, bits, lock)
+        return fill_normals(generator, out)
 
-    monkeypatch.setattr(rng, "fill_normals", counting)
+    monkeypatch.setattr(sim, "fill_normals", counting)
     samples = 5000
     assert cli.main(["msq", "--method", "em", "--h", "0.1", "--samples",
                      str(samples)]) == 0
     assert "\n0.00625,160," in capsys.readouterr().out
     assert sum(draws) == 3 * 160 * samples
-
-
-def _fraction_sum(values):
-    return sum(map(Fraction, values.tolist()), Fraction(0))
-
-
-EXACT_SUM_CASES = {
-    "zeros": np.zeros(4096),
-    "subnormals": np.array([5e-324, 1e-320, 2.2e-308, 0.0, 1e-310, 5e-324]),
-    "wide range": 10.0 ** np.random.default_rng(0).uniform(-300, 300, 4096),
-    "signed wide range": np.random.default_rng(1).choice([-1.0, 1.0], 4096)
-    * 10.0 ** np.random.default_rng(2).uniform(-300, 300, 4096),
-    "1e+300 and 1e-300": np.array([1e300, 1e-300, 1e300, 3e-300] * 1024),
-    "constant tenths": np.full(4096, 0.1),
-    "constant huge": np.full(4096, 1.7e308),
-    "constant least subnormal": np.full(4096, 5e-324),
-    "one value": np.array([0.7]),
-}
-
-
-@pytest.mark.parametrize("values", EXACT_SUM_CASES.values(),
-                         ids=EXACT_SUM_CASES.keys())
-def test_exact_sum_is_the_fraction_sum(values):
-    assert sim._exact_sum(values) == _fraction_sum(values)
-
-
-def test_exact_sum_of_non_finite_values_is_their_float_sum():
-    assert sim._exact_sum(np.array([1.0, math.inf, 2.0])) == math.inf
-    assert math.isnan(sim._exact_sum(np.array([1.0, math.nan])))
-    # a running total stays the float sum of the non-finite block sums, even
-    # past an exact sum beyond the float range
-    total = sim._add_sums(Fraction(10 ** 400), math.inf)
-    assert sim._mean(sim._add_sums(total, Fraction(2)), 3) == math.inf
-    assert math.isnan(sim._mean(sim._add_sums(total, -math.inf), 3))
-    total = sim._add_sums(sim._add_sums(Fraction(1), math.nan), Fraction(2))
-    assert math.isnan(sim._mean(total, 3))
-
-
-def test_mean_is_the_exact_mean_rounded_once():
-    # a pairwise float mean of these blocks is off by an ulp or more
-    blocks = [np.full(4096, 0.1), 10.0 ** np.random.default_rng(3).uniform(
-        -20, 0, 4096), np.array([1e-17] * 1000 + [1.0])]
-    samples = sum(len(b) for b in blocks)
-    exact = sum(_fraction_sum(b) for b in blocks) / samples
-    total = Fraction(0)
-    for b in blocks:
-        total = sim._add_sums(total, sim._exact_sum(b))
-    mean = sim._mean(total, samples)
-    assert mean == float(exact)
-    assert mean != float(np.mean(np.concatenate(blocks)))
 
 
 def test_default_thread_count_follows_cpu_affinity(monkeypatch):
