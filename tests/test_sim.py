@@ -94,6 +94,45 @@ def test_seeds_and_blocks_give_distinct_draws():
     npt.assert_array_equal(_draws(2 ** 64 + 5, 0, 4, 8), a)
 
 
+@pytest.mark.parametrize("seed, reduced", [
+    (-5, 2 ** 64 - 5),
+    (-2 ** 64, 0),
+    (-2 ** 64 - 1, 2 ** 64 - 1),
+    (2 ** 70 + 3, 3),
+    (2 ** 128 - 1, 2 ** 64 - 1),
+])
+def test_block_stream_is_keyed_by_the_seed_mod_2_64(seed, reduced):
+    # any integer seed the CLI accepts keys the block's SeedSequence by its
+    # residue, in a block past the first as well
+    lo = sim.BLOCK
+    npt.assert_array_equal(_draws(seed, lo, lo + 6, 5),
+                           oracles.block_normals(reduced, lo, 6, 5))
+
+
+@pytest.mark.parametrize("seed, lo", [
+    (0, 0),
+    (1, sim.BLOCK),
+    (-1, 5 * sim.BLOCK),
+    (2 ** 63, 0),
+])
+def test_block_stream_is_standard_normal(seed, lo):
+    # a full block's draws: mean, variance, lag-one correlation between a
+    # path's successive steps, and the Kolmogorov distance to the normal
+    # law, each within a bound that a standard normal sample exceeds with
+    # probability below ~1e-6
+    z = _draws(seed, lo, lo + sim.BLOCK, 32)
+    n = z.size
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    lag = (z[1:] * z[:-1]).mean()
+    assert abs(lag) < 5.0 / math.sqrt(z[1:].size)
+    x = np.sort(z, axis=None)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x])
+    ranks = np.arange(1, n + 1) / n
+    distance = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    assert distance < 2.69 / math.sqrt(n)
+
+
 def test_simulation_same_seed_reproduces():
     config = SimConfig(get_method("beta:0.5"), 0.1, 50, 3000, seed=5, params=PARAMS)
     r1 = simulate_paths(config)
