@@ -6,26 +6,28 @@ block's first path index) through a SeedSequence, and draws its normals
 from it with numpy's ziggurat sampler (`fill_normals`). Results are
 bit-identical for any thread count and any chunk size, and depend on BLOCK,
 which sets the keys. Both samplers run on one block engine, `_run_blocks`,
-which runs a per-block task over fixed-size blocks of BLOCK paths on a
-thread pool and yields the results in block order, with at most WINDOW
-tasks per worker submitted and not yet consumed. A task keeps its paths in
-a `_Paths`, whose `step` is every sampler's linear update, and works in
-buffers sized by the block, never by the sample count. Validation and
-warnings stay in the calling thread.
+which runs fixed-size blocks of BLOCK paths on plain worker threads, one
+task per worker, and yields the results in block order, with at most WINDOW
+blocks per worker submitted and not yet consumed. Each worker's task owns
+its draw buffer, which the caller allocates once per run and the worker
+reuses for every block it runs. A task keeps its paths in a `_Paths`, whose
+`step` is every sampler's linear update, and works in buffers sized by the
+block, never by the sample count. Validation and warnings stay in the
+calling thread.
 
 Each run (one `simulate_summary` or `simulate_paths` call, or one pass of
 `msq_order`) has one lock, held in a `_Shared` with the buffers that only the
 lock's holder touches: the step scratch and the noise rows. The rule: every
 step of a chunk runs under the lock, and the chunk's draws run outside it,
-into the block's own chunk, one `fill_normals` call per chunk. A step is
+into its worker's draw buffer, one `fill_normals` call per chunk. A step is
 many short numpy calls, and two threads making such calls at once trade the
 interpreter lock call by call; the ziggurat releases it for its whole call,
 so one block's draws run beside another's steps. A running block keeps only
 what outlives a chunk or is written outside the lock: its generator, its
-chunk, its state, and its running sums or worst errors. The run's buffers
-are freed with the run, and two runs on two threads neither share them nor
-wait for each other. Each block reads only its own stream, so how the blocks
-interleave moves no digit.
+worker's draw buffer, its state, and its running sums or worst errors. The
+run's buffers are freed with the run, and two runs on two threads neither
+share them nor wait for each other. Each block reads only its own stream,
+so how the blocks interleave moves no digit.
 
 `simulate_summary` reduces each block's two observables to their count,
 mean, sum of squared deviations from the mean (M2), min and max on the
@@ -55,20 +57,22 @@ math.fsum. So the printed digits rest on IEEE arithmetic, the C math library
 and numpy's generators alone, whatever BLAS kernel the CPU selects.
 
 Only this module imports numpy at module level (the test reference
-`laws.oracle_moments` imports it in its body), so importing this module is
-the one point where a command loads numpy.
+`laws.oracle_moments` imports it in its body), `numpy.random` with it, so
+importing this module is the one point where a command loads numpy, and it
+loads in the importing thread, not on a worker.
 """
 
 import math
 import os
+import queue
 import threading
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial, reduce
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .methods import decreasing_sweep, evaluate
 from .oscillator import MAX_N, OscillatorParams
@@ -76,13 +80,14 @@ from .oscillator import MAX_N, OscillatorParams
 # paths per thread task
 BLOCK = 4096
 
-# tasks per worker that `_run_blocks` keeps submitted and not yet consumed:
-# one running and one finished or queued, so no worker waits on the caller
+# blocks per worker that `_run_blocks` keeps submitted and not yet
+# consumed: one running and one finished or queued, so no worker waits on
+# the caller
 WINDOW = 2
 
-# steps per noise chunk of `simulate`: a chunk of a block is 16 x 4096
-# float64, 0.5 MiB
-CHUNK_STEPS = 16
+# steps per noise chunk of `simulate`: a worker's draw buffer is 8 x 4096
+# float64, 0.25 MiB
+CHUNK_STEPS = 8
 
 # step sizes per `msq` pass, and steps per noise chunk of a pass: a step
 # size keeps five BLOCK-long arrays (its exact and method states and the
@@ -91,9 +96,9 @@ CHUNK_STEPS = 16
 MSQ_PASS = 5
 MSQ_CHUNK_STEPS = 2
 
-# most workers LDP_OSC_THREADS may ask for: each running block holds its
-# chunk, state and sums (about 0.6 MiB for `simulate`), so the bound caps
-# sampler memory
+# most workers LDP_OSC_THREADS may ask for: each worker holds its draw
+# buffer and its running block's state and sums (about 0.35 MiB for
+# `simulate`), so the bound caps sampler memory
 MAX_THREADS = 64
 
 # Below this step the one-step noise covariance is numerically singular.
@@ -360,48 +365,99 @@ def fill_normals(generator, out):
     return generator.standard_normal(out=out)
 
 
-def step_normals(seed, lo, hi, steps, per_step, chunk):
+def step_normals(seed, lo, hi, steps, per_step, out):
     """Draws of the block of paths lo..hi-1 for `steps` steps of `per_step`
-    draws each, step-major, `chunk` steps per chunk.
+    draws each, step-major, into `out`, a flat float64 buffer of the
+    caller's with room for at least one step.
 
     The block's stream is numpy's SFC64 generator seeded by a SeedSequence
     of (seed mod 2**64, lo), so it depends on the block's first path index,
-    and a path's draws on the block split. Allocates the generator and the
-    chunk now and returns an iterator over the chunks. Each chunk is a
-    (per_step * count, hi - lo) view of one reused buffer, which
-    `fill_normals` refills with the stream's next draws: row per_step * j + i
-    holds draw i of the chunk's step j for every path, and the chunks laid
-    end to end are the stream's first per_step * steps rows, whatever
-    `chunk` is. The caller may overwrite a chunk; the next one refills it.
+    and a path's draws on the block split. Makes the generator now and
+    returns an iterator over the chunks. Each chunk is a (per_step * count,
+    hi - lo) view of `out`, holding as many whole steps as `out` has room
+    for, which `fill_normals` refills with the stream's next draws: row
+    per_step * j + i holds draw i of the chunk's step j for every path, and
+    the chunks laid end to end are the stream's first per_step * steps
+    rows, whatever size `out` is. The caller may overwrite a chunk; the
+    next one refills it.
     """
-    generator = np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence((int(seed) & _MASK, lo))))
-    rows = np.empty((per_step * min(chunk, steps), hi - lo))
-    return _chunks(generator, rows, steps, per_step, chunk)
+    generator = Generator(SFC64(SeedSequence((int(seed) & _MASK, lo))))
+    n = hi - lo
+    chunk = len(out) // (per_step * n)
+    return _chunks(generator, out, n, steps, per_step, chunk)
 
 
-def _chunks(generator, rows, steps, per_step, chunk):
+def _chunks(generator, out, n, steps, per_step, chunk):
     for done in range(0, steps, chunk):
-        yield fill_normals(generator,
-                           rows[:per_step * min(chunk, steps - done)])
+        rows = per_step * min(chunk, steps - done)
+        yield fill_normals(generator, out[:rows * n].reshape(rows, n))
 
 
-def _run_blocks(samples, task):
-    """Call task(lo, hi) for every BLOCK-path range of 0..samples-1 on a
-    thread pool of up to thread_count() workers, and yield the tasks'
-    results in block order. At most WINDOW tasks per worker are submitted
-    and not yet consumed, so the pool's bookkeeping does not grow with
-    `samples`; a task's exception re-raises in the caller."""
-    los = range(0, samples, BLOCK)
-    workers = min(thread_count(), len(los))
+def _draw_buffers(samples, rows):
+    """One flat draw buffer of `rows` rows of min(BLOCK, samples) float64
+    per worker of a run over `samples` paths: min(thread_count(), blocks)
+    of them."""
+    workers = min(thread_count(), -(-samples // BLOCK))
+    return [np.empty(rows * min(BLOCK, samples)) for _ in range(workers)]
+
+
+def _run_blocks(samples, tasks):
+    """Run every BLOCK-path range lo..hi-1 of 0..samples-1 on one plain
+    thread per task, and yield the results in block order.
+
+    Worker i calls tasks[i](lo, hi) on every block it takes from the one
+    shared queue, so it reuses whatever that task holds, such as its draw
+    buffer, for every block it runs. At most WINDOW blocks per worker are
+    submitted and not yet consumed, so the queues do not grow with
+    `samples`. A task's exception re-raises in the caller. Every worker is
+    joined when the generator finishes, raises or is closed; blocks no
+    worker has taken by then are dropped.
+    """
+    inbox = queue.SimpleQueue()
+    workers = [threading.Thread(target=_work, args=(task, inbox))
+               for task in tasks]
+    for worker in workers:
+        worker.start()
     pending = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for lo in los:
-            if len(pending) == WINDOW * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, lo, min(lo + BLOCK, samples)))
+    try:
+        for lo in range(0, samples, BLOCK):
+            if len(pending) == WINDOW * len(workers):
+                yield _result(pending.popleft())
+            done = queue.SimpleQueue()
+            inbox.put((lo, min(lo + BLOCK, samples), done))
+            pending.append(done)
         while pending:
-            yield pending.popleft().result()
+            yield _result(pending.popleft())
+    finally:
+        try:
+            while True:
+                inbox.get_nowait()
+        except queue.Empty:
+            pass
+        for _ in workers:
+            inbox.put(None)
+        for worker in workers:
+            worker.join()
+
+
+def _work(task, inbox):
+    """A worker of `_run_blocks`: run task on each (lo, hi, done) taken from
+    inbox and put (True, its result) or (False, its exception) to done,
+    until None arrives. Any exception is caught, so the caller waiting on
+    done never hangs, and `_result` re-raises it in the caller."""
+    for lo, hi, done in iter(inbox.get, None):
+        try:
+            done.put((True, task(lo, hi)))
+        except BaseException as error:
+            done.put((False, error))
+
+
+def _result(done):
+    """The result a worker put to done, or its exception raised."""
+    ok, value = done.get()
+    if not ok:
+        raise value
+    return value
 
 
 class SimResult(NamedTuple):
@@ -413,38 +469,43 @@ class SimResult(NamedTuple):
     summary: dict
 
 
-def _simulate_shared(config):
-    """The `_Shared` of a `simulate` run: the (2, n) step scratch and the
-    (2, n) noise pair."""
-    return _Shared(min(BLOCK, config.samples), (2,), 2)
+def _simulate_tasks(config, block):
+    """One task per worker of a `simulate` run, block(config, A, b, shared,
+    buffer, lo, hi): the method's (A, b) at config.h, the run's `_Shared`
+    with its (2, n) step scratch and (2, n) noise pair, and the worker's own
+    draw buffer of CHUNK_STEPS rows."""
+    A, b = evaluate(config.method, config.h)
+    shared = _Shared(min(BLOCK, config.samples), (2,), 2)
+    return [partial(block, config, A, b, shared, buffer)
+            for buffer in _draw_buffers(config.samples, CHUNK_STEPS)]
 
 
-def _run_block(config, A, b, shared, lo, hi):
+def _run_block(config, A, b, shared, buffer, lo, hi):
     """Run paths lo..hi-1 and return their two observables, the running
     position average and the terminal position divided by elapsed time.
 
     Noise comes from `step_normals`, one draw per step, so each step reads
-    one contiguous row of a chunk of CHUNK_STEPS steps, drawn outside the
-    lock of `shared`, the run's `_Shared`; the block steps each chunk under
-    that lock, with the run's step scratch and noise pair. The block's own
-    buffers are allocated once, so memory is O(BLOCK x CHUNK_STEPS) whatever
-    the step count. The arithmetic is the reference recursion's, operation
-    for operation (`_Paths.step` adds each row's two products in the other
-    order, which IEEE addition commutes): dw = sqrt(h) z, then (a00 x + a01
-    y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would change the
-    rounding.
+    one contiguous row of a chunk of `buffer`, the worker's draw buffer,
+    drawn outside the lock of `shared`, the run's `_Shared`; the block steps
+    each chunk under that lock, with the run's step scratch and noise pair.
+    The block's own buffers are allocated once, so memory is O(BLOCK) beside
+    the draw buffer whatever the step count. The arithmetic is the
+    reference recursion's, operation for operation (`_Paths.step` adds each
+    row's two products in the other order, which IEEE addition commutes):
+    dw = sqrt(h) z, then (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h)
+    into alpha b1 would change the rounding.
     """
     p = config.params
     n = hi - lo
     scratch, noise = shared.buffers(n)
-    chunks = step_normals(config.seed, lo, hi, config.steps, 1, CHUNK_STEPS)
+    chunks = step_normals(config.seed, lo, hi, config.steps, 1, buffer)
     nb = p.alpha * np.array(b)[:, None]
     paths = _Paths(p, np.array(A), n, scratch)
     x = paths.z[0]
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
     for dw in chunks:
-        # the chunk is the block's own, so it scales outside the lock
+        # the chunk is the worker's own, so it scales outside the lock
         np.multiply(root_h, dw, out=dw)
         with shared.lock:
             for row in dw:
@@ -453,27 +514,25 @@ def _run_block(config, A, b, shared, lo, hi):
     return sum_x / config.steps, x / (config.steps * config.h)
 
 
-def _block_moments(config, A, b, shared, lo, hi):
+def _block_moments(config, A, b, shared, buffer, lo, hi):
     """The `_moments` of both observables of paths lo..hi-1."""
-    return tuple(map(_moments, _run_block(config, A, b, shared, lo, hi)))
+    return tuple(map(_moments,
+                     _run_block(config, A, b, shared, buffer, lo, hi)))
 
 
 def simulate_summary(config):
     """The summary of `simulate_paths(config)` without its per-path arrays:
     memory is O(threads x BLOCK x CHUNK_STEPS) whatever the step and sample
     counts."""
-    A, b = evaluate(config.method, config.h)
-    return _summary(_run_blocks(config.samples, partial(
-        _block_moments, config, A, b, _simulate_shared(config))))
+    return _summary(_run_blocks(config.samples,
+                                _simulate_tasks(config, _block_moments)))
 
 
 def simulate_paths(config):
     """Run the method over `samples` independent paths; see SimResult."""
-    A, b = evaluate(config.method, config.h)
     paths = np.empty((2, config.samples))
     moments = []
-    blocks = _run_blocks(config.samples, partial(_run_block, config, A, b,
-                                                 _simulate_shared(config)))
+    blocks = _run_blocks(config.samples, _simulate_tasks(config, _run_block))
     for lo, block in zip(range(0, config.samples, BLOCK), blocks):
         paths[:, lo:lo + len(block[0])] = block
         moments.append(tuple(map(_moments, block)))
@@ -586,13 +645,15 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                      exact_factor(step, float(params.alpha))))
     hs = tuple(run[0] for run in runs)
     finest_first = runs[::-1]
+    buffers = _draw_buffers(samples, 3 * MSQ_CHUNK_STEPS)
     mean_squares = []
     for first in range(0, len(runs), MSQ_PASS):
         group = finest_first[first:first + MSQ_PASS]
         shared = _Shared(min(BLOCK, samples), (2, 2), 5)
         totals = [0.0] * len(group)
-        for sums in _run_blocks(samples, partial(_msq_block, params, seed,
-                                                 group, shared)):
+        tasks = [partial(_msq_block, params, seed, group, shared, buffer)
+                 for buffer in buffers]
+        for sums in _run_blocks(samples, tasks):
             totals = [total + block for total, block in zip(totals, sums)]
         mean_squares += [total / samples for total in totals]
     errors = []
@@ -607,23 +668,24 @@ def msq_order(method, h_values, T0=1.0, samples=10_000, seed=0,
                      fit_loglog_slope(hs, errors))
 
 
-def _msq_block(params, seed, runs, shared, lo, hi):
+def _msq_block(params, seed, runs, shared, buffer, lo, hi):
     """Per step size of `runs`, the float sum of the `_msq_worst` errors of
     paths lo..hi-1, inf or nan for a diverging method; the sums run once the
-    block's chunk and states are freed."""
-    worsts = _msq_worst(params, seed, runs, shared, lo, hi)
+    block's states are freed."""
+    worsts = _msq_worst(params, seed, runs, shared, buffer, lo, hi)
     with np.errstate(over="ignore"):
         return [float(np.sum(worst)) for worst in worsts]
 
 
-def _msq_worst(params, seed, runs, shared, lo, hi):
+def _msq_worst(params, seed, runs, shared, buffer, lo, hi):
     """Run paths lo..hi-1 of the method at every step size of `runs`, tuples
     (h, steps, (A, b), L) finest first with L the `exact_factor`, on the
     increments of their exact trajectories; return, per step size, each
     path's largest squared state error over the grid.
 
-    One noise stream covers the finest step count, MSQ_CHUNK_STEPS steps per
-    chunk, and each chunk feeds every step size whose step count reaches it.
+    One noise stream covers the finest step count, in chunks of `buffer`,
+    the worker's draw buffer, and each chunk feeds every step size whose
+    step count reaches it.
     Each step size holds its exact and its method paths as one stack
     (`ExactPaths`) and runs the same operations, in the same order, as it
     would alone. The chunks are drawn outside the lock of `shared`, the
@@ -635,9 +697,7 @@ def _msq_worst(params, seed, runs, shared, lo, hi):
     """
     n = hi - lo
     scratch, noise = shared.buffers(n)
-    # the draw buffers go first: allocated after the state arrays, they
-    # raised the peak RSS of `msq`
-    chunks = step_normals(seed, lo, hi, runs[0][1], 3, MSQ_CHUNK_STEPS)
+    chunks = step_normals(seed, lo, hi, runs[0][1], 3, buffer)
     pair = noise[1:3]
     first, second = pair
     states = []

@@ -734,7 +734,9 @@ def test_no_command_loads_scipy():
     assert _modules_after(argvs, ("scipy",)) == [[0] * 5, [False]]
 
 
-_SAMPLER_MODULES = ("numpy", "concurrent.futures")
+# numpy loads for the samplers alone; the sampler threads need neither
+# concurrent.futures nor the logging it pulls in, so no command loads them
+_SAMPLER_MODULES = ("numpy", "concurrent.futures", "logging")
 
 
 def _modules_after(argvs, modules=_SAMPLER_MODULES):
@@ -756,21 +758,21 @@ def test_only_the_samplers_import_numpy(tmp_path):
     deterministic = [argv for argv in readme if argv[0] in
                      ("catalog", "conditions", "rates", "prob", "search")]
     assert len(deterministic) == 6
-    assert _modules_after(deterministic) == [[0] * 6, [False] * 2]
+    assert _modules_after(deterministic) == [[0] * 6, [False] * 3]
     msq, = (argv for argv in readme if argv[0] == "msq")
     simulate = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
                 "--samples", "10"]
     for argv in (msq, simulate):
-        assert _modules_after([argv]) == [[0], [True] * 2]
+        assert _modules_after([argv]) == [[0], [True, False, False]]
     # an unknown method is refused before the samplers load
     for argv in (["msq", "--method", "nope", "--h", "0.1"],
                  ["simulate", "--method", "nope", "--h", "0.1", "--N", "10"]):
-        assert _modules_after([argv]) == [[1], [False] * 2]
+        assert _modules_after([argv]) == [[1], [False] * 3]
     # and a law without result ends simulate before they load
     overflow = _method_path(tmp_path, _ROTATION_FILE.format("1e160")
                             .replace("b1 = 0", "b1 = 1e160"))
     assert _modules_after([["simulate", "--method", overflow, "--h", "0.5",
-                            "--N", "200"]]) == [[2], [False] * 2]
+                            "--N", "200"]]) == [[2], [False] * 3]
 
 
 def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():

@@ -153,7 +153,8 @@ def _exact_path(params, delta, steps, paths, seed):
     exact = ExactPaths(params, delta, exact_factor(delta, params.alpha),
                        evaluate(get_method("em"), delta), paths)
     dw, x, y = [], [], []
-    for draws in step_normals(seed, 0, paths, steps, 3, MSQ_CHUNK_STEPS):
+    buffer = np.empty(3 * MSQ_CHUNK_STEPS * paths)
+    for draws in step_normals(seed, 0, paths, steps, 3, buffer):
         for j in range(0, len(draws), 3):
             dw.append(exact.exact_step(draws[j:j + 3]).copy())
             x.append(exact.z[0, 0].copy())
@@ -167,7 +168,7 @@ def test_sampler_guards():
         exact_factor(0.0, params.alpha)
     with pytest.raises(ValueError):
         exact_factor(1e-9, params.alpha)
-    assert list(step_normals(0, 0, 1, 0, 3, MSQ_CHUNK_STEPS)) == []
+    assert list(step_normals(0, 0, 1, 0, 3, np.empty(3))) == []
 
 
 def test_sampler_matches_terminal_law():

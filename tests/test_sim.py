@@ -40,8 +40,9 @@ PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 def _draws(seed, lo, hi, steps, per_step=1, chunk=CHUNK_STEPS):
     # the chunks of step_normals laid end to end; each is copied as it
     # comes, since the next one refills the same buffer
+    buffer = np.empty(per_step * chunk * (hi - lo))
     chunks = [c.copy() for c in step_normals(seed, lo, hi, steps, per_step,
-                                             chunk)]
+                                             buffer)]
     assert all(len(c) <= per_step * chunk for c in chunks)
     return np.concatenate(chunks)
 
@@ -63,20 +64,18 @@ def test_step_normals_are_one_draw_of_the_block_stream(per_step, steps):
                            oracles.block_normals(9, 3, 7, per_step * steps))
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize("chunk", [1, 2, 6, 32])
-def test_draws_do_not_depend_on_chunk_size_or_thread_count(chunk, threads,
-                                                           monkeypatch):
+def test_draws_do_not_depend_on_chunk_size_or_thread_count(chunk, threads):
     # sequential fills continue one stream, so 6-row chunks give one 32-row
     # draw; blocks drawn on several workers at once, with a short switch
     # interval, give the draws of one worker
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
     samples = 3 * sim.BLOCK + 5
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        blocks = list(sim._run_blocks(samples, lambda lo, hi: _draws(
-            7, lo, hi, 32, chunk=chunk)))
+        blocks = list(sim._run_blocks(samples, [lambda lo, hi: _draws(
+            7, lo, hi, 32, chunk=chunk)] * threads))
     finally:
         sys.setswitchinterval(interval)
     for lo, block in zip(range(0, samples, sim.BLOCK), blocks):
@@ -306,9 +305,8 @@ def test_msq_order_guards():
         msq_order(get_method("ex"), [3.0, 1.5], T0=1.0, samples=50)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_blocks_runs_every_range_once(threads, monkeypatch):
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_runs_every_range_once(threads):
     samples = 2 * sim.BLOCK + 1
     ran = []
 
@@ -317,30 +315,26 @@ def test_run_blocks_runs_every_range_once(threads, monkeypatch):
         return lo, hi
     blocks = [(0, sim.BLOCK), (sim.BLOCK, 2 * sim.BLOCK),
               (2 * sim.BLOCK, samples)]
-    assert list(sim._run_blocks(samples, task)) == blocks
+    assert list(sim._run_blocks(samples, [task] * threads)) == blocks
     assert sorted(ran) == blocks
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_blocks_reraises_a_task_error(threads, monkeypatch):
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
-
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_blocks_reraises_a_task_error(threads):
     def task(lo, hi):
         if lo == sim.BLOCK:
             raise ArithmeticError(f"block {lo}:{hi}")
     with pytest.raises(ArithmeticError,
                        match=f"block {sim.BLOCK}:{2 * sim.BLOCK}"):
-        list(sim._run_blocks(2 * sim.BLOCK + 1, task))
+        list(sim._run_blocks(2 * sim.BLOCK + 1, [task] * threads))
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "4"])
-def test_run_blocks_keeps_at_most_its_window_outstanding(threads,
-                                                         monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_run_blocks_keeps_at_most_its_window_outstanding(threads):
     # a task counts itself as it starts and the caller counts each result it
     # takes, slowly enough that free workers would run ahead; a task can
     # start only once submitted, so started - taken bounds the tasks
     # submitted and not yet consumed
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
     lock = threading.Lock()
     started = taken = 0
     outstanding = []
@@ -353,13 +347,60 @@ def test_run_blocks_keeps_at_most_its_window_outstanding(threads,
         return lo
 
     results = []
-    for lo in sim._run_blocks(40 * sim.BLOCK, task):
+    for lo in sim._run_blocks(40 * sim.BLOCK, [task] * threads):
         time.sleep(1e-3)
         with lock:
             taken += 1
         results.append(lo)
     assert results == list(range(0, 40 * sim.BLOCK, sim.BLOCK))
-    assert max(outstanding) <= 2 * int(threads)
+    assert max(outstanding) <= 2 * threads
+
+
+def _consume_all(blocks):
+    list(blocks)
+
+
+def _consume_until_an_error(blocks):
+    with pytest.raises(ArithmeticError):
+        list(blocks)
+
+
+def _close_after_the_first(blocks):
+    next(blocks)
+    blocks.close()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("consume", [
+    _consume_all, _consume_until_an_error, _close_after_the_first],
+    ids=["consumed", "raised", "closed"])
+def test_run_blocks_leaves_no_worker_alive(threads, consume):
+    # every worker is joined however the generator ends, even with blocks
+    # still queued and a short switch interval
+    def task(lo, hi):
+        if lo == 3 * sim.BLOCK and consume is _consume_until_an_error:
+            raise ArithmeticError(f"block {lo}:{hi}")
+        return lo
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consume(sim._run_blocks(20 * sim.BLOCK, [task] * threads))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+def test_importing_sim_loads_numpy_random_in_the_importing_thread():
+    # numpy.random loads with sim, so no block pays for its import on a
+    # worker, and importing starts no thread
+    script = ("import sys, threading, ldp_osc.sim\n"
+              "print('numpy.random' in sys.modules, threading.active_count())")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "1"]
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -770,16 +811,17 @@ def test_msq_memory_does_not_grow_with_step_count():
 @pytest.mark.parametrize("per_step, chunk", [
     (1, CHUNK_STEPS), (3, sim.MSQ_CHUNK_STEPS)], ids=["simulate", "msq"])
 def test_step_normals_holds_one_chunk(per_step, chunk):
-    # the generator fills the chunk in place and keeps only its own state
+    # the generator fills the caller's buffer in place and keeps only its
+    # own state
     paths = 4096
-    chunk_bytes = per_step * chunk * paths * 8
+    buffer = np.empty(per_step * chunk * paths)
 
     def run():
-        for _ in step_normals(0, 0, paths, 64, per_step, chunk):
+        for _ in step_normals(0, 0, paths, 64, per_step, buffer):
             pass
 
     run()  # warm caches outside the measurement
-    assert _peak_bytes(run) <= chunk_bytes + 64 * 1024
+    assert _peak_bytes(run) <= 64 * 1024
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -859,7 +901,7 @@ def test_msq_errors_do_not_depend_on_threads_or_pass_grouping(msq_pass,
 def test_msq_names_an_error_sum_that_overflows(monkeypatch):
     # each worst error is finite, but a block's float sum overflows to inf,
     # with no RuntimeWarning, and msq_order names it
-    def huge_errors(params, seed, runs, shared, lo, hi):
+    def huge_errors(params, seed, runs, shared, buffer, lo, hi):
         return [np.full(hi - lo, 1.7e308) for _ in runs]
 
     monkeypatch.setattr(sim, "_msq_worst", huge_errors)
