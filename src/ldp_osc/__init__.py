@@ -8,7 +8,7 @@ exactly.
 
 The top level re-exports the names of the README's library example; the
 rest of the API lives in the submodules (`methods`, `exact`, `laws`, `ldp`,
-`sim`, `oscillator`, `cli`).
+`strong`, `sim`, `oscillator`, `cli`).
 """
 
 # methods is the largest module: compiled first, while the heap is smallest,
@@ -27,8 +27,11 @@ __all__ = [
 ]
 
 
-def __getattr__(name):  # PEP 562: the samplers import numpy on first use
-    if name in ("msq_order", "simulate_paths"):
-        from . import sim
-        return getattr(sim, name)
+def __getattr__(name):  # PEP 562: loaded on first use
+    if name == "msq_order":
+        from .strong import msq_order
+        return msq_order
+    if name == "simulate_paths":  # the sampler imports numpy
+        from .sim import simulate_paths
+        return simulate_paths
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

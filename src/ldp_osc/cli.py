@@ -5,7 +5,7 @@
     ldp-osc rates      --method beta:0.5 --observable mean-position --h 0.1
     ldp-osc prob       --method beta:0.5 --observable mean-position \\
                        --h 0.1 --N-sweep 10:10000:4 --interval 0.9:1.1
-    ldp-osc msq        --method em --h 0.1 --samples 2000
+    ldp-osc msq        --method em --h 0.1
     ldp-osc simulate   --method beta:0.5 --h 0.1 --N 1000 --samples 100000
     ldp-osc search     --observable mean-velocity --out ./found
 
@@ -18,11 +18,13 @@ report to a file instead of stdout (for `search` it names the directory that
 receives one method file per hit).
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
-`msq` checks `--method` and its sweep, and `simulate` its configuration and
-laws, before they import the samplers (numpy); every other
-command runs on the standard library. Worker threads for the samplers come
-from LDP_OSC_THREADS; results are bit-identical for any thread count. The parser is built on the first
-`main()` call and reused by every later call in the same process.
+`simulate` checks its configuration and laws before it imports the sampler
+(numpy); every other command runs on the standard library. `msq` computes
+the exact law of its error and ignores `--samples` and `--seed`, which it
+still accepts, with a note on stderr. Worker threads for the sampler come
+from LDP_OSC_THREADS; results are bit-identical for any thread count. The
+parser is built on the first `main()` call and reused by every later call in
+the same process.
 """
 
 import argparse
@@ -297,19 +299,23 @@ def _cmd_prob(args):
 
 
 def _cmd_msq(args):
+    if args.samples is not None or args.seed is not None:
+        print("note: msq computes the exact mean-square error law; it ignores "
+              "--samples and --seed", file=sys.stderr)
     method = _resolve_method(args.method)
     params = _params(args)
     hs = _h_values(args, MSQ_SWEEP_POINTS)
-    from .sim import msq_order  # the samplers import numpy
-    report = msq_order(method, hs, T0=args.T0, samples=args.samples,
-                       seed=args.seed, params=params)
+    from .strong import msq_order
+    report = msq_order(method, hs, T0=args.T0, params=params)
     rows = [{"h": h, "steps": steps, "error": err}
             for h, steps, err in zip(report.h_values, report.steps, report.errors)]
     footers = [f"method: {method.name}",
-               f"T0 = {args.T0:g}, samples = {args.samples}, seed = {args.seed}",
+               f"T0 = {args.T0:g}",
+               "error = max over the grid of (E|z_n - Z(t_n)|^2)^(1/2), "
+               "from its exact law",
                f"fitted mean-square order: {report.slope:.4f}"]
     return _render(args, "msq", rows, footers, method=method.name,
-                   slope=report.slope, T0=args.T0, samples=args.samples)
+                   slope=report.slope, T0=args.T0)
 
 
 def _cmd_simulate(args):
@@ -322,7 +328,7 @@ def _cmd_simulate(args):
     # loads
     laws = [observable_law(method, observable, args.h, args.N, params)
             if args.N >= 2 else None for observable, _ in observables]
-    from .sim import simulate_summary  # the samplers import numpy
+    from .sim import simulate_summary  # the sampler imports numpy
     summary = simulate_summary(config)
     rows = []
     for (observable, key), law in zip(observables, laws):
@@ -440,8 +446,9 @@ def _build_parser():
     _add_method(p)
     _add_steps(p)
     p.add_argument("--T0", type=float, default=1.0, help="comparison horizon")
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    # accepted for scripts that still pass them; the exact law needs neither
+    p.add_argument("--samples", type=int, help="ignored")
+    p.add_argument("--seed", type=int, help="ignored")
     _add_model(p)
     _add_format(p)
     p.set_defaults(run=_cmd_msq)

@@ -1,7 +1,6 @@
 """Exact rational functions of h, pi and w = exp(i h): the arithmetic that
 decides the identity-level proofs and the search, which alone import it. It
-brings `fractions` (which loads `decimal`), which only the samplers load
-otherwise.
+brings `fractions` (which loads `decimal`), which no other command loads.
 
 Called with `Exact.symbol()` instead of a float, a coefficient evaluator
 yields exact coefficients: this module registers `Exact` with the sin/cos/pi

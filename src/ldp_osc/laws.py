@@ -11,7 +11,9 @@ After N steps its mean is M^N z_0 and its covariance is the discrete Lyapunov
 sum Q_N = alpha^2 h sum_{k<N} M^k b~ b~^T M^kT. Squaring (M^n, Q_n) ->
 (M^2n, Q_n + M^n Q_n M^nT) doubles the horizon (Smith, SIAM J. Appl. Math. 16,
 1968), so N steps take at most 2 log2 N updates of 3x3 float tuples (about
-60 at N = 1e9, no BLAS): time O(log N), memory O(1). Against the same doubling
+60 at N = 1e9, no BLAS): time O(log N), memory O(1). The products
+(`_product`, `_add_congruence`) take matrices of any shape as row tuples;
+`strong` steps its 4x4 mean-square error law with them. Against the same doubling
 in 50-digit mpmath, the relative variance error over the catalog is at most
 9.3e-16 for N <= 10 and about 5e-17 N beyond, within the tested budget
 4e-15 + 1e-16 N; means stay within 1.4e-11 of |mean| + sigma up to N = 1e9.
@@ -58,19 +60,29 @@ class AugmentedMoments(NamedTuple):
         return GaussianLaw(self.mean[0], max(self.covariance[0][0], 0.0))
 
 
+def _dot(u, v):
+    """u . v summed in order, ((u0 v0 + u1 v1) + u2 v2) + ...; the first
+    product starts the sum, so a zero's sign is the products' own."""
+    total = u[0] * v[0]
+    for k in range(1, len(u)):
+        total += u[k] * v[k]
+    return total
+
+
+# the products build each tuple from a list: built from generators, they
+# left about 28 KiB allocated after a law call at N = 1e7 (tracemalloc),
+# from lists under 1 KiB
 def _product(X, Y):
-    """X Y for 3x3 matrices given as row tuples."""
-    (a, b, c), (d, e, f), (g, k, m) = Y
-    return tuple((x * a + y * d + z * g, x * b + y * e + z * k,
-                  x * c + y * f + z * m) for x, y, z in X)
+    """X Y for matrices given as row tuples."""
+    columns = tuple(zip(*Y))
+    return tuple([tuple([_dot(row, column) for column in columns])
+                  for row in X])
 
 
 def _add_congruence(S, X, Q):
-    """S + X Q X^T for 3x3 matrices given as row tuples."""
-    (a, b, c), (d, e, f), (g, k, m) = X
-    return tuple((s0 + (x * a + y * b + z * c), s1 + (x * d + y * e + z * f),
-                  s2 + (x * g + y * k + z * m))
-                 for (s0, s1, s2), (x, y, z) in zip(S, _product(X, Q)))
+    """S + X Q X^T for matrices given as row tuples."""
+    return tuple([tuple([s + _dot(p, x) for s, x in zip(row, X)])
+                  for row, p in zip(S, _product(X, Q))])
 
 
 def _augmented_moments(A, b, h, N, params):

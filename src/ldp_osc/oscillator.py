@@ -3,9 +3,9 @@
 Writing the state as (X, Y) with Y = X', the solution rotates the initial
 state and adds a Gaussian convolution integral. Everything here is closed
 form: the model's parameters, scalar Gaussian laws and the long-horizon
-decay rates of the two path observables, and the samplers' configuration
-(`SimConfig`), which the CLI checks before numpy loads. `sim.ExactPaths`
-samples the exact solution step by step.
+decay rates of the two path observables, and the sampler's configuration
+(`SimConfig`), which the CLI checks before numpy loads. `strong` steps the
+exact solution beside a method in the law of their mean-square error.
 
 Every decay rate here is quadratic, y -> k y^2, so a rate is its coefficient
 k, a float. k = inf is the degenerate rate, 0 at y = 0 and infinite
@@ -16,7 +16,7 @@ import math
 import sys
 from typing import NamedTuple
 
-# largest step count N a finite-N law or a sampler accepts: the laws'
+# largest step count N a finite-N law, the sampler or msq accepts: the laws'
 # precision budget is tested up to here
 MAX_N = 10 ** 9
 

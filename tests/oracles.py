@@ -3,11 +3,16 @@ at run time, kept here so the tests can check the package against them.
 
 - the continuous-time laws of the integrated and the terminal position, and
   the continuous log-MGF coefficient;
-- the samplers' per-block normal stream as one call to numpy's generator,
+- the sampler's per-block normal stream as one call to numpy's generator,
   which the chunked draws of `sim.step_normals` must equal bit for bit;
-- the samplers' linear update as two rows of scalar-times-array products,
+- the sampler's linear update as two rows of scalar-times-array products,
   (M00 x + M01 y) + u and (M10 x + M11 y) + v, sharing no code with
   `sim._Paths.step`;
+- the exact solution sampled step by step beside a one-step method on the
+  same Brownian increments, in vectorised numpy with a Cholesky factor of
+  the one-step noise covariance, and the mean-square error law of
+  `strong.mean_square_errors` recomputed in 50-digit mpmath over (z, Z);
+  neither shares code with `strong`;
 - the finite-N decay rate -log P(observable in interval) / N, and the
   interval probability itself in 50-digit mpmath;
 - a reader for the CSV documents the CLI emits;
@@ -102,6 +107,98 @@ def two_row_step(M, x, y, u, v):
     new_y += np.multiply(M[1][1], y)
     new_y += v
     return new_x, new_y
+
+
+# ---------------------------------------------------------------------------
+# the exact solution beside a method, and the law of their mean-square error
+
+
+def exact_step_covariance(delta):
+    """Covariance of (dW, I1, I2) over one step, I1 = int sin(delta - s) dW
+    and I2 = int cos(delta - s) dW, by the direct closed forms."""
+    s, c, s2 = math.sin(delta), math.cos(delta), math.sin(2.0 * delta)
+    return np.array([[delta, 1.0 - c, s],
+                     [1.0 - c, delta / 2.0 - s2 / 4.0, s * s / 2.0],
+                     [s, s * s / 2.0, delta / 2.0 + s2 / 4.0]])
+
+
+def exact_and_method_paths(A, b, h, steps, paths, params, seed):
+    """Yield (dW, Z, z) after each of `steps` steps of h for `paths` paths:
+    the Brownian increment, shape (paths,), the exact state Z = (X, Y) and
+    the method's state z, each (2, paths), both from (x0, y0). Each step
+    draws (dW, I1, I2) as L d for the Cholesky factor L of the step
+    covariance and standard normals d; Z <- R(h) Z + alpha (I1, I2) and
+    z <- A z + alpha b dW."""
+    L = np.linalg.cholesky(exact_step_covariance(h))
+    c, s = math.cos(h), math.sin(h)
+    R = np.array([[c, s], [-s, c]])
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)[:, None]
+    draw = np.random.default_rng(seed)
+    Z = np.tile([[params.x0], [params.y0]], (1, paths))
+    z = Z.copy()
+    for _ in range(steps):
+        dW, I1, I2 = L @ draw.standard_normal((3, paths))
+        Z = R @ Z + params.alpha * np.stack([I1, I2])
+        z = A @ z + params.alpha * b * dW
+        yield dW, Z, z
+
+
+def sampled_mean_square_errors(A, b, h, steps, paths, params, seed):
+    """Per grid point n = 1..steps, the sampled mean of |z_n - Z(t_n)|^2
+    over `paths` paths and its standard error, as two arrays."""
+    means, errors = [], []
+    for _, Z, z in exact_and_method_paths(A, b, h, steps, paths, params, seed):
+        square = np.sum((z - Z) ** 2, axis=0)
+        means.append(square.mean())
+        errors.append(square.std(ddof=1) / math.sqrt(paths))
+    return np.array(means), np.array(errors)
+
+
+def mean_square_errors_mp50(A, b, h, steps, params):
+    """E|z_n - Z(t_n)|^2 for n = 1..steps in 50-digit mpmath, as a list of
+    mpf, for the float inputs A, b, h and params taken as exact.
+
+    The state is (z, Z), stepped block by block: the means by A and R(h), and
+    the covariances Cov(z, z), Cov(z, Z) and Cov(Z, Z) by A S A^T, A S R^T
+    and R S R^T plus the noise covariances of alpha b dW and alpha (I1, I2);
+    the error is read off as |m_z - m_Z|^2 + tr(S_zz - 2 S_zZ + S_ZZ), whose
+    cancellation 50 digits absorb."""
+    def product(X, Y):
+        return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in range(2)]
+                for i in range(2)]
+
+    def congruence(X, S, Y, noise):
+        XS = product(X, S)
+        return [[XS[i][0] * Y[j][0] + XS[i][1] * Y[j][1] + noise[i][j]
+                 for j in range(2)] for i in range(2)]
+
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        d = mpf(h)
+        A = [[mpf(v) for v in row] for row in A]
+        b = [mpf(v) for v in b]
+        c, s, s2 = mpmath.cos(d), mpmath.sin(d), mpmath.sin(2 * d)
+        R = [[c, s], [-s, c]]
+        a2 = mpf(params.alpha) ** 2
+        dw_i = [1 - c, s]
+        i_i = [[d / 2 - s2 / 4, s * s / 2], [s * s / 2, d / 2 + s2 / 4]]
+        noise_zz = [[a2 * d * b[i] * b[j] for j in range(2)] for i in range(2)]
+        noise_zZ = [[a2 * b[i] * dw_i[j] for j in range(2)] for i in range(2)]
+        noise_ZZ = [[a2 * i_i[i][j] for j in range(2)] for i in range(2)]
+        m_z = [mpf(params.x0), mpf(params.y0)]
+        m_Z = list(m_z)
+        S_zz = S_zZ = S_ZZ = [[mpf(0)] * 2 for _ in range(2)]
+        out = []
+        for _ in range(steps):
+            m_z = [A[i][0] * m_z[0] + A[i][1] * m_z[1] for i in range(2)]
+            m_Z = [R[i][0] * m_Z[0] + R[i][1] * m_Z[1] for i in range(2)]
+            S_zz = congruence(A, S_zz, A, noise_zz)
+            S_zZ = congruence(A, S_zZ, R, noise_zZ)
+            S_ZZ = congruence(R, S_ZZ, R, noise_ZZ)
+            out.append(sum((m_z[i] - m_Z[i]) ** 2 + S_zz[i][i]
+                           - 2 * S_zZ[i][i] + S_ZZ[i][i] for i in range(2)))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ from ldp_osc.oscillator import (
     continuous_rate,
     rate_infimum,
 )
-from ldp_osc.sim import fit_loglog_slope, msq_order, rotation, simulate_paths
+from ldp_osc.sim import simulate_paths
+from ldp_osc.strong import fit_loglog_slope, msq_order, rotation
 from oracles import finite_N_rate, mean_position_law
 
 PRESERVING = {VERDICT_EXACT, VERDICT_EXACT_NUMERIC, VERDICT_ASYMPTOTIC}
@@ -253,8 +254,7 @@ def test_criterion_08_mean_square_order():
     hs = [0.1 * 2.0 ** -k for k in range(5)]
     slopes = {}
     for name in ("em", "beta:0.5", "ex", "opt"):
-        report = msq_order(get_method(name), hs, T0=1.0, samples=10_000,
-                           seed=0, params=params)
+        report = msq_order(get_method(name), hs, T0=1.0, params=params)
         slopes[name] = report.slope
     elapsed = time.perf_counter() - start
     ok = all(s >= 0.85 for s in slopes.values()) and elapsed < 60.0
@@ -319,7 +319,8 @@ def test_criterion_10_trig_sum_identities():
         a = 1.0 if rng.uniform() < 0.25 else rng.uniform(0.1, 1.5)
         N = int(rng.integers(1, 400))
         b = noise_rng.uniform(-1.0, 1.0, size=2)
-        got = _augmented_moments(a * rotation(theta), b, h, N, params)
+        got = _augmented_moments(a * np.array(rotation(theta)), b, h, N,
+                                 params)
         kernel = (got.mean[0], got.mean[2],
                   got.covariance[0][0], got.covariance[2][2])
         direct = _direct_trig_moments(theta, a, b, h, N, params)

@@ -16,7 +16,7 @@ LAYERS = README.parent / "bench" / "layers.py"
 # per-layer metrics read 0; ROADMAP item 1 retargets them
 STALE_TARGETS = {("rng", "normals"), ("rng", "uniforms"), ("rng", "mix64"),
                  ("rng", "stream_keys"),
-                 ("oscillator", "sample_exact_path"),
+                 ("oscillator", "sample_exact_path"), ("sim", "msq_order"),
                  ("spectral", "weight_vector"), ("spectral", "alpha_hat"),
                  ("ldp", "_exact_at_probes")}
 

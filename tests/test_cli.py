@@ -243,7 +243,7 @@ def test_prob_degenerate_velocity_rate(capsys):
 
 def test_msq_reports_slope(capsys):
     code, out, _ = run_cli(
-        ["msq", "--method", "em", "--h", "0.1", "--samples", "500"], capsys)
+        ["msq", "--method", "em", "--h", "0.1"], capsys)
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 5
@@ -257,8 +257,7 @@ def test_msq_reports_slope(capsys):
 
 def test_msq_warnings_print_message_lines(capsys):
     code, out, err = run_cli(
-        ["msq", "--method", "beta:0.5", "--h-sweep", "0.02:0.2:4",
-         "--samples", "200"], capsys)
+        ["msq", "--method", "beta:0.5", "--h-sweep", "0.02:0.2:4"], capsys)
     assert code == 0
     assert len(parse_csv(out)) == 4
     assert err == (
@@ -272,27 +271,17 @@ def test_msq_warning_prints_the_ratio_that_was_rounded(capsys):
     # 0.95 / 0.1 is 9.499999999999998 in float64, so 9 steps run; six
     # significant digits would print 9.5
     code, out, err = run_cli(
-        ["msq", "--method", "beta:0.5", "--h", "0.1", "--T0", "0.95",
-         "--samples", "20"], capsys)
+        ["msq", "--method", "beta:0.5", "--h", "0.1", "--T0", "0.95"],
+        capsys)
     assert code == 0
     assert err.startswith("warning: T0/h = 9.499999999999998 is not an "
                           "integer; comparing over 9 steps of 0.105556\n")
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_msq_rejects_bad_sample_counts(samples, capsys):
-    code, out, err = run_cli(
-        ["msq", "--method", "em", "--h", "0.1", "--samples", samples], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: need at least one sample, got {samples}\n"
-
-
 @pytest.mark.parametrize("T0", ["inf", "nan"])
 def test_msq_rejects_bad_horizons(T0, capsys):
     code, out, err = run_cli(
-        ["msq", "--method", "em", "--h", "0.1", "--T0", T0, "--samples", "10"],
-        capsys)
+        ["msq", "--method", "em", "--h", "0.1", "--T0", T0], capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: T0 must be a finite positive horizon, got {T0}\n"
@@ -302,7 +291,7 @@ def test_msq_names_a_diverging_method(tmp_path, capsys):
     # powers of 1e100 overflow to inf within a few steps, then inf - inf is nan
     path = _method_path(tmp_path, "name = blowup\na11 = 1e100\na12 = 0\n"
                         "a21 = 0\na22 = 1e100\nb1 = 1\nb2 = 1\n")
-    assert run_cli(["msq", "--method", path, "--h", "0.1", "--samples", "100"],
+    assert run_cli(["msq", "--method", path, "--h", "0.1"],
                    capsys) == (1, "", "error: blowup: the strong error at h = "
                                "0.1 is not finite; the method diverges\n")
 
@@ -546,13 +535,10 @@ def test_simulate_deterministic_across_thread_env(capsys, monkeypatch):
     assert len(outputs) == 1
 
 
-@pytest.mark.parametrize("command", ["simulate", "msq"])
-def test_samplers_reduce_every_seed_mod_2_64(command, capsys):
+def test_simulate_reduces_every_seed_mod_2_64(capsys):
     # -1 runs as 2**64 - 1 and 2**64 as 0; the footer echoes the seed given
-    argv = {"simulate": ["simulate", "--method", "em", "--h", "0.1", "--N",
-                         "10", "--samples", "20"],
-            "msq": ["msq", "--method", "em", "--h", "0.1", "--samples",
-                    "20"]}[command]
+    argv = ["simulate", "--method", "em", "--h", "0.1", "--N", "10",
+            "--samples", "20"]
 
     def rows(seed):
         code, out, err = run_cli(argv + ["--seed", str(seed)], capsys)
@@ -730,11 +716,11 @@ def test_no_command_loads_scipy():
               "--interval", "0.9:1.1"],
              ["simulate", "--method", "em", "--h", "0.1", "--N", "10",
               "--samples", "10"],
-             ["msq", "--method", "em", "--h", "0.1", "--samples", "10"]]
+             ["msq", "--method", "em", "--h", "0.1"]]
     assert _modules_after(argvs, ("scipy",)) == [[0] * 5, [False]]
 
 
-# numpy loads for the samplers alone; the sampler threads need neither
+# numpy loads for simulate's sampler alone; the sampler threads need neither
 # concurrent.futures nor the logging it pulls in, so no command loads them
 _SAMPLER_MODULES = ("numpy", "concurrent.futures", "logging")
 
@@ -752,23 +738,22 @@ def _modules_after(argvs, modules=_SAMPLER_MODULES):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_only_the_samplers_import_numpy(tmp_path):
+def test_only_the_sampler_imports_numpy(tmp_path):
     readme = [_out_under(argv, tmp_path) if "--out" in argv else argv
               for argv in _readme_commands()]
     deterministic = [argv for argv in readme if argv[0] in
-                     ("catalog", "conditions", "rates", "prob", "search")]
-    assert len(deterministic) == 6
-    assert _modules_after(deterministic) == [[0] * 6, [False] * 3]
-    msq, = (argv for argv in readme if argv[0] == "msq")
+                     ("catalog", "conditions", "rates", "prob", "msq",
+                      "search")]
+    assert len(deterministic) == 7
+    assert _modules_after(deterministic) == [[0] * 7, [False] * 3]
     simulate = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
                 "--samples", "10"]
-    for argv in (msq, simulate):
-        assert _modules_after([argv]) == [[0], [True, False, False]]
-    # an unknown method is refused before the samplers load
+    assert _modules_after([simulate]) == [[0], [True, False, False]]
+    # an unknown method is refused before the sampler loads
     for argv in (["msq", "--method", "nope", "--h", "0.1"],
                  ["simulate", "--method", "nope", "--h", "0.1", "--N", "10"]):
         assert _modules_after([argv]) == [[1], [False] * 3]
-    # and a law without result ends simulate before they load
+    # and a law without result ends simulate before it loads
     overflow = _method_path(tmp_path, _ROTATION_FILE.format("1e160")
                             .replace("b1 = 0", "b1 = 1e160"))
     assert _modules_after([["simulate", "--method", overflow, "--h", "0.5",
@@ -788,9 +773,9 @@ def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
     ]
     assert _modules_after([], exact) == [[], [False, False]]
     assert _modules_after(deterministic, exact) == [[0] * 4, [False, False]]
-    # the samplers load neither
+    # msq and the sampler load neither
     samplers = [
-        ["msq", "--method", "beta:0.5", "--h", "0.1", "--samples", "10"],
+        ["msq", "--method", "beta:0.5", "--h", "0.1"],
         ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
          "--samples", "10"],
     ]
@@ -827,7 +812,7 @@ def test_probabilities_and_samplers_run_where_scipy_cannot_be_imported():
               "100:100000:4", "--interval", "0.9:1.1"],
              ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
               "--samples", "10"],
-             ["msq", "--method", "em", "--h", "0.1", "--samples", "10"]]
+             ["msq", "--method", "em", "--h", "0.1"]]
     script = (
         "import json, sys\n"
         "sys.modules['scipy'] = None  # any import of scipy raises\n"
@@ -938,18 +923,11 @@ GOLDEN_VERDICTS = [
     ("rates --method ex --h-sweep 2:4:2", 0,
      "9833c38752f1aeb32082649a5a38d68a8ad0208f0a2418ce86d1eade37c43a65"),
     # T0/h is not an integer, so the steps column is the rounded ratio and
-    # the h column the step T0/steps that ran; re-recorded when msq's mean
-    # became the exact mean rounded once (the h = 0.025 error moved by 1
-    # ulp), when msq stopped calling BLAS and LAPACK (errors moved from
-    # their 10th significant digit on), and when every step size came to run
-    # T0/round(T0/h): h = 0.1 runs 9 steps of 0.95/9 in place of 9 steps of
-    # 0.1, and the finer rows print their steps, 1 ulp below 0.05, 0.025,
-    # 0.0125 and 0.00625; and when the step noise covariance stopped
-    # cancelling at small steps (errors moved from their 11th significant
-    # digit on); and when the normals came from numpy's per-block SFC64
-    # streams (every error moved)
-    ("msq --method beta:0.5 --h 0.1 --T0 0.95 --samples 3000", 0,
-     "109f3946c5a0bd81d49e4bd9bb2a376273f54b7f3d299e6783965c1dbc8094c0"),
+    # the h column the step T0/steps that ran; re-recorded when msq came to
+    # compute the exact law of its error (every error moved, and the footer
+    # no longer names samples and seed)
+    ("msq --method beta:0.5 --h 0.1 --T0 0.95", 0,
+     "513d82b90b4d17c5782defe3540c8c167f5e1d634e460f3d084afbd34ed46c88"),
 ]
 # `conditions --h 0.5` for each catalog method: the CSV and the JSON digest,
 # recorded before the command printed `condition_b_diagnostics`' own reports;

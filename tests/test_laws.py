@@ -33,7 +33,7 @@ from ldp_osc.laws import (
 from ldp_osc.methods import SIN_THETA_MIN, MethodDef, NearDegenerateError, \
     catalog, check_conditions, evaluate, get_method
 from ldp_osc.oscillator import GaussianLaw, OscillatorParams
-from ldp_osc.sim import rotation
+from ldp_osc.strong import rotation
 from oracles import interval_probability_mp50, parse_csv
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)

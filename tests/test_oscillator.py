@@ -1,9 +1,11 @@
-"""Continuous-time laws, rate profiles, and the exact path sampler of `sim`.
+"""Continuous-time laws, rate profiles, and the exact path sampler of the
+tests.
 
 The closed-form variances (test-side references in `oracles`) are checked
 against trapezoid quadrature of the defining kernel integrals, and the
-sampler (`ExactPaths`, stepped on the draws `msq` gives it) against both the
-closed-form terminal law and the one-step noise covariance.
+sampler (`oracles.exact_and_method_paths`, which cross-checks the error law
+of `strong`) against both the closed-form terminal law and the one-step
+noise covariance.
 """
 
 import math
@@ -16,9 +18,8 @@ from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import (GaussianLaw, MEAN_POSITION, MEAN_VELOCITY,
                                 OscillatorParams, continuous_rate,
                                 rate_infimum)
-from ldp_osc.sim import MSQ_CHUNK_STEPS, ExactPaths, exact_factor, rotation, \
-    step_noise_covariance, step_normals
-from oracles import (continuous_log_mgf_coefficient, mean_position_law,
+from oracles import (continuous_log_mgf_coefficient, exact_and_method_paths,
+                     exact_step_covariance, mean_position_law,
                      terminal_position_law)
 
 
@@ -132,43 +133,24 @@ def test_gaussian_law_scaled():
     assert scaled.sigma == 1.5
 
 
-def test_rotation_matrix():
-    R = rotation(0.3)
-    npt.assert_allclose(R @ R.T, np.eye(2), atol=1e-15)
-    npt.assert_allclose(rotation(0.2) @ rotation(0.1), rotation(0.3), atol=1e-15)
+def _exact_path(params, delta, steps, paths, seed):
+    # (dw, x, y) of every step, each of shape (steps, paths)
+    A, b = evaluate(get_method("em"), delta)
+    dw, x, y = [], [], []
+    for step_dw, Z, _ in exact_and_method_paths(A, b, delta, steps, paths,
+                                                params, seed):
+        dw.append(step_dw)
+        x.append(Z[0])
+        y.append(Z[1])
+    return np.array(dw), np.array(x), np.array(y)
 
 
-def test_step_noise_covariance_against_quadrature():
+def test_step_covariance_against_quadrature():
     delta = 0.7
     s = np.linspace(0.0, delta, 200_001)
     kernels = np.vstack([np.ones_like(s), np.sin(delta - s), np.cos(delta - s)])
     expected = np.trapezoid(kernels[:, None, :] * kernels[None, :, :], s, axis=2)
-    npt.assert_allclose(step_noise_covariance(delta), expected, atol=1e-10)
-
-
-def _exact_path(params, delta, steps, paths, seed):
-    # (dw, x, y) of every step, each of shape (steps, paths), stepped as
-    # `msq` steps it: three draws of each path per step, from one block's
-    # stream
-    exact = ExactPaths(params, delta, exact_factor(delta, params.alpha),
-                       evaluate(get_method("em"), delta), paths)
-    dw, x, y = [], [], []
-    buffer = np.empty(3 * MSQ_CHUNK_STEPS * paths)
-    for draws in step_normals(seed, 0, paths, steps, 3, buffer):
-        for j in range(0, len(draws), 3):
-            dw.append(exact.exact_step(draws[j:j + 3]).copy())
-            x.append(exact.z[0, 0].copy())
-            y.append(exact.z[0, 1].copy())
-    return np.array(dw), np.array(x), np.array(y)
-
-
-def test_sampler_guards():
-    params = OscillatorParams()
-    with pytest.raises(ValueError):
-        exact_factor(0.0, params.alpha)
-    with pytest.raises(ValueError):
-        exact_factor(1e-9, params.alpha)
-    assert list(step_normals(0, 0, 1, 0, 3, np.empty(3))) == []
+    npt.assert_allclose(exact_step_covariance(delta), expected, atol=1e-10)
 
 
 def test_sampler_matches_terminal_law():
@@ -190,7 +172,7 @@ def test_sampler_one_step_covariance():
     params = OscillatorParams(alpha=1.0)
     dw, x, y = _exact_path(params, delta, 1, paths, seed=5)
     emp = np.cov(np.vstack([dw[0], x[0], y[0]]))
-    npt.assert_allclose(emp, step_noise_covariance(delta), atol=0.012)
+    npt.assert_allclose(emp, exact_step_covariance(delta), atol=0.012)
 
 
 def test_sampler_brownian_increment_variance():

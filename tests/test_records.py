@@ -10,7 +10,8 @@ from ldp_osc.laws import AugmentedMoments, IntervalProbability
 from ldp_osc.ldp import LdpClassification, PreservationReport
 from ldp_osc.methods import ConditionBDiagnostics, ConditionReport, MethodDef
 from ldp_osc.oscillator import MAX_N, GaussianLaw, OscillatorParams, SimConfig
-from ldp_osc.sim import MsqReport, SimResult
+from ldp_osc.sim import SimResult
+from ldp_osc.strong import MsqReport
 
 
 def _coefficients(h):

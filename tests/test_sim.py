@@ -1,5 +1,4 @@
-"""Tests for the per-block random streams, the path simulator, and
-strong-order fits."""
+"""Tests for the per-block random streams and the path simulator."""
 
 import ast
 import hashlib
@@ -13,7 +12,6 @@ import threading
 import time
 import tracemalloc
 
-import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -24,26 +22,19 @@ from ldp_osc.ldp import observable_law
 from ldp_osc.methods import evaluate, get_method
 from ldp_osc.oscillator import MEAN_POSITION, MEAN_VELOCITY, OscillatorParams, \
     SimConfig
-from ldp_osc.sim import (
-    CHUNK_STEPS,
-    MsqReport,
-    fit_loglog_slope,
-    msq_order,
-    simulate_paths,
-    step_normals,
-    thread_count,
-)
+from ldp_osc.sim import CHUNK_STEPS, simulate_paths, step_normals, \
+    thread_count
+from ldp_osc.strong import rotation
 
 PARAMS = OscillatorParams(alpha=1.0, x0=0.3, y0=-0.2)
 
 
-def _draws(seed, lo, hi, steps, per_step=1, chunk=CHUNK_STEPS):
+def _draws(seed, lo, hi, steps, chunk=CHUNK_STEPS):
     # the chunks of step_normals laid end to end; each is copied as it
     # comes, since the next one refills the same buffer
-    buffer = np.empty(per_step * chunk * (hi - lo))
-    chunks = [c.copy() for c in step_normals(seed, lo, hi, steps, per_step,
-                                             buffer)]
-    assert all(len(c) <= per_step * chunk for c in chunks)
+    buffer = np.empty(chunk * (hi - lo))
+    chunks = [c.copy() for c in step_normals(seed, lo, hi, steps, buffer)]
+    assert all(len(c) <= chunk for c in chunks)
     return np.concatenate(chunks)
 
 
@@ -55,13 +46,16 @@ def test_stream_frozen_values():
     assert oracles.block_normals(0, 0, 1, 1)[0, 0] == first
 
 
-@pytest.mark.parametrize("per_step", [1, 3])
 @pytest.mark.parametrize("steps", [1, 4, 16, 37])
-def test_step_normals_are_one_draw_of_the_block_stream(per_step, steps):
+def test_step_normals_are_one_draw_of_the_block_stream(steps):
     # the chunks, laid end to end, are one step-major draw of the block's
     # stream, keyed by its first path index
-    npt.assert_array_equal(_draws(9, 3, 10, steps, per_step),
-                           oracles.block_normals(9, 3, 7, per_step * steps))
+    npt.assert_array_equal(_draws(9, 3, 10, steps),
+                           oracles.block_normals(9, 3, 7, steps))
+
+
+def test_step_normals_of_no_steps_draw_nothing():
+    assert list(step_normals(0, 0, 1, 0, np.empty(1))) == []
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -225,86 +219,6 @@ def test_library_summary_is_what_simulate_prints(capsys):
         assert (stats["min"], stats["max"]) == (values.min(), values.max())
 
 
-def test_fit_loglog_slope_recovers_power():
-    hs = [0.4, 0.2, 0.1, 0.05]
-    errors = [3.0 * h ** 2 for h in hs]
-    assert fit_loglog_slope(hs, errors) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_fit_loglog_slope_matches_a_50_digit_least_squares_fit():
-    # the same float points, their logs and the normal-equation slope in
-    # 50-digit arithmetic
-    draw = np.random.default_rng(7)
-    for _ in range(40):
-        n = int(draw.integers(2, 13))
-        hs = sorted(10.0 ** draw.uniform(-5.0, 0.5, n), reverse=True)
-        order, scale = draw.uniform(0.5, 3.0), 10.0 ** draw.uniform(-3, 2)
-        errors = [scale * h ** order * math.exp(0.3 * draw.standard_normal())
-                  for h in hs]
-        with mpmath.workdps(50):
-            x = [mpmath.log(mpmath.mpf(h)) for h in hs]
-            y = [mpmath.log(mpmath.mpf(e)) for e in errors]
-            x_mean, y_mean = sum(x) / n, sum(y) / n
-            slope = sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) \
-                / sum((a - x_mean) ** 2 for a in x)
-        assert fit_loglog_slope(hs, errors) == pytest.approx(float(slope),
-                                                             rel=1e-13)
-
-
-def test_msq_order_first_order_methods():
-    hs = [0.1 * 2.0 ** -k for k in range(4)]
-    em = msq_order(get_method("em"), hs, T0=1.0, samples=2000, seed=0,
-                   params=PARAMS)
-    assert isinstance(em, MsqReport)
-    assert 0.85 <= em.slope <= 1.6
-    assert all(a > b for a, b in zip(em.errors, em.errors[1:]))
-
-    ex = msq_order(get_method("ex"), hs, T0=1.0, samples=2000, seed=0,
-                   params=PARAMS)
-    assert ex.slope >= 0.85
-
-
-def test_msq_order_warns_on_fractional_step_count():
-    with pytest.warns(UserWarning, match="not an integer"):
-        report = msq_order(get_method("ex"), [0.3, 0.15], T0=1.0, samples=50,
-                           seed=0, params=PARAMS)
-    # the step counts that ran: 1/0.3 rounds to 3, 1/0.15 to 7, and the
-    # steps that ran, which share the horizon 1
-    assert report.steps == (3, 7)
-    assert report.h_values == (1.0 / 3, 1.0 / 7)
-
-
-def test_msq_order_runs_every_step_size_over_the_horizon():
-    # 0.95/0.1 rounds to 9 steps and 0.95/0.05 to 19: each runs its steps of
-    # 0.95/steps, the same steps a sweep given those steps runs
-    with pytest.warns(UserWarning, match="comparing over 9 steps of 0.105556"):
-        report = msq_order(get_method("beta:0.5"), [0.1, 0.05], T0=0.95,
-                           samples=500, seed=3, params=PARAMS)
-    assert report.steps == (9, 19)
-    assert report.h_values == (0.95 / 9, 0.95 / 19)
-    again = msq_order(get_method("beta:0.5"), report.h_values, T0=0.95,
-                      samples=500, seed=3, params=PARAMS)
-    assert again == report
-
-
-def test_msq_order_rejects_step_sizes_with_one_step_count(monkeypatch):
-    def no_blocks(samples, task):
-        raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
-    with pytest.raises(ValueError, match="h = 0.32 and h = 0.3 both give 3 "
-                       "steps over T0 = 1"), pytest.warns(UserWarning):
-        msq_order(get_method("em"), [0.32, 0.3, 0.1], samples=10)
-
-
-def test_msq_order_guards():
-    with pytest.raises(ValueError):
-        msq_order(get_method("ex"), [0.1], T0=1.0, samples=50)
-    with pytest.raises(ValueError):
-        msq_order(get_method("ex"), [0.1, 0.2], T0=1.0, samples=50)
-    with pytest.raises(ValueError):
-        msq_order(get_method("ex"), [3.0, 1.5], T0=1.0, samples=50)
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_blocks_runs_every_range_once(threads):
     samples = 2 * sim.BLOCK + 1
@@ -403,36 +317,7 @@ def test_importing_sim_loads_numpy_random_in_the_importing_thread():
     assert proc.stdout.split() == ["True", "1"]
 
 
-@pytest.mark.parametrize("samples", [0, -5])
-def test_msq_order_rejects_bad_sample_counts_before_running(samples,
-                                                            monkeypatch):
-    def no_blocks(samples, task):
-        raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
-    with pytest.raises(ValueError,
-                       match=f"need at least one sample, got {samples}"):
-        msq_order(get_method("em"), [0.1, 0.05], samples=samples)
-
-
-@pytest.mark.parametrize("T0", [math.inf, math.nan, 0.0, -1.0])
-def test_msq_order_rejects_bad_horizons_before_running(T0, monkeypatch):
-    def no_blocks(samples, task):
-        raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
-    with pytest.raises(ValueError, match="T0 must be a finite positive horizon"):
-        msq_order(get_method("em"), [0.1, 0.05], T0=T0, samples=10)
-
-
-def test_sampler_step_counts_are_bounded_before_sampling(monkeypatch):
-    def no_blocks(samples, task):
-        raise AssertionError("a block runner started")
-    monkeypatch.setattr(sim, "_run_blocks", no_blocks)
-    # 1e10 steps per path at h = 0.1
-    with pytest.raises(ValueError, match="need at most 1e[+]09"):
-        msq_order(get_method("em"), [0.1, 0.05], T0=1e9, samples=10)
-    # the largest count is checked even when it comes from the finest step
-    with pytest.raises(ValueError, match="at h = 0.05; need at most 1e[+]09"):
-        msq_order(get_method("em"), [0.1, 0.05], T0=6e7, samples=10)
+def test_sampler_step_counts_are_bounded_before_sampling():
     with pytest.raises(ValueError, match="need at most 1e[+]09 steps, got 1000000001"):
         SimConfig(get_method("beta:0.5"), 0.1, 10 ** 9 + 1, 10)
     assert SimConfig(get_method("beta:0.5"), 0.1, 10 ** 9, 10).steps == 10 ** 9
@@ -446,90 +331,29 @@ _EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
 
 def _step_matrix(matrix):
     if matrix == "exact":
-        return sim.rotation(0.7)
+        return np.array(rotation(0.7))
     return np.array(evaluate(get_method(matrix), 0.1)[0])
 
 
-@pytest.mark.parametrize("matrices", [("em",), ("beta:0.5",), ("exact",),
-                                      ("exact", "beta:0.5")],
-                         ids=["em", "beta:0.5", "exact", "stacked"])
-def test_step_is_the_two_row_recursion_bit_for_bit(matrices):
+@pytest.mark.parametrize("matrix", ["em", "beta:0.5", "exact"])
+def test_step_is_the_two_row_recursion_bit_for_bit(matrix):
     # the one kernel reorders only the two products of each row's sum, which
-    # IEEE addition commutes, so every bit matches the two-row reference,
-    # for one (2, n) state or layer by layer for a stack of them; nan
-    # matches by position, as its payload may differ
+    # IEEE addition commutes, so every bit matches the two-row reference;
+    # nan matches by position, as its payload may differ
     edges = np.array(_EDGES)
     x, y, u, v = (g.ravel() for g in np.meshgrid(edges, edges, edges, edges))
     noise = np.random.default_rng(3).standard_normal((4, 1000))
     x, y, u, v = (np.concatenate([e, r]) for e, r in zip((x, y, u, v), noise))
-    n = len(x)
-    # layer i steps the inputs rolled by i paths, so the layers differ
-    layers = [(_step_matrix(m), *(np.roll(a, i) for a in (x, y, u, v)))
-              for i, m in enumerate(matrices)]
-    stack = () if len(layers) == 1 else (len(layers),)
-    M = np.reshape([layer[0] for layer in layers], stack + (2, 2))
-    paths = sim._Paths(PARAMS, M, n, stack=stack)
-    paths.z[:] = np.reshape([layer[1:3] for layer in layers], paths.z.shape)
+    M = _step_matrix(matrix)
+    paths = sim._Paths(PARAMS, M, len(x))
+    paths.z[:] = x, y
     with np.errstate(all="ignore"):
-        paths.step(np.reshape([layer[3:] for layer in layers], paths.z.shape))
-        for got, layer in zip(paths.z.reshape(-1, 2, n), layers):
-            for got_row, want in zip(got, oracles.two_row_step(*layer)):
-                nan = np.isnan(want)
-                assert (np.isnan(got_row) == nan).all()
-                npt.assert_array_equal(got_row[~nan].view(np.uint64),
-                                       want[~nan].view(np.uint64))
-
-
-def test_step_noise_covariance_is_within_a_few_ulp_of_50_digits():
-    # no entry cancels at small steps: at MIN_STEP the direct forms of Var I1
-    # and 1 - cos(delta) are 0.0; the steps around delta = 1 straddle the
-    # switch from the series of 2 delta - sin(2 delta) to its direct form
-    deltas = np.geomspace(sim.MIN_STEP, 1.9, 301).tolist() \
-        + [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
-    worst = 0.0
-    with mpmath.workdps(50):
-        for delta in deltas:
-            d = mpmath.mpf(delta)
-            s, c, s2 = mpmath.sin(d), mpmath.cos(d), mpmath.sin(2 * d)
-            exact = [[d, 1 - c, s], [1 - c, d / 2 - s2 / 4, s * s / 2],
-                     [s, s * s / 2, d / 2 + s2 / 4]]
-            got = sim.step_noise_covariance(delta)
-            for i in range(3):
-                for j in range(3):
-                    want = exact[i][j]
-                    error = abs(mpmath.mpf(float(got[i, j])) - want)
-                    worst = max(worst, float(error) / math.ulp(float(want)))
-    assert worst <= 4
-
-
-@pytest.mark.parametrize("delta", np.geomspace(sim.MIN_STEP, 1.9, 25).tolist())
-def test_noise_factor_is_the_symmetric_square_root(delta):
-    # against the 50-digit symmetric root of the same float covariance, with
-    # negative eigenvalues clipped to 0 as the factor clips them. The square
-    # root is operator monotone, |sqrt(A) - sqrt(B)| <= |A - B|^(1/2), so a
-    # backward error of a few ulps of C bounds the factor's error by the root
-    # of that; the residual L L - C is those ulps plus what the clip adds
-    C = sim.step_noise_covariance(delta)
-    L = sim.exact_factor(delta, 1.0)
-    assert (L == L.T).all()
-    ulp = 2.0 ** -53 * float(np.abs(C).max())
-    with mpmath.workdps(50):
-        exact = mpmath.matrix(C.tolist())
-        eigenvalues, vectors = mpmath.eigsy(exact)
-        root = vectors * mpmath.diag([mpmath.sqrt(max(e, 0))
-                                      for e in eigenvalues]) * vectors.T
-        factor = mpmath.matrix(L.tolist())
-        error = mpmath.mnorm(factor - root, "inf")
-        residual = mpmath.mnorm(factor * factor - exact, "inf")
-        clipped = -min(min(eigenvalues), 0)
-    assert error <= math.sqrt(32 * ulp)
-    assert residual <= 3 * clipped + 32 * ulp
-
-
-def test_noise_factor_folds_alpha_into_the_noise_rows():
-    L = sim.exact_factor(0.3, 1.0)
-    npt.assert_array_equal(sim.exact_factor(0.3, 0.7),
-                           [L[0], 0.7 * L[1], 0.7 * L[2]])
+        paths.step(np.array([u, v]))
+        for got_row, want in zip(paths.z, oracles.two_row_step(M, x, y, u, v)):
+            nan = np.isnan(want)
+            assert (np.isnan(got_row) == nan).all()
+            npt.assert_array_equal(got_row[~nan].view(np.uint64),
+                                   want[~nan].view(np.uint64))
 
 
 def _cpu_flags():
@@ -547,13 +371,15 @@ def _cpu_flags():
                          and platform.machine() == "x86_64"),
                     reason="OpenBLAS core types are named for x86-64 Linux")
 @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
-def test_msq_digits_do_not_depend_on_the_blas_kernel(coretype):
+def test_simulate_digits_do_not_depend_on_the_blas_kernel(coretype):
     # OPENBLAS_CORETYPE makes a DYNAMIC_ARCH OpenBLAS (numpy's wheels) run
-    # another CPU's kernels; msq calls none, so its stdout keeps its digest
+    # another CPU's kernels; simulate calls none, so its stdout keeps its
+    # digest
     if coretype == "Haswell" and not {"avx2", "fma"} <= _cpu_flags():
         pytest.skip("the Haswell kernels need avx2 and fma")
-    command, digest = GOLDEN_STDOUT[4]
-    assert command == "msq --method em --h 0.1 --samples 3000"
+    command, digest = GOLDEN_STDOUT[0]
+    assert command == ("simulate --method beta:0.5 --h 0.1 --N 300 "
+                       "--samples 10000 --seed 5")
     env = dict(os.environ, OPENBLAS_CORETYPE=coretype, LDP_OSC_THREADS="2")
     proc = subprocess.run([sys.executable, "-m", "ldp_osc.cli",
                            *command.split()], env=env, capture_output=True,
@@ -583,39 +409,20 @@ def test_samplers_reach_no_blas():
     assert found == []
 
 
-# SHA-256 of the stdout of small simulate and msq runs, recorded before the
-# samplers moved to step-major buffers and streamed exact steps (the two
-# multi-block msq runs: before msq moved onto the block engine); the kernels
-# must keep every printed digit. The first three were re-recorded when the
-# laws' 3x3 products moved from numpy (BLAS) to Python floats: the law_mean
-# and law_variance columns moved by 1-2 ulp, the Monte Carlo columns by none.
-# The three marked msq runs were re-recorded when msq's mean square error
-# became the exact mean of the per-path worst errors, rounded once, in place
-# of numpy's pairwise mean: each moved one error by 1 ulp (and the sweep's
-# slope in its last digits), while every per-path value stayed bit-identical.
-# The three marked simulate runs were re-recorded when simulate's summary
-# became a merge of per-block moments in block order (Chan, Golub and
-# LeVeque) in place of numpy's mean and variance over the whole per-path
-# arrays: means and variances moved by 1-2 ulp, min and max and every
-# per-path value by none; the one-path run has one block and did not move.
-# Every msq run was re-recorded when msq stopped calling BLAS and LAPACK (a
-# Jacobi noise factor in Python floats, the exact noise as elementwise
-# products, the fit in closed form): errors moved from their 10th
-# significant digit (finest step) to their 15th (coarsest), and the digest
-# no longer depends on the BLAS kernel the CPU picks.
-# The two marked sweeps were then re-recorded when every step size came to
-# run T0/round(T0/h): their two middle step sizes, where T0/h is not an
-# integer, moved to the common horizon T0, and the h column prints the step
-# that ran.
-# Every msq run was re-recorded when the step noise covariance stopped
-# cancelling at small steps (1 - cos as 2 sin^2, Var I1 from a series): each
-# exact factor moved by roundoff, and the errors from their 11th to 13th
-# significant digit
-# Every run was re-recorded when the normals came from numpy's SFC64
-# generator, one stream per block of paths, and its ziggurat, in place of
-# the splitmix64 counter stream and scipy's ndtri: every Monte Carlo digit
-# moved, the law columns did not; msq's block sums became float sums, which
-# the exact-mean marker no longer describes
+# SHA-256 of the stdout of small simulate runs, recorded before the sampler
+# moved to step-major buffers; the kernels must keep every printed digit.
+# The first three were re-recorded when the laws' 3x3 products moved from
+# numpy (BLAS) to Python floats: the law_mean and law_variance columns moved
+# by 1-2 ulp, the Monte Carlo columns by none. The three marked runs were
+# re-recorded when simulate's summary became a merge of per-block moments in
+# block order (Chan, Golub and LeVeque) in place of numpy's mean and
+# variance over the whole per-path arrays: means and variances moved by 1-2
+# ulp, min and max and every per-path value by none; the one-path run has
+# one block and did not move. Every run was re-recorded when the normals
+# came from numpy's SFC64 generator, one stream per block of paths, and its
+# ziggurat, in place of the splitmix64 counter stream and scipy's ndtri:
+# every Monte Carlo digit moved, the law columns did not. The msq goldens
+# live in test_strong.py since msq computes the exact law of its error.
 GOLDEN_STDOUT = [
     # re-recorded: summary merged per block; numpy streams
     ("simulate --method beta:0.5 --h 0.1 --N 300 --samples 10000 --seed 5",
@@ -631,28 +438,6 @@ GOLDEN_STDOUT = [
     # re-recorded: numpy streams
     ("simulate --method m2 --h 0.2 --N 1 --samples 1 --seed 0 --format json",
      "b010c5b3b4cbc811d2d8f481508c61125fb672641a43b20061dd14d083befcf9"),
-    # re-recorded: no BLAS; covariance; numpy streams
-    ("msq --method em --h 0.1 --samples 3000",
-     "849442c993cf675a5399864822c20817d3310f4b6c5853c5d3d3e7adfc1538a3"),
-    # re-recorded: exact mean; no BLAS; covariance; numpy streams
-    ("msq --method beta:0.5 --h 0.1 --samples 3000",
-     "aca4722676a17659d0efdec51c5435bb39ac5a48ff648075455090514cb8c5dd"),
-    # re-recorded: exact mean; no BLAS; covariance; numpy streams
-    ("msq --method beta:0.5 --h 0.1 --samples 3000 --format json",
-     "3cf2ccffae217ede5453c2d990f87e023ad498db325be7280b8612411b7e0910"),
-    # re-recorded: no BLAS; common horizon; covariance; numpy streams
-    ("msq --method ex --h-sweep 0.02:0.2:4 --samples 500 --x0 0.3 --y0 -0.2 "
-     "--alpha 0.7 --format json",
-     "71cafedcf4036dc4e3e03dc274bae33fc2b779e6b3ea5b5336da7698c231af6b"),
-    # more than one BLOCK of paths, so two threads split the work;
-    # re-recorded: no BLAS; covariance; numpy streams
-    ("msq --method em --h 0.1 --samples 9001 --seed 4",
-     "2d8ce9d542e9898ceb63ab25e20970f91560c2b923cea2831942a7f44e9bf32e"),
-    # re-recorded: exact mean; no BLAS; common horizon; covariance; numpy
-    # streams
-    ("msq --method beta:0.5 --h-sweep 0.02:0.2:4 --samples 8193 --x0 0.3 "
-     "--y0 -0.2 --alpha 0.7 --format json",
-     "6f35e3df43d3b505334eb0a2129079bb210ffab45f85c7654f1828d06c35eb31"),
 ]
 
 
@@ -691,9 +476,6 @@ _LOCKED_RUNS = {
         params=PARAMS)),
     "simulate_paths": lambda: simulate_paths(SimConfig(
         get_method("em"), 0.1, 20, 2 * sim.BLOCK + 5, seed=2, params=PARAMS)),
-    "msq_order": lambda: msq_order(get_method("beta:0.5"), [0.2, 0.1],
-                                   samples=2 * sim.BLOCK + 5, seed=3,
-                                   params=PARAMS),
 }
 
 
@@ -733,7 +515,7 @@ def test_samplers_keep_the_lock_rule(run, monkeypatch):
 
 # multi-block runs: more workers than cores and a short switch interval
 # interleave the blocks as much as possible
-_INTERLEAVED = [GOLDEN_STDOUT[0][0], GOLDEN_STDOUT[8][0], GOLDEN_STDOUT[9][0]]
+_INTERLEAVED = [GOLDEN_STDOUT[0][0], GOLDEN_STDOUT[2][0]]
 
 
 @pytest.mark.parametrize("command", _INTERLEAVED)
@@ -798,26 +580,14 @@ def test_simulate_memory_does_not_grow_with_samples(threads, capsys,
     assert peak(128 * sim.BLOCK, threads) - baseline <= 64 * 1024
 
 
-def test_msq_memory_does_not_grow_with_step_count():
-    def peak(hs):
-        return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
-                                             samples=2000, seed=0,
-                                             params=PARAMS))
-
-    peak([0.2, 0.1])  # warm caches outside the measurement
-    assert peak([0.01, 0.005]) - peak([0.2, 0.1]) <= 64 * 1024
-
-
-@pytest.mark.parametrize("per_step, chunk", [
-    (1, CHUNK_STEPS), (3, sim.MSQ_CHUNK_STEPS)], ids=["simulate", "msq"])
-def test_step_normals_holds_one_chunk(per_step, chunk):
+def test_step_normals_holds_one_chunk():
     # the generator fills the caller's buffer in place and keeps only its
     # own state
     paths = 4096
-    buffer = np.empty(per_step * chunk * paths)
+    buffer = np.empty(CHUNK_STEPS * paths)
 
     def run():
-        for _ in step_normals(0, 0, paths, 64, per_step, buffer):
+        for _ in step_normals(0, 0, paths, 64, buffer):
             pass
 
     run()  # warm caches outside the measurement
@@ -843,132 +613,6 @@ def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
     run()  # warm caches outside the measurement
     shared = 4 * row
     assert _peak_bytes(run) <= shared + workers * (CHUNK_STEPS + 7) * row
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_msq_memory_does_not_grow_with_samples(threads, monkeypatch):
-    # each block reduces its paths' errors to exact sums, which add into
-    # running totals as they arrive, so 32 times the blocks hold no more at
-    # once
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
-
-    def peak(samples):
-        return _peak_bytes(lambda: msq_order(get_method("em"), [0.2, 0.1],
-                                             T0=1.0, samples=samples, seed=0,
-                                             params=PARAMS))
-
-    peak(2 * sim.BLOCK)  # warm caches outside the measurement
-    assert peak(64 * sim.BLOCK) - peak(2 * sim.BLOCK) <= 64 * 1024
-
-
-def test_msq_memory_does_not_grow_with_sweep_points(monkeypatch):
-    # twelve step sizes run in three passes, one after the other
-    monkeypatch.setenv("LDP_OSC_THREADS", "1")
-
-    def peak(points):
-        hs = [1.0 / steps for steps in range(2, 2 + points)]
-        return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
-                                             samples=2000, seed=0,
-                                             params=PARAMS))
-
-    peak(5)  # warm caches outside the measurement
-    assert peak(12) - peak(5) <= 64 * 1024
-
-
-@pytest.mark.parametrize("msq_pass", [1, 2])
-def test_msq_errors_do_not_depend_on_threads_or_pass_grouping(msq_pass,
-                                                             monkeypatch):
-    # more workers than cores and a short switch interval interleave the
-    # tasks as much as possible; every pass keys its blocks alike, so a step
-    # size reads the same draws in whichever pass it runs, and the block sums
-    # add in block order
-    def errors():
-        return msq_order(get_method("beta:0.5"), [0.2, 0.1, 0.05], T0=1.0,
-                         samples=5000, seed=1, params=PARAMS).errors
-
-    monkeypatch.setenv("LDP_OSC_THREADS", "1")
-    reference = errors()
-    monkeypatch.setattr(sim, "MSQ_PASS", msq_pass)
-    monkeypatch.setenv("LDP_OSC_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        assert errors() == reference
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_msq_names_an_error_sum_that_overflows(monkeypatch):
-    # each worst error is finite, but a block's float sum overflows to inf,
-    # with no RuntimeWarning, and msq_order names it
-    def huge_errors(params, seed, runs, shared, buffer, lo, hi):
-        return [np.full(hi - lo, 1.7e308) for _ in runs]
-
-    monkeypatch.setattr(sim, "_msq_worst", huge_errors)
-    with pytest.raises(ValueError, match="em: the strong error at h = 0.2 is "
-                       "not finite; the method diverges"):
-        msq_order(get_method("em"), [0.2, 0.1], samples=10)
-
-
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_msq_error_does_not_depend_on_the_sweep(threads, monkeypatch):
-    # a step size shares its pass's noise stream and scratch with the other
-    # step sizes, and must not feel them
-    monkeypatch.setenv("LDP_OSC_THREADS", threads)
-
-    def errors(hs):
-        report = msq_order(get_method("beta:0.5"), hs, T0=1.0, samples=5000,
-                           seed=2, params=PARAMS)
-        return dict(zip(report.h_values, report.errors))
-
-    whole = errors([0.2, 0.1, 0.05, 0.025])
-    assert errors([0.2, 0.1]) == {h: whole[h] for h in (0.2, 0.1)}
-    assert errors([0.05, 0.025]) == {h: whole[h] for h in (0.05, 0.025)}
-
-
-def test_msq_sweep_of_two_passes_matches_shorter_sweeps(monkeypatch):
-    monkeypatch.setenv("LDP_OSC_THREADS", "2")
-    passes = []
-    run_blocks = sim._run_blocks
-
-    def counting(samples, task):
-        passes.append(task)
-        return run_blocks(samples, task)
-
-    monkeypatch.setattr(sim, "_run_blocks", counting)
-
-    def errors(hs):
-        report = msq_order(get_method("em"), hs, T0=1.0, samples=4500,
-                           seed=1, params=PARAMS)
-        return dict(zip(report.h_values, report.errors))
-
-    hs = [1.0 / steps for steps in (4, 5, 6, 8, 10, 12, 16)]
-    whole = errors(hs)
-    assert sim.MSQ_PASS == 5 and len(passes) == 2
-    parts = {}
-    for part in (hs[:2], hs[2:5], hs[5:]):
-        parts.update(errors(part))
-    assert parts == whole
-
-
-def test_msq_draws_each_normal_once_per_pass(monkeypatch, capsys):
-    # the default sweep runs 10, 20, 40, 80 and 160 steps in one pass, so
-    # each path draws the 3 x 160 normals of the finest step size, not
-    # 3 x (10 + 20 + 40 + 80 + 160)
-    monkeypatch.setenv("LDP_OSC_THREADS", "1")
-    draws = []
-    fill_normals = sim.fill_normals
-
-    def counting(generator, out):
-        draws.append(out.size)
-        return fill_normals(generator, out)
-
-    monkeypatch.setattr(sim, "fill_normals", counting)
-    samples = 5000
-    assert cli.main(["msq", "--method", "em", "--h", "0.1", "--samples",
-                     str(samples)]) == 0
-    assert "\n0.00625,160," in capsys.readouterr().out
-    assert sum(draws) == 3 * 160 * samples
 
 
 def test_default_thread_count_follows_cpu_affinity(monkeypatch):
