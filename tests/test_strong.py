@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from ldp_osc import cli, strong
-from ldp_osc.methods import evaluate, get_method
+from ldp_osc.methods import catalog, evaluate, get_method
 from ldp_osc.oscillator import OscillatorParams
 from ldp_osc.strong import (
     MIN_STEP,
@@ -86,6 +86,45 @@ def test_error_law_is_within_its_budget_of_50_digits(name, h, steps, bound):
     assert len(got) == len(want) == steps
     worst = max(abs(float((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want))
     assert worst <= bound
+
+
+@pytest.mark.parametrize("h", np.geomspace(MIN_STEP, 1.9, 25).tolist())
+def test_error_law_of_every_method_is_near_50_digits_at_each_step_size(h):
+    # 100 steps of every catalog method admissible at h: the noise and
+    # A - R keep their digits from MIN_STEP, where their direct forms
+    # cancel to nothing, up to steps of order one, where the error grows
+    # to thousands
+    worst, names = 0.0, []
+    for method in catalog():
+        try:
+            A, b = evaluate(method, h)
+        except ValueError:
+            continue
+        names.append(method.name)
+        got = mean_square_errors(A, b, h, 100, PARAMS)
+        want = oracles.mean_square_errors_mp50(A, b, h, 100, PARAMS)
+        worst = max(worst, *(abs(float((mpmath.mpf(g) - w) / w))
+                             for g, w in zip(got, want)))
+    assert {"beta:0.5", "ex", "opt"} <= set(names)
+    assert worst <= 1e-13
+
+
+def test_error_law_folds_alpha_into_the_noise_rows():
+    # the mean of e does not depend on alpha and its covariance not on the
+    # start, so E|e_n|^2 is a bias from (x0, y0) plus alpha^2 times a noise
+    # term
+    A, b = evaluate(get_method("beta:0.5"), 0.05)
+
+    def law(alpha, x0=0.0, y0=0.0):
+        return np.array(list(mean_square_errors(
+            A, b, 0.05, 40, OscillatorParams(alpha=alpha, x0=x0, y0=y0))))
+
+    noise = law(1.0)
+    bias = law(1.0, 0.3, -0.2) - noise
+    for alpha in (0.7, 2.0):
+        npt.assert_allclose(law(alpha), alpha * alpha * noise, rtol=1e-14)
+        npt.assert_allclose(law(alpha, 0.3, -0.2),
+                            bias + alpha * alpha * noise, rtol=1e-14)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.025])
@@ -252,6 +291,18 @@ def test_msq_memory_does_not_grow_with_step_count():
     assert peak([0.001, 0.0005]) - peak([0.2, 0.1]) <= 16 * 1024
 
 
+def test_msq_memory_does_not_grow_with_sweep_points():
+    # each step size keeps its step, step count and error, and its law is
+    # reduced to the largest grid value as it runs
+    def peak(points):
+        hs = [1.0 / steps for steps in range(2, 2 + points)]
+        return _peak_bytes(lambda: msq_order(get_method("em"), hs, T0=1.0,
+                                             params=PARAMS))
+
+    peak(5)  # warm caches outside the measurement
+    assert peak(12) - peak(5) <= 16 * 1024
+
+
 def test_only_msq_loads_the_error_law():
     # prob, rates and simulate never load it, and msq loads no numpy
     script = ("import json, sys, ldp_osc.cli\n"
@@ -281,7 +332,8 @@ def test_only_msq_loads_the_error_law():
 
 
 @pytest.mark.parametrize("flags", [["--samples", "3000"], ["--seed", "4"],
-                                   ["--samples", "0", "--seed", "-1"]])
+                                   ["--samples", "0", "--seed", "-1"],
+                                   ["--samples", "-5"]])
 def test_msq_ignores_samples_and_seed_with_a_note(flags, capsys):
     # scripts may still pass them: stdout is the same bytes, and stderr
     # carries one note, which a run without them does not print
