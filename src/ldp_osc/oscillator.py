@@ -83,7 +83,8 @@ class _SimConfig(NamedTuple):
 
 
 class SimConfig(_Checked, _SimConfig):
-    """A `sim.simulate_paths` run: `samples` paths of `steps` steps of size h."""
+    """A `sim.simulate_paths` or `sim.simulate_summary` run: `samples` paths
+    of `steps` steps of size h."""
 
     __slots__ = ()
 

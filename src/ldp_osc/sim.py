@@ -8,25 +8,23 @@ bit-identical for any thread count and any chunk size, and depend on BLOCK,
 which sets the keys. The block engine, `_run_blocks`, runs fixed-size blocks
 of BLOCK paths on plain worker threads, one task per worker, and yields the
 results in block order, with at most WINDOW blocks per worker submitted and
-not yet consumed. Each worker's task owns its draw buffer, which the caller
-allocates once per run and the worker reuses for every block it runs. A
-task keeps its paths in a `_Paths`, whose `step` is the linear update, and
-works in buffers sized by the block, never by the sample count. Validation
-stays in the calling thread.
+not yet consumed. Each worker's task owns its buffers, which the caller
+allocates once per run and the worker reuses for every block it runs: its
+draw buffer and its step scratch. A task keeps its paths in a `_Paths`,
+whose `step` is the linear update, and works in buffers sized by the block,
+never by the sample count. Validation stays in the calling thread.
 
 Each run (one `simulate_summary` or `simulate_paths` call) has one lock,
-held in a `_Shared` with the buffers that only the lock's holder touches:
-the step scratch and the noise pair. The rule: every step of a chunk runs
-under the lock, and the chunk's draws run outside it, into its worker's draw
-buffer, one `fill_normals` call per chunk. A step is many short numpy calls,
-and two threads making such calls at once trade the interpreter lock call by
-call; the ziggurat releases it for its whole call, so one block's draws run
-beside another's steps. A running block keeps only what outlives a chunk or
-is written outside the lock: its generator, its worker's draw buffer, its
-state and its running sum. The run's buffers are freed with the run, and
-two runs on two threads neither share them nor wait for each other. Each
-block reads only its own stream, so how the blocks interleave moves no
-digit.
+and the rule is: steps under the run's lock, draws outside; no buffer is
+shared. Every step of a chunk runs under the lock, and the chunk's draws
+run outside it, into its worker's draw buffer, one `fill_normals` call per
+chunk. A step is many short numpy calls, and two threads making such calls
+at once trade the interpreter lock call by call; the ziggurat releases it
+for its whole call, so one block's draws run beside another's steps. The
+lock orders the steps and guards no data: a running block touches only its
+generator, its worker's buffers, its state and its running sum. Two runs on
+two threads neither share a buffer nor wait for each other. Each block
+reads only its own stream, so how the blocks interleave moves no digit.
 
 `simulate_summary` reduces each block's two observables to their count,
 mean, sum of squared deviations from the mean (M2), min and max on the
@@ -72,8 +70,8 @@ WINDOW = 2
 CHUNK_STEPS = 8
 
 # most workers LDP_OSC_THREADS may ask for: each worker holds its draw
-# buffer and its running block's state and sums (about 0.35 MiB), so the
-# bound caps sampler memory
+# buffer, its step scratch and its running block's state and sum (about
+# 0.41 MiB), so the bound caps sampler memory
 MAX_THREADS = 64
 
 # seeds reduce mod 2**64: SeedSequence takes no negative entropy
@@ -100,25 +98,27 @@ def thread_count():
 
 class _Paths:
     """The state z = (x, y) of a block of paths, a (2, n) array, with the
-    2x2 matrix M of its linear step and the (2, n) scratch that the step
-    needs; paths that step in turn, as a run's blocks do under its lock, may
-    share one scratch.
+    2x2 matrix M of its linear step, its noise scale nb = alpha b as an
+    array that broadcasts to (2, n), and the (2, n) scratch that the step
+    writes.
     """
 
-    def __init__(self, params, M, n, scratch=None):
-        self.z = np.full((2, n), [[params.x0], [params.y0]], dtype=float)
-        self._p = np.empty((2, n)) if scratch is None else scratch
+    def __init__(self, params, M, nb, scratch):
+        self.z = np.full(scratch.shape, [[params.x0], [params.y0]],
+                         dtype=float)
+        self._p = scratch
+        self._nb = nb
         # the views a step reads, made once, not at every step
         self._columns = M[:, :1], M[0, 1:], M[1, 1:]
         self._x_column = self.z[:1]
         self._rows = self.z[0], self.z[1]
 
-    def step(self, noise):
-        """z <- M z + noise, in place, for (2, n) noise.
+    def step(self, row):
+        """z <- M z + nb row, in place, for one row of n draws.
 
-        Row i is (M[i, 1] y + M[i, 0] x) + noise[i], which IEEE addition
+        Row i is (M[i, 1] y + M[i, 0] x) + nb[i] row, which IEEE addition
         makes bit for bit the reference order (M[i, 0] x + M[i, 1] y) +
-        noise[i] that the sampler's reproducibility rests on.
+        nb[i] row that the sampler's reproducibility rests on.
         """
         z, p = self.z, self._p
         x, y = self._rows
@@ -128,23 +128,8 @@ class _Paths:
         np.multiply(m01, y, out=x)
         np.multiply(m11, y, out=y)
         z += p
-        z += noise
-
-
-class _Shared:
-    """The lock of one sampler run and the buffers that only its holder
-    touches, which the run's blocks share: the (2, n) step scratch and the
-    (2, n) noise pair, for blocks of up to n paths.
-    """
-
-    def __init__(self, n):
-        self.lock = threading.Lock()
-        self._buffers = [np.empty(2 * n), np.empty(2 * n)]
-
-    def buffers(self, n):
-        """The step scratch and noise pair of a block of n paths:
-        C-contiguous (2, n) views of the run's buffers."""
-        return [flat[:2 * n].reshape(2, n) for flat in self._buffers]
+        np.multiply(self._nb, row, out=p)
+        z += p
 
 
 def fill_normals(generator, out):
@@ -184,22 +169,13 @@ def _chunks(generator, out, n, steps, chunk):
         yield fill_normals(generator, out[:rows * n].reshape(rows, n))
 
 
-def _draw_buffers(samples):
-    """One flat draw buffer of CHUNK_STEPS rows of min(BLOCK, samples)
-    float64 per worker of a run over `samples` paths: min(thread_count(),
-    blocks) of them."""
-    workers = min(thread_count(), -(-samples // BLOCK))
-    return [np.empty(CHUNK_STEPS * min(BLOCK, samples))
-            for _ in range(workers)]
-
-
 def _run_blocks(samples, tasks):
     """Run every BLOCK-path range lo..hi-1 of 0..samples-1 on one plain
     thread per task, and yield the results in block order.
 
     Worker i calls tasks[i](lo, hi) on every block it takes from the one
-    shared queue, so it reuses whatever that task holds, such as its draw
-    buffer, for every block it runs. At most WINDOW blocks per worker are
+    shared queue, so it reuses whatever that task holds, such as its
+    buffers, for every block it runs. At most WINDOW blocks per worker are
     submitted and not yet consumed, so the queues do not grow with
     `samples`. A task's exception re-raises in the caller. Every worker is
     joined when the generator finishes, raises or is closed; blocks no
@@ -262,54 +238,57 @@ class SimResult(NamedTuple):
 
 
 def _simulate_tasks(config, block):
-    """One task per worker of a `simulate` run, block(config, A, b, shared,
-    buffer, lo, hi): the method's (A, b) at config.h, the run's `_Shared`
-    with its (2, n) step scratch and (2, n) noise pair, and the worker's own
-    draw buffer of CHUNK_STEPS rows."""
+    """One task per worker of a `simulate` run, block(config, A, b, lock,
+    draws, scratch, lo, hi): the method's (A, b) at config.h, the run's one
+    lock, and the worker's own flat buffers of min(BLOCK, samples)-long
+    rows, allocated here once per run: its draw buffer of CHUNK_STEPS rows
+    and its step scratch of 2 rows. A run over `samples` paths has
+    min(thread_count(), blocks) workers."""
     A, b = evaluate(config.method, config.h)
-    shared = _Shared(min(BLOCK, config.samples))
-    return [partial(block, config, A, b, shared, buffer)
-            for buffer in _draw_buffers(config.samples)]
+    lock = threading.Lock()
+    n = min(BLOCK, config.samples)
+    workers = min(thread_count(), -(-config.samples // BLOCK))
+    return [partial(block, config, A, b, lock, np.empty(CHUNK_STEPS * n),
+                    np.empty(2 * n))
+            for _ in range(workers)]
 
 
-def _run_block(config, A, b, shared, buffer, lo, hi):
+def _run_block(config, A, b, lock, draws, scratch, lo, hi):
     """Run paths lo..hi-1 and return their two observables, the running
     position average and the terminal position divided by elapsed time.
 
     Noise comes from `step_normals`, one draw per step, so each step reads
-    one contiguous row of a chunk of `buffer`, the worker's draw buffer,
-    drawn outside the lock of `shared`, the run's `_Shared`; the block steps
-    each chunk under that lock, with the run's step scratch and noise pair.
-    The block's own buffers are allocated once, so memory is O(BLOCK) beside
-    the draw buffer whatever the step count. The arithmetic is the
-    reference recursion's, operation for operation (`_Paths.step` adds each
-    row's two products in the other order, which IEEE addition commutes):
-    dw = sqrt(h) z, then (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h)
-    into alpha b1 would change the rounding.
+    one contiguous row of a chunk of `draws`, the worker's draw buffer,
+    drawn outside `lock`, the run's lock; the block steps each chunk under
+    that lock, in the worker's step scratch. The block's own buffers are
+    allocated once, so memory is O(BLOCK) beside the worker's buffers
+    whatever the step count. The arithmetic is the reference recursion's,
+    operation for operation (`_Paths.step` adds each row's two products in
+    the other order, which IEEE addition commutes): dw = sqrt(h) z, then
+    (a00 x + a01 y) + (alpha b1) dw; folding sqrt(h) into alpha b1 would
+    change the rounding.
     """
     p = config.params
     n = hi - lo
-    scratch, noise = shared.buffers(n)
-    chunks = step_normals(config.seed, lo, hi, config.steps, buffer)
-    nb = p.alpha * np.array(b)[:, None]
-    paths = _Paths(p, np.array(A), n, scratch)
+    chunks = step_normals(config.seed, lo, hi, config.steps, draws)
+    paths = _Paths(p, np.array(A), p.alpha * np.array(b)[:, None],
+                   scratch[:2 * n].reshape(2, n))
     x = paths.z[0]
     sum_x = np.zeros(n)
     root_h = math.sqrt(config.h)
     for dw in chunks:
         # the chunk is the worker's own, so it scales outside the lock
         np.multiply(root_h, dw, out=dw)
-        with shared.lock:
+        with lock:
             for row in dw:
                 sum_x += x
-                paths.step(np.multiply(nb, row, out=noise))
+                paths.step(row)
     return sum_x / config.steps, x / (config.steps * config.h)
 
 
-def _block_moments(config, A, b, shared, buffer, lo, hi):
-    """The `_moments` of both observables of paths lo..hi-1."""
-    return tuple(map(_moments,
-                     _run_block(config, A, b, shared, buffer, lo, hi)))
+def _block_moments(*block):
+    """The `_moments` of both observables of `_run_block(*block)`."""
+    return tuple(map(_moments, _run_block(*block)))
 
 
 def simulate_summary(config):

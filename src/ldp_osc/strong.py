@@ -41,10 +41,14 @@ from typing import NamedTuple
 
 from .laws import _add_congruence, _product
 from .methods import decreasing_sweep, evaluate
-from .oscillator import MAX_N, OscillatorParams
+from .oscillator import OscillatorParams
 
 # smallest step the error law accepts: its precision is tested down to here
 MIN_STEP = 1e-8
+
+# most steps one sweep may take, summed over its step sizes: the law takes
+# 30-38 us a step, so the budget is about 5-6 minutes
+MSQ_MAX_STEPS = 10 ** 7
 
 _DEFAULT_PARAMS = OscillatorParams()
 
@@ -177,17 +181,20 @@ def msq_order(method, h_values, T0=1.0, params=_DEFAULT_PARAMS):
     is fitted log-log against h. Every step size h runs round(T0/h) steps of
     T0/round(T0/h), so all of them share the horizon T0; the report gives
     these steps, and two step sizes with the same step count are an error.
-    Every step size is checked (and warned about) before any law runs.
+    The sweep may take at most MSQ_MAX_STEPS steps in all, and every step
+    size is checked (and warned about) before any law runs.
     """
     if not (math.isfinite(T0) and T0 > 0):
         raise ValueError(f"T0 must be a finite positive horizon, got {T0}")
     runs = []
     given = decreasing_sweep(h_values)
-    for i, h in enumerate(given):
-        ratio = T0 / h
-        if ratio > MAX_N:
-            raise ValueError(f"T0/h = {ratio:g} steps at h = {h:g}; need at most "
-                             f"{MAX_N:.0e}")
+    ratios = [T0 / h for h in given]
+    # a ratio that overflows to inf rounds to no integer
+    total = math.inf if math.inf in ratios else sum(map(round, ratios))
+    if total > MSQ_MAX_STEPS:
+        raise ValueError(f"the sweep needs {total} steps over T0 = {T0:g}; "
+                         f"msq takes at most {MSQ_MAX_STEPS:.0e} in all")
+    for i, (h, ratio) in enumerate(zip(given, ratios)):
         steps = round(ratio)
         if steps < 1:
             raise ValueError(f"horizon {T0:g} shorter than one step of {h:g}")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldp_osc import cli
+from ldp_osc import cli, strong
 from oracles import parse_csv
 
 
@@ -285,6 +285,16 @@ def test_msq_rejects_bad_horizons(T0, capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: T0 must be a finite positive horizon, got {T0}\n"
+
+
+def test_msq_rejects_a_sweep_past_its_step_budget(capsys, monkeypatch):
+    # 1e6 + 2e6 + 4e6 + 8e6 + 1.6e7 steps, about 15-20 minutes of law
+    def no_law(*args):
+        raise AssertionError("an error law ran")
+    monkeypatch.setattr(strong, "mean_square_errors", no_law)
+    assert run_cli(["msq", "--method", "em", "--h", "1e-6"], capsys) == (
+        1, "", "error: the sweep needs 31000000 steps over T0 = 1; msq "
+        "takes at most 1e+07 in all\n")
 
 
 def test_msq_names_a_diverging_method(tmp_path, capsys):

@@ -338,17 +338,21 @@ def _step_matrix(matrix):
 @pytest.mark.parametrize("matrix", ["em", "beta:0.5", "exact"])
 def test_step_is_the_two_row_recursion_bit_for_bit(matrix):
     # the one kernel reorders only the two products of each row's sum, which
-    # IEEE addition commutes, so every bit matches the two-row reference;
-    # nan matches by position, as its payload may differ
+    # IEEE addition commutes, and forms the noise nb * row in its scratch,
+    # so every bit matches the two-row reference with u = nb0 row and
+    # v = nb1 row; nan matches by position, as its payload may differ
     edges = np.array(_EDGES)
-    x, y, u, v = (g.ravel() for g in np.meshgrid(edges, edges, edges, edges))
-    noise = np.random.default_rng(3).standard_normal((4, 1000))
-    x, y, u, v = (np.concatenate([e, r]) for e, r in zip((x, y, u, v), noise))
+    grid = np.meshgrid(edges, edges, edges, edges, edges)
+    noise = np.random.default_rng(3).standard_normal((5, 1000))
+    x, y, row, nb0, nb1 = (np.concatenate([g.ravel(), r])
+                           for g, r in zip(grid, noise))
     M = _step_matrix(matrix)
-    paths = sim._Paths(PARAMS, M, len(x))
+    paths = sim._Paths(PARAMS, M, np.array([nb0, nb1]),
+                       np.empty((2, len(x))))
     paths.z[:] = x, y
     with np.errstate(all="ignore"):
-        paths.step(np.array([u, v]))
+        paths.step(row)
+        u, v = np.multiply(nb0, row), np.multiply(nb1, row)
         for got_row, want in zip(paths.z, oracles.two_row_step(M, x, y, u, v)):
             nan = np.isnan(want)
             assert (np.isnan(got_row) == nan).all()
@@ -482,19 +486,21 @@ _LOCKED_RUNS = {
 @pytest.mark.parametrize("run", _LOCKED_RUNS.values(), ids=_LOCKED_RUNS)
 def test_samplers_keep_the_lock_rule(run, monkeypatch):
     # every step runs under the run's lock, and the draws outside it; each
-    # lock is a run's, so a thread holding none of them holds no run's lock
+    # block is handed the one _OwnedLock of its run's lock, so a thread
+    # holding none of them holds no run's lock
     monkeypatch.setenv("LDP_OSC_THREADS", "2")
-    locks = []
+    owned = {}
     calls = {"draws": 0, "step": 0}
+    run_block = sim._run_block
 
-    class Shared(sim._Shared):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.lock = _OwnedLock()
-            locks.append(self.lock)
+    def with_owned_lock(config, A, b, lock, *args):
+        # setdefault is one dict operation, so two workers of a run get the
+        # same _OwnedLock
+        return run_block(config, A, b, owned.setdefault(lock, _OwnedLock()),
+                         *args)
 
     def held():
-        return any(lock.held() for lock in locks)
+        return any(lock.held() for lock in list(owned.values()))
 
     def checked(name, fn, locked):
         def check(*args, **kwargs):
@@ -504,13 +510,13 @@ def test_samplers_keep_the_lock_rule(run, monkeypatch):
             return fn(*args, **kwargs)
         return check
 
-    monkeypatch.setattr(sim, "_Shared", Shared)
+    monkeypatch.setattr(sim, "_run_block", with_owned_lock)
     monkeypatch.setattr(sim, "fill_normals",
                         checked("draws", sim.fill_normals, False))
     monkeypatch.setattr(sim._Paths, "step",
                         checked("step", sim._Paths.step, True))
     run()
-    assert locks and min(calls.values()) > 0, calls
+    assert len(owned) == 1 and min(calls.values()) > 0, (owned, calls)
 
 
 # multi-block runs: more workers than cores and a short switch interval
@@ -521,7 +527,7 @@ _INTERLEAVED = [GOLDEN_STDOUT[0][0], GOLDEN_STDOUT[2][0]]
 @pytest.mark.parametrize("command", _INTERLEAVED)
 def test_interleaved_blocks_print_the_one_worker_bytes(command, capsys,
                                                        monkeypatch):
-    # the run's shared buffers are touched only under its lock, so no
+    # each block reads only its own stream and its worker's buffers, so no
     # interleaving of the blocks moves a byte
     def stdout(threads):
         monkeypatch.setenv("LDP_OSC_THREADS", threads)
@@ -595,12 +601,11 @@ def test_step_normals_holds_one_chunk():
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
+def test_run_holds_per_worker_a_chunk_a_scratch_and_a_few_rows(
         threads, monkeypatch):
-    # the run's blocks share one set of the buffers that only the lock's
-    # holder touches: the step scratch (2) and the noise pair (2). Past
-    # that, a running block holds its chunk and a few rows: the state (2)
-    # and the running sum (1), with 4 to spare for its results and numpy's
+    # the run shares no buffer: each worker holds its chunk, its step
+    # scratch (2) and, for its running block, a few rows: the state (2) and
+    # the running sum (1), with 4 to spare for its results and numpy's
     # temporaries. One block runs per worker
     monkeypatch.setenv("LDP_OSC_THREADS", threads)
     workers, row = int(threads), sim.BLOCK * 8
@@ -611,8 +616,7 @@ def test_run_holds_one_shared_set_and_per_block_a_chunk_and_a_few_rows(
         sim.simulate_summary(config)
 
     run()  # warm caches outside the measurement
-    shared = 4 * row
-    assert _peak_bytes(run) <= shared + workers * (CHUNK_STEPS + 7) * row
+    assert _peak_bytes(run) <= workers * (CHUNK_STEPS + 2 + 7) * row
 
 
 def test_default_thread_count_follows_cpu_affinity(monkeypatch):

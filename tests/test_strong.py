@@ -242,12 +242,20 @@ def test_msq_order_rejects_bad_horizons_before_running(T0, monkeypatch):
 
 def test_msq_step_counts_are_bounded_before_running(monkeypatch):
     _no_law(monkeypatch)
-    # 1e10 steps at h = 0.1
-    with pytest.raises(ValueError, match="need at most 1e[+]09"):
+    # 1e10 + 2e10 steps at h = 0.1 and 0.05
+    with pytest.raises(ValueError, match="the sweep needs 30000000000 steps "
+                       "over T0 = 1e[+]09; msq takes at most 1e[+]07 in all"):
         msq_order(get_method("em"), [0.1, 0.05], T0=1e9)
-    # the largest count is checked even when it comes from the finest step
-    with pytest.raises(ValueError, match="at h = 0.05; need at most 1e[+]09"):
-        msq_order(get_method("em"), [0.1, 0.05], T0=6e7)
+    # the budget bounds the sum, even when each step size is within it
+    with pytest.raises(ValueError, match="needs 12000000 steps over "
+                       "T0 = 400000; msq takes at most 1e[+]07 in all"):
+        msq_order(get_method("em"), [0.1, 0.05], T0=4e5)
+    # a ratio that overflows is past the budget, not an OverflowError
+    with pytest.raises(ValueError, match="needs inf steps"):
+        msq_order(get_method("em"), [1e-100, 5e-101], T0=1e300)
+    # 2e6 + 8e6 steps: the budget itself is accepted
+    with pytest.raises(AssertionError, match="an error law ran"):
+        msq_order(get_method("em"), [0.1, 0.025], T0=2e5)
 
 
 def test_msq_names_an_error_that_overflows(monkeypatch):
