@@ -17,6 +17,10 @@ footer line) or a JSON document with `--format json`; `--out` writes the
 report to a file instead of stdout (for `search` it names the directory that
 receives one method file per hit).
 
+The CLI parses and renders: argparse rejects `--h` with `--h-sweep` and
+`--N` with `--N-sweep`, and the library checks the values, a step sweep in
+`methods.decreasing_sweep`, so a rule holds the same for library calls.
+
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
 `simulate` checks its configuration and laws before it imports the sampler
 (numpy); every other command runs on the standard library. `msq` computes
@@ -53,10 +57,6 @@ MSQ_SWEEP_POINTS = 5
 MAX_SWEEP_POINTS = 1000
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _NoApplicableResult(Exception):
     pass
 
@@ -72,7 +72,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route it through the single
     # exit-code policy in main() instead
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 # --------------------------------------------------------------------------
@@ -140,12 +140,12 @@ def _params(args):
 def _parse_colon_floats(text, count, what):
     parts = text.split(":")
     if len(parts) != count:
-        raise _UsageError(f"{what} must have {count} colon-separated fields, "
-                          f"got {text!r}")
+        raise ValueError(f"{what} must have {count} colon-separated fields, "
+                         f"got {text!r}")
     try:
         return [float(part) for part in parts]
     except ValueError:
-        raise _UsageError(f"bad number in {what} {text!r}") from None
+        raise ValueError(f"bad number in {what} {text!r}") from None
 
 
 def _geomspace(start, stop, n):
@@ -160,49 +160,33 @@ def _is_point_count(n):
 
 
 def _h_values(args, points):
-    """The step sweep: explicit --h-sweep, or --h expanded by halving."""
-    if getattr(args, "h_sweep", None) is not None:
-        if args.h is not None:
-            raise _UsageError("give --h or --h-sweep, not both")
-        lo, hi, n = _parse_colon_floats(args.h_sweep, 3, "--h-sweep")
-        if not 0.0 < lo < hi < math.inf or not _is_point_count(n):
-            raise _UsageError(f"--h-sweep needs 0 < lo < hi < inf and an "
-                              f"integer 2 <= n <= {MAX_SWEEP_POINTS}, "
-                              f"got {args.h_sweep!r}")
-        hs = _geomspace(hi, lo, int(n))
-    elif getattr(args, "h", None) is not None:
-        if not args.h > 0:
-            raise _UsageError(f"--h must be positive, got {args.h}")
-        hs = [args.h * 2.0 ** -k for k in range(points)]
-    else:
-        raise _UsageError("provide --h or --h-sweep")
-    if hs[-1] * hs[-1] < sys.float_info.min:  # conditions divides by h^2
-        raise _UsageError(f"the finest step {hs[-1]:g} is too small: h^2 "
-                          "must be a normal float")
-    return hs
+    """The step sweep: explicit --h-sweep, or --h expanded by halving. The
+    commands' library calls check it (`methods.decreasing_sweep`)."""
+    if args.h_sweep is None:
+        return [args.h * 2.0 ** -k for k in range(points)]
+    lo, hi, n = _parse_colon_floats(args.h_sweep, 3, "--h-sweep")
+    if not 0.0 < lo < hi < math.inf or not _is_point_count(n):
+        raise ValueError(f"--h-sweep needs 0 < lo < hi < inf and an integer "
+                         f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.h_sweep!r}")
+    return _geomspace(hi, lo, int(n))
 
 
 def _n_values(args):
-    if getattr(args, "N_sweep", None) is not None:
-        if args.N is not None:
-            raise _UsageError("give --N or --N-sweep, not both")
-        lo, hi, n = _parse_colon_floats(args.N_sweep, 3, "--N-sweep")
-        if not 1 <= lo < hi < math.inf or not _is_point_count(n):
-            raise _UsageError(f"--N-sweep needs 1 <= lo < hi < inf and an "
-                              f"integer 2 <= n <= {MAX_SWEEP_POINTS}, "
-                              f"got {args.N_sweep!r}")
-        return sorted({round(v) for v in _geomspace(lo, hi, int(n))})
-    if getattr(args, "N", None) is not None:
-        if args.N < 1:
-            raise _UsageError(f"--N must be >= 1, got {args.N}")
+    """The step counts: --N, or the rounded points of --N-sweep. The laws
+    check them (`laws._check_steps`)."""
+    if args.N_sweep is None:
         return [args.N]
-    raise _UsageError("provide --N or --N-sweep")
+    lo, hi, n = _parse_colon_floats(args.N_sweep, 3, "--N-sweep")
+    if not 1 <= lo < hi < math.inf or not _is_point_count(n):
+        raise ValueError(f"--N-sweep needs 1 <= lo < hi < inf and an integer "
+                         f"2 <= n <= {MAX_SWEEP_POINTS}, got {args.N_sweep!r}")
+    return sorted({round(v) for v in _geomspace(lo, hi, int(n))})
 
 
 def _parse_interval(text):
     lo, hi = _parse_colon_floats(text, 2, "--interval")
     if not lo < hi:
-        raise _UsageError(f"--interval needs lo < hi, got {text!r}")
+        raise ValueError(f"--interval needs lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -262,8 +246,6 @@ def _cmd_rates(args):
 def _cmd_prob(args):
     method = _resolve_method(args.method)
     params = _params(args)
-    if not args.h or args.h <= 0:
-        raise _UsageError("provide a positive --h")
     interval = _parse_interval(args.interval)
     try:
         predicted = rate_infimum(
@@ -351,9 +333,6 @@ def _cmd_simulate(args):
 
 def _cmd_search(args):
     hits = exact_preservation_search(args.observable)
-    if not hits:
-        raise _NoApplicableResult(
-            f"no exactly-preserving method found for {args.observable}")
     rows = []
     for hit in hits:
         # each hit's definition is `key = expression` lines
@@ -400,10 +379,11 @@ def _add_observable(parser):
 
 
 def _add_steps(parser):
-    parser.add_argument("--h", type=float,
-                        help="step size; expands to a halving sweep for verdicts")
-    parser.add_argument("--h-sweep", dest="h_sweep", metavar="LO:HI:N",
-                        help="explicit geometric step sweep")
+    steps = parser.add_mutually_exclusive_group(required=True)
+    steps.add_argument("--h", type=float,
+                       help="step size; expands to a halving sweep for verdicts")
+    steps.add_argument("--h-sweep", dest="h_sweep", metavar="LO:HI:N",
+                       help="explicit geometric step sweep")
 
 
 @functools.cache  # parse_args keeps no state, so every call can share one
@@ -435,8 +415,9 @@ def _build_parser():
     _add_method(p)
     _add_observable(p)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--N-sweep", dest="N_sweep", metavar="LO:HI:N")
+    counts = p.add_mutually_exclusive_group(required=True)
+    counts.add_argument("--N", type=int)
+    counts.add_argument("--N-sweep", dest="N_sweep", metavar="LO:HI:N")
     p.add_argument("--interval", required=True, metavar="LO:HI")
     _add_model(p)
     _add_format(p)
@@ -488,9 +469,6 @@ def _main(argv):
     try:
         args = _build_parser().parse_args(argv)
         text = args.run(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (_NoApplicableResult, DivergentMomentsError) as exc:
         print(f"no applicable result: {exc}", file=sys.stderr)
         return 2

@@ -32,10 +32,10 @@ _W = ("w",)
 _ONE = {(): Fraction(1)}
 
 
-def _add_into(out, poly, scale=1):
-    """out += scale * poly in place, dropping zero coefficients; returns out."""
+def _add_into(out, poly):
+    """out += poly in place, dropping zero coefficients; returns out."""
     for mono, coef in poly.items():
-        value = out.get(mono, 0) + scale * coef
+        value = out.get(mono, 0) + coef
         if value:
             out[mono] = value
         else:

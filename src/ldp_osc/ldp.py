@@ -51,8 +51,6 @@ DEFAULT_H_SWEEP = tuple(2.0 ** -k for k in range(7))
 
 EXACT_TOL = 1e-10
 
-_DEFAULT_PARAMS = OscillatorParams()
-
 
 def symplectic_numerators(A, b):
     """The two quadratic forms S and T entering the volume-preserving rate
@@ -139,7 +137,7 @@ class LdpClassification(NamedTuple):
     modified_rate: float
 
 
-def rate_function(method, h, observable, params=_DEFAULT_PARAMS):
+def rate_function(method, h, observable, params=OscillatorParams()):
     # c comes at unit noise and alpha enters last, so the rates (which scale
     # as 1/alpha^2, like the continuous target) keep full precision at the
     # extreme alphas, even where the reported c overflows
@@ -149,7 +147,7 @@ def rate_function(method, h, observable, params=_DEFAULT_PARAMS):
     return LdpClassification(regime, c * a2, rate / a2, rate / h / a2)
 
 
-def observable_law(method, observable, h, N, params=_DEFAULT_PARAMS):
+def observable_law(method, observable, h, N, params=OscillatorParams()):
     """Exact finite-N law of the observable: the running position average, or
     the terminal position divided by the elapsed time."""
     check_observable(observable)
@@ -180,9 +178,9 @@ class PreservationReport(NamedTuple):
 
 
 def preservation_report(method, observable, h_values=DEFAULT_H_SWEEP,
-                        params=_DEFAULT_PARAMS):
-    """Check that the sweep decreases, classify each step once, skipping the
-    steps without a decay rate, and judge the admissible ones."""
+                        params=OscillatorParams()):
+    """Check the sweep (`methods.decreasing_sweep`), classify each step once,
+    skipping the steps without a decay rate, and judge the admissible ones."""
     check_observable(observable)
     sweep = decreasing_sweep(h_values)
     target = continuous_rate(observable, params)

@@ -126,8 +126,17 @@ def coupling(A, b):
 
 
 def decreasing_sweep(h_values):
-    """The steps as a float tuple, rejected unless strictly decreasing."""
+    """The steps as a float tuple, rejected unless they are positive and
+    strictly decreasing and the finest step's square is a normal float (the
+    condition ratios divide by h^2)."""
     hs = tuple(float(h) for h in h_values)
+    # first, so that a halving sweep that underflows to 0 says why
+    if hs and hs[-1] * hs[-1] < sys.float_info.min:
+        raise ValueError(f"the finest step {hs[-1]:g} is too small: h^2 "
+                         "must be a normal float")
+    for h in hs:
+        if not h > 0:
+            raise ValueError(f"step size must be positive, got {h}")
     if len(hs) < 2 or any(hs[i + 1] >= hs[i] for i in range(len(hs) - 1)):
         raise ValueError("h_values must be strictly decreasing with >= 2 entries")
     return hs
@@ -209,8 +218,6 @@ def condition_b_diagnostics(method, h_values):
     if hs[0] * hs[0] == math.inf:
         raise ValueError(f"{method.name}: step {hs[0]:g}: r1 and r3 need h^2 "
                          "to be a finite float")
-    if hs[-1] ** 2 < sys.float_info.min:
-        raise ValueError(f"step {hs[-1]:g}: r1 and r3 need h^2 to be a normal float")
     rows = []
     for h, (A, b) in zip(hs, pairs):
         rep = check_conditions(A, b)
@@ -596,12 +603,10 @@ def parse_method_file(text, fallback_name="user-method"):
                      definition=text)
 
 
-def format_method_file(name, expressions, h_range=None):
+def format_method_file(name, expressions, h_range):
     """Render a method-definition text from expression strings."""
-    lines = [f"name = {name}"]
-    if h_range is not None:
-        hi = "inf" if math.isinf(h_range[1]) else f"{h_range[1]:g}"
-        lines.append(f"h_range = {h_range[0]:g}:{hi}")
+    hi = "inf" if math.isinf(h_range[1]) else f"{h_range[1]:g}"
+    lines = [f"name = {name}", f"h_range = {h_range[0]:g}:{hi}"]
     for key in COEFFICIENT_KEYS:
         lines.append(f"{key} = {expressions[key]}")
     return "\n".join(lines) + "\n"

@@ -50,8 +50,6 @@ MIN_STEP = 1e-8
 # 30-38 us a step, so the budget is about 5-6 minutes
 MSQ_MAX_STEPS = 10 ** 7
 
-_DEFAULT_PARAMS = OscillatorParams()
-
 _ZERO4 = ((0.0,) * 4,) * 4
 
 
@@ -173,7 +171,7 @@ def fit_loglog_slope(h_values, errors):
         / math.fsum(d * d for d in dx)
 
 
-def msq_order(method, h_values, T0=1.0, params=_DEFAULT_PARAMS):
+def msq_order(method, h_values, T0=1.0, params=OscillatorParams()):
     """Mean-square error decay of the method against the exact solution.
 
     Per step size, the error is the root of the largest E|z_n - Z(t_n)|^2

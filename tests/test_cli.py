@@ -168,22 +168,29 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli([], capsys)[0] == 1
     assert run_cli(["frobnicate"], capsys)[0] == 1
     prob = ["prob", "--method", "ex", "--h", "0.5"]
+    # the sweep rule is the library's (methods.decreasing_sweep), the step
+    # counts' the laws', and argparse's the exclusive flag pairs
+    zero_sweep = "the finest step 0 is too small: h^2 must be a normal float"
     for argv, message in [
-        (["rates", "--method", "ex", "--h", "0"], "--h must be positive, got 0.0"),
-        (["conditions", "--method", "ex", "--h", "0"],
-         "--h must be positive, got 0.0"),
-        (["msq", "--method", "ex", "--h", "0"], "--h must be positive, got 0.0"),
-        (prob + ["--N", "0", "--interval", "0:1"], "--N must be >= 1, got 0"),
-        (prob + ["--interval", "0:1"], "provide --N or --N-sweep"),
+        (["rates", "--method", "ex", "--h", "0"], zero_sweep),
+        (["conditions", "--method", "ex", "--h", "0"], zero_sweep),
+        (["msq", "--method", "ex", "--h", "0"], zero_sweep),
+        (["rates", "--method", "ex", "--h", "-0.5"],
+         "step size must be positive, got -0.5"),
+        (prob + ["--N", "0", "--interval", "0:1"],
+         "running-sum law needs N >= 2, got 0"),
+        (prob + ["--interval", "0:1"],
+         "ldp-osc prob: one of the arguments --N --N-sweep is required"),
         (prob[:-1] + ["0", "--N", "10", "--interval", "0:1"],
-         "provide a positive --h"),
+         "step size must be positive, got 0.0"),
         (prob + ["--N", "10", "--interval", "0:1:2"],
          "--interval must have 2 colon-separated fields, got '0:1:2'"),
         (prob + ["--N", "10", "--interval", "a:1"],
          "bad number in --interval 'a:1'"),
         (prob + ["--N", "10", "--interval", "-x:1"],
          "bad number in --interval '-x:1'"),
-        (["rates", "--method", "beta:0.5"], "provide --h or --h-sweep"),
+        (["rates", "--method", "beta:0.5"],
+         "ldp-osc rates: one of the arguments --h --h-sweep is required"),
         (["rates", "--method", "ex", "--h-sweep", "0.1:1:2.9"],
          "--h-sweep needs 0 < lo < hi < inf and an integer 2 <= n <= 1000, "
          "got '0.1:1:2.9'"),
@@ -191,11 +198,11 @@ def test_usage_errors_exit_1(capsys):
          "--N-sweep needs 1 <= lo < hi < inf and an integer 2 <= n <= 1000, "
          "got '10:100:2.5'"),
         (["rates", "--method", "ex", "--h", "0.5", "--h-sweep", "0.1:1:3"],
-         "give --h or --h-sweep, not both"),
+         "ldp-osc rates: argument --h-sweep: not allowed with argument --h"),
         (["msq", "--method", "ex", "--h", "0.5", "--h-sweep", "0.1:1:3"],
-         "give --h or --h-sweep, not both"),
+         "ldp-osc msq: argument --h-sweep: not allowed with argument --h"),
         (prob + ["--N", "10", "--N-sweep", "10:100:3", "--interval", "0:1"],
-         "give --N or --N-sweep, not both"),
+         "ldp-osc prob: argument --N-sweep: not allowed with argument --N"),
     ]:
         assert run_cli(argv, capsys) == (1, "", f"error: {message}\n"), argv
 

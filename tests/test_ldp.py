@@ -534,6 +534,18 @@ def test_float_fractions_of_h_share_the_base_angle():
     assert _symbolic_exact(method, MEAN_VELOCITY) == PROOF_PROVED
 
 
+def test_exponent_that_is_an_exact_integer_reads_as_that_integer():
+    # h - h + 2 is the Exact constant 2, so h^(h - h + 2) is the power h^2
+    body = "a12 = h\na21 = -h\na22 = 1\nb1 = h/2\nb2 = 1\nh_range = 0:1\n"
+    for observable in (MEAN_POSITION, MEAN_VELOCITY):
+        reports = [preservation_report(
+            parse_method_file(f"a11 = 1 - {power}\n" + body), observable,
+            (0.5, 0.25, 0.125)) for power in ("h^2", "h^(h - h + 2)")]
+        assert [(r.verdict, r.proof) for r in reports] == \
+            [(VERDICT_EXACT, PROOF_PROVED)] * 2, observable
+        assert reports[0] == reports[1]
+
+
 def _trig(kind, k, q, h, expand):
     """sin or cos of k h / q; expanded, as a polynomial in sin(h/q) and
     cos(h/q) by de Moivre's binomial sum (not by angle addition)."""

@@ -28,7 +28,10 @@ from ldp_osc.methods import (
     parse_method_file,
 )
 from ldp_osc.exact import Exact, ProofDeclined, _literal
+from ldp_osc.ldp import preservation_report
 from ldp_osc.methods import _cos, _pi_like, _sin
+from ldp_osc.oscillator import MEAN_POSITION
+from ldp_osc.strong import msq_order
 
 CATALOG_NAMES = [
     "em",
@@ -157,7 +160,9 @@ def test_condition_b_diagnostics_needs_normal_squared_steps():
     # not a ZeroDivisionError
     method = get_method("ex")
     for finest in (1e-200, 1.4e-154):
-        with pytest.raises(ValueError, match="need h\\^2 to be a normal float"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the finest step {finest:g} is too small: h^2 must be a "
+                "normal float")):
             condition_b_diagnostics(method, [1e-150, finest])
     diag = condition_b_diagnostics(method, [1e-150, 1.5e-154])
     # det(I - A) = h^2 exactly here, where 1 - tr + det cancels to 0
@@ -173,6 +178,32 @@ def test_condition_b_diagnostics_requires_decreasing_grid():
     # not what is reported
     with pytest.raises(ValueError, match="strictly decreasing"):
         condition_b_diagnostics(get_method("beta:0.5"), (0.5, 3.0, 0.25))
+
+
+SWEEP_CONSUMERS = {
+    "condition_b_diagnostics": lambda hs: condition_b_diagnostics(
+        get_method("ex"), hs),
+    "preservation_report": lambda hs: preservation_report(
+        get_method("ex"), MEAN_POSITION, hs),
+    "msq_order": lambda hs: msq_order(get_method("ex"), hs),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(SWEEP_CONSUMERS))
+@pytest.mark.parametrize("sweep, message", [
+    ((-0.25, -0.5), "step size must be positive, got -0.25"),
+    ((0.5, -0.25), "step size must be positive, got -0.25"),
+    ((0.25, 0.0), "the finest step 0 is too small: h^2 must be a normal float"),
+    ((1e-150, 1e-160),
+     "the finest step 1e-160 is too small: h^2 must be a normal float"),
+], ids=["negative", "negative-finest", "zero-finest", "subnormal-square"])
+def test_every_sweep_consumer_applies_the_one_sweep_rule(consumer, sweep,
+                                                         message):
+    # methods.decreasing_sweep states the rule once; a negative step is an
+    # input error, not a step without a decay rate
+    with pytest.raises(ValueError) as info:
+        SWEEP_CONSUMERS[consumer](sweep)
+    assert str(info.value) == message
 
 
 def test_catalog_determinant_classes():
