@@ -132,9 +132,9 @@ def _resolve_method(identifier):
 
 
 def _params(args):
-    return OscillatorParams(alpha=getattr(args, "alpha", 1.0),
-                            x0=getattr(args, "x0", 0.0),
-                            y0=getattr(args, "y0", 0.0))
+    # the model fields the command has; OscillatorParams fills in the rest
+    return OscillatorParams(**{name: value for name, value in vars(args).items()
+                               if name in OscillatorParams._fields})
 
 
 def _parse_colon_floats(text, count, what):

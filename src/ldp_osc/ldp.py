@@ -257,8 +257,8 @@ def _prove_modified_rate(method, observable):
 def _exactness_gap(A, b, h, observable, volume_preserving):
     """4 c h I - 1 for the continuous coefficient I, on exact coefficients:
     zero exactly when the modified rate is the continuous one; -1 for c = 0."""
-    from fractions import Fraction  # loaded with the proof engine
-    target = Fraction(1, 3) if observable == MEAN_POSITION else 1
+    from .exact import Exact  # loaded with the proof engine
+    target = Exact.of(1) / 3 if observable == MEAN_POSITION else 1
     c = _closed_form_log_mgf(A, b, h, observable, volume_preserving)
     return 4 * c * h * target - 1
 

@@ -130,7 +130,10 @@ def decreasing_sweep(h_values):
     strictly decreasing and the finest step's square is a normal float (the
     condition ratios divide by h^2)."""
     hs = tuple(float(h) for h in h_values)
-    # first, so that a halving sweep that underflows to 0 says why
+    # a zero coarsest step is not positive, but a positive one whose halving
+    # sweep underflows to 0 is too fine: say that before the loop below does
+    if hs and not hs[0] > 0:
+        raise ValueError(f"step size must be positive, got {hs[0]}")
     if hs and hs[-1] * hs[-1] < sys.float_info.min:
         raise ValueError(f"the finest step {hs[-1]:g} is too small: h^2 "
                          "must be a normal float")

@@ -170,19 +170,18 @@ def test_usage_errors_exit_1(capsys):
     prob = ["prob", "--method", "ex", "--h", "0.5"]
     # the sweep rule is the library's (methods.decreasing_sweep), the step
     # counts' the laws', and argparse's the exclusive flag pairs
-    zero_sweep = "the finest step 0 is too small: h^2 must be a normal float"
+    zero_step = "step size must be positive, got 0.0"
     for argv, message in [
-        (["rates", "--method", "ex", "--h", "0"], zero_sweep),
-        (["conditions", "--method", "ex", "--h", "0"], zero_sweep),
-        (["msq", "--method", "ex", "--h", "0"], zero_sweep),
+        (["rates", "--method", "ex", "--h", "0"], zero_step),
+        (["conditions", "--method", "ex", "--h", "0"], zero_step),
+        (["msq", "--method", "ex", "--h", "0"], zero_step),
         (["rates", "--method", "ex", "--h", "-0.5"],
          "step size must be positive, got -0.5"),
         (prob + ["--N", "0", "--interval", "0:1"],
          "running-sum law needs N >= 2, got 0"),
         (prob + ["--interval", "0:1"],
          "ldp-osc prob: one of the arguments --N --N-sweep is required"),
-        (prob[:-1] + ["0", "--N", "10", "--interval", "0:1"],
-         "step size must be positive, got 0.0"),
+        (prob[:-1] + ["0", "--N", "10", "--interval", "0:1"], zero_step),
         (prob + ["--N", "10", "--interval", "0:1:2"],
          "--interval must have 2 colon-separated fields, got '0:1:2'"),
         (prob + ["--N", "10", "--interval", "a:1"],
@@ -778,7 +777,9 @@ def test_only_the_sampler_imports_numpy(tmp_path):
 
 
 def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
-    exact = ("ldp_osc.exact", "fractions")
+    # the proofs' rationals are int pairs: no command loads `fractions` or
+    # the `decimal` and `numbers` it imports
+    exact = ("ldp_osc.exact", "fractions", "decimal", "numbers")
     # modules stay loaded, so one interpreter checks every command in turn
     deterministic = [
         ["catalog"],
@@ -787,19 +788,18 @@ def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
          "--interval", "0.9:1.1"],
         # not numerically exact, so no proof is attempted
         ["rates", "--method", "theta:1", "--h", "0.5"],
-    ]
-    assert _modules_after([], exact) == [[], [False, False]]
-    assert _modules_after(deterministic, exact) == [[0] * 4, [False, False]]
-    # msq and the sampler load neither
-    samplers = [
         ["msq", "--method", "beta:0.5", "--h", "0.1"],
-        ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
-         "--samples", "10"],
     ]
-    assert _modules_after(samplers, exact) == [[0, 0], [False, False]]
+    assert _modules_after([], exact) == [[], [False] * 4]
+    assert _modules_after(deterministic, exact) == [[0] * 5, [False] * 4]
+    # the sampler loads none of them but numpy, which imports `numbers`
+    simulate = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N", "10",
+                "--samples", "10"]
+    assert _modules_after([simulate], exact) == [[0], [False, False, False, True]]
     for argv in (["rates", "--method", "beta:0.5", "--observable",
-                  "mean-position", "--h", "0.5"], ["search"]):
-        assert _modules_after([argv], exact) == [[0], [True, True]]
+                  "mean-position", "--h", "0.5"], ["search"],
+                 ["search", "--observable", "mean-velocity"]):
+        assert _modules_after([argv], exact) == [[0], [True, False, False, False]]
 
 
 def test_only_json_output_loads_json_and_no_command_loads_dataclasses():

@@ -8,6 +8,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ldp_osc.methods import (
@@ -27,9 +29,11 @@ from ldp_osc.methods import (
     parse_expression,
     parse_method_file,
 )
-from ldp_osc.exact import Exact, ProofDeclined, _literal
-from ldp_osc.ldp import preservation_report
-from ldp_osc.methods import _cos, _pi_like, _sin
+from ldp_osc.exact import Exact, ProofDeclined, _literal, _radd, _ratio, \
+    _rmul, _rneg, _rpow
+from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, _symbolic_exact, \
+    preservation_report
+from ldp_osc.methods import _beta_coefficients, _cos, _pi_like, _sin
 from ldp_osc.oscillator import MEAN_POSITION
 from ldp_osc.strong import msq_order
 
@@ -193,10 +197,11 @@ SWEEP_CONSUMERS = {
 @pytest.mark.parametrize("sweep, message", [
     ((-0.25, -0.5), "step size must be positive, got -0.25"),
     ((0.5, -0.25), "step size must be positive, got -0.25"),
+    ((0.0, 0.0), "step size must be positive, got 0.0"),
     ((0.25, 0.0), "the finest step 0 is too small: h^2 must be a normal float"),
     ((1e-150, 1e-160),
      "the finest step 1e-160 is too small: h^2 must be a normal float"),
-], ids=["negative", "negative-finest", "zero-finest", "subnormal-square"])
+], ids=["negative", "negative-finest", "zero", "zero-finest", "subnormal-square"])
 def test_every_sweep_consumer_applies_the_one_sweep_rule(consumer, sweep,
                                                          message):
     # methods.decreasing_sweep states the rule once; a negative step is an
@@ -271,7 +276,7 @@ def test_long_chains_evaluate_without_recursion():
     # one closure per chain, folded left to right, however long the chain
     fn = parse_expression("1" + " + h" * 5000 + " - 2*h" * 2500)
     assert fn(0.25) == 1.0
-    assert fn(Exact.symbol()).num == {(): 1}
+    assert fn(Exact.symbol()).num == {(): (1, 1)}
     assert parse_expression("h" + " * 2 / 2" * 3000)(0.3) == 0.3
 
 
@@ -453,8 +458,74 @@ def test_exact_coefficients_have_no_float_escape():
 ])
 def test_float_literals_are_the_simplest_fraction_with_their_15_digits(
         x, expected):
-    assert _literal(x) == expected
-    assert format(float(_literal(x)), ".15g") == format(x, ".15g")
+    # a rational is a reduced (numerator, denominator) pair
+    n, d = _literal(x)
+    assert (n, d) == (expected.numerator, expected.denominator)
+    assert format(n / d, ".15g") == format(x, ".15g")
+
+
+def _fraction_literal(x):
+    """The float literal rule written on `fractions`: the reference that
+    `_literal`'s int pairs must match."""
+    def simplest_between(lo, hi):
+        whole = math.floor(lo)
+        if whole == lo or whole + 1 <= hi:
+            return Fraction(math.ceil(lo))
+        return whole + 1 / simplest_between(1 / (hi - whole), 1 / (lo - whole))
+    if x == 0:
+        return Fraction(0)
+    digits = format(abs(x), ".14e")
+    half_ulp = Fraction(1, 2) * Fraction(10) ** (int(digits.partition("e")[2]) - 14)
+    center = Fraction(digits)
+    value = simplest_between(center - half_ulp, center + half_ulp)
+    return value if x > 0 else -value
+
+
+def _pair(q):
+    return q.numerator, q.denominator
+
+
+# zero, small denominators that often agree, and long ones of either sign
+_FRACTIONS = (st.just(Fraction(0))
+              | st.fractions(min_value=-4, max_value=4, max_denominator=12)
+              | st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200),
+                          st.integers(1, 2 ** 200)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_FRACTIONS, _FRACTIONS, st.integers(0, 9), st.integers(-6, 6).filter(bool))
+def test_rational_pairs_follow_fraction_arithmetic(a, b, k, scale):
+    assert _radd(_pair(a), _pair(b)) == _pair(a + b)
+    assert _rmul(_pair(a), _pair(b)) == _pair(a * b)
+    assert _rneg(_pair(a)) == _pair(-a)
+    assert _rpow(_pair(a), k) == _pair(a ** k)
+    # an unreduced pair, with a negative denominator when scale < 0
+    assert _ratio(a.numerator * scale, a.denominator * scale) == _pair(a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_literals_are_the_rationals_fraction_arithmetic_gave(x):
+    assert _literal(x) == _pair(_fraction_literal(x))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_FRACTIONS.filter(bool), _FRACTIONS.filter(bool))
+def test_products_of_sines_at_any_rational_frequencies(r, s):
+    # w^r w^s = w^(r+s) at any rational exponents, long denominators too:
+    # sin(r h) cos(s h) = (sin((r+s) h) + sin((r-s) h)) / 2
+    h = Exact.symbol()
+    product = _sin(r * h) * _cos(s * h)
+    assert (product - (_sin((r + s) * h) + _sin((r - s) * h)) / 2).vanishes()
+    assert not (product - _sin(r * h)).vanishes()
+
+
+def test_fraction_coefficients_prove_as_their_floats_do():
+    # Exact takes any value with integer numerator and denominator
+    outcomes = [_symbolic_exact(MethodDef("beta", _beta_coefficients(beta)),
+                                MEAN_POSITION)
+                for beta in (Fraction(1, 2), 0.5, Fraction(1, 3), 1 / 3)]
+    assert outcomes == [PROOF_PROVED] * 2 + [PROOF_REFUTED] * 2
 
 
 def test_exact_arithmetic():

@@ -413,6 +413,25 @@ def test_samplers_reach_no_blas():
     assert found == []
 
 
+def test_no_module_imports_fractions_or_decimal():
+    # the proofs' rationals are int pairs; `fractions` would load `decimal`
+    package = os.path.dirname(sim.__file__)
+    found = []
+    for path in sorted(os.listdir(package)):
+        if not path.endswith(".py"):
+            continue
+        with open(os.path.join(package, path), encoding="utf-8") as source:
+            tree = ast.parse(source.read())
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [(path, name, node.lineno) for name in names
+                      if name.split(".")[0] in ("fractions", "decimal")]
+    assert found == []
+
+
 # SHA-256 of the stdout of small simulate runs, recorded before the sampler
 # moved to step-major buffers; the kernels must keep every printed digit.
 # The first three were re-recorded when the laws' 3x3 products moved from
