@@ -11,12 +11,13 @@ rest of the API lives in the submodules (`methods`, `exact`, `laws`, `ldp`,
 `strong`, `sim`, `oscillator`, `cli`).
 """
 
+import importlib
+
 # methods is the largest module: compiled first, while the heap is smallest,
-# its parse memory is reused by the imports after it, which lowers peak RSS
+# its parse memory is reused by oscillator, cli and the modules a command
+# loads when it runs, which lowers peak RSS
 from .methods import get_method
 from .oscillator import OscillatorParams, SimConfig
-from .laws import interval_probability, law_NA_N, law_x_N
-from .ldp import exact_preservation_search, preservation_report, rate_function
 
 __version__ = "0.1.0"
 
@@ -26,12 +27,16 @@ __all__ = [
     "preservation_report", "rate_function", "simulate_paths",
 ]
 
+# the module of each name loaded on first use (PEP 562), so a command
+# compiles only what it runs: msq loads neither the laws nor ldp, and only
+# the sampler imports numpy
+_LAZY = {"interval_probability": "laws", "law_NA_N": "laws",
+         "law_x_N": "laws", "exact_preservation_search": "ldp",
+         "preservation_report": "ldp", "rate_function": "ldp",
+         "msq_order": "strong", "simulate_paths": "sim"}
 
-def __getattr__(name):  # PEP 562: loaded on first use
-    if name == "msq_order":
-        from .strong import msq_order
-        return msq_order
-    if name == "simulate_paths":  # the sampler imports numpy
-        from .sim import simulate_paths
-        return simulate_paths
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)

@@ -23,12 +23,13 @@ The CLI parses and renders: argparse rejects `--h` with `--h-sweep` and
 
 Exit codes: 0 success, 1 bad usage or bad input, 2 no applicable result.
 `simulate` checks its configuration and laws before it imports the sampler
-(numpy); every other command runs on the standard library. `msq` computes
-the exact law of its error and ignores `--samples` and `--seed`, which it
-still accepts, with a note on stderr. Worker threads for the sampler come
-from LDP_OSC_THREADS; results are bit-identical for any thread count. The
-parser is built on the first `main()` call and reused by every later call in
-the same process.
+(numpy); every other command runs on the standard library. Each command
+imports the modules it runs when it runs, so `catalog`, `conditions` and
+`msq` load neither `laws` nor `ldp`. `msq` computes the exact law of its
+error and ignores `--samples` and `--seed`, which it still accepts, with a
+note on stderr. Worker threads for the sampler come from LDP_OSC_THREADS;
+results are bit-identical for any thread count. The parser is built on the
+first `main()` call and reused by every later call in the same process.
 """
 
 import argparse
@@ -41,13 +42,10 @@ import re
 import sys
 import warnings
 
-from .ldp import exact_preservation_search, observable_law, \
-    preservation_report, rate_function
-from .laws import DivergentMomentsError, interval_probability
 from .methods import COEFFICIENT_KEYS, catalog, condition_b_diagnostics, \
     get_method, parse_method_file
-from .oscillator import MEAN_POSITION, OBSERVABLES, OscillatorParams, \
-    SimConfig, rate_infimum
+from .oscillator import MEAN_POSITION, OBSERVABLES, DivergentMomentsError, \
+    OscillatorParams, SimConfig, rate_infimum
 
 SCHEMA = "ldp-osc/1"
 
@@ -217,6 +215,7 @@ def _cmd_conditions(args):
 
 
 def _cmd_rates(args):
+    from .ldp import preservation_report
     method = _resolve_method(args.method)
     params = _params(args)
     report = preservation_report(method, args.observable,
@@ -244,6 +243,8 @@ def _cmd_rates(args):
 
 
 def _cmd_prob(args):
+    from .laws import interval_probability
+    from .ldp import observable_law, rate_function
     method = _resolve_method(args.method)
     params = _params(args)
     interval = _parse_interval(args.interval)
@@ -301,6 +302,7 @@ def _cmd_msq(args):
 
 
 def _cmd_simulate(args):
+    from .ldp import observable_law
     method = _resolve_method(args.method)
     params = _params(args)
     config = SimConfig(method=method, h=args.h, steps=args.N,
@@ -332,6 +334,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_search(args):
+    from .ldp import exact_preservation_search
     hits = exact_preservation_search(args.observable)
     rows = []
     for hit in hits:

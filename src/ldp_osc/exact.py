@@ -89,17 +89,31 @@ def _mono_mul(m1, m2):
 
 
 # bounds on one product, far above the 49 term pairs and 131-bit coefficients
-# the tests form; beyond them a proof could run for minutes, so it declines
+# the catalog's proofs form; beyond them a proof could run for minutes, so it
+# declines. MAX_SUM_BITS bounds the coefficient sizes one output term may
+# sum: with distinct denominators an unreduced sum grows by each addend's
+# size, and reducing it costs the square of the sum's size, so 128 terms
+# with 1000-bit denominators squared ran 24 s, while the products just
+# inside the bound run within 0.4 s and the tests' largest sums 18484 bits
 MAX_TERM_PAIRS = 16384
 MAX_COEFFICIENT_BITS = 4096
+MAX_SUM_BITS = 32768
 
 
 def _poly_mul(p, q):
-    bits = max((n.bit_length() + d.bit_length()
-                for poly in (p, q) for n, d in poly.values()), default=0)
+    sizes = [sorted((n.bit_length() + d.bit_length() for n, d in poly.values()),
+                    reverse=True) for poly in (p, q)]
+    bits = max(sizes[0][:1] + sizes[1][:1], default=0)
     if len(p) * len(q) > MAX_TERM_PAIRS or bits > MAX_COEFFICIENT_BITS:
         raise ProofDeclined(f"a product of {len(p)} by {len(q)} terms with "
                             f"{bits}-bit coefficients exceeds the proof's bounds")
+    # an output term sums at most one product per term of p and per term of q
+    k = min(len(p), len(q))
+    summed = sum(sizes[0][:k]) + sum(sizes[1][:k])
+    if summed > MAX_SUM_BITS:
+        raise ProofDeclined(f"a product of {len(p)} by {len(q)} terms may sum "
+                            f"{summed} bits of coefficients into one term, "
+                            "beyond the proof's bounds")
     # sums of unreduced products, each reduced once at the end; a zero sum
     # leaves the dict, so the order of the terms is that of reduced sums
     out = {}

@@ -13,10 +13,11 @@ sum Q_N = alpha^2 h sum_{k<N} M^k b~ b~^T M^kT. Squaring (M^n, Q_n) ->
 1968), so N steps take at most 2 log2 N updates of 3x3 float tuples (about
 60 at N = 1e9, no BLAS): time O(log N), memory O(1). The products
 (`_product`, `_add_congruence`) take matrices of any shape as row tuples;
-`strong` steps its 4x4 mean-square error law with them. Against the same doubling
-in 50-digit mpmath, the relative variance error over the catalog is at most
-9.3e-16 for N <= 10 and about 5e-17 N beyond, within the tested budget
-4e-15 + 1e-16 N; means stay within 1.4e-11 of |mean| + sigma up to N = 1e9.
+the tests step the 4x4 reference route of `strong`'s error law with them.
+Against the same doubling in 50-digit mpmath, the relative variance error
+over the catalog is at most 9.3e-16 for N <= 10 and about 5e-17 N beyond,
+within the tested budget 4e-15 + 1e-16 N; means stay within 1.4e-11 of
+|mean| + sigma up to N = 1e9.
 
 Both laws first read `check_conditions` on (A, b): real spectra and rotation
 angles lost to rounding (sin theta < SIN_THETA_MIN) are rejected before any
@@ -37,12 +38,7 @@ from typing import NamedTuple
 
 from .methods import SIN_THETA_MIN, NearDegenerateError, check_conditions, \
     evaluate
-from .oscillator import MAX_N, GaussianLaw
-
-
-class DivergentMomentsError(ValueError):
-    """The moments overflow float64 at this N: the matrix powers diverge
-    (det A > 1) or the noise covariance is too large."""
+from .oscillator import MAX_N, DivergentMomentsError, GaussianLaw
 
 
 class AugmentedMoments(NamedTuple):

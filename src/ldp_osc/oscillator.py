@@ -5,7 +5,9 @@ state and adds a Gaussian convolution integral. Everything here is closed
 form: the model's parameters, scalar Gaussian laws and the long-horizon
 decay rates of the two path observables, and the sampler's configuration
 (`SimConfig`), which the CLI checks before numpy loads. `strong` steps the
-exact solution beside a method in the law of their mean-square error.
+exact solution beside a method in the law of their mean-square error. The
+laws' `DivergentMomentsError` is defined here, so the CLI maps it to its exit
+code without loading `laws`.
 
 Every decay rate here is quadratic, y -> k y^2, so a rate is its coefficient
 k, a float. k = inf is the degenerate rate, 0 at y = 0 and infinite
@@ -19,6 +21,10 @@ from typing import NamedTuple
 # largest step count N a finite-N law, the sampler or msq accepts: the laws'
 # precision budget is tested up to here
 MAX_N = 10 ** 9
+
+# most path-steps (samples x steps) one sampler run may take: at the about
+# 1e8 path-steps a second that `simulate` runs on 2 cores, about 2 minutes
+MAX_PATH_STEPS = 10 ** 10
 
 MEAN_POSITION = "mean-position"
 MEAN_VELOCITY = "mean-velocity"
@@ -97,6 +103,15 @@ class SimConfig(_Checked, _SimConfig):
             raise ValueError(f"need at most {MAX_N:.0e} steps, got {self.steps}")
         if self.samples < 1:
             raise ValueError(f"need at least one sample, got {self.samples}")
+        if self.samples * self.steps > MAX_PATH_STEPS:
+            raise ValueError(
+                f"samples * steps = {self.samples * self.steps} path-steps; "
+                f"a run takes at most {MAX_PATH_STEPS:.0e}")
+
+
+class DivergentMomentsError(ValueError):
+    """The moments overflow float64 at this N: the matrix powers diverge
+    (det A > 1) or the noise covariance is too large."""
 
 
 class _GaussianLaw(NamedTuple):

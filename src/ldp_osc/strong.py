@@ -11,9 +11,9 @@ e = z - Z and the exact state Z follow one linear Gaussian recursion,
 
 from e = 0 and Z = (x0, y0), and E|e_n|^2 = |E e_n|^2 + tr Cov e_n is exact
 at every grid point n (`mean_square_errors`). Each step is one update of the
-4-vector mean and the 4x4 covariance of (e, Z) by `laws`' products of float
-tuples, so a step size of N steps costs O(N) time and O(1) memory, with no
-numpy and no sampling.
+4-vector mean and the 4x4 covariance of (e, Z), written on scalars without
+the products by the zero block of its step matrix, so a step size of N steps
+costs O(N) time and O(1) memory, with no numpy and no sampling.
 
 The error is O(h) beside a state of order one, so the law is written where
 nothing of order one cancels:
@@ -39,7 +39,6 @@ import math
 import warnings
 from typing import NamedTuple
 
-from .laws import _add_congruence, _product
 from .methods import decreasing_sweep, evaluate
 from .oscillator import OscillatorParams
 
@@ -47,10 +46,9 @@ from .oscillator import OscillatorParams
 MIN_STEP = 1e-8
 
 # most steps one sweep may take, summed over its step sizes: the law takes
-# 30-38 us a step, so the budget is about 5-6 minutes
+# about 2.2 us a step (Python 3.11, 2 shared vCPUs), so the budget is about
+# 20-25 s
 MSQ_MAX_STEPS = 10 ** 7
-
-_ZERO4 = ((0.0,) * 4,) * 4
 
 
 def rotation(delta):
@@ -124,6 +122,14 @@ def mean_square_errors(A, b, h, steps, params):
     The mean m and covariance S of u = (e, Z) step as m <- M m and
     S <- Q + M S M^T, with M = [[A, A - R], [0, R]] and Q = G C G^T for the
     step covariance C and the noise map G of (dW, I1, I2 - dW) into u.
+    M's lower-left block is zero, so the step is written on scalars: an
+    entry of M S in an e row, or of (M S) M^T in an e column, takes four
+    products, and one in a Z row or column takes two. Each entry sums its
+    products in the order ((x0 y0 + x1 y1) + x2 y2) + x3 y3, the order of
+    the 4x4 matrix product, whose products by the zero block add only
+    signed zeros, so each value is that of the 4x4 product bit for bit
+    until one overflows (`tests/oracles.py` holds that product as the
+    reference).
     """
     (a11, a12), (a21, a22) = A
     (r11, r12), (r21, r22) = rotation(h)
@@ -132,24 +138,61 @@ def mean_square_errors(A, b, h, steps, params):
     # and sin h = h - (h - sin h)
     half = math.sin(0.5 * h)
     versine, minus_sine = 2.0 * half * half, _minus_sine(h)
-    M = ((a11, a12, (a11 - 1.0) + versine, (a12 - h) + minus_sine),
-         (a21, a22, (a21 + h) - minus_sine, (a22 - 1.0) + versine),
-         (0.0, 0.0, r11, r12),
-         (0.0, 0.0, r21, r22))
-    # (dW, I1, J) into u: e gets alpha (b1 dW - I1, (b2 - 1) dW - J), and
-    # Z gets alpha (I1, dW + J)
+    d11, d12 = (a11 - 1.0) + versine, (a12 - h) + minus_sine
+    d21, d22 = (a21 + h) - minus_sine, (a22 - 1.0) + versine
     alpha = params.alpha
-    G = ((alpha * b[0], -alpha, 0.0),
-         (alpha * (b[1] - 1.0), 0.0, -alpha),
-         (0.0, alpha, 0.0),
-         (alpha, 0.0, alpha))
-    Q = _add_congruence(_ZERO4, G, step_noise_covariance(h))
-    m = ((0.0,), (0.0,), (params.x0,), (params.y0,))
-    S = _ZERO4
+    g1, g2 = alpha * b[0], alpha * (b[1] - 1.0)
+
+    def noise(v):
+        # G v, for (dW, I1, J) into u: e gets alpha (b1 dW - I1,
+        # (b2 - 1) dW - J), and Z gets alpha (I1, dW + J)
+        return (g1 * v[0] - alpha * v[1], g2 * v[0] - alpha * v[2],
+                alpha * v[1], alpha * v[0] + alpha * v[2])
+
+    # Q = G C G^T: G maps the columns of C to those of G C, and the rows of
+    # G C to those of Q
+    C = step_noise_covariance(h)
+    ((q00, q01, q02, q03), (q10, q11, q12, q13), (q20, q21, q22, q23),
+     (q30, q31, q32, q33)) = map(noise, zip(*map(noise, zip(*C))))
+    m0 = m1 = 0.0
+    m2, m3 = params.x0, params.y0
+    s00 = s01 = s02 = s03 = s10 = s11 = s12 = s13 = 0.0
+    s20 = s21 = s22 = s23 = s30 = s31 = s32 = s33 = 0.0
     for _ in range(steps):
-        m = _product(M, m)
-        S = _add_congruence(Q, M, S)
-        yield m[0][0] * m[0][0] + m[1][0] * m[1][0] + S[0][0] + S[1][1]
+        m0, m1, m2, m3 = (a11 * m0 + a12 * m1 + d11 * m2 + d12 * m3,
+                          a21 * m0 + a22 * m1 + d21 * m2 + d22 * m3,
+                          r11 * m2 + r12 * m3, r21 * m2 + r22 * m3)
+        # P = M S
+        p00 = a11 * s00 + a12 * s10 + d11 * s20 + d12 * s30
+        p01 = a11 * s01 + a12 * s11 + d11 * s21 + d12 * s31
+        p02 = a11 * s02 + a12 * s12 + d11 * s22 + d12 * s32
+        p03 = a11 * s03 + a12 * s13 + d11 * s23 + d12 * s33
+        p10 = a21 * s00 + a22 * s10 + d21 * s20 + d22 * s30
+        p11 = a21 * s01 + a22 * s11 + d21 * s21 + d22 * s31
+        p12 = a21 * s02 + a22 * s12 + d21 * s22 + d22 * s32
+        p13 = a21 * s03 + a22 * s13 + d21 * s23 + d22 * s33
+        p20, p21 = r11 * s20 + r12 * s30, r11 * s21 + r12 * s31
+        p22, p23 = r11 * s22 + r12 * s32, r11 * s23 + r12 * s33
+        p30, p31 = r21 * s20 + r22 * s30, r21 * s21 + r22 * s31
+        p32, p33 = r21 * s22 + r22 * s32, r21 * s23 + r22 * s33
+        # S = Q + P M^T
+        s00 = q00 + (p00 * a11 + p01 * a12 + p02 * d11 + p03 * d12)
+        s01 = q01 + (p00 * a21 + p01 * a22 + p02 * d21 + p03 * d22)
+        s02 = q02 + (p02 * r11 + p03 * r12)
+        s03 = q03 + (p02 * r21 + p03 * r22)
+        s10 = q10 + (p10 * a11 + p11 * a12 + p12 * d11 + p13 * d12)
+        s11 = q11 + (p10 * a21 + p11 * a22 + p12 * d21 + p13 * d22)
+        s12 = q12 + (p12 * r11 + p13 * r12)
+        s13 = q13 + (p12 * r21 + p13 * r22)
+        s20 = q20 + (p20 * a11 + p21 * a12 + p22 * d11 + p23 * d12)
+        s21 = q21 + (p20 * a21 + p21 * a22 + p22 * d21 + p23 * d22)
+        s22 = q22 + (p22 * r11 + p23 * r12)
+        s23 = q23 + (p22 * r21 + p23 * r22)
+        s30 = q30 + (p30 * a11 + p31 * a12 + p32 * d11 + p33 * d12)
+        s31 = q31 + (p30 * a21 + p31 * a22 + p32 * d21 + p33 * d22)
+        s32 = q32 + (p32 * r11 + p33 * r12)
+        s33 = q33 + (p32 * r21 + p33 * r22)
+        yield m0 * m0 + m1 * m1 + s00 + s11
 
 
 class MsqReport(NamedTuple):

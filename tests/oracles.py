@@ -13,6 +13,9 @@ at run time, kept here so the tests can check the package against them.
   the one-step noise covariance, and the mean-square error law of
   `strong.mean_square_errors` recomputed in 50-digit mpmath over (z, Z);
   neither shares code with `strong`;
+- the step of that law on full 4x4 matrices by `laws`' generic products,
+  the zero block of its step matrix included, which the law's scalar step
+  must equal bit for bit;
 - the finite-N decay rate -log P(observable in interval) / N, and the
   interval probability itself in 50-digit mpmath;
 - a reader for the CSV documents the CLI emits;
@@ -34,12 +37,13 @@ import numpy as np
 import sympy as sp
 
 from ldp_osc import methods
-from ldp_osc.laws import interval_probability
+from ldp_osc.laws import _add_congruence, _product, interval_probability
 from ldp_osc.exact import ProofDeclined
 from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, _closed_form_log_mgf, \
     observable_law
 from ldp_osc.methods import COEFFICIENT_KEYS
 from ldp_osc.oscillator import MEAN_POSITION, GaussianLaw, check_observable
+from ldp_osc.strong import _minus_sine, rotation, step_noise_covariance
 
 # ---------------------------------------------------------------------------
 # continuous-time laws of the oscillator
@@ -199,6 +203,35 @@ def mean_square_errors_mp50(A, b, h, steps, params):
             out.append(sum((m_z[i] - m_Z[i]) ** 2 + S_zz[i][i]
                            - 2 * S_zZ[i][i] + S_ZZ[i][i] for i in range(2)))
         return out
+
+
+def mean_square_errors_4x4(A, b, h, steps, params):
+    """`strong.mean_square_errors` on full 4x4 row tuples: the mean m and
+    covariance S of u = (e, Z) step as m <- M m and S <- Q + M S M^T by
+    `laws._product` and `laws._add_congruence`, with the products by the
+    zero block of M = [[A, A - R], [0, R]] and of the noise map G, and Q =
+    G C G^T from the same entries of A - R and C as the law."""
+    (a11, a12), (a21, a22) = A
+    (r11, r12), (r21, r22) = rotation(h)
+    half = math.sin(0.5 * h)
+    versine, minus_sine = 2.0 * half * half, _minus_sine(h)
+    M = ((a11, a12, (a11 - 1.0) + versine, (a12 - h) + minus_sine),
+         (a21, a22, (a21 + h) - minus_sine, (a22 - 1.0) + versine),
+         (0.0, 0.0, r11, r12),
+         (0.0, 0.0, r21, r22))
+    alpha = params.alpha
+    G = ((alpha * b[0], -alpha, 0.0),
+         (alpha * (b[1] - 1.0), 0.0, -alpha),
+         (0.0, alpha, 0.0),
+         (alpha, 0.0, alpha))
+    zero = ((0.0,) * 4,) * 4
+    Q = _add_congruence(zero, G, step_noise_covariance(h))
+    m = ((0.0,), (0.0,), (params.x0,), (params.y0,))
+    S = zero
+    for _ in range(steps):
+        m = _product(M, m)
+        S = _add_congruence(Q, M, S)
+        yield m[0][0] * m[0][0] + m[1][0] * m[1][0] + S[0][0] + S[1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import ast
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ldp_osc
@@ -45,6 +47,25 @@ def test_every_exported_name_resolves():
     assert len(ldp_osc.__all__) == 11
     for name in ldp_osc.__all__:
         assert getattr(ldp_osc, name).__name__ == name
+
+
+def test_star_import_binds_every_exported_name_on_first_use():
+    # the laws, ldp, the error law and the sampler load when a name of
+    # theirs is first read, as `import *` reads every name
+    script = ("import sys, ldp_osc\n"
+              "def loaded():\n"
+              "    return [m in sys.modules for m in ('ldp_osc.laws',\n"
+              "            'ldp_osc.ldp', 'ldp_osc.strong', 'ldp_osc.sim')]\n"
+              "before = loaded()\n"
+              "names = {}\n"
+              "exec('from ldp_osc import *', names)\n"
+              "names.pop('__builtins__')\n"
+              "print(before, loaded(), sorted(names))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        f"{[False] * 4} {[True] * 4} {sorted(ldp_osc.__all__)}")
 
 
 def _resolves(module, attribute):

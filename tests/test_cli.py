@@ -802,6 +802,63 @@ def test_only_a_proof_or_the_search_loads_the_exact_arithmetic():
         assert _modules_after([argv], exact) == [[0], [True, False, False, False]]
 
 
+def test_only_the_commands_that_run_a_law_load_laws_and_ldp():
+    modules = ("ldp_osc.laws", "ldp_osc.ldp")
+    assert _modules_after([], modules) == [[], [False, False]]
+    light = [["catalog"], ["conditions", "--method", "beta:0.5", "--h", "0.5"],
+             ["msq", "--method", "em", "--h", "0.1"]]
+    assert _modules_after(light, modules) == [[0] * 3, [False, False]]
+    # moments that overflow still end prob with exit 2: the CLI maps the
+    # error class without importing the laws that raise it
+    diverging = ["prob", "--method", "em", "--h", "0.5", "--N", "100000",
+                 "--interval", "0.9:1.1"]
+    assert _modules_after([diverging], modules) == [[2], [True, True]]
+
+
+def _module_level_imports(path):
+    """(module, line) of each import in a module's statements outside its
+    functions, relative ones with their dots: what loading it imports."""
+    with open(path, encoding="utf-8") as source:
+        body = ast.parse(source.read()).body
+    found = []
+    for node in (node for statement in body
+                 if not isinstance(statement, ast.FunctionDef)
+                 for node in ast.walk(statement)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            found += [(base, node.lineno)] + [
+                (f"{base}.{alias.name}".replace("..", "."), node.lineno)
+                for alias in node.names]
+    return found
+
+
+def test_cli_top_level_and_error_law_import_no_law_at_module_level():
+    # `msq` runs through these three, so none of them may load `laws` or
+    # `ldp` before a command asks for it
+    package = os.path.dirname(cli.__file__)
+    banned = {".laws", ".ldp", "ldp_osc.laws", "ldp_osc.ldp"}
+    found = [(name, module, line)
+             for name in ("cli.py", "__init__.py", "strong.py")
+             for module, line in _module_level_imports(
+                 os.path.join(package, name))
+             if module in banned]
+    assert found == []
+
+
+def test_simulate_refuses_a_run_past_its_path_step_budget(capsys):
+    # 1e21 path-steps, each count within its own bound: refused before the
+    # sampler loads
+    argv = ["simulate", "--method", "beta:0.5", "--h", "0.1", "--N",
+            "1000000000", "--samples", "1000000000000"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: samples * steps = 1000000000000000000000 path-steps; a run "
+        "takes at most 1e+10\n")
+    assert _modules_after([argv]) == [[1], [False] * 3]
+
+
 def test_only_json_output_loads_json_and_no_command_loads_dataclasses():
     # `_modules_after` loads json itself, so this script passes its commands
     # as Python literals and prints a Python literal

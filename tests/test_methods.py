@@ -1,7 +1,9 @@
 """Tests for the method catalog, structural checks, and the method-file format."""
 
 import math
+import random
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +31,8 @@ from ldp_osc.methods import (
     parse_expression,
     parse_method_file,
 )
-from ldp_osc.exact import Exact, ProofDeclined, _literal, _radd, _ratio, \
-    _rmul, _rneg, _rpow
+from ldp_osc.exact import _H, Exact, ProofDeclined, _literal, _poly_mul, \
+    _radd, _ratio, _rmul, _rneg, _rpow
 from ldp_osc.ldp import PROOF_PROVED, PROOF_REFUTED, _symbolic_exact, \
     preservation_report
 from ldp_osc.methods import _beta_coefficients, _cos, _pi_like, _sin
@@ -566,6 +568,21 @@ def test_products_beyond_the_proof_bounds_decline():
         (h / 3) ** 100000
     # the largest products the catalog forms stay far inside both bounds
     assert str((1 + h) ** 100).startswith("h**100 + 100*h**99 + 4950*h**98")
+
+
+def test_a_product_whose_sums_outgrow_the_bound_declines_before_it_runs():
+    # squared, one term of 128 with 1000-bit denominators would sum 128
+    # products over distinct denominators into a 256 000-bit fraction and
+    # reduce it, 24 s in all; each input is inside the other two bounds
+    draw = random.Random(5)
+    p = {((_H, j),) if j else (): _ratio(1 + draw.getrandbits(8),
+                                         draw.getrandbits(1000) | 1 << 999)
+         for j in range(128)}
+    start = time.perf_counter()
+    with pytest.raises(ProofDeclined, match="a product of 128 by 128 terms "
+                       "may sum 2[0-9]{5} bits of coefficients into one term"):
+        _poly_mul(p, p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_prints_any_variable():

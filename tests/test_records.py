@@ -9,7 +9,8 @@ import pytest
 from ldp_osc.laws import AugmentedMoments, IntervalProbability
 from ldp_osc.ldp import LdpClassification, PreservationReport
 from ldp_osc.methods import ConditionBDiagnostics, ConditionReport, MethodDef
-from ldp_osc.oscillator import MAX_N, GaussianLaw, OscillatorParams, SimConfig
+from ldp_osc.oscillator import MAX_N, MAX_PATH_STEPS, GaussianLaw, \
+    OscillatorParams, SimConfig
 from ldp_osc.sim import SimResult
 from ldp_osc.strong import MsqReport
 
@@ -97,6 +98,8 @@ INVALID = [
     (SimConfig, ("m", 0.1, MAX_N + 1, 100),
      "need at most 1e+09 steps, got 1000000001"),
     (SimConfig, ("m", 0.1, 10, 0), "need at least one sample, got 0"),
+    (SimConfig, ("m", 0.1, MAX_N, 11), "samples * steps = 11000000000 "
+                                       "path-steps; a run takes at most 1e+10"),
     (GaussianLaw, (0.0, -1.0), "variance must be nonnegative, got -1.0"),
     (GaussianLaw, (0.0, math.nan), "variance must be nonnegative, got nan"),
 ]
@@ -118,3 +121,8 @@ def test_checked_records_refuse_bad_fields_however_built(record, args, message):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
+
+
+def test_sim_config_takes_its_whole_path_step_budget():
+    config = SimConfig("m", 0.1, MAX_N, MAX_PATH_STEPS // MAX_N)
+    assert config.samples * config.steps == MAX_PATH_STEPS

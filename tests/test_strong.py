@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ldp_osc import cli, strong
@@ -107,6 +109,70 @@ def test_error_law_of_every_method_is_near_50_digits_at_each_step_size(h):
                              for g, w in zip(got, want)))
     assert {"beta:0.5", "ex", "opt"} <= set(names)
     assert worst <= 1e-13
+
+
+def _hex_until_not_finite(values):
+    """float.hex of each value up to the first one that is not finite, which
+    ends the list as "not finite": msq reads inf and nan alike."""
+    out = []
+    for value in values:
+        if not math.isfinite(value):
+            return out + ["not finite"]
+        out.append(value.hex())
+    return out
+
+
+@pytest.mark.parametrize("h", [0.5, 0.1, 1e-3, 1e-5, MIN_STEP])
+def test_error_law_is_the_4x4_recursion_bit_for_bit(h):
+    # the scalar step leaves out only the products by zero blocks, which add
+    # nothing but signed zeros to a sum
+    names = []
+    for method in catalog():
+        try:
+            A, b = evaluate(method, h)
+        except ValueError:
+            continue
+        names.append(method.name)
+        got = [v.hex() for v in mean_square_errors(A, b, h, 200, PARAMS)]
+        want = oracles.mean_square_errors_4x4(A, b, h, 200, PARAMS)
+        assert got == [v.hex() for v in want], method.name
+    assert {"em", "beta:0.5", "ex", "opt"} <= set(names)
+
+
+_ENTRY = st.floats(-4.0, 4.0) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ENTRY, min_size=6, max_size=6), st.floats(MIN_STEP, 2.5),
+       st.floats(1e-150, 1e150), st.floats(-1e150, 1e150),
+       st.floats(-1e150, 1e150))
+def test_error_law_is_the_4x4_recursion_for_any_finite_inputs(entries, h,
+                                                              alpha, x0, y0):
+    A, b = (entries[0:2], entries[2:4]), entries[4:6]
+    params = OscillatorParams(alpha=alpha, x0=x0, y0=y0)
+    got = mean_square_errors(A, b, h, 60, params)
+    want = oracles.mean_square_errors_4x4(A, b, h, 60, params)
+    assert _hex_until_not_finite(got) == _hex_until_not_finite(want)
+
+
+def test_a_diverging_law_is_the_4x4_recursion_until_it_overflows(monkeypatch):
+    # det A = 1 + h^2 for em: the law overflows after about 3000 steps of 0.5
+    A, b = evaluate(get_method("em"), 0.5)
+    got = _hex_until_not_finite(mean_square_errors(A, b, 0.5, 4000, PARAMS))
+    assert 1000 < len(got) < 4000 and got[-1] == "not finite"
+    assert got == _hex_until_not_finite(
+        oracles.mean_square_errors_4x4(A, b, 0.5, 4000, PARAMS))
+
+    def refusal():
+        with pytest.raises(ValueError) as info:
+            msq_order(get_method("em"), [0.5, 0.25], T0=2000.0, params=PARAMS)
+        return str(info.value)
+
+    message = refusal()
+    monkeypatch.setattr(strong, "mean_square_errors",
+                        oracles.mean_square_errors_4x4)
+    assert refusal() == message == ("em: the strong error at h = 0.5 is not "
+                                    "finite; the method diverges")
 
 
 def test_error_law_folds_alpha_into_the_noise_rows():
@@ -312,7 +378,8 @@ def test_msq_memory_does_not_grow_with_sweep_points():
 
 
 def test_only_msq_loads_the_error_law():
-    # prob, rates and simulate never load it, and msq loads no numpy
+    # prob, rates and simulate never load it, and msq loads no numpy and
+    # nothing of the package but what it runs
     script = ("import json, sys, ldp_osc.cli\n"
               "seen = []\n"
               "for argv in json.loads(sys.argv[1]):\n"
@@ -337,6 +404,17 @@ def test_only_msq_loads_the_error_law():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False, True]]
+    # msq compiles only what it runs: neither the laws nor ldp
+    script = ("import json, sys, ldp_osc.cli\n"
+              "code = ldp_osc.cli.main(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.startswith('ldp_osc'))]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs[2])],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [
+        "ldp_osc", "ldp_osc.cli", "ldp_osc.methods", "ldp_osc.oscillator",
+        "ldp_osc.strong"]]
 
 
 @pytest.mark.parametrize("flags", [["--samples", "3000"], ["--seed", "4"],
